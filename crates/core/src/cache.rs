@@ -8,9 +8,11 @@
 //! classified outcome can be persisted and replayed: repeated and
 //! incremental campaigns skip already-characterized points entirely.
 //!
-//! The cache is a pair of [`BTreeMap`]s (step probes and golden
-//! captures), persisted as JSONL with one record per line in key order,
-//! so the byte stream is deterministic for a given content. Serialization
+//! The cache keeps its records per chip: one shard of two [`BTreeMap`]s
+//! (step probes and golden captures) for each chip, behind an [`Arc`], so
+//! a copy of the cache shares every shard it does not change. It is
+//! persisted as JSONL with one record per line in key order, so the byte
+//! stream is deterministic for a given content. Serialization
 //! is hand-rolled — a small writer plus the shared [`margins_trace::json`]
 //! recursive-descent reader — so the on-disk format is fully controlled
 //! by this module, floats round-trip exactly (shortest representation),
@@ -184,11 +186,24 @@ pub fn rail_label(rail: SweptRail) -> &'static str {
     }
 }
 
-/// The persistent, byte-deterministic campaign result cache.
+/// One chip's records. [`StepKey`] and [`GoldenKey`] both order by chip
+/// first, so walking the shards in chip order walks each record kind in
+/// key order.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct CampaignCache {
+struct ChipRecords {
     steps: BTreeMap<StepKey, StepEntry>,
     goldens: BTreeMap<GoldenKey, GoldenEntry>,
+}
+
+/// The persistent, byte-deterministic campaign result cache.
+///
+/// Records are sharded by chip and each shard is copy-on-write: cloning
+/// the cache copies one pointer per chip, and an insert deep-copies only
+/// the shard it lands in, and only while another clone still shares it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CampaignCache {
+    /// A shard exists only once it holds a record.
+    chips: BTreeMap<Arc<str>, Arc<ChipRecords>>,
 }
 
 impl CampaignCache {
@@ -201,40 +216,63 @@ impl CampaignCache {
     /// Total records (step probes + golden captures).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.steps.len() + self.goldens.len()
+        self.chips
+            .values()
+            .map(|shard| shard.steps.len() + shard.goldens.len())
+            .sum()
     }
 
     /// Whether the cache holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty() && self.goldens.is_empty()
+        self.chips.is_empty()
     }
 
     /// Looks up a step probe.
     #[must_use]
     pub fn step(&self, key: &StepKey) -> Option<&StepEntry> {
-        self.steps.get(key)
+        self.chips.get(key.chip.as_str())?.steps.get(key)
     }
 
     /// Inserts (or replaces) a step probe.
     pub fn insert_step(&mut self, key: StepKey, entry: StepEntry) {
-        self.steps.insert(key, entry);
+        // One lookup on a hit; the chip name is copied only on a miss.
+        if let Some(shard) = self.chips.get_mut(key.chip.as_str()) {
+            Arc::make_mut(shard).steps.insert(key, entry);
+        } else {
+            let chip = Arc::from(key.chip.as_str());
+            let mut shard = ChipRecords::default();
+            shard.steps.insert(key, entry);
+            self.chips.insert(chip, Arc::new(shard));
+        }
     }
 
     /// Looks up a golden capture.
     #[must_use]
     pub fn golden(&self, key: &GoldenKey) -> Option<&GoldenEntry> {
-        self.goldens.get(key)
+        self.chips.get(key.chip.as_str())?.goldens.get(key)
     }
 
     /// Inserts (or replaces) a golden capture.
     pub fn insert_golden(&mut self, key: GoldenKey, entry: GoldenEntry) {
-        self.goldens.insert(key, entry);
+        if let Some(shard) = self.chips.get_mut(key.chip.as_str()) {
+            Arc::make_mut(shard).goldens.insert(key, entry);
+        } else {
+            let chip = Arc::from(key.chip.as_str());
+            let mut shard = ChipRecords::default();
+            shard.goldens.insert(key, entry);
+            self.chips.insert(chip, Arc::new(shard));
+        }
     }
 
     /// All step probes, in key order.
     pub fn steps(&self) -> impl Iterator<Item = (&StepKey, &StepEntry)> {
-        self.steps.iter()
+        self.chips.values().flat_map(|shard| shard.steps.iter())
+    }
+
+    /// All golden captures, in key order.
+    fn goldens(&self) -> impl Iterator<Item = (&GoldenKey, &GoldenEntry)> {
+        self.chips.values().flat_map(|shard| shard.goldens.iter())
     }
 
     /// Derives [`SearchPriors`] for `config` on `chip` from every cached
@@ -251,10 +289,12 @@ impl CampaignCache {
         let rail = rail_label(config.rail);
         let enh = encode_enhancements(config.enhancements);
         let mut priors = SearchPriors::new();
+        let Some(shard) = self.chips.get(chip) else {
+            return priors;
+        };
         let mut best: BTreeMap<(String, String, u8), ItemPrior> = BTreeMap::new();
-        for (key, entry) in &self.steps {
-            if key.chip != chip
-                || key.rail != rail
+        for (key, entry) in &shard.steps {
+            if key.rail != rail
                 || key.target_mhz != config.target_frequency.get()
                 || key.parked_mhz != config.parked_frequency.get()
                 || key.enhancements != enh
@@ -289,7 +329,7 @@ impl CampaignCache {
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for (key, entry) in &self.goldens {
+        for (key, entry) in self.goldens() {
             out.push_str("{\"kind\":\"golden\"");
             push_str_field(&mut out, "chip", &key.chip);
             push_raw_field(&mut out, "target_mhz", &key.target_mhz.to_string());
@@ -303,7 +343,7 @@ impl CampaignCache {
             push_raw_field(&mut out, "runtime_s", &fmt_f64(entry.runtime_s));
             out.push_str("}\n");
         }
-        for (key, entry) in &self.steps {
+        for (key, entry) in self.steps() {
             out.push_str("{\"kind\":\"step\"");
             push_str_field(&mut out, "chip", &key.chip);
             push_str_field(&mut out, "rail", &key.rail);
@@ -373,7 +413,7 @@ impl CampaignCache {
                         digest,
                         runtime_s: obj.f64("runtime_s").map_err(&corrupt)?,
                     };
-                    cache.goldens.insert(key, entry);
+                    cache.insert_golden(key, entry);
                 }
                 "step" => {
                     let key = StepKey {
@@ -409,7 +449,7 @@ impl CampaignCache {
                         runs,
                         power_cycles: obj.u32("power_cycles").map_err(&corrupt)?,
                     };
-                    cache.steps.insert(key, entry);
+                    cache.insert_step(key, entry);
                 }
                 kind => return Err(corrupt(format!("unknown record kind '{kind}'"))),
             }
@@ -537,6 +577,9 @@ impl CacheLog {
 /// * **Writes append.** [`SharedCampaignCache::append_golden`] /
 ///   [`SharedCampaignCache::append_step`] push onto the log;
 ///   [`SharedCampaignCache::publish`] folds the log into a new snapshot.
+///   The new snapshot shares every chip shard the log does not touch
+///   with the old one, so a publish costs the touched chips plus one
+///   pointer per chip, however long the cache has grown.
 ///   Appends from concurrent campaigns interleave arbitrarily, but the
 ///   fold lands in [`BTreeMap`]s — identical coordinates produce
 ///   identical entries (probes are pure functions of their keys), so the
@@ -602,14 +645,16 @@ impl SharedCampaignCache {
             return;
         }
         let mut snapshot = lock(&self.snapshot);
-        let mut next = CampaignCache::clone(&snapshot);
+        // Copy-on-write twice over: the snapshot is copied only while a
+        // reader holds it, and then only as one pointer per chip; each
+        // touched shard is deep-copied once, on its first insert.
+        let next = Arc::make_mut(&mut snapshot);
         for (key, entry) in log.goldens.drain(..) {
             next.insert_golden(key, entry);
         }
         for (key, entry) in log.steps.drain(..) {
             next.insert_step(key, entry);
         }
-        *snapshot = Arc::new(next);
     }
 
     /// Total records in the published view (pending appends are published
@@ -656,8 +701,8 @@ impl SharedCampaignCache {
 }
 
 /// Locks `mutex`, recovering the guard if a holder panicked. Every critical
-/// section above leaves its value consistent (a push, a swap of the
-/// snapshot `Arc`, or a read), so one panicking campaign must not fail
+/// section above leaves its value consistent (a push, whole-record inserts
+/// into the snapshot, or a read), so one panicking campaign must not fail
 /// every later job sharing the cache.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
@@ -787,6 +832,19 @@ mod tests {
         }
     }
 
+    fn golden_key(chip: &str, core: u8) -> GoldenKey {
+        GoldenKey {
+            chip: chip.into(),
+            target_mhz: 2400,
+            parked_mhz: 300,
+            enhancements: 0,
+            seed: 0xC0FF_EE00,
+            program: "bwaves".into(),
+            dataset: "ref".into(),
+            core,
+        }
+    }
+
     fn entry(effects: &[EffectSet]) -> StepEntry {
         StepEntry {
             runs: effects
@@ -814,16 +872,7 @@ mod tests {
             ]),
         );
         cache.insert_golden(
-            GoldenKey {
-                chip: "TTT#0".into(),
-                target_mhz: 2400,
-                parked_mhz: 300,
-                enhancements: 0,
-                seed: 0xC0FF_EE00,
-                program: "bwaves".into(),
-                dataset: "ref".into(),
-                core: 0,
-            },
+            golden_key("TTT#0", 0),
             GoldenEntry {
                 digest: 0xDEAD_BEEF_0123_4567,
                 runtime_s: 0.5,
@@ -932,8 +981,35 @@ mod tests {
         // Highest crash voltage on the pmd rail: 880 (the soc entry at 910
         // belongs to a different machine setup).
         assert_eq!(prior.crash_mv, Some(880));
-        // A different chip has no priors.
+        // A chip with no shard has no priors.
         assert!(cache.derive_priors("TFF#1", &config).is_empty());
+
+        // Other chips' records, some above TTT#0's boundaries and one on
+        // a name that shares TTT#0's prefix, stay in their own shards.
+        for (chip, mv, effects) in [
+            ("TTT#00", 930, EffectSet::of(Effect::Sc)),
+            ("TTT#10", 905, EffectSet::of(Effect::Sdc)),
+            ("TTT#10", 885, EffectSet::of(Effect::Sc)),
+            ("TSS#1", 925, EffectSet::of(Effect::Sc)),
+        ] {
+            let mut key = step_key(mv);
+            key.chip = chip.into();
+            cache.insert_step(key, entry(&[effects]));
+        }
+        let prior_of = |chip: &str| {
+            cache
+                .derive_priors(chip, &config)
+                .get("bwaves", "ref", CoreId::new(0))
+        };
+        let own = prior_of("TTT#0").expect("prior derived");
+        assert_eq!((own.vmin_mv, own.crash_mv), (Some(895), Some(880)));
+        let ten = prior_of("TTT#10").expect("prior derived");
+        assert_eq!((ten.vmin_mv, ten.crash_mv), (Some(905), Some(885)));
+        let tss = prior_of("TSS#1").expect("prior derived");
+        assert_eq!((tss.vmin_mv, tss.crash_mv), (Some(925), Some(925)));
+        let zero = prior_of("TTT#00").expect("prior derived");
+        assert_eq!((zero.vmin_mv, zero.crash_mv), (Some(930), Some(930)));
+        assert!(cache.derive_priors("TTT#1", &config).is_empty());
     }
 
     #[test]
@@ -1050,16 +1126,7 @@ mod tests {
             ba.append_step(k.clone(), e.clone());
         }
         ba.append_golden(
-            GoldenKey {
-                chip: "TTT#0".into(),
-                target_mhz: 2400,
-                parked_mhz: 300,
-                enhancements: 0,
-                seed: 0xC0FF_EE00,
-                program: "bwaves".into(),
-                dataset: "ref".into(),
-                core: 0,
-            },
+            golden_key("TTT#0", 0),
             GoldenEntry {
                 digest: 0xDEAD_BEEF_0123_4567,
                 runtime_s: 0.5,
@@ -1120,6 +1187,150 @@ mod tests {
         shared.publish();
         assert!(shared.snapshot().step(&key).is_some());
         assert_eq!(shared.len(), 4);
+    }
+
+    /// Chip names whose string order differs from their numeric order.
+    const CHIPS: [&str; 9] = [
+        "TTT#2", "TTT#10", "TTT#1", "TSS#1", "TSS#10", "TFF#100", "TFF#9", "TTT#9", "TSS#2",
+    ];
+
+    #[test]
+    fn publish_shares_every_shard_it_does_not_touch() {
+        let mut seeded = CampaignCache::new();
+        for chip in CHIPS {
+            let mut key = step_key(900);
+            key.chip = chip.into();
+            seeded.insert_step(key, entry(&[EffectSet::new()]));
+            seeded.insert_golden(
+                golden_key(chip, 0),
+                GoldenEntry {
+                    digest: 1,
+                    runtime_s: 0.5,
+                },
+            );
+        }
+        let shared = SharedCampaignCache::from(seeded.clone());
+        let before = shared.snapshot();
+
+        // One chip's fresh results: a new step and a replaced golden.
+        let mut fresh = step_key(880);
+        fresh.chip = "TTT#10".into();
+        shared.append_step(fresh.clone(), entry(&[EffectSet::of(Effect::Sc)]));
+        shared.append_golden(
+            golden_key("TTT#10", 0),
+            GoldenEntry {
+                digest: 2,
+                runtime_s: 0.25,
+            },
+        );
+        shared.publish();
+        let after = shared.snapshot();
+
+        assert!(!Arc::ptr_eq(&before, &after), "a held snapshot is copied");
+        for (chip, shard) in &before.chips {
+            let shared_shard = Arc::ptr_eq(shard, &after.chips[chip]);
+            assert_eq!(shared_shard, &**chip != "TTT#10", "{chip}");
+        }
+        // The old snapshot still answers as before.
+        assert_eq!(*before, seeded);
+        assert!(before.step(&fresh).is_none());
+        assert_eq!(
+            before.golden(&golden_key("TTT#10", 0)).map(|g| g.digest),
+            Some(1)
+        );
+        assert_eq!(
+            after.golden(&golden_key("TTT#10", 0)).map(|g| g.digest),
+            Some(2)
+        );
+        assert!(after.step(&fresh).is_some());
+        assert_eq!(after.len(), before.len() + 1);
+    }
+
+    #[test]
+    fn shuffled_inserts_serialize_in_canonical_key_order() {
+        enum Record {
+            Step(StepKey, StepEntry),
+            Golden(GoldenKey, GoldenEntry),
+        }
+        let runs = [
+            EffectSet::new(),
+            EffectSet::of(Effect::Sc),
+            EffectSet::of(Effect::Ce),
+        ];
+        for seed in 0..16u64 {
+            let mut rng = margins_rng::Rng::seed_from_u64(seed);
+            let mut records = Vec::new();
+            for chip in CHIPS {
+                for core in [0u8, 4] {
+                    let golden = GoldenEntry {
+                        digest: rng.next_u64(),
+                        runtime_s: 0.5,
+                    };
+                    records.push(Record::Golden(golden_key(chip, core), golden));
+                    for mv in [900, 895, 890] {
+                        let mut key = step_key(mv);
+                        key.chip = chip.into();
+                        key.core = core;
+                        let effects = runs[rng.below(3) as usize];
+                        records.push(Record::Step(key, entry(&[effects])));
+                    }
+                }
+            }
+            rng.shuffle(&mut records);
+
+            // The same shuffled order through the owned cache and the
+            // shared one, publishing at random points.
+            let mut cache = CampaignCache::new();
+            let shared = SharedCampaignCache::new();
+            for record in &records {
+                match record {
+                    Record::Step(k, e) => {
+                        cache.insert_step(k.clone(), e.clone());
+                        shared.append_step(k.clone(), e.clone());
+                    }
+                    Record::Golden(k, e) => {
+                        cache.insert_golden(k.clone(), e.clone());
+                        shared.append_golden(k.clone(), e.clone());
+                    }
+                }
+                if rng.below(8) == 0 {
+                    shared.publish();
+                }
+            }
+
+            // Expected: each golden's line in ascending key order, then
+            // each step's line in ascending key order.
+            let mut goldens: Vec<(&GoldenKey, String)> = Vec::new();
+            let mut steps: Vec<(&StepKey, String)> = Vec::new();
+            for record in &records {
+                let mut one = CampaignCache::new();
+                match record {
+                    Record::Step(k, e) => {
+                        one.insert_step(k.clone(), e.clone());
+                        steps.push((k, one.to_jsonl()));
+                    }
+                    Record::Golden(k, e) => {
+                        one.insert_golden(k.clone(), e.clone());
+                        goldens.push((k, one.to_jsonl()));
+                    }
+                }
+            }
+            goldens.sort();
+            steps.sort();
+            let expected: String = goldens
+                .iter()
+                .map(|(_, line)| line.as_str())
+                .chain(steps.iter().map(|(_, line)| line.as_str()))
+                .collect();
+
+            let text = cache.to_jsonl();
+            assert_eq!(text, expected, "seed {seed}");
+            assert_eq!(shared.to_jsonl(), expected, "seed {seed}");
+            assert_eq!(cache.len(), records.len(), "seed {seed}");
+            let reloaded = CampaignCache::from_jsonl(&text).expect("own output parses");
+            assert_eq!(reloaded, cache, "seed {seed}");
+            assert_eq!(shared.into_cache(), cache, "seed {seed}");
+        }
     }
 
     #[test]

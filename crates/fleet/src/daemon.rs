@@ -11,6 +11,11 @@
 //! shared campaign cache is published and saved (when a cache path was
 //! given), and the process exits cleanly.
 //!
+//! **Framing.** Every frame leaves in one `write` of the line and its
+//! `\n`, on a socket with `TCP_NODELAY`. Two writes per frame (the line,
+//! then the `\n`) would let Nagle's algorithm hold the second until the
+//! peer's delayed ACK arrives, about 40 ms on Linux, on every response.
+//!
 //! **Streaming.** A `subscribe` frame turns the connection into a duplex
 //! channel: a pump thread per subscription drains the service's bounded
 //! event queue and pushes `event` frames, interleaved frame-atomically
@@ -142,13 +147,16 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
 /// daemon shutdown.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Writes one frame line atomically through the connection's write lock;
-/// `false` when the peer is gone.
-fn send_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
+/// Writes one frame line atomically through the connection's write lock,
+/// as a single write of the line and its `\n` (the line is extended in
+/// place, so a large results frame is not copied again); `false` when
+/// the peer is gone.
+fn send_line<W: Write>(writer: &Mutex<W>, mut line: String) -> bool {
+    line.push('\n');
     let mut w = writer
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    writeln!(w, "{line}").is_ok() && w.flush().is_ok()
+    w.write_all(line.as_bytes()).is_ok() && w.flush().is_ok()
 }
 
 /// Drains a subscription into `event` frames until it closes; a dead
@@ -156,12 +164,22 @@ fn send_line(writer: &Mutex<TcpStream>, line: &str) -> bool {
 fn pump_events(service: &FleetService, sub: Subscription, writer: &Mutex<TcpStream>) {
     while let Some(events) = service.next_events(&sub) {
         for event in events {
-            if !send_line(writer, &Response::Event(event).to_line()) {
+            if !send_line(writer, Response::Event(event).to_line()) {
                 service.unsubscribe(&sub);
                 return;
             }
         }
     }
+}
+
+/// Readies an accepted stream: `TCP_NODELAY` on it, so each frame is sent
+/// as soon as it is written, and a clone of it as the read half, with a
+/// timeout that keeps the reader responsive to the stop flag.
+fn open_connection(stream: &TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    let read_half = stream.try_clone()?;
+    read_half.set_read_timeout(Some(READ_POLL))?;
+    Ok(read_half)
 }
 
 /// Serves one client connection until EOF or shutdown.
@@ -173,18 +191,16 @@ fn handle_connection(
     out_dir: Option<&str>,
     subscriber_queue: usize,
 ) {
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok(read_half) = open_connection(&stream) else {
         return;
     };
-    // The timeout keeps the reader responsive to the stop flag; partial
-    // frame bytes survive across timeouts in `buf` below.
-    let _ = read_half.set_read_timeout(Some(READ_POLL));
     let writer = Mutex::new(stream);
     // Subscriptions owned by this connection, torn down on EOF so a
     // vanished watcher never leaves a queue growing in the scheduler.
     let subs: Mutex<Vec<(u64, Subscription)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let mut reader = BufReader::new(read_half);
+        // Partial frame bytes survive read timeouts here.
         let mut buf: Vec<u8> = Vec::new();
         loop {
             match reader.read_until(b'\n', &mut buf) {
@@ -278,11 +294,11 @@ fn handle_line<'scope, 'env>(
                     }
                     // Acknowledge before the pump starts so the client
                     // always sees `subscribed` ahead of any event frame.
-                    let alive = send_line(writer, &Response::Subscribed { job }.to_line());
+                    let alive = send_line(writer, Response::Subscribed { job }.to_line());
                     scope.spawn(move || pump_events(service, sub, writer));
                     alive
                 }
-                None => send_line(writer, &unknown_job(job).to_line()),
+                None => send_line(writer, unknown_job(job).to_line()),
             }
         }
         Ok(Request::Unsubscribe { client: _, job }) => {
@@ -297,14 +313,14 @@ fn handle_line<'scope, 'env>(
             match found {
                 Some(sub) => {
                     service.unsubscribe(&sub);
-                    send_line(writer, &Response::Unsubscribed { job }.to_line())
+                    send_line(writer, Response::Unsubscribed { job }.to_line())
                 }
-                None => send_line(writer, &unknown_job(job).to_line()),
+                None => send_line(writer, unknown_job(job).to_line()),
             }
         }
         _ => {
             let (response, shutdown) = respond(line, service, out_dir);
-            if !send_line(writer, &response.to_line()) {
+            if !send_line(writer, response.to_line()) {
                 return false;
             }
             if shutdown {
@@ -528,6 +544,58 @@ mod tests {
             panic!("expected an error frame, got {resp:?}");
         };
         assert_eq!(code, "not-streaming");
+    }
+
+    /// A writer that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn send_line_writes_each_frame_in_one_write() {
+        let small = Response::Subscribed { job: 7 }.to_line();
+        let results = Response::Results {
+            job: 1,
+            chips: 64,
+            runs: 192,
+            power_cycles: 0,
+            executed_ops: 0,
+            trace: "{\"seq\":0}\n".repeat(20_000),
+            metrics: "# EOF\n".to_owned(),
+        }
+        .to_line();
+        assert!(results.len() >= 191 * 1024, "{}", results.len());
+        for line in [small, results] {
+            let writer = Mutex::new(CountingWriter::default());
+            assert!(send_line(&writer, line.clone()));
+            let writes = writer.into_inner().expect("unpoisoned").writes;
+            assert_eq!(writes.len(), 1, "one write per frame");
+            assert_eq!(writes[0], format!("{line}\n").into_bytes());
+        }
+    }
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("bound address");
+        let _client = TcpStream::connect(addr).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        let read_half = open_connection(&accepted).expect("stream set-up");
+        assert_eq!(accepted.nodelay().ok(), Some(true));
+        assert_eq!(read_half.nodelay().ok(), Some(true));
+        assert_eq!(read_half.read_timeout().ok(), Some(Some(READ_POLL)));
     }
 
     #[test]

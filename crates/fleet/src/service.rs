@@ -31,7 +31,7 @@ use margins_sim::ChipSpec;
 use margins_trace::{merge_streams, MemorySink, MetricsRegistry, Sink, TraceEvent, TraceRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// A job identifier, unique within one service instance.
 pub type JobId = u64;
@@ -91,8 +91,9 @@ pub enum JobOutcome {
 struct ChipOutcome {
     chip_id: String,
     records: Vec<TraceRecord>,
-    /// The chip's own sealed JSONL stream (`records`, one line each).
-    trace: String,
+    /// The chip's own sealed JSONL stream (`records`, one line each),
+    /// encoded on first use: only `chip-finished` events carry it.
+    trace: OnceLock<String>,
     tallies: PhaseTallies,
     runs: u64,
     power_cycles: u32,
@@ -102,6 +103,22 @@ struct ChipOutcome {
     severity_sum: f64,
     cache_hits: u64,
     cache_lookups: u64,
+}
+
+impl ChipOutcome {
+    /// The chip's sealed JSONL stream, encoded on the first call.
+    fn trace(&self) -> &str {
+        self.trace.get_or_init(|| {
+            let mut trace = String::new();
+            for record in &self.records {
+                if let Ok(line) = record.to_json_line() {
+                    trace.push_str(&line);
+                    trace.push('\n');
+                }
+            }
+            trace
+        })
+    }
 }
 
 /// One schedulable unit: chip `chip` of job `job`.
@@ -203,6 +220,11 @@ impl SchedState {
             }
         }
         None
+    }
+
+    /// Whether `job` has a live subscription.
+    fn watched(&self, job: JobId) -> bool {
+        self.subs.values().any(|sub| sub.job == job)
     }
 
     /// Pushes `event` to every live subscription of its job, counting —
@@ -689,7 +711,7 @@ impl FleetService {
 
     fn worker_loop(&self) {
         loop {
-            let (unit, spec, config) = {
+            let (unit, spec, config, watched) = {
                 let mut state = self.lock_state();
                 loop {
                     if state.stopping {
@@ -717,7 +739,7 @@ impl FleetService {
                         if wake {
                             self.events.notify_all();
                         }
-                        break (unit, spec, config);
+                        break (unit, spec, config, state.watched(unit.job));
                     }
                     state = self
                         .work
@@ -730,8 +752,13 @@ impl FleetService {
 
             // Replay the chip's records through a throwaway registry
             // outside the lock; only the (order-independent) counter
-            // folds touch shared state.
+            // folds touch shared state. A job that was watched when the
+            // chip started also gets its `chip-finished` payload encoded
+            // here, outside the lock.
             let chip_counters = result.as_ref().ok().map(|outcome| {
+                if watched {
+                    outcome.trace();
+                }
                 let mut registry = MetricsRegistry::new();
                 for record in &outcome.records {
                     registry.emit(record);
@@ -742,6 +769,10 @@ impl FleetService {
 
             let mut state = self.lock_state();
             state.busy = state.busy.saturating_sub(1);
+            // Decided under the lock that publishes the event: a
+            // subscriber arriving after this point is caught up from the
+            // retained outcome instead.
+            let watched = state.watched(unit.job);
             // Stage the bookkeeping while `j` is borrowed, then fold the
             // counters and publish once the borrow ends.
             let mut events: Vec<FleetEvent> = Vec::new();
@@ -751,7 +782,9 @@ impl FleetService {
             if let Some(j) = state.jobs.get_mut(&unit.job) {
                 match result {
                     Ok(outcome) => {
-                        events.push(chip_finished_event(unit.job, unit.chip as u32, &outcome));
+                        if watched {
+                            events.push(chip_finished_event(unit.job, unit.chip as u32, &outcome));
+                        }
                         j.results[unit.chip] = Some(outcome);
                         j.completed += 1;
                         chip_done = true;
@@ -833,17 +866,10 @@ impl FleetService {
             )?
         };
         let stats = ChipStats::fold(&buffer.records);
-        let mut trace = String::new();
-        for record in &buffer.records {
-            if let Ok(line) = record.to_json_line() {
-                trace.push_str(&line);
-                trace.push('\n');
-            }
-        }
         Ok(ChipOutcome {
             chip_id: spec.to_string(),
             records: buffer.records,
-            trace,
+            trace: OnceLock::new(),
             tallies,
             runs: outcome.runs.len() as u64,
             power_cycles: outcome.watchdog_power_cycles,
@@ -981,7 +1007,7 @@ fn chip_finished_event(job: JobId, chip: u32, outcome: &ChipOutcome) -> FleetEve
         severity_sum: outcome.severity_sum,
         cache_hits: outcome.cache_hits,
         cache_lookups: outcome.cache_lookups,
-        trace: outcome.trace.clone(),
+        trace: outcome.trace().to_owned(),
     }
 }
 

@@ -96,13 +96,20 @@ fn run(args: &[String]) -> Result<(), String> {
     };
 
     let stream = TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
+    // Each request leaves in one write, without waiting on Nagle.
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("connect {addr}: {e}"))?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut exchange = |request: &Request| -> Result<Response, String> {
-        writeln!(writer, "{}", request.to_line()).map_err(|e| format!("send: {e}"))?;
-        writer.flush().map_err(|e| format!("send: {e}"))?;
+        let mut line = request.to_line();
+        line.push('\n');
+        writer
+            .write_all(line.as_bytes())
+            .map_err(|e| format!("send: {e}"))?;
         let mut reply = String::new();
         reader
             .read_line(&mut reply)

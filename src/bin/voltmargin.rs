@@ -220,20 +220,19 @@ fn watch_cmd(opts: &Options) -> Result<(), String> {
     let trace_out = opts.flags.get("trace-out").cloned();
 
     let stream = std::net::TcpStream::connect(&addr).map_err(|e| format!("watch: {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
+    // The request leaves in one write, without waiting on Nagle.
+    stream
+        .set_nodelay(true)
         .map_err(|e| format!("watch: {addr}: {e}"))?;
-    writeln!(
-        writer,
-        "{}",
-        Request::Subscribe {
-            client: client.clone(),
-            job,
-        }
-        .to_line()
-    )
-    .map_err(|e| format!("watch: {addr}: {e}"))?;
-    writer.flush().map_err(|e| format!("watch: {addr}: {e}"))?;
+    let mut line = Request::Subscribe {
+        client: client.clone(),
+        job,
+    }
+    .to_line();
+    line.push('\n');
+    (&stream)
+        .write_all(line.as_bytes())
+        .map_err(|e| format!("watch: {addr}: {e}"))?;
 
     // Per-chip sealed streams, keyed by canonical chip index; the
     // terminal event triggers the canonical re-seal, which is

@@ -72,6 +72,19 @@ fn collect_until_terminal(
     events
 }
 
+/// The chip indices of a subscription's `chip-finished` events, sorted.
+fn finished_chips(events: &[FleetEvent]) -> Vec<u32> {
+    let mut chips: Vec<u32> = events
+        .iter()
+        .filter_map(|e| match e {
+            FleetEvent::ChipFinished { chip, .. } => Some(*chip),
+            _ => None,
+        })
+        .collect();
+    chips.sort_unstable();
+    chips
+}
+
 /// Reassembles a job trace from the `chip-finished` payloads of a
 /// subscription, in canonical (ascending chip index) order.
 fn reassemble(events: &[FleetEvent]) -> String {
@@ -120,15 +133,7 @@ fn live_subscription_replay_is_byte_identical_to_the_artifact() {
     ));
 
     // All four chips reported in, each exactly once.
-    let mut chips: Vec<u32> = events
-        .iter()
-        .filter_map(|e| match e {
-            FleetEvent::ChipFinished { chip, .. } => Some(*chip),
-            _ => None,
-        })
-        .collect();
-    chips.sort_unstable();
-    assert_eq!(chips, vec![0, 1, 2, 3]);
+    assert_eq!(finished_chips(&events), vec![0, 1, 2, 3]);
 
     // The replay contract: re-sealing the streamed per-chip payloads
     // reproduces the artifact trace byte for byte.
@@ -171,13 +176,49 @@ fn catch_up_subscription_replays_a_finished_job_identically() {
 }
 
 #[test]
+fn mid_job_subscription_reassembles_the_artifact() {
+    // One worker runs the chips in order. The subscriber joins once at
+    // least one chip has finished: finished chips reach it as catch-up,
+    // their payloads encoded on demand from the retained records, and
+    // the chips after it as live events.
+    let fleet = spec(Corner::Ttt, 400, 8);
+    let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid worker count");
+    let (job, _) = svc.submit("lab", &fleet).expect("valid spec");
+    let (results, events) = svc.run(|| {
+        while svc.status("lab", job).map_or(0, |s| s.done) == 0 {
+            std::thread::yield_now();
+        }
+        let sub = svc.subscribe("lab", job, 4096).expect("subscribe");
+        let mut events = svc.try_events(&sub);
+        let caught_up = events
+            .iter()
+            .filter(|e| matches!(e, FleetEvent::ChipFinished { .. }))
+            .count();
+        assert!(caught_up >= 1, "a finished chip is caught up: {events:?}");
+        if !events.iter().any(is_terminal) {
+            events.extend(collect_until_terminal(&svc, &sub));
+        }
+        (results_of(svc.wait("lab", job)), events)
+    });
+
+    assert_eq!(
+        finished_chips(&events),
+        (0..8).collect::<Vec<u32>>(),
+        "each chip exactly once"
+    );
+    assert_eq!(reassemble(&events), results.trace);
+}
+
+#[test]
 fn slow_consumer_gets_lagged_with_the_exact_drop_count() {
     let fleet = spec(Corner::Ttt, 320, 4);
     let svc = FleetService::new(2, SharedCampaignCache::new()).expect("valid worker count");
+    // Both subscriptions open before the workers start, so every event
+    // after the subscribe catch-up is offered to both queues.
+    let (job, _) = svc.submit("lab", &fleet).expect("valid spec");
+    let fast = svc.subscribe("lab", job, 4096).expect("subscribe");
+    let slow = svc.subscribe("lab", job, 1).expect("subscribe");
     let (fast_events, slow_events) = svc.run(|| {
-        let (job, _) = svc.submit("lab", &fleet).expect("valid spec");
-        let fast = svc.subscribe("lab", job, 4096).expect("subscribe");
-        let slow = svc.subscribe("lab", job, 1).expect("subscribe");
         let _ = results_of(svc.wait("lab", job));
         // Neither subscriber drained during the run: the fast queue held
         // everything, the slow queue held one event and counted drops.
