@@ -6,6 +6,9 @@
 //! Every inbound line is decoded with the total [`Request`] parser;
 //! undecodable frames are answered with a typed [`Response::Error`] and
 //! the connection stays up — a hostile peer can never panic the daemon.
+//! A line longer than [`MAX_FRAME_BYTES`] is never buffered whole: it is
+//! answered with one `frame-too-large` error and the connection closes,
+//! since the rest of the stream cannot be split into frames again.
 //!
 //! A `shutdown` frame stops the accept loop; in-flight chips finish, the
 //! shared campaign cache is published and saved (when a cache path was
@@ -25,13 +28,13 @@
 //! hold the daemon open across a shutdown; a subscriber disconnecting
 //! mid-job just tears down its own pumps.
 
-use crate::proto::{Request, Response, PROTO_VERSION};
+use crate::proto::{Request, Response, MAX_FRAME_BYTES, PROTO_VERSION};
 use crate::service::{FleetService, JobOutcome, Subscription, DEFAULT_SUBSCRIBER_QUEUE};
 use margins_core::cache::{CacheError, SharedCampaignCache};
 use margins_core::exec::ExecError;
 use std::fmt;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -200,10 +203,16 @@ fn handle_connection(
     let subs: Mutex<Vec<(u64, Subscription)>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         let mut reader = BufReader::new(read_half);
-        // Partial frame bytes survive read timeouts here.
+        // Partial frame bytes survive read timeouts here. Each read stops
+        // at the frame cap, so `buf` never holds more than one frame.
         let mut buf: Vec<u8> = Vec::new();
         loop {
-            match reader.read_until(b'\n', &mut buf) {
+            let room = MAX_FRAME_BYTES.saturating_sub(buf.len()) as u64;
+            match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
+                Ok(_) if buf.len() >= MAX_FRAME_BYTES && buf.last() != Some(&b'\n') => {
+                    refuse_oversized_frame(&writer);
+                    break;
+                }
                 Ok(0) => {
                     // EOF; a final unterminated line is still a frame.
                     if !buf.is_empty() {
@@ -266,6 +275,21 @@ fn handle_connection(
             service.unsubscribe(&sub);
         }
     });
+}
+
+/// Answers a frame that outgrew [`MAX_FRAME_BYTES`] and ends the
+/// connection's output, so the peer reads the error frame and then EOF.
+fn refuse_oversized_frame(writer: &Mutex<TcpStream>) {
+    let refusal = error_frame(
+        "frame-too-large",
+        format!("request frames are limited to {MAX_FRAME_BYTES} bytes, newline included"),
+    );
+    send_line(writer, refusal.to_line());
+    // Under the write lock, so no event frame is cut short.
+    let w = writer
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _ = w.shutdown(Shutdown::Write);
 }
 
 /// Handles one inbound frame line; returns whether to keep the
@@ -596,6 +620,58 @@ mod tests {
         assert_eq!(accepted.nodelay().ok(), Some(true));
         assert_eq!(read_half.nodelay().ok(), Some(true));
         assert_eq!(read_half.read_timeout().ok(), Some(Some(READ_POLL)));
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_and_the_connection_closed() {
+        let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let local = listener.local_addr().expect("bound address");
+        let stop = AtomicBool::new(false);
+        let connect = || {
+            let stream = TcpStream::connect(local).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            stream
+        };
+        std::thread::scope(|scope| {
+            // Both connections open up front and are served one after the
+            // other; a failed assertion drops them, so the server never
+            // waits for a connection that will not come.
+            let (hostile, fresh) = (connect(), connect());
+            scope.spawn(|| {
+                for stream in listener.incoming().take(2) {
+                    let stream = stream.expect("accept");
+                    handle_connection(stream, &svc, &stop, local, None, DEFAULT_SUBSCRIBER_QUEUE);
+                }
+            });
+
+            // 2 MiB without a newline. The write fails once the daemon
+            // closes the connection, which is expected.
+            let mut sender = hostile.try_clone().expect("clone");
+            scope.spawn(move || sender.write_all(&vec![b'x'; 2 * MAX_FRAME_BYTES]));
+            let mut reader = BufReader::new(hostile);
+            let mut frame = String::new();
+            reader.read_line(&mut frame).expect("an error frame");
+            let Ok(Response::Error { proto, code, .. }) = Response::parse_line(&frame) else {
+                panic!("expected an error frame, got {frame:?}");
+            };
+            assert_eq!((proto, code.as_str()), (PROTO_VERSION, "frame-too-large"));
+            frame.clear();
+            assert_eq!(reader.read_line(&mut frame).ok(), Some(0), "then EOF");
+
+            // The daemon itself is unharmed.
+            writeln!(&fresh, "{}", Request::Health.to_line()).expect("send");
+            let mut reply = String::new();
+            BufReader::new(&fresh)
+                .read_line(&mut reply)
+                .expect("a health frame");
+            assert!(
+                matches!(Response::parse_line(&reply), Ok(Response::Health(_))),
+                "{reply}"
+            );
+        });
     }
 
     #[test]

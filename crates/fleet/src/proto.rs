@@ -34,6 +34,11 @@ pub const PROTO_VERSION: u32 = 2;
 /// rejection instead of an allocation storm.
 pub const MAX_CHIPS: u32 = 65_536;
 
+/// Largest request frame the daemon reads, its `\n` included. A submit
+/// frame is under 1 KiB; the bound keeps a peer that never sends `\n`
+/// from growing the daemon's read buffer without limit.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// What one fleet characterization request sweeps: a contiguous serial
 /// range of chips at one process corner, all running the same campaign
 /// grid on the PMD rail.

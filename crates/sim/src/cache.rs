@@ -60,10 +60,21 @@ pub struct SetAssocCache {
     /// §6a enhancement: interleaved SECDED(39,32) replaces the stock
     /// protection of this array.
     extended_ecc: bool,
+    /// Always a power of two, so a set index is a mask, not a divide.
     sets: u32,
-    tags: Vec<Option<u64>>,
-    lru: Vec<u64>,
-    dirty: Vec<bool>,
+    /// The line address each way holds, one array per set; meaningful
+    /// only where the set's `valid` byte has the way's bit. Zero-filled,
+    /// so building an array writes no tag memory up front, and any line
+    /// address, zero and `u64::MAX` included, can be cached.
+    tags: Vec<[u64; WAYS as usize]>,
+    /// Per set, bit `w` is set while way `w` holds a line.
+    valid: Vec<u8>,
+    /// Per set, bit `w` is set while way `w` holds a dirty line (never
+    /// for an empty way).
+    dirty: Vec<u8>,
+    /// Per way, the stamp of its last access; read only once every way of
+    /// the set is valid, and each of those was stamped when it was filled.
+    lru: Vec<[u64; WAYS as usize]>,
     stamp: u64,
     weak: WeakCellMap,
     /// Weak cells already reported this run (dedupe: EDAC logs a location
@@ -87,15 +98,20 @@ impl SetAssocCache {
         extended_ecc: bool,
     ) -> Self {
         let sets = (level.capacity_bytes() / (LINE_BYTES * WAYS as usize)) as u32;
-        let slots = sets as usize * WAYS as usize;
+        assert!(
+            sets.is_power_of_two(),
+            "{level} has {sets} sets; set indexing needs a power of two"
+        );
+        let n = sets as usize;
         SetAssocCache {
             level,
             instance,
             extended_ecc,
             sets,
-            tags: vec![None; slots],
-            lru: vec![0; slots],
-            dirty: vec![false; slots],
+            tags: vec![[0; WAYS as usize]; n],
+            valid: vec![0; n],
+            dirty: vec![0; n],
+            lru: vec![[0; WAYS as usize]; n],
             stamp: 0,
             weak: WeakCellMap::generate(spec, level, instance as usize, sets, WAYS),
             reported: BTreeSet::new(),
@@ -123,9 +139,9 @@ impl SetAssocCache {
     /// Invalidates all lines and clears run-scoped state (power cycle or
     /// new run).
     pub fn reset(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
-        self.dirty.iter_mut().for_each(|d| *d = false);
-        self.lru.iter_mut().for_each(|l| *l = 0);
+        // Tags and stamps stay as they are: an empty way's are never read.
+        self.valid.fill(0);
+        self.dirty.fill(0);
         self.stamp = 0;
         self.reported.clear();
     }
@@ -136,51 +152,53 @@ impl SetAssocCache {
         self.reported.clear();
     }
 
-    fn slot(&self, set: u32, way: u8) -> usize {
-        set as usize * WAYS as usize + way as usize
-    }
-
     /// Accesses the line containing `line_addr` (already line-granular).
     /// Allocates on miss (write-allocate), marks dirty on writes,
     /// returns placement info.
     pub fn access(&mut self, line_addr: u64, write: bool) -> LevelAccess {
-        let set = (line_addr % u64::from(self.sets)) as u32;
+        // `line_addr % sets`, as a mask: `sets` is a power of two.
+        let set = (line_addr & u64::from(self.sets - 1)) as u32;
+        let s = set as usize;
         self.stamp += 1;
-        // Hit?
-        for way in 0..WAYS {
-            let slot = self.slot(set, way);
-            if self.tags[slot] == Some(line_addr) {
-                self.lru[slot] = self.stamp;
-                if write {
-                    self.dirty[slot] = true;
+        // Hit? Every way is compared, without a branch per way; the lowest
+        // valid match is the way a linear scan would stop at.
+        let mut matches = 0u8;
+        for (way, &tag) in self.tags[s].iter().enumerate() {
+            matches |= u8::from(tag == line_addr) << way;
+        }
+        let hits = matches & self.valid[s];
+        if hits != 0 {
+            let way = hits.trailing_zeros() as u8;
+            self.lru[s][usize::from(way)] = self.stamp;
+            self.dirty[s] |= u8::from(write) << way;
+            return LevelAccess {
+                hit: true,
+                writeback: false,
+                set,
+                way,
+            };
+        }
+        // Miss: the first empty way, else the least recently used one
+        // (the lowest way on ties).
+        let empty = !self.valid[s];
+        let victim = if empty != 0 {
+            empty.trailing_zeros() as u8
+        } else {
+            let lru = &self.lru[s];
+            (1..WAYS).fold(0u8, |best, way| {
+                if lru[usize::from(way)] < lru[usize::from(best)] {
+                    way
+                } else {
+                    best
                 }
-                return LevelAccess {
-                    hit: true,
-                    writeback: false,
-                    set,
-                    way,
-                };
-            }
-        }
-        // Miss: find invalid or LRU victim.
-        let mut victim = 0u8;
-        let mut best = u64::MAX;
-        for way in 0..WAYS {
-            let slot = self.slot(set, way);
-            if self.tags[slot].is_none() {
-                victim = way;
-                break;
-            }
-            if self.lru[slot] < best {
-                best = self.lru[slot];
-                victim = way;
-            }
-        }
-        let slot = self.slot(set, victim);
-        let writeback = self.tags[slot].is_some() && self.dirty[slot];
-        self.tags[slot] = Some(line_addr);
-        self.lru[slot] = self.stamp;
-        self.dirty[slot] = write;
+            })
+        };
+        let bit = 1u8 << victim;
+        let writeback = self.dirty[s] & bit != 0;
+        self.tags[s][usize::from(victim)] = line_addr;
+        self.lru[s][usize::from(victim)] = self.stamp;
+        self.valid[s] |= bit;
+        self.dirty[s] = (self.dirty[s] & !bit) | (u8::from(write) << victim);
         LevelAccess {
             hit: false,
             writeback,
@@ -202,6 +220,16 @@ impl SetAssocCache {
         edac: &mut EdacLog,
     ) -> FaultObservation {
         let mut obs = FaultObservation::default();
+        // A cell fails only below its fail voltage. When even the array's
+        // weakest cell holds at `supply_mv`, no location can report
+        // anything, so the lookup is skipped.
+        if !self
+            .weak
+            .weakest_cell_vfail_mv()
+            .is_some_and(|v| v > supply_mv)
+        {
+            return obs;
+        }
         // Group failing cells at this location by word to evaluate the
         // per-word protection code.
         let mut per_word_flips: [u64; WORDS_PER_LINE as usize] = [0; WORDS_PER_LINE as usize];
@@ -213,7 +241,7 @@ impl SetAssocCache {
         if !any {
             return obs;
         }
-        let dirty = self.dirty[self.slot(set, way)];
+        let dirty = self.dirty[set as usize] & (1u8 << way) != 0;
         for (word, mask) in per_word_flips.iter().enumerate() {
             if *mask == 0 {
                 continue;

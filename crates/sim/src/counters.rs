@@ -185,7 +185,10 @@ impl fmt::Display for PmuEvent {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterFile {
-    counts: Vec<u64>,
+    /// Sized by the event count, so indexing by an event needs no bounds
+    /// check; boxed, so the file stays one pointer wide wherever it is
+    /// held (every classified run carries an `Option<CounterFile>`).
+    counts: Box<[u64; NUM_EVENTS]>,
 }
 
 impl CounterFile {
@@ -193,7 +196,7 @@ impl CounterFile {
     #[must_use]
     pub fn new() -> Self {
         CounterFile {
-            counts: vec![0; NUM_EVENTS],
+            counts: Box::new([0; NUM_EVENTS]),
         }
     }
 
@@ -229,7 +232,7 @@ impl CounterFile {
     /// Accumulates another counter file into this one, saturating at
     /// `u64::MAX` per counter.
     pub fn merge(&mut self, other: &CounterFile) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a = a.saturating_add(*b);
         }
     }
@@ -355,6 +358,19 @@ mod tests {
     fn feature_vector_shape() {
         let c = CounterFile::new();
         assert_eq!(c.to_feature_vector().len(), NUM_EVENTS);
+    }
+
+    #[test]
+    fn counter_file_is_one_pointer_wide() {
+        // An inline array would add ~800 bytes to every classified run.
+        assert_eq!(
+            std::mem::size_of::<CounterFile>(),
+            std::mem::size_of::<usize>()
+        );
+        assert_eq!(
+            std::mem::size_of::<Option<CounterFile>>(),
+            std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -49,6 +49,10 @@ pub struct WeakCellMap {
     cells: Vec<WeakCell>,
     /// Lookup from (set, way) to indices into `cells`.
     by_location: BTreeMap<(u32, u8), Vec<u32>>,
+    /// The highest `vfail_mv` among `cells`: at or above it no cell of
+    /// the array fails, which lets every access at that supply skip the
+    /// lookup.
+    weakest_vfail_mv: Option<f64>,
 }
 
 impl WeakCellMap {
@@ -93,10 +97,12 @@ impl WeakCellMap {
                 .or_default()
                 .push(i as u32);
         }
+        let weakest_vfail_mv = cells.iter().map(|c| c.vfail_mv).reduce(f64::max);
         WeakCellMap {
             level,
             cells,
             by_location,
+            weakest_vfail_mv,
         }
     }
 
@@ -138,10 +144,7 @@ impl WeakCellMap {
     /// "first error" voltage), or `None` for a flawless array.
     #[must_use]
     pub fn weakest_cell_vfail_mv(&self) -> Option<f64> {
-        self.cells
-            .iter()
-            .map(|c| c.vfail_mv)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
+        self.weakest_vfail_mv
     }
 }
 

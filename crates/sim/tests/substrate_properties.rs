@@ -2,11 +2,13 @@
 //! (or their whole domain, where that is small).
 
 use margins_rng::splitmix64 as mix;
-use margins_sim::cache::{CacheHierarchy, SetAssocCache, WAYS};
-use margins_sim::edac::EdacLog;
+use margins_sim::cache::{CacheHierarchy, FaultObservation, LevelAccess, SetAssocCache, WAYS};
+use margins_sim::calib::SRAM_REPAIR_CLAMP_MV;
+use margins_sim::edac::{EdacKind, EdacLog, EdacRecord};
+use margins_sim::faults::sram::WORDS_PER_LINE;
 use margins_sim::freq::TimingRegime;
 use margins_sim::machine::{Machine, MachineParams};
-use margins_sim::topology::CacheLevel;
+use margins_sim::topology::{CacheLevel, Protection};
 use margins_sim::volt::SupplyState;
 use margins_sim::{ChipSpec, CoreId, Corner, Enhancements, Millivolts};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,6 +69,227 @@ fn cache_placement_stays_inside_geometry() {
             assert_eq!(a.set, (line % u64::from(cache.sets())) as u32);
         }
     });
+}
+
+/// The tag array written the plain way: `Option<u64>` tags, a divide for
+/// the set, a linear scan for the hit, and for the victim the first empty
+/// way, else the lowest LRU stamp (the lowest way on ties).
+struct ReferenceArray {
+    sets: u64,
+    tags: Vec<Option<u64>>,
+    lru: Vec<u64>,
+    dirty: Vec<bool>,
+    stamp: u64,
+}
+
+impl ReferenceArray {
+    fn new(sets: u32) -> Self {
+        let slots = sets as usize * usize::from(WAYS);
+        ReferenceArray {
+            sets: u64::from(sets),
+            tags: vec![None; slots],
+            lru: vec![0; slots],
+            dirty: vec![false; slots],
+            stamp: 0,
+        }
+    }
+
+    fn reset(&mut self) {
+        self.tags.fill(None);
+        self.lru.fill(0);
+        self.dirty.fill(false);
+        self.stamp = 0;
+    }
+
+    fn access(&mut self, line: u64, write: bool) -> LevelAccess {
+        let set = line % self.sets;
+        let base = set as usize * usize::from(WAYS);
+        let ways = base..base + usize::from(WAYS);
+        self.stamp += 1;
+        if let Some(slot) = ways.clone().find(|&slot| self.tags[slot] == Some(line)) {
+            self.lru[slot] = self.stamp;
+            self.dirty[slot] |= write;
+            return LevelAccess {
+                hit: true,
+                writeback: false,
+                set: set as u32,
+                way: (slot - base) as u8,
+            };
+        }
+        let victim = ways
+            .clone()
+            .find(|&slot| self.tags[slot].is_none())
+            .or_else(|| ways.min_by_key(|&slot| (self.lru[slot], slot)))
+            .unwrap_or(base);
+        let writeback = self.tags[victim].is_some() && self.dirty[victim];
+        self.tags[victim] = Some(line);
+        self.lru[victim] = self.stamp;
+        self.dirty[victim] = write;
+        LevelAccess {
+            hit: false,
+            writeback,
+            set: set as u32,
+            way: (victim - base) as u8,
+        }
+    }
+}
+
+#[test]
+fn tag_array_matches_the_reference_model_at_every_level() {
+    for level in [CacheLevel::L1D, CacheLevel::L2, CacheLevel::L3] {
+        for_each_seed(8, |mut state| {
+            let mut cache = SetAssocCache::new(ChipSpec::new(Corner::Ttt, 0), level, 0);
+            let mut reference = ReferenceArray::new(cache.sets());
+            let sets = u64::from(cache.sets());
+            // Twelve lines each in the first set, the last set and one
+            // random set: more than the ways, so every one of them evicts.
+            // The first set's lines include 0 and the last set's u64::MAX.
+            let home = mix(&mut state) % sets;
+            let working: Vec<u64> = (0..12u64)
+                .flat_map(|j| [j * sets, u64::MAX - j * sets, home + j * sets])
+                .collect();
+            for step in 0..4_000 {
+                let r = mix(&mut state);
+                if r.is_multiple_of(701) {
+                    cache.reset();
+                    reference.reset();
+                    continue;
+                }
+                let line = match r % 8 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 | 3 => mix(&mut state),
+                    _ => working[(r >> 8) as usize % working.len()],
+                };
+                let write = (r >> 40).is_multiple_of(3);
+                assert_eq!(
+                    cache.access(line, write),
+                    reference.access(line, write),
+                    "{level} step {step}: line {line:#x}, write {write}"
+                );
+            }
+        });
+    }
+}
+
+/// What `probe_faults` must observe at `(set, way)` on a clean, never
+/// probed array under stock protection, built from the weak-cell list:
+/// a cell fails only when its fail voltage exceeds the supply.
+fn reference_probe(
+    cache: &SetAssocCache,
+    instance: u8,
+    (set, way, word_in_line): (u32, u8, u8),
+    supply_mv: f64,
+) -> (FaultObservation, Vec<EdacRecord>) {
+    let mut flips = [0u64; WORDS_PER_LINE as usize];
+    for c in cache.weak_cells().cells() {
+        if c.set == set && c.way == way && c.vfail_mv > supply_mv {
+            flips[usize::from(c.word)] |= 1 << c.bit;
+        }
+    }
+    let mut obs = FaultObservation::default();
+    let mut records = Vec::new();
+    let level = cache.level();
+    for (word, mask) in flips.into_iter().enumerate() {
+        let n = mask.count_ones();
+        let kind = match (level.protection(), n) {
+            (_, 0) => continue,
+            // A clean line refetches on a parity hit.
+            (Protection::Parity, n) if n % 2 == 1 => Some(EdacKind::Corrected),
+            (Protection::Secded, 1) => Some(EdacKind::Corrected),
+            (Protection::Secded, 2) => Some(EdacKind::Uncorrected),
+            _ => None,
+        };
+        let accessed = word == usize::from(word_in_line);
+        match kind {
+            Some(kind) => {
+                if kind == EdacKind::Corrected {
+                    obs.corrected += 1;
+                } else {
+                    obs.uncorrected += 1;
+                    obs.poison |= accessed;
+                }
+                records.push(EdacRecord {
+                    kind,
+                    level,
+                    instance,
+                    set,
+                    way,
+                });
+            }
+            None if accessed => obs.silent_corruption_mask ^= mask,
+            None => {}
+        }
+    }
+    (obs, records)
+}
+
+#[test]
+fn weak_cell_probes_are_exact_around_every_fail_voltage() {
+    let chips = [
+        ChipSpec::new(Corner::Ttt, 0),
+        ChipSpec::new(Corner::Tff, 1),
+        ChipSpec::new(Corner::Tss, 2),
+    ];
+    for spec in chips {
+        for (level, instance) in [
+            (CacheLevel::L1D, 3),
+            (CacheLevel::L2, 1),
+            (CacheLevel::L3, 0),
+        ] {
+            // `fresh` is never accessed, so every slot is clean.
+            let fresh = SetAssocCache::new(spec, level, instance);
+            let cells = fresh.weak_cells().cells();
+            let mut cache = fresh.clone();
+            let mut probe = |at: (u32, u8, u8), supply_mv: f64| {
+                cache.begin_run();
+                let mut edac = EdacLog::new();
+                let obs = cache.probe_faults(at.0, at.1, at.2, supply_mv, &mut edac);
+                (obs, edac.records().to_vec())
+            };
+            for cell in cells {
+                let at = (cell.set, cell.way, cell.word);
+                for supply_mv in [cell.vfail_mv + 5.0, cell.vfail_mv, cell.vfail_mv - 5.0] {
+                    assert_eq!(
+                        probe(at, supply_mv),
+                        reference_probe(&fresh, instance, at, supply_mv),
+                        "{spec:?} {level} cell {cell:?} at {supply_mv} mV"
+                    );
+                }
+                // The comparison is strict: at exactly its fail voltage a
+                // cell holds, so a location whose other cells are no
+                // weaker reports nothing.
+                let weaker_neighbour = cells
+                    .iter()
+                    .any(|c| c.set == cell.set && c.way == cell.way && c.vfail_mv > cell.vfail_mv);
+                if !weaker_neighbour {
+                    assert_eq!(
+                        probe(at, cell.vfail_mv),
+                        (FaultObservation::default(), Vec::new()),
+                        "{spec:?} {level} cell {cell:?} fails at its own fail voltage"
+                    );
+                }
+            }
+            // At or above the array's weakest cell no slot reports anything;
+            // repair keeps that voltage at or below the clamp.
+            let Some(weakest) = fresh.weak_cells().weakest_cell_vfail_mv() else {
+                continue;
+            };
+            assert!(weakest <= SRAM_REPAIR_CLAMP_MV, "{spec:?} {level}");
+            for supply_mv in [weakest, weakest + 5.0] {
+                for set in 0..fresh.sets() {
+                    for way in 0..WAYS {
+                        let at = (set, way, (set % u32::from(WORDS_PER_LINE)) as u8);
+                        assert_eq!(
+                            probe(at, supply_mv),
+                            (FaultObservation::default(), Vec::new()),
+                            "{spec:?} {level} ({set}, {way}) at {supply_mv} mV"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
