@@ -161,7 +161,8 @@ impl<'a> ItemTask<'a> {
     ///
     /// Pure with respect to scheduling: the output depends only on the
     /// campaign coordinates, never on which thread runs it or what ran
-    /// before (every probe boots a pristine simulated board).
+    /// before (every probe runs on a simulated board in its power-on
+    /// state).
     #[must_use]
     pub fn run_item(&self, item: &WorkItem) -> ItemOutput {
         ItemOutput {

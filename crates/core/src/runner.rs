@@ -6,13 +6,15 @@
 //! 5 mV voltage grid as directed by the campaign's [`SearchStrategy`]: the
 //! exhaustive strategy walks every step top-down like the paper's massive
 //! campaign, while the adaptive strategies bisect for the two region
-//! boundaries. Every probe — golden or voltage step — boots a pristine
-//! simulated board (the §2.2.1 initialization phase), which makes step
-//! outcomes independent of visit order; that property is what lets an
-//! adaptive plan, or a replay from a persistent [`CampaignCache`], stand in
-//! for the exhaustive descent. After each run the rail is restored to
-//! nominal before the log is persisted (*safe data collection*), and the
-//! watchdog power-cycles the board whenever a run hangs it.
+//! boundaries. Each work item builds one simulated board and returns it to
+//! its power-on state before every probe, golden or voltage step (the
+//! §2.2.1 initialization phase). A reinitialized board is exactly a new
+//! one, which makes step outcomes independent of visit order; that
+//! property is what lets an adaptive plan, or a replay from a persistent
+//! [`CampaignCache`], stand in for the exhaustive descent. After each run
+//! the rail is restored to nominal before the log is persisted (*safe
+//! data collection*), and the watchdog power-cycles the board whenever a
+//! run hangs it.
 //!
 //! [`SearchStrategy`]: crate::search::SearchStrategy
 //! [`CampaignCache`]: crate::cache::CampaignCache
@@ -109,11 +111,13 @@ impl Campaign {
     /// [`Arc`] snapshot), so lookups never race with writers; fresh
     /// results are written back after the last delivery — directly into an
     /// owned cache, or appended and published to a shared one. Because
-    /// every probe boots a pristine board, a cached rerun's outcome is
-    /// identical to a cold one. Campaigns that collect performance counters
-    /// bypass the cache (entries do not retain counter files). With a cache
-    /// and no `ctx.priors`, warm-start priors are derived from the cache
-    /// before the first probe, so searches stay schedule-independent.
+    /// every probe runs on a board in its power-on state (each work item's
+    /// one board, reinitialized before the probe), a cached rerun's
+    /// outcome is identical to a cold one. Campaigns that collect
+    /// performance counters bypass the cache (entries do not retain
+    /// counter files). With a cache and no `ctx.priors`, warm-start priors
+    /// are derived from the cache before the first probe, so searches stay
+    /// schedule-independent.
     ///
     /// # Errors
     ///
@@ -335,21 +339,37 @@ impl Campaign {
         }
     }
 
-    /// A pristine simulated board — the §2.2.1 initialization phase,
-    /// applied per probe so every step outcome (thermal history included)
-    /// is independent of which probes ran before it.
-    fn fresh_board(&self, traced: bool, buffer: &Arc<EventBuffer>) -> System {
-        let mut system = System::new(
-            self.spec,
-            SystemConfig {
-                enhancements: self.config.enhancements,
-                ..SystemConfig::default()
-            },
-        );
-        if traced {
-            system.set_observer(buffer.clone());
+    /// The item's board in its power-on state — the §2.2.1 initialization
+    /// phase, applied before every probe that runs on the machine. The
+    /// item's first such probe builds the board; each later one
+    /// reinitializes it, which leaves it exactly as a new board (thermal
+    /// history and energy meter included), so every step outcome is
+    /// independent of which probes ran before it.
+    fn fresh_board<'b>(
+        &self,
+        board: &'b mut Option<System>,
+        traced: bool,
+        buffer: &Arc<EventBuffer>,
+    ) -> &'b mut System {
+        match board {
+            Some(system) => {
+                system.reinitialize();
+                system
+            }
+            None => {
+                let mut system = System::new(
+                    self.spec,
+                    SystemConfig {
+                        enhancements: self.config.enhancements,
+                        ..SystemConfig::default()
+                    },
+                );
+                if traced {
+                    system.set_observer(buffer.clone());
+                }
+                board.insert(system)
+            }
         }
-        system
     }
 
     /// Executes one (benchmark, core) work item end to end: the sweep's
@@ -402,7 +422,9 @@ impl Campaign {
 
     /// Characterizes one (benchmark, core) item: golden capture plus the
     /// strategy-directed walk of the voltage grid, each probe answered from
-    /// the cache when possible and executed on a pristine board otherwise.
+    /// the cache when possible and executed otherwise on the item's one
+    /// board, reinitialized to its power-on state first. A fully cached
+    /// item builds no board.
     fn characterize_item(
         &self,
         bench: &BenchmarkRef,
@@ -430,6 +452,8 @@ impl Campaign {
         let core_u8 = core.index() as u8;
         let enhancements = encode_enhancements(self.config.enhancements);
 
+        // One board per item, built by its first machine probe.
+        let mut board: Option<System> = None;
         let mut watchdog = Watchdog::new();
         let mut recoveries = 0u32;
         let mut cached_cycles = 0u32;
@@ -478,13 +502,13 @@ impl Campaign {
             });
             golden
         } else {
-            let mut system = self.fresh_board(traced, buffer);
-            watchdog.ensure_responsive_observed(&mut system, &mut recoveries);
-            self.apply_reliable_cores_setup(&mut system, core);
+            let system = self.fresh_board(&mut board, traced, buffer);
+            watchdog.ensure_responsive_observed(system, &mut recoveries);
+            self.apply_reliable_cores_setup(system, core);
             let golden_seed = run_seed(self.config.seed, &bench.name, dataset, core, 0, u32::MAX);
             #[expect(
                 clippy::expect_used,
-                reason = "a pristine board at nominal V/F is responsive"
+                reason = "a board in its power-on state at nominal V/F is responsive"
             )]
             let record = system
                 .run(program.as_ref(), core, golden_seed)
@@ -563,10 +587,10 @@ impl Campaign {
                 });
             }
             let verdict = if let Some(entry) = cached_step {
-                // Replay. The original probe ran on a pristine board with
-                // seeds derived only from campaign coordinates, so its
-                // stored per-iteration outcomes are exactly what executing
-                // the probe now would produce.
+                // Replay. The original probe ran on a board in its
+                // power-on state with seeds derived only from campaign
+                // coordinates, so its stored per-iteration outcomes are
+                // exactly what executing the probe now would produce.
                 cache_hits += 1;
                 let (pmd_mv, soc_mv) = match self.config.rail {
                     SweptRail::Pmd => (voltage, SOC_NOMINAL),
@@ -630,8 +654,8 @@ impl Campaign {
                 }
                 machine_probes += 1;
                 let cycles_before = watchdog.power_cycles();
-                let mut system = self.fresh_board(traced, buffer);
-                self.apply_reliable_cores_setup(&mut system, core);
+                let system = self.fresh_board(&mut board, traced, buffer);
+                self.apply_reliable_cores_setup(system, core);
                 note(traced, buffer, || TraceEvent::VoltageStepped {
                     rail: self.rail_name().to_owned(),
                     mv: voltage.get(),
@@ -641,11 +665,11 @@ impl Campaign {
                 let mut sc_runs = 0u32;
                 let mut abnormal = false;
                 for iteration in 0..self.config.iterations {
-                    if watchdog.ensure_responsive_observed(&mut system, &mut recoveries) {
+                    if watchdog.ensure_responsive_observed(system, &mut recoveries) {
                         // Recovery wiped the V/F setup; reapply it.
-                        self.apply_reliable_cores_setup(&mut system, core);
+                        self.apply_reliable_cores_setup(system, core);
                     }
-                    self.set_swept_rail(&mut system, voltage);
+                    self.set_swept_rail(system, voltage);
                     let seed = run_seed(
                         self.config.seed,
                         &bench.name,
@@ -665,7 +689,7 @@ impl Campaign {
                     // persisting the log (§2.2.1) — only possible if the
                     // board survived.
                     if system.is_responsive() {
-                        self.restore_swept_rail(&mut system);
+                        self.restore_swept_rail(system);
                     }
                     tallies.record_run(
                         if adaptive {
@@ -716,7 +740,7 @@ impl Campaign {
                 // Recover a trailing hang inside the probe that caused it,
                 // so the probe's power-cycle count — and thus its cache
                 // entry and trace — never depends on what runs next.
-                watchdog.ensure_responsive_observed(&mut system, &mut recoveries);
+                watchdog.ensure_responsive_observed(system, &mut recoveries);
                 let step_cycles = watchdog.power_cycles() - cycles_before;
                 if cache.is_some() {
                     fresh_steps.push((

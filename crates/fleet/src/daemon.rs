@@ -8,7 +8,9 @@
 //! the connection stays up — a hostile peer can never panic the daemon.
 //! A line longer than [`MAX_FRAME_BYTES`] is never buffered whole: it is
 //! answered with one `frame-too-large` error and the connection closes,
-//! since the rest of the stream cannot be split into frames again.
+//! since the rest of the stream cannot be split into frames again. At
+//! most [`MAX_CONNECTIONS`] connections are served at once; one more gets
+//! a `too-many-connections` error frame and EOF, and no thread.
 //!
 //! A `shutdown` frame stops the accept loop; in-flight chips finish, the
 //! shared campaign cache is published and saved (when a cache path was
@@ -28,14 +30,14 @@
 //! hold the daemon open across a shutdown; a subscriber disconnecting
 //! mid-job just tears down its own pumps.
 
-use crate::proto::{Request, Response, MAX_FRAME_BYTES, PROTO_VERSION};
+use crate::proto::{Request, Response, MAX_CONNECTIONS, MAX_FRAME_BYTES, PROTO_VERSION};
 use crate::service::{FleetService, JobOutcome, Subscription, DEFAULT_SUBSCRIBER_QUEUE};
 use margins_core::cache::{CacheError, SharedCampaignCache};
 use margins_core::exec::ExecError;
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -117,6 +119,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
     let _ = std::io::stdout().flush();
 
     let stop = AtomicBool::new(false);
+    let live = AtomicUsize::new(0);
     let subscriber_queue = if config.subscriber_queue == 0 {
         DEFAULT_SUBSCRIBER_QUEUE
     } else {
@@ -125,14 +128,32 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
     service.run(|| {
         std::thread::scope(|scope| {
             for stream in listener.incoming() {
+                // Before the cap, so `shutdown`'s unblocking connection
+                // ends the loop even when every slot is taken.
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                let Some(slot) = ConnectionSlot::claim(&live) else {
+                    // Answered here, without a thread: the frame is small
+                    // enough for the socket's send buffer, so this write
+                    // does not block the loop.
+                    let _ = stream.set_nodelay(true);
+                    refuse(
+                        &Mutex::new(stream),
+                        "too-many-connections",
+                        format!(
+                            "the daemon serves at most {MAX_CONNECTIONS} connections at once; \
+                             retry later"
+                        ),
+                    );
+                    continue;
+                };
                 let service = &service;
                 let stop = &stop;
                 let out_dir = config.out_dir.as_deref();
                 scope.spawn(move || {
+                    let _slot = slot;
                     handle_connection(stream, service, stop, local, out_dir, subscriber_queue);
                 });
             }
@@ -143,6 +164,28 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
         service.cache().save(path).map_err(ServeError::Cache)?;
     }
     Ok(())
+}
+
+/// One of the [`MAX_CONNECTIONS`] connection slots, held by a connection's
+/// thread and released when it drops, however the connection ends.
+struct ConnectionSlot<'a>(&'a AtomicUsize);
+
+impl<'a> ConnectionSlot<'a> {
+    /// Takes a free slot, or `None` at the cap. Only the accept loop
+    /// claims slots, so the check and the increment cannot race.
+    fn claim(live: &'a AtomicUsize) -> Option<Self> {
+        if live.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            return None;
+        }
+        live.fetch_add(1, Ordering::SeqCst);
+        Some(ConnectionSlot(live))
+    }
+}
+
+impl Drop for ConnectionSlot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// How often the reader loop wakes to check the stop flag while a
@@ -210,7 +253,14 @@ fn handle_connection(
             let room = MAX_FRAME_BYTES.saturating_sub(buf.len()) as u64;
             match reader.by_ref().take(room).read_until(b'\n', &mut buf) {
                 Ok(_) if buf.len() >= MAX_FRAME_BYTES && buf.last() != Some(&b'\n') => {
-                    refuse_oversized_frame(&writer);
+                    refuse(
+                        &writer,
+                        "frame-too-large",
+                        format!(
+                            "request frames are limited to {MAX_FRAME_BYTES} bytes, \
+                             newline included"
+                        ),
+                    );
                     break;
                 }
                 Ok(0) => {
@@ -277,14 +327,11 @@ fn handle_connection(
     });
 }
 
-/// Answers a frame that outgrew [`MAX_FRAME_BYTES`] and ends the
-/// connection's output, so the peer reads the error frame and then EOF.
-fn refuse_oversized_frame(writer: &Mutex<TcpStream>) {
-    let refusal = error_frame(
-        "frame-too-large",
-        format!("request frames are limited to {MAX_FRAME_BYTES} bytes, newline included"),
-    );
-    send_line(writer, refusal.to_line());
+/// Answers with one error frame and ends the connection's output, so the
+/// peer reads the frame and then EOF: the reply to a frame that outgrew
+/// [`MAX_FRAME_BYTES`], or to a connection past [`MAX_CONNECTIONS`].
+fn refuse(writer: &Mutex<TcpStream>, code: &str, message: String) {
+    send_line(writer, error_frame(code, message).to_line());
     // Under the write lock, so no event frame is cut short.
     let w = writer
         .lock()

@@ -39,6 +39,11 @@ pub const MAX_CHIPS: u32 = 65_536;
 /// from growing the daemon's read buffer without limit.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
+/// Most client connections the daemon serves at once, each on its own
+/// thread. A connection past the cap is answered on the accept thread
+/// with one `too-many-connections` error frame and then EOF.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// What one fleet characterization request sweeps: a contiguous serial
 /// range of chips at one process corner, all running the same campaign
 /// grid on the PMD rail.

@@ -18,7 +18,6 @@ use crate::calib;
 use crate::corner::ChipSpec;
 use crate::topology::{CacheLevel, LINE_BYTES};
 use margins_rng::Rng;
-use std::collections::BTreeMap;
 
 /// Number of 64-bit data words in one cache line.
 pub const WORDS_PER_LINE: u8 = (LINE_BYTES / 8) as u8;
@@ -47,8 +46,10 @@ pub struct WeakCell {
 pub struct WeakCellMap {
     level: CacheLevel,
     cells: Vec<WeakCell>,
-    /// Lookup from (set, way) to indices into `cells`.
-    by_location: BTreeMap<(u32, u8), Vec<u32>>,
+    /// One `(set, way, index into cells)` entry per cell, sorted, so the
+    /// cells at one location are a run found by binary search, in
+    /// ascending index order.
+    by_location: Vec<(u32, u8, u32)>,
     /// The highest `vfail_mv` among `cells`: at or above it no cell of
     /// the array fails, which lets every access at that supply skip the
     /// lookup.
@@ -90,13 +91,12 @@ impl WeakCellMap {
                 vfail_mv,
             });
         }
-        let mut by_location: BTreeMap<(u32, u8), Vec<u32>> = BTreeMap::new();
-        for (i, c) in cells.iter().enumerate() {
-            by_location
-                .entry((c.set, c.way))
-                .or_default()
-                .push(i as u32);
-        }
+        let mut by_location: Vec<(u32, u8, u32)> = cells
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.set, c.way, i as u32))
+            .collect();
+        by_location.sort_unstable();
         let weakest_vfail_mv = cells.iter().map(|c| c.vfail_mv).reduce(f64::max);
         WeakCellMap {
             level,
@@ -119,18 +119,21 @@ impl WeakCellMap {
     }
 
     /// Weak cells residing at `(set, way)` that are *failing* at supply
-    /// voltage `supply_mv` (their fail voltage exceeds the supply).
+    /// voltage `supply_mv` (their fail voltage exceeds the supply), in
+    /// generation order.
     pub fn failing_at<'a>(
         &'a self,
         set: u32,
         way: u8,
         supply_mv: f64,
     ) -> impl Iterator<Item = &'a WeakCell> + 'a {
-        self.by_location
-            .get(&(set, way))
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.cells[i as usize])
+        let start = self
+            .by_location
+            .partition_point(|&(s, w, _)| (s, w) < (set, way));
+        self.by_location[start..]
+            .iter()
+            .take_while(move |&&(s, w, _)| (s, w) == (set, way))
+            .map(move |&(_, _, i)| &self.cells[i as usize])
             .filter(move |c| c.vfail_mv > supply_mv)
     }
 

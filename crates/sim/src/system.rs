@@ -149,6 +149,8 @@ impl System {
     /// Powers up a board built around the chip described by `spec`.
     #[must_use]
     pub fn new(spec: ChipSpec, config: SystemConfig) -> Self {
+        // The volatile fields are placeholders: `reinitialize` below is the
+        // one definition of the power-on state.
         let mut sys = System {
             spec,
             variation: spec.variation(),
@@ -156,17 +158,43 @@ impl System {
             pmd_freq: [MAX_FREQ; NUM_PMDS],
             caches: CacheHierarchy::with_protection(spec, config.enhancements.extended_ecc),
             edac: EdacLog::new(),
-            thermal: ThermalModel::with_setpoint(config.temp_setpoint_c),
+            thermal: ThermalModel::default(),
             power: PowerModel::new(spec.corner()),
             energy: EnergyMeter::new(),
-            responsive: true,
-            boot_count: 1,
+            responsive: false,
+            boot_count: 0,
             console: Vec::new(),
             config,
             observer: None,
         };
-        sys.log_console("boot: firmware handoff, supplies at nominal");
+        sys.reinitialize();
         sys
+    }
+
+    /// Returns the board to the power-on state [`System::new`] leaves it
+    /// in, as if it had just been built from the same spec and config:
+    /// nominal supplies, every PMD at full clock, empty caches and EDAC
+    /// log, the thermal model and energy meter restarted, one boot and
+    /// only the boot line on the console.
+    ///
+    /// Unlike [`System::power_cycle`], nothing volatile survives: thermal
+    /// history, the energy meter, a PMpro setpoint change and the boot
+    /// count are all undone. What depends only on the spec is kept, so
+    /// this costs a fraction of a rebuild: the variation map, the power
+    /// model, the cache arrays' storage and their weak-cell maps. The
+    /// attached observer stays attached, and nothing is reported through
+    /// it.
+    pub fn reinitialize(&mut self) {
+        self.supplies = SupplyState::nominal();
+        self.pmd_freq = [MAX_FREQ; NUM_PMDS];
+        self.caches.reset();
+        self.edac = EdacLog::new();
+        self.thermal = ThermalModel::with_setpoint(self.config.temp_setpoint_c);
+        self.energy = EnergyMeter::new();
+        self.responsive = true;
+        self.boot_count = 1;
+        self.console.clear();
+        self.log_console("boot: firmware handoff, supplies at nominal");
     }
 
     /// The chip's identity.

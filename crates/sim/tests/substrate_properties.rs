@@ -1,17 +1,24 @@
 //! Properties of the simulator substrate, checked over fixed seeded cases
 //! (or their whole domain, where that is small).
 
+#![allow(clippy::unwrap_used)]
+
 use margins_rng::splitmix64 as mix;
 use margins_sim::cache::{CacheHierarchy, FaultObservation, LevelAccess, SetAssocCache, WAYS};
 use margins_sim::calib::SRAM_REPAIR_CLAMP_MV;
 use margins_sim::edac::{EdacKind, EdacLog, EdacRecord};
 use margins_sim::faults::sram::WORDS_PER_LINE;
-use margins_sim::freq::TimingRegime;
+use margins_sim::freq::{Megahertz, TimingRegime, MAX_FREQ};
 use margins_sim::machine::{Machine, MachineParams};
-use margins_sim::topology::{CacheLevel, Protection};
+use margins_sim::topology::{CacheLevel, Protection, NUM_PMDS};
 use margins_sim::volt::SupplyState;
-use margins_sim::{ChipSpec, CoreId, Corner, Enhancements, Millivolts};
+use margins_sim::{
+    ChipSpec, CoreId, Corner, Enhancements, Millivolts, OutputDigest, PmdId, Program, RunOutcome,
+    RunRecord, System, SystemConfig,
+};
+use margins_trace::{EventBuffer, TraceEvent};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 /// Seeded cases per property: each runs a whole machine or cache.
 const CASES: u64 = 32;
@@ -381,5 +388,252 @@ fn chip_variation_is_pure() {
                 "{corner:?}#{serial}"
             );
         });
+    }
+}
+
+/// Writes, then reads back, one word in each of `lines` consecutive cache
+/// lines, so every level down to the L3 is filled.
+struct LineSweep {
+    lines: u64,
+    /// Panics after the writes instead of returning, leaving whatever they
+    /// logged in the EDAC log.
+    abort: bool,
+}
+
+impl Program for LineSweep {
+    fn name(&self) -> &str {
+        "line-sweep"
+    }
+
+    fn run(&self, m: &mut Machine<'_>) -> OutputDigest {
+        let stride = u64::from(WORDS_PER_LINE);
+        let base = m.alloc((self.lines * stride) as usize);
+        for i in 0..self.lines {
+            m.store_f64(base.offset(i * stride), i as f64);
+        }
+        assert!(!self.abort, "line-sweep aborted mid-run");
+        let mut acc = 0.0;
+        for i in 0..self.lines {
+            let v = m.load_f64(base.offset(i * stride));
+            acc = m.fadd(acc, v);
+            let _ = m.branch(i % 3 == 0);
+        }
+        let mut digest = OutputDigest::new();
+        digest.absorb_f64(acc);
+        digest
+    }
+}
+
+/// Everything observable about a board between runs; floats as bits.
+#[derive(Debug, PartialEq)]
+struct BoardState {
+    console: Vec<String>,
+    boot_count: u32,
+    energy_bits: (u64, u64),
+    supplies: SupplyState,
+    pmd_clocks: Vec<Megahertz>,
+    responsive: bool,
+    die_temp_bits: u64,
+}
+
+fn board_state(sys: &mut System) -> BoardState {
+    let meter = sys.energy_meter();
+    BoardState {
+        console: sys.console().to_vec(),
+        boot_count: sys.boot_count(),
+        energy_bits: (meter.joules().to_bits(), meter.seconds().to_bits()),
+        supplies: sys.supplies(),
+        pmd_clocks: PmdId::all().map(|pmd| sys.pmd_frequency(pmd)).collect(),
+        responsive: sys.is_responsive(),
+        die_temp_bits: sys.slimpro_mut().read_die_temperature_c().to_bits(),
+    }
+}
+
+/// One run of a board-driving sequence: rails and clock, then the run.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    core: CoreId,
+    pmd_mv: u32,
+    soc_mv: u32,
+    mhz: u32,
+    seed: u64,
+}
+
+/// Drives `sys` through one step the way the watchdog loop does: a hung
+/// board is power-cycled first.
+fn drive(sys: &mut System, step: Step) -> RunRecord {
+    if !sys.is_responsive() {
+        sys.power_cycle();
+    }
+    let mut slimpro = sys.slimpro_mut();
+    slimpro
+        .set_pmd_frequency(step.core.pmd(), Megahertz::new(step.mhz))
+        .unwrap();
+    slimpro
+        .set_pmd_voltage(Millivolts::new(step.pmd_mv))
+        .unwrap();
+    slimpro
+        .set_soc_voltage(Millivolts::new(step.soc_mv))
+        .unwrap();
+    let sweep = LineSweep {
+        lines: 4096,
+        abort: false,
+    };
+    sys.run(&sweep, step.core, step.seed).unwrap()
+}
+
+/// A seeded sequence in four kinds of step: nominal; the SoC rail low
+/// enough for L3 weak cells; the PMD rail low enough for L2 weak cells
+/// and timing faults, so that runs crash and hang; the divided clock.
+fn steps(mut state: u64, n: usize) -> Vec<Step> {
+    (0..n)
+        .map(|i| {
+            let r = mix(&mut state);
+            let (pmd_mv, soc_mv, mhz) = match i % 4 {
+                0 => (980, 950, 2400),
+                1 => (980, 760, 2400),
+                2 => (850 - 5 * ((r >> 8) % 2) as u32, 950, 2400),
+                _ => (900, 900, 1200),
+            };
+            Step {
+                core: CoreId::new((r % 8) as u8),
+                pmd_mv,
+                soc_mv,
+                mhz,
+                seed: mix(&mut state),
+            }
+        })
+        .collect()
+}
+
+/// Leaves `sys` with every kind of volatile state a campaign can leave
+/// behind: warm caches, thermal history under a changed setpoint, a
+/// running energy meter, power cycles and a long console, rails and
+/// clocks off nominal, and either a hung board or EDAC records that no
+/// run drained (a run can only start on a responsive board, so one
+/// history cannot end with both). Returns the EDAC levels it saw.
+fn live_through(sys: &mut System, state: &mut u64, end_hung: bool) -> Vec<String> {
+    let events = Arc::new(EventBuffer::new());
+    sys.set_observer(events.clone());
+    sys.pmpro_mut().set_temperature_setpoint(50.0);
+    for step in steps(mix(state), 32) {
+        drive(sys, step);
+    }
+    let core = CoreId::new(4);
+    if end_hung {
+        for _ in 0..100 {
+            let step = Step {
+                core,
+                pmd_mv: 840,
+                soc_mv: 950,
+                mhz: 2400,
+                seed: mix(state),
+            };
+            if drive(sys, step).outcome == RunOutcome::SystemCrashed {
+                break;
+            }
+        }
+        assert!(!sys.is_responsive(), "840 mV must hang the board");
+    } else {
+        sys.slimpro_mut()
+            .set_soc_voltage(Millivolts::new(760))
+            .unwrap();
+        let sweep = LineSweep {
+            lines: 8192,
+            abort: true,
+        };
+        let seed = mix(state);
+        let aborted = catch_unwind(AssertUnwindSafe(|| sys.run(&sweep, core, seed)));
+        assert!(aborted.is_err(), "the aborting sweep must panic");
+    }
+    let mut slimpro = sys.slimpro_mut();
+    slimpro
+        .set_pmd_frequency(PmdId::new(1), Megahertz::new(600))
+        .unwrap();
+    slimpro.set_pmd_voltage(Millivolts::new(905)).unwrap();
+    slimpro.set_soc_voltage(Millivolts::new(910)).unwrap();
+    events
+        .drain()
+        .into_iter()
+        .filter_map(|event| match event {
+            TraceEvent::CacheErrorReported { level, .. } => Some(level),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn a_reinitialized_board_equals_a_new_board() {
+    let stock = SystemConfig::default();
+    let warm = SystemConfig {
+        temp_setpoint_c: 55.0,
+        ..SystemConfig::default()
+    };
+    let enhanced = SystemConfig {
+        enhancements: Enhancements::all(),
+        ..SystemConfig::default()
+    };
+    let boards = [
+        (ChipSpec::new(Corner::Ttt, 0), stock),
+        (ChipSpec::new(Corner::Tff, 1), warm),
+        (ChipSpec::new(Corner::Tss, 2), stock),
+        (ChipSpec::new(Corner::Ttt, 3), enhanced),
+    ];
+    for (spec, config) in boards {
+        let mut state = spec.component_seed("reinitialize");
+        let mut used = System::new(spec, config);
+        for end_hung in [true, false] {
+            let edac_levels = live_through(&mut used, &mut state, end_hung);
+            // On the slow corner every run low enough for an L2 weak cell
+            // crashes before its sweep gets there.
+            let rails: &[&str] = if spec.corner() == Corner::Tss {
+                &["L3"]
+            } else {
+                &["L2", "L3"]
+            };
+            for level in rails {
+                assert!(
+                    edac_levels.iter().any(|l| l == level),
+                    "{spec:?}: the history logged no {level} EDAC record"
+                );
+            }
+            // The observer a board carries survives reinitialization.
+            let used_events = Arc::new(EventBuffer::new());
+            used.set_observer(used_events.clone());
+            used.reinitialize();
+
+            let new_events = Arc::new(EventBuffer::new());
+            let mut new = System::new(spec, config);
+            new.set_observer(new_events.clone());
+            let context = format!("{spec:?} {config:?}, history ending hung: {end_hung}");
+            // `System::new` ends in `reinitialize` too, so the power-on
+            // state is also spelled out here.
+            let power_on = BoardState {
+                console: vec!["boot: firmware handoff, supplies at nominal".to_owned()],
+                boot_count: 1,
+                energy_bits: (0, 0),
+                supplies: SupplyState::nominal(),
+                pmd_clocks: vec![MAX_FREQ; NUM_PMDS],
+                responsive: true,
+                die_temp_bits: config.temp_setpoint_c.to_bits(),
+            };
+            assert_eq!(board_state(&mut new), power_on, "{context}");
+            assert_eq!(board_state(&mut used), power_on, "{context}");
+            for step in steps(mix(&mut state), 16) {
+                assert_eq!(
+                    drive(&mut used, step),
+                    drive(&mut new, step),
+                    "{context}: {step:?}"
+                );
+                assert_eq!(
+                    board_state(&mut used),
+                    board_state(&mut new),
+                    "{context}: after {step:?}"
+                );
+            }
+            let events = new_events.drain();
+            assert!(!events.is_empty(), "{context}: the sequence reports events");
+            assert_eq!(used_events.drain(), events, "{context}");
+        }
     }
 }

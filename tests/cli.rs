@@ -804,3 +804,103 @@ fn serve_answers_clients_and_shuts_down_cleanly() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn serve_caps_live_connections_with_a_typed_refusal() {
+    use std::time::Duration;
+    use voltmargin::fleet::proto::MAX_CONNECTIONS;
+    use voltmargin::fleet::{Request, Response, PROTO_VERSION};
+
+    // Bounded waits: 1500 polls 20 ms apart, 30 s in all.
+    const POLLS: usize = 1500;
+    let poll = || std::thread::sleep(Duration::from_millis(20));
+
+    /// Kills the daemon if the test fails before it shuts down.
+    struct KillOnDrop(std::process::Child);
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut daemon = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_voltmargin"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("daemon starts"),
+    );
+    let mut child_stdout = BufReader::new(daemon.0.stdout.take().expect("piped stdout"));
+    let mut banner = String::new();
+    child_stdout.read_line(&mut banner).unwrap();
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {banner:?}"))
+        .to_owned();
+
+    let connect = || {
+        let stream = TcpStream::connect(&addr).expect("daemon accepts");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        BufReader::new(stream)
+    };
+    // One request and its reply; `None` when the daemon closed the socket.
+    fn exchange(conn: &mut BufReader<TcpStream>, request: &Request) -> Option<Response> {
+        writeln!(conn.get_ref(), "{}", request.to_line()).ok()?;
+        let mut reply = String::new();
+        conn.read_line(&mut reply).ok()?;
+        Response::parse_line(&reply).ok()
+    }
+    let is_health = |reply: Option<Response>| matches!(reply, Some(Response::Health(_)));
+
+    // Every slot taken, and each connection served.
+    let mut live: Vec<_> = (0..MAX_CONNECTIONS).map(|_| connect()).collect();
+    for conn in &mut live {
+        assert!(is_health(exchange(conn, &Request::Health)));
+    }
+
+    // One more is refused with a typed frame, then EOF.
+    let mut refused = connect();
+    let mut frame = String::new();
+    refused.read_line(&mut frame).unwrap();
+    let Ok(Response::Error { proto, code, .. }) = Response::parse_line(&frame) else {
+        panic!("expected an error frame, got {frame:?}");
+    };
+    assert_eq!(
+        (proto, code.as_str()),
+        (PROTO_VERSION, "too-many-connections")
+    );
+    frame.clear();
+    assert_eq!(refused.read_line(&mut frame).ok(), Some(0), "then EOF");
+
+    // Closing a connection frees its slot for the next client.
+    drop(live.pop());
+    let admitted = (0..POLLS).find_map(|_| {
+        let mut conn = connect();
+        if is_health(exchange(&mut conn, &Request::Health)) {
+            return Some(conn);
+        }
+        poll();
+        None
+    });
+    live.push(admitted.expect("a closed connection's slot comes back"));
+
+    // At the cap again, `shutdown` still stops the daemon.
+    assert_eq!(
+        exchange(&mut live[0], &Request::Shutdown),
+        Some(Response::Bye)
+    );
+    let status = (0..POLLS)
+        .find_map(|_| {
+            let status = daemon.0.try_wait().expect("daemon status");
+            if status.is_none() {
+                poll();
+            }
+            status
+        })
+        .expect("the daemon exits after shutdown at the connection cap");
+    assert!(status.success(), "clean shutdown exits 0");
+}

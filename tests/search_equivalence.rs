@@ -15,6 +15,7 @@
 //! excluded, and the suite asserts the domain is never empty.
 
 use voltmargin::characterize::cache::CampaignCache;
+use voltmargin::characterize::classify::ClassifiedRun;
 use voltmargin::characterize::config::CampaignConfig;
 use voltmargin::characterize::exec::{
     CacheHandle, CampaignExecutor, ExecContext, SerialExecutor, ThreadPoolExecutor,
@@ -67,6 +68,15 @@ fn run_fixture(
         .run(&ThreadPoolExecutor::new(2).expect("valid pool size"), ctx)
         .expect("built-in executors uphold the delivery contract");
     (outcome, metrics.counter("voltage_steps"))
+}
+
+/// The classified runs of `outcome`'s (single) item at swept voltage `mv`.
+fn runs_at(outcome: &CampaignOutcome, mv: u32) -> Vec<&ClassifiedRun> {
+    outcome
+        .runs
+        .iter()
+        .filter(|run| run.swept_mv(outcome.config.rail).get() == mv)
+        .collect()
 }
 
 /// Whether a summary's step verdicts form contiguous regions — the
@@ -145,13 +155,21 @@ fn bisection_and_warm_start_match_exhaustive_on_contiguous_items() {
             );
             // Every step the adaptive search probed must carry the exact
             // per-iteration effects, severity and region classification
-            // of the exhaustive sweep — the same grid point on a pristine
-            // board yields the same runs regardless of the probe order.
+            // of the exhaustive sweep, and the exact runs behind them
+            // (energy, runtime, CE/UE counts included). The item's board
+            // is reinitialized before each probe, so the same grid point
+            // yields the same runs whatever the board ran before it.
             for step in &summary.steps {
                 let expected = reference
                     .step(Millivolts::new(step.mv))
                     .expect("adaptive searches probe grid steps only");
                 assert_eq!(step, expected, "{strategy} at {}mV", step.mv);
+                assert_eq!(
+                    runs_at(&out, step.mv),
+                    runs_at(&ex_out, step.mv),
+                    "{strategy} runs at {}mV",
+                    step.mv
+                );
             }
             assert_eq!(
                 out.goldens, ex_out.goldens,
