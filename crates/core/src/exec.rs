@@ -252,7 +252,9 @@ impl CampaignExecutor for SerialExecutor {
 /// Workers send completions over a channel as they finish; a reorder
 /// buffer on the delivering side holds early completions until their
 /// canonical position is reached, so delivery order — and therefore the
-/// merged trace stream — is identical to [`SerialExecutor`]'s.
+/// merged trace stream — is identical to [`SerialExecutor`]'s. A campaign
+/// that makes only one shard (one item, or a one-thread pool) runs on the
+/// calling thread through [`SerialExecutor`] itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadPoolExecutor {
     threads: usize,
@@ -304,6 +306,11 @@ impl CampaignExecutor for ThreadPoolExecutor {
     ) -> Result<(), ExecError> {
         let items = task.items();
         let workers = self.threads.min(items.len()).max(1);
+        // One shard is already in canonical order: run it on the calling
+        // thread, exactly as the reference executor does, and spawn nothing.
+        if workers == 1 {
+            return SerialExecutor.run_items(task, deliver);
+        }
 
         // Shard round-robin, like the serial order dealt across workers:
         // adjacent items land on different workers, which spreads the

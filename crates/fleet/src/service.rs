@@ -111,8 +111,7 @@ impl ChipOutcome {
         self.trace.get_or_init(|| {
             let mut trace = String::new();
             for record in &self.records {
-                if let Ok(line) = record.to_json_line() {
-                    trace.push_str(&line);
+                if record.write_json_line(&mut trace).is_ok() {
                     trace.push('\n');
                 }
             }
@@ -1065,14 +1064,10 @@ fn merge_outcomes(chips: u32, outcomes: &[&ChipOutcome]) -> FleetResults {
     let records = merge_streams(outcomes.iter().map(|o| o.records.as_slice()));
     let mut trace = String::new();
     for record in &records {
-        match record.to_json_line() {
-            Ok(line) => {
-                trace.push_str(&line);
-                trace.push('\n');
-            }
-            // Non-encodable records never leave `Campaign::run`; skipping
-            // defensively keeps the merge total.
-            Err(_) => continue,
+        // Non-encodable records never leave `Campaign::run`; a failed
+        // write leaves `trace` as it was, so skipping keeps the merge total.
+        if record.write_json_line(&mut trace).is_ok() {
+            trace.push('\n');
         }
     }
     let mut registry = MetricsRegistry::new();

@@ -10,9 +10,8 @@
 //! floats) so the crate stays a leaf of the workspace graph and the JSONL
 //! schema is self-describing.
 
-use crate::json::{self, Value};
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::json;
+use std::fmt::{self, Write as _};
 
 /// One telemetry event, before sequence/clock assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -313,15 +312,10 @@ impl TraceEvent {
         }
     }
 
-    /// Encodes the event's payload fields (the JSON object minus the
-    /// `event` tag and envelope). The inverse lives in [`crate::reader`];
-    /// a round-trip test there keeps the two in sync.
-    ///
-    /// # Errors
-    ///
-    /// Fails when a float field is non-finite (finalized events never
-    /// carry one).
-    fn encode_payload(&self, map: &mut BTreeMap<String, Value>) -> Result<(), EncodeError> {
+    /// Lists the event's payload fields (the JSON object minus the
+    /// `event` tag and envelope), each exactly once. The inverse lives in
+    /// [`crate::reader`]; a round-trip test there keeps the two in sync.
+    fn encode_payload<'a>(&'a self, f: &mut Fields<'a>) {
         match self {
             TraceEvent::CampaignStarted {
                 chip,
@@ -333,18 +327,18 @@ impl TraceEvent {
                 shards,
                 seed,
             } => {
-                put_str(map, "chip", chip);
-                put_str(map, "rail", rail);
-                put_u64(map, "benchmarks", u64::from(*benchmarks));
-                put_u64(map, "cores", u64::from(*cores));
-                put_u64(map, "steps", u64::from(*steps));
-                put_u64(map, "iterations", u64::from(*iterations));
-                put_u64(map, "shards", u64::from(*shards));
-                put_u64(map, "seed", *seed);
+                f.str("chip", chip);
+                f.str("rail", rail);
+                f.u64("benchmarks", *benchmarks);
+                f.u64("cores", *cores);
+                f.u64("steps", *steps);
+                f.u64("iterations", *iterations);
+                f.u64("shards", *shards);
+                f.u64("seed", *seed);
             }
             TraceEvent::ShardScheduled { shard, items } => {
-                put_u64(map, "shard", u64::from(*shard));
-                put_u64(map, "items", u64::from(*items));
+                f.u64("shard", *shard);
+                f.u64("items", *items);
             }
             TraceEvent::SweepStarted {
                 program,
@@ -352,10 +346,10 @@ impl TraceEvent {
                 core,
                 shard,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "shard", u64::from(*shard));
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.u64("shard", *shard);
             }
             TraceEvent::GoldenCaptured {
                 program,
@@ -364,32 +358,32 @@ impl TraceEvent {
                 digest,
                 runtime_s,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "digest", digest);
-                put_f64(map, "runtime_s", *runtime_s)?;
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.str("digest", digest);
+                f.f64("runtime_s", *runtime_s);
             }
             TraceEvent::VoltageStepped { rail, mv, step } => {
-                put_str(map, "rail", rail);
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "step", u64::from(*step));
+                f.str("rail", rail);
+                f.u64("mv", *mv);
+                f.u64("step", *step);
             }
             TraceEvent::RailSet { rail, mv } => {
-                put_str(map, "rail", rail);
-                put_u64(map, "mv", u64::from(*mv));
+                f.str("rail", rail);
+                f.u64("mv", *mv);
             }
             TraceEvent::WatchdogPowerCycle { recovery } => {
-                put_u64(map, "recovery", u64::from(*recovery));
+                f.u64("recovery", *recovery);
             }
             TraceEvent::CacheErrorReported {
                 level,
                 instance,
                 corrected,
             } => {
-                put_str(map, "level", level);
-                put_u64(map, "instance", u64::from(*instance));
-                map.insert("corrected".to_owned(), Value::Bool(*corrected));
+                f.str("level", level);
+                f.u64("instance", *instance);
+                f.bool("corrected", *corrected);
             }
             TraceEvent::RunCompleted {
                 program,
@@ -404,17 +398,17 @@ impl TraceEvent {
                 corrected_errors,
                 uncorrected_errors,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "iteration", u64::from(*iteration));
-                put_str(map, "effects", effects);
-                put_f64(map, "severity", *severity)?;
-                put_f64(map, "runtime_s", *runtime_s)?;
-                put_f64(map, "energy_j", *energy_j)?;
-                put_u64(map, "corrected_errors", *corrected_errors);
-                put_u64(map, "uncorrected_errors", *uncorrected_errors);
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.u64("mv", *mv);
+                f.u64("iteration", *iteration);
+                f.str("effects", effects);
+                f.f64("severity", *severity);
+                f.f64("runtime_s", *runtime_s);
+                f.f64("energy_j", *energy_j);
+                f.u64("corrected_errors", *corrected_errors);
+                f.u64("uncorrected_errors", *uncorrected_errors);
             }
             TraceEvent::SearchStep {
                 program,
@@ -424,12 +418,12 @@ impl TraceEvent {
                 step,
                 mv,
             } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "strategy", strategy);
-                put_str(map, "phase", phase);
-                put_u64(map, "step", u64::from(*step));
-                put_u64(map, "mv", u64::from(*mv));
+                f.str("program", program);
+                f.u64("core", *core);
+                f.str("strategy", strategy);
+                f.str("phase", phase);
+                f.u64("step", *step);
+                f.u64("mv", *mv);
             }
             TraceEvent::CacheLookup {
                 program,
@@ -439,12 +433,12 @@ impl TraceEvent {
                 mv,
                 hit,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "probe", probe);
-                put_u64(map, "mv", u64::from(*mv));
-                map.insert("hit".to_owned(), Value::Bool(*hit));
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.str("probe", probe);
+                f.u64("mv", *mv);
+                f.bool("hit", *hit);
             }
             TraceEvent::SearchConcluded {
                 program,
@@ -454,12 +448,12 @@ impl TraceEvent {
                 grid_steps,
                 cache_hits,
             } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "strategy", strategy);
-                put_u64(map, "probed_steps", u64::from(*probed_steps));
-                put_u64(map, "grid_steps", u64::from(*grid_steps));
-                put_u64(map, "cache_hits", u64::from(*cache_hits));
+                f.str("program", program);
+                f.u64("core", *core);
+                f.str("strategy", strategy);
+                f.u64("probed_steps", *probed_steps);
+                f.u64("grid_steps", *grid_steps);
+                f.u64("cache_hits", *cache_hits);
             }
             TraceEvent::EarlyStop {
                 program,
@@ -467,10 +461,10 @@ impl TraceEvent {
                 mv,
                 consecutive_all_sc,
             } => {
-                put_str(map, "program", program);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "mv", u64::from(*mv));
-                put_u64(map, "consecutive_all_sc", u64::from(*consecutive_all_sc));
+                f.str("program", program);
+                f.u64("core", *core);
+                f.u64("mv", *mv);
+                f.u64("consecutive_all_sc", *consecutive_all_sc);
             }
             TraceEvent::ProfileSample {
                 program,
@@ -483,15 +477,15 @@ impl TraceEvent {
                 cache_probes,
                 recoveries,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_str(map, "phase", phase);
-                put_u64(map, "ops", *ops);
-                put_u64(map, "fault_samples", *fault_samples);
-                put_u64(map, "sram_events", *sram_events);
-                put_u64(map, "cache_probes", *cache_probes);
-                put_u64(map, "recoveries", *recoveries);
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.str("phase", phase);
+                f.u64("ops", *ops);
+                f.u64("fault_samples", *fault_samples);
+                f.u64("sram_events", *sram_events);
+                f.u64("cache_probes", *cache_probes);
+                f.u64("recoveries", *recoveries);
             }
             TraceEvent::ProfilePhase {
                 phase,
@@ -502,13 +496,13 @@ impl TraceEvent {
                 cache_probes,
                 recoveries,
             } => {
-                put_str(map, "phase", phase);
-                put_u64(map, "sweeps", *sweeps);
-                put_u64(map, "ops", *ops);
-                put_u64(map, "fault_samples", *fault_samples);
-                put_u64(map, "sram_events", *sram_events);
-                put_u64(map, "cache_probes", *cache_probes);
-                put_u64(map, "recoveries", *recoveries);
+                f.str("phase", phase);
+                f.u64("sweeps", *sweeps);
+                f.u64("ops", *ops);
+                f.u64("fault_samples", *fault_samples);
+                f.u64("sram_events", *sram_events);
+                f.u64("cache_probes", *cache_probes);
+                f.u64("recoveries", *recoveries);
             }
             TraceEvent::SweepFinished {
                 program,
@@ -516,14 +510,14 @@ impl TraceEvent {
                 core,
                 runs,
             } => {
-                put_str(map, "program", program);
-                put_str(map, "dataset", dataset);
-                put_u64(map, "core", u64::from(*core));
-                put_u64(map, "runs", u64::from(*runs));
+                f.str("program", program);
+                f.str("dataset", dataset);
+                f.u64("core", *core);
+                f.u64("runs", *runs);
             }
             TraceEvent::CampaignFinished { runs, power_cycles } => {
-                put_u64(map, "runs", *runs);
-                put_u64(map, "power_cycles", u64::from(*power_cycles));
+                f.u64("runs", *runs);
+                f.u64("power_cycles", *power_cycles);
             }
             TraceEvent::VoltageDecision {
                 voltage_mv,
@@ -532,35 +526,64 @@ impl TraceEvent {
                 relative_performance,
                 energy_savings,
             } => {
-                put_u64(map, "voltage_mv", u64::from(*voltage_mv));
-                put_u64(map, "guardband_steps", u64::from(*guardband_steps));
-                put_f64(map, "relative_power", *relative_power)?;
-                put_f64(map, "relative_performance", *relative_performance)?;
-                put_f64(map, "energy_savings", *energy_savings)?;
+                f.u64("voltage_mv", *voltage_mv);
+                f.u64("guardband_steps", *guardband_steps);
+                f.f64("relative_power", *relative_power);
+                f.f64("relative_performance", *relative_performance);
+                f.f64("energy_savings", *energy_savings);
             }
         }
-        Ok(())
     }
 }
 
-fn put_str(map: &mut BTreeMap<String, Value>, name: &str, value: &str) {
-    map.insert(name.to_owned(), Value::String(value.to_owned()));
+/// One field value, borrowed from the record being encoded.
+#[derive(Debug, Clone, Copy)]
+enum Field<'a> {
+    Str(&'a str),
+    U64(u64),
+    F64(f64),
+    Bool(bool),
 }
 
-fn put_u64(map: &mut BTreeMap<String, Value>, name: &str, value: u64) {
-    map.insert(name.to_owned(), Value::from_u64(value));
+/// The most fields one record has: `RunCompleted`'s eleven payload fields
+/// plus `event`, `seq` and `t_model_s`.
+const MAX_FIELDS: usize = 14;
+
+/// A record's `(key, value)` pairs, in the order they were listed, on the
+/// stack.
+struct Fields<'a> {
+    pairs: [(&'static str, Field<'a>); MAX_FIELDS],
+    len: usize,
 }
 
-fn put_f64(
-    map: &mut BTreeMap<String, Value>,
-    name: &'static str,
-    value: f64,
-) -> Result<(), EncodeError> {
-    if !value.is_finite() {
-        return Err(EncodeError { field: name });
+impl<'a> Fields<'a> {
+    fn new() -> Self {
+        Fields {
+            pairs: [("", Field::Bool(false)); MAX_FIELDS],
+            len: 0,
+        }
     }
-    map.insert(name.to_owned(), Value::from_f64(value));
-    Ok(())
+
+    fn push(&mut self, key: &'static str, value: Field<'a>) {
+        self.pairs[self.len] = (key, value);
+        self.len += 1;
+    }
+
+    fn str(&mut self, key: &'static str, value: &'a str) {
+        self.push(key, Field::Str(value));
+    }
+
+    fn u64(&mut self, key: &'static str, value: impl Into<u64>) {
+        self.push(key, Field::U64(value.into()));
+    }
+
+    fn f64(&mut self, key: &'static str, value: f64) {
+        self.push(key, Field::F64(value));
+    }
+
+    fn bool(&mut self, key: &'static str, value: bool) {
+        self.push(key, Field::Bool(value));
+    }
 }
 
 /// A record could not be serialized: a float field was non-finite (JSON
@@ -593,32 +616,67 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Encodes the record as a single flat JSON object: the `event` tag,
-    /// the payload fields, and the `seq`/`t_model_s` envelope, all in one
-    /// sorted-key map.
+    /// Appends the record to `out` as one byte-deterministic JSON line: a
+    /// flat object of the `event` tag, the payload fields and the
+    /// `seq`/`t_model_s` envelope, keys sorted, no trailing newline.
+    ///
+    /// The bytes are those of [`json::render`] on the equivalent object:
+    /// keys in byte order, strings through [`json::escape_into`],
+    /// integers in decimal and floats in their shortest round-trip form
+    /// ([`json::fmt_f64`]).
     ///
     /// # Errors
     ///
     /// Fails when a float field is non-finite (finalized records never
-    /// carry one).
-    pub fn to_value(&self) -> Result<Value, EncodeError> {
-        let mut map = BTreeMap::new();
-        map.insert("event".to_owned(), Value::from_str_val(self.event.name()));
-        self.event.encode_payload(&mut map)?;
-        put_u64(&mut map, "seq", self.seq);
-        put_f64(&mut map, "t_model_s", self.t_model_s)?;
-        Ok(Value::Object(map))
+    /// carry one), naming the first such field in the order the encoder
+    /// lists them. `out` is then left as it was.
+    pub fn write_json_line(&self, out: &mut String) -> Result<(), EncodeError> {
+        let mut fields = Fields::new();
+        fields.str("event", self.event.name());
+        self.event.encode_payload(&mut fields);
+        fields.u64("seq", self.seq);
+        fields.f64("t_model_s", self.t_model_s);
+        let pairs = &mut fields.pairs[..fields.len];
+        if let Some(&(field, _)) = pairs
+            .iter()
+            .find(|(_, value)| matches!(value, Field::F64(v) if !v.is_finite()))
+        {
+            return Err(EncodeError { field });
+        }
+        pairs.sort_unstable_by_key(|&(key, _)| key);
+        out.push('{');
+        for (i, &(key, value)) in pairs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::escape_into(out, key);
+            out.push(':');
+            match value {
+                Field::Str(s) => json::escape_into(out, s),
+                Field::U64(v) => {
+                    let _ = write!(out, "{v}");
+                }
+                Field::F64(v) => {
+                    let _ = write!(out, "{v:?}");
+                }
+                Field::Bool(v) => out.push_str(if v { "true" } else { "false" }),
+            }
+        }
+        out.push('}');
+        Ok(())
     }
 
     /// Renders the record as one byte-deterministic JSON line (keys sorted,
-    /// no trailing newline).
+    /// no trailing newline); see [`TraceRecord::write_json_line`].
     ///
     /// # Errors
     ///
     /// Fails for unserializable values (only possible for non-finite
     /// floats, which finalized records never carry).
     pub fn to_json_line(&self) -> Result<String, EncodeError> {
-        Ok(json::render(&self.to_value()?))
+        let mut line = String::new();
+        self.write_json_line(&mut line)?;
+        Ok(line)
     }
 }
 

@@ -646,6 +646,55 @@ mod tests {
         ]
     }
 
+    /// `render(sample_events())`, one line per variant in sample order: the
+    /// exact bytes written traces and their golden digests rely on.
+    const SAMPLE_LINES: [&str; 18] = [
+        r#"{"benchmarks":2,"chip":"TTT#0","cores":2,"event":"CampaignStarted","iterations":2,"rail":"pmd","seed":7,"seq":0,"shards":4,"steps":7,"t_model_s":0.0}"#,
+        r#"{"event":"ShardScheduled","items":14,"seq":1,"shard":0,"t_model_s":0.0}"#,
+        r#"{"core":0,"dataset":"ref","event":"SweepStarted","program":"bwaves","seq":2,"shard":0,"t_model_s":0.0}"#,
+        r#"{"core":0,"dataset":"ref","digest":"00ff","event":"GoldenCaptured","program":"bwaves","runtime_s":0.5,"seq":3,"t_model_s":0.5}"#,
+        r#"{"event":"VoltageStepped","mv":905,"rail":"pmd","seq":4,"step":2,"t_model_s":0.5}"#,
+        r#"{"event":"RailSet","mv":905,"rail":"pmd","seq":5,"t_model_s":0.5}"#,
+        r#"{"event":"WatchdogPowerCycle","recovery":1,"seq":6,"t_model_s":0.5}"#,
+        r#"{"corrected":true,"event":"CacheErrorReported","instance":1,"level":"L2","seq":7,"t_model_s":0.5}"#,
+        r#"{"core":0,"corrected_errors":18446744073709551615,"dataset":"ref","effects":"SDC+CE","energy_j":0.025,"event":"RunCompleted","iteration":1,"mv":900,"program":"bwaves","runtime_s":0.001,"seq":8,"severity":5.0,"t_model_s":0.501,"uncorrected_errors":0}"#,
+        r#"{"core":0,"event":"SearchStep","mv":900,"phase":"vmin","program":"bwaves","seq":9,"step":3,"strategy":"bisection","t_model_s":0.501}"#,
+        r#"{"core":0,"dataset":"ref","event":"CacheLookup","hit":false,"mv":900,"probe":"step","program":"bwaves","seq":10,"t_model_s":0.501}"#,
+        r#"{"cache_hits":0,"core":0,"event":"SearchConcluded","grid_steps":7,"probed_steps":4,"program":"bwaves","seq":11,"strategy":"bisection","t_model_s":0.501}"#,
+        r#"{"consecutive_all_sc":2,"core":0,"event":"EarlyStop","mv":885,"program":"bwaves","seq":12,"t_model_s":0.501}"#,
+        r#"{"core":0,"dataset":"ref","event":"SweepFinished","program":"bwaves","runs":8,"seq":13,"t_model_s":0.501}"#,
+        r#"{"event":"CampaignFinished","power_cycles":1,"runs":8,"seq":14,"t_model_s":0.501}"#,
+        r#"{"energy_savings":0.15,"event":"VoltageDecision","guardband_steps":1,"relative_performance":1.0,"relative_power":0.85,"seq":15,"t_model_s":0.501,"voltage_mv":890}"#,
+        r#"{"cache_probes":0,"core":0,"dataset":"ref","event":"ProfileSample","fault_samples":12,"ops":18446744073709551615,"phase":"probe","program":"bwaves","recoveries":1,"seq":16,"sram_events":3,"t_model_s":0.501}"#,
+        r#"{"cache_probes":0,"event":"ProfilePhase","fault_samples":24,"ops":18446744073709551615,"phase":"probe","recoveries":2,"seq":17,"sram_events":6,"sweeps":2,"t_model_s":0.501}"#,
+    ];
+
+    /// A record with what the samples lack: every escaped character and a
+    /// multi-byte one, floats in exponent, long and signed-zero forms, and
+    /// integer maxima.
+    fn edge_record() -> TraceRecord {
+        TraceRecord {
+            seq: u64::MAX,
+            t_model_s: -0.0,
+            event: TraceEvent::RunCompleted {
+                program: "q\"b\\s\nn\rr\tt\u{1}u-µΩ€😀".into(),
+                dataset: "ref".into(),
+                core: 255,
+                mv: u32::MAX,
+                iteration: 0,
+                effects: "SDC+CE".into(),
+                severity: 1e-7,
+                runtime_s: 1e21,
+                energy_j: 0.1 + 0.2,
+                corrected_errors: u64::MAX,
+                uncorrected_errors: 0,
+            },
+        }
+    }
+
+    /// The pinned bytes of [`edge_record`].
+    const EDGE_LINE: &str = r#"{"core":255,"corrected_errors":18446744073709551615,"dataset":"ref","effects":"SDC+CE","energy_j":0.30000000000000004,"event":"RunCompleted","iteration":0,"mv":4294967295,"program":"q\"b\\s\nn\rr\tt\u0001u-µΩ€😀","runtime_s":1e21,"seq":18446744073709551615,"severity":1e-7,"t_model_s":-0.0,"uncorrected_errors":0}"#;
+
     fn render(events: Vec<TraceEvent>) -> String {
         let mut fin = StreamFinalizer::new();
         let mut out = String::new();
@@ -668,7 +717,8 @@ mod tests {
                 t_model_s: 0.0,
                 event,
             };
-            let value = record.to_value().expect("serializable");
+            let line = record.to_json_line().expect("serializable");
+            let value = json::parse(&line).expect("the line is JSON");
             let object = value.as_object().expect("flat object");
             // Every serialized payload key (minus tag and envelope) is in
             // the schema with an accepting kind, and vice versa.
@@ -689,6 +739,45 @@ mod tests {
             }
         }
         assert!(event_schema("NoSuchEvent").is_none());
+    }
+
+    #[test]
+    fn every_variant_encodes_to_its_pinned_bytes() {
+        let text = render(sample_events());
+        assert_eq!(text.lines().collect::<Vec<_>>(), SAMPLE_LINES);
+        let edge = edge_record().to_json_line().expect("finite floats encode");
+        assert_eq!(edge, EDGE_LINE);
+        for line in SAMPLE_LINES.into_iter().chain([EDGE_LINE]) {
+            // `render` writes each key of the parsed map once, in sorted
+            // order, so equality shows the line's keys are sorted and unique.
+            let value = json::parse(line).expect("the line is JSON");
+            assert_eq!(json::render(&value), line);
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_fail_and_leave_the_buffer_untouched() {
+        let mut nan_clock = edge_record();
+        nan_clock.t_model_s = f64::NAN;
+        let mut inf_energy = edge_record();
+        if let TraceEvent::RunCompleted { energy_j, .. } = &mut inf_energy.event {
+            *energy_j = f64::INFINITY;
+        }
+        // Payload fields are checked before the envelope.
+        let mut both = inf_energy.clone();
+        both.t_model_s = f64::NAN;
+        for (record, field) in [
+            (nan_clock, "t_model_s"),
+            (inf_energy, "energy_j"),
+            (both, "energy_j"),
+        ] {
+            let mut out = String::from("{\"kept\":1}\n");
+            let err = record.write_json_line(&mut out).expect_err("non-finite");
+            assert_eq!(err.field, field);
+            assert_eq!(out, "{\"kept\":1}\n");
+            let err = record.to_json_line().expect_err("non-finite");
+            assert_eq!(err.field, field);
+        }
     }
 
     #[test]

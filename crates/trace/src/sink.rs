@@ -41,8 +41,9 @@ impl Sink for MemorySink {
     }
 }
 
-/// Writes one sorted-key JSON object per line. The byte stream depends only
-/// on the record sequence, never on scheduling or wall-clock state.
+/// Writes one sorted-key JSON object per line, each line with its `\n` in
+/// one `write_all`. The byte stream depends only on the record sequence,
+/// never on scheduling or wall-clock state.
 ///
 /// IO errors are sticky: the first failure is retained and subsequent
 /// emissions are dropped; callers inspect [`JsonlSink::io_error`] (or
@@ -50,6 +51,8 @@ impl Sink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
+    /// The line being written, reused across records.
+    line: String,
     lines: u64,
     error: Option<io::Error>,
 }
@@ -59,6 +62,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(writer: W) -> Self {
         JsonlSink {
             writer,
+            line: String::new(),
             lines: 0,
             error: None,
         }
@@ -95,10 +99,14 @@ impl<W: Write> Sink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
+        self.line.clear();
         let result = record
-            .to_json_line()
+            .write_json_line(&mut self.line)
             .map_err(io::Error::other)
-            .and_then(|line| writeln!(self.writer, "{line}"));
+            .and_then(|()| {
+                self.line.push('\n');
+                self.writer.write_all(self.line.as_bytes())
+            });
         match result {
             Ok(()) => self.lines += 1,
             Err(e) => self.error = Some(e),

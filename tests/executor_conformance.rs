@@ -21,10 +21,20 @@ use voltmargin::characterize::severity::SeverityWeights;
 use voltmargin::sim::{ChipSpec, CoreId, Corner, Millivolts};
 use voltmargin::trace::{JsonlSink, MetricsRegistry, Sink};
 
+/// The reference campaign: two benchmarks on two cores, four work items.
 fn campaign() -> Campaign {
+    campaign_of(&["bwaves", "namd"], &[0, 4])
+}
+
+/// One work item: a pool of any size makes a single shard of it.
+fn single_item_campaign() -> Campaign {
+    campaign_of(&["namd"], &[4])
+}
+
+fn campaign_of(benchmarks: &[&str], cores: &[u8]) -> Campaign {
     let cfg = CampaignConfig::builder()
-        .benchmarks(["bwaves", "namd"])
-        .cores([CoreId::new(0), CoreId::new(4)])
+        .benchmarks(benchmarks.iter().copied())
+        .cores(cores.iter().copied().map(CoreId::new))
         .iterations(2)
         .start_voltage(Millivolts::new(915))
         .floor_voltage(Millivolts::new(885))
@@ -35,16 +45,19 @@ fn campaign() -> Campaign {
     Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg)
 }
 
-/// Runs the reference campaign under `exec` with the full observability
-/// surface attached: (JSONL trace, OpenMetrics exposition, profile
-/// rollups, runs CSV).
-fn observe(exec: &dyn CampaignExecutor) -> (String, String, PhaseTallies, String) {
+/// Runs `campaign` under `exec` with the full observability surface
+/// attached: (JSONL trace, OpenMetrics exposition, profile rollups, runs
+/// CSV).
+fn observe(
+    campaign: &Campaign,
+    exec: &dyn CampaignExecutor,
+) -> (String, String, PhaseTallies, String) {
     let mut jsonl = JsonlSink::new(Vec::new());
     let mut metrics = MetricsRegistry::new();
     let mut tallies = PhaseTallies::new();
     let outcome = {
         let mut sinks: [&mut dyn Sink; 1] = [&mut jsonl];
-        campaign()
+        campaign
             .run(
                 exec,
                 ExecContext {
@@ -69,34 +82,41 @@ fn observe(exec: &dyn CampaignExecutor) -> (String, String, PhaseTallies, String
 
 #[test]
 fn executors_are_byte_identical_across_the_observability_surface() {
-    let reference = observe(&SerialExecutor);
-    assert!(!reference.0.is_empty(), "traced run must emit records");
-    assert!(
-        reference.2.executed_ops() > 0,
-        "cold campaign executes machine probes"
-    );
-    for pool in [
-        ThreadPoolExecutor::new(1).expect("1 is a valid thread count"),
-        ThreadPoolExecutor::new(4).expect("4 is a valid thread count"),
+    // The four-item campaign shards under a pool; the one-item campaign
+    // makes one shard, which a pool runs on the calling thread.
+    for (name, campaign) in [
+        ("four-item", campaign()),
+        ("single-item", single_item_campaign()),
     ] {
-        let threads = pool.threads();
-        let under = observe(&pool);
-        assert_eq!(
-            reference.0, under.0,
-            "JSONL trace differs under {threads}-thread pool"
+        let reference = observe(&campaign, &SerialExecutor);
+        assert!(!reference.0.is_empty(), "traced run must emit records");
+        assert!(
+            reference.2.executed_ops() > 0,
+            "cold campaign executes machine probes"
         );
-        assert_eq!(
-            reference.1, under.1,
-            "OpenMetrics exposition differs under {threads}-thread pool"
-        );
-        assert_eq!(
-            reference.2, under.2,
-            "profile rollups differ under {threads}-thread pool"
-        );
-        assert_eq!(
-            reference.3, under.3,
-            "runs CSV differs under {threads}-thread pool"
-        );
+        for pool in [
+            ThreadPoolExecutor::new(1).expect("1 is a valid thread count"),
+            ThreadPoolExecutor::new(4).expect("4 is a valid thread count"),
+        ] {
+            let threads = pool.threads();
+            let under = observe(&campaign, &pool);
+            assert_eq!(
+                reference.0, under.0,
+                "{name}: JSONL trace differs under {threads}-thread pool"
+            );
+            assert_eq!(
+                reference.1, under.1,
+                "{name}: OpenMetrics exposition differs under {threads}-thread pool"
+            );
+            assert_eq!(
+                reference.2, under.2,
+                "{name}: profile rollups differ under {threads}-thread pool"
+            );
+            assert_eq!(
+                reference.3, under.3,
+                "{name}: runs CSV differs under {threads}-thread pool"
+            );
+        }
     }
 }
 
