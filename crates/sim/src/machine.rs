@@ -4,7 +4,9 @@
 //! arithmetic operation, memory access and branch is *really executed* (so
 //! the program produces a genuine output digest) while simultaneously
 //!
-//! * feeding the 101-event PMU [`CounterFile`],
+//! * tallying the run's independent outcomes (op kinds, misses,
+//!   write-backs, mispredicts, exceptions), from which the 101-event PMU
+//!   [`CounterFile`] is derived once, when the run ends,
 //! * advancing an approximate cycle/stall model (4-issue OoO core),
 //! * exercising the cache hierarchy, a D-TLB and a branch predictor/BTB,
 //! * accumulating switching activity into the droop model, and
@@ -118,6 +120,90 @@ const POISON_AC_PROBABILITY: f64 = 0.6;
 /// Data-memory allocation cap in 64-bit words (64 MiB).
 const MEM_CAP_WORDS: u64 = 1 << 23;
 
+/// What one accounted op is: its timing class, split where the counter
+/// file tells ops of one class apart.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Load,
+    Store,
+    /// `fadd` and `fsub` share the FP adder.
+    FpAdd,
+    FpMul,
+    /// Fused multiply-add, timed as an [`OpClass::FpMul`].
+    Fma,
+    FpDiv,
+    FpSqrt,
+    IntAlu,
+    IntMul,
+    IntDiv,
+    CondBranch,
+    IndirectBranch,
+}
+
+const NUM_OP_KINDS: usize = 12;
+
+impl OpKind {
+    fn class(self) -> OpClass {
+        match self {
+            OpKind::Load => OpClass::Load,
+            OpKind::Store => OpClass::Store,
+            OpKind::FpAdd => OpClass::FpAdd,
+            OpKind::FpMul | OpKind::Fma => OpClass::FpMul,
+            OpKind::FpDiv => OpClass::FpDiv,
+            OpKind::FpSqrt => OpClass::FpSqrt,
+            OpKind::IntAlu => OpClass::IntAlu,
+            OpKind::IntMul => OpClass::IntMul,
+            OpKind::IntDiv => OpClass::IntDiv,
+            OpKind::CondBranch | OpKind::IndirectBranch => OpClass::Branch,
+        }
+    }
+}
+
+/// The independent outcomes of a run, each counted once, where it happens.
+/// Fields with a direction are indexed `[read, write]`.
+///
+/// The op path writes no PMU counter. Every event is a fixed integer
+/// function of this tally and the cycle model, defined in one place:
+/// [`Machine::driven_counts`].
+#[derive(Debug, Default)]
+struct Tally {
+    /// Ops accounted, per [`OpKind`]; segfaulting memory ops included.
+    ops: [u64; NUM_OP_KINDS],
+    /// Memory ops that failed the bounds check.
+    segfaults: [u64; 2],
+    /// `fdiv` calls, halted ones included.
+    fdiv_calls: u64,
+    /// Taken conditional branches.
+    taken: u64,
+    /// Mispredicted conditional branches.
+    mispredicts: u64,
+    /// BTB misses of taken conditional branches.
+    cond_btb_misses: u64,
+    /// BTB misses of indirect branches, each also a mispredict.
+    indirect_btb_misses: u64,
+    dtlb_refills: u64,
+    l1i_refills: u64,
+    itlb_walks: u64,
+    l1_misses: [u64; 2],
+    /// L1 misses on the line after the previous miss: prefetch hits.
+    prefetch_hits: u64,
+    l2_misses: u64,
+    dram: [u64; 2],
+    /// Dirty lines written back out of the L1, L2 and L3.
+    writebacks: [u64; 3],
+    boots: u64,
+    /// Corrected plus uncorrected SRAM errors observed.
+    ecc_errors: u64,
+    /// Accesses that consumed poisoned data and raised a data abort.
+    poison_aborts: u64,
+    /// Application crashes raised, each one a data abort.
+    app_crashes: u64,
+}
+
+/// Number of PMU events the simulator drives; the other
+/// `NUM_EVENTS - DRIVEN_EVENTS` read zero in every run.
+const DRIVEN_EVENTS: usize = 81;
+
 /// The op-level execution machine for one run on one core.
 pub struct Machine<'a> {
     core: CoreId,
@@ -129,7 +215,13 @@ pub struct Machine<'a> {
     thermal_shift_mv: f64,
     caches: &'a mut CacheHierarchy,
     edac: &'a mut EdacLog,
+    /// The run's PMU counter file, written once, by `finalize`. It is
+    /// allocated here, before the program's data memory: allocated last,
+    /// this long-lived block would land above a large data array on the
+    /// heap and keep that array's pages from being returned when it is
+    /// freed (`suite-profile` peak RSS grew by up to half that way).
     counters: CounterFile,
+    tally: Tally,
     timing: TimingFaultModel,
     droop: DroopModel,
     rng: Rng,
@@ -153,7 +245,6 @@ pub struct Machine<'a> {
     soc_accum: f64,
     soc_budget: f64,
     activity_sum: f64,
-    ops: u64,
     last_l1d_line: u64,
 }
 
@@ -190,6 +281,7 @@ impl<'a> Machine<'a> {
             caches,
             edac,
             counters: CounterFile::new(),
+            tally: Tally::default(),
             timing,
             droop: DroopModel::new(),
             rng,
@@ -211,7 +303,6 @@ impl<'a> Machine<'a> {
             soc_accum: 0.0,
             soc_budget,
             activity_sum: 0.0,
-            ops: 0,
             last_l1d_line: u64::MAX,
         }
     }
@@ -257,9 +348,7 @@ impl<'a> Machine<'a> {
         {
             self.apply_crash_consequence(c);
         }
-        self.counters.add(PmuEvent::ExcTaken, 1);
-        self.counters.add(PmuEvent::ExcReturn, 1);
-        self.counters.add(PmuEvent::ContextSwitches, 1);
+        self.tally.boots += 1;
         self.kernel_cycles += 400.0;
         self.cycles += 400.0;
     }
@@ -309,11 +398,13 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return 0;
         }
-        let class = if write { OpClass::Store } else { OpClass::Load };
-        self.account(class);
+        let kind = if write { OpKind::Store } else { OpKind::Load };
+        self.account(kind);
+        let dir = usize::from(write);
 
         if addr.0 >= self.mem.len() as u64 {
             // Segfault: corrupted pointer or workload bug.
+            self.tally.segfaults[dir] += 1;
             self.raise_app_crash();
             return 0;
         }
@@ -322,14 +413,10 @@ impl<'a> Machine<'a> {
         let byte_addr = addr.0 * 8;
         let vpage = byte_addr >> 12;
         let tlb_idx = (vpage as usize) % DTLB_ENTRIES;
-        self.counters.incr(PmuEvent::L1DTlb);
         if self.dtlb[tlb_idx] != vpage {
             self.dtlb[tlb_idx] = vpage;
-            self.counters.incr(PmuEvent::L1DTlbRefill);
-            self.counters.incr(PmuEvent::DtlbWalk);
-            self.counters.add(PmuEvent::PageWalkCycles, 20);
+            self.tally.dtlb_refills += 1;
             self.cycles += 20.0;
-            self.counters.add(PmuEvent::DispatchStallCycles, 20);
         }
 
         // Cache hierarchy.
@@ -341,54 +428,19 @@ impl<'a> Machine<'a> {
             self.soc_mv,
             self.edac,
         );
-        self.counters.incr(PmuEvent::MemAccess);
-        self.counters.incr(PmuEvent::L1DCache);
-        if write {
-            self.counters.incr(PmuEvent::StRetired);
-            self.counters.incr(PmuEvent::WriteMemAccess);
-            self.counters.incr(PmuEvent::L1DCacheWr);
-        } else {
-            self.counters.incr(PmuEvent::LdRetired);
-            self.counters.incr(PmuEvent::ReadMemAccess);
-            self.counters.incr(PmuEvent::L1DCacheRd);
-        }
         if !access.l1_hit {
-            self.counters.incr(PmuEvent::L1DCacheRefill);
-            self.counters.incr(PmuEvent::L1DCacheAllocate);
-            self.counters.incr(PmuEvent::L2DCache);
-            self.counters.incr(if write {
-                PmuEvent::L2DCacheWr
-            } else {
-                PmuEvent::L2DCacheRd
-            });
-            self.counters.incr(if write {
-                PmuEvent::WriteAlloc
-            } else {
-                PmuEvent::ReadAlloc
-            });
+            self.tally.l1_misses[dir] += 1;
             self.cycles += 6.0;
-            self.counters.add(PmuEvent::DispatchStallCycles, 6);
-            self.counters.add(PmuEvent::StallBackend, 6);
             // Next-line prefetcher fires on sequential misses.
             let line = byte_addr / crate::topology::LINE_BYTES as u64;
             if line == self.last_l1d_line.wrapping_add(1) {
-                self.counters.incr(PmuEvent::PrefetchLinefill);
-            } else {
-                self.counters.incr(PmuEvent::PrefetchLinefillDrop);
+                self.tally.prefetch_hits += 1;
             }
             self.last_l1d_line = line;
         }
         if !access.l1_hit && !access.l2_hit {
-            self.counters.incr(PmuEvent::L2DCacheRefill);
-            self.counters.incr(PmuEvent::L2DCacheAllocate);
-            self.counters.incr(PmuEvent::L3Cache);
-            self.counters.incr(PmuEvent::L3CacheRd);
-            self.counters.incr(PmuEvent::BusAccess);
-            self.counters.incr(PmuEvent::BusAccessRd);
+            self.tally.l2_misses += 1;
             self.cycles += 20.0;
-            self.counters.add(PmuEvent::DispatchStallCycles, 20);
-            self.counters.add(PmuEvent::StallBackend, 20);
-            self.counters.add(PmuEvent::LsqFullCycles, 5);
         }
         if !access.l1_hit && !access.l2_hit {
             // The access engaged the PCP/SoC domain's logic (L3 pipeline,
@@ -407,40 +459,18 @@ impl<'a> Machine<'a> {
             }
         }
         if access.dram() {
-            self.counters.incr(PmuEvent::L3CacheRefill);
-            self.counters.incr(if write {
-                PmuEvent::LocalMemoryWr
-            } else {
-                PmuEvent::LocalMemoryRd
-            });
+            self.tally.dram[dir] += 1;
             self.cycles += 60.0;
-            self.counters.add(PmuEvent::DispatchStallCycles, 60);
-            self.counters.add(PmuEvent::StallBackend, 60);
-            self.counters.add(PmuEvent::RobFullCycles, 30);
         }
-        if access.wb_l1 {
-            self.counters.incr(PmuEvent::L1DCacheWb);
-        }
-        if access.wb_l2 {
-            self.counters.incr(PmuEvent::L2DCacheWb);
-            self.counters.incr(PmuEvent::BusAccessWr);
-        }
-        if access.wb_l3 {
-            self.counters.incr(PmuEvent::L3CacheWb);
-            self.counters.incr(PmuEvent::BusAccessWr);
-        }
+        self.tally.writebacks[0] += u64::from(access.wb_l1);
+        self.tally.writebacks[1] += u64::from(access.wb_l2);
+        self.tally.writebacks[2] += u64::from(access.wb_l3);
 
         // SRAM protection observations.
         let obs = access.faults;
-        if obs.corrected > 0 || obs.uncorrected > 0 {
-            self.counters.add(
-                PmuEvent::MemoryError,
-                u64::from(obs.corrected + obs.uncorrected),
-            );
-        }
+        self.tally.ecc_errors += u64::from(obs.corrected + obs.uncorrected);
         if obs.poison && self.rng.next_f64() < POISON_AC_PROBABILITY {
-            self.counters.incr(PmuEvent::ExcDabort);
-            self.counters.incr(PmuEvent::ExcTaken);
+            self.tally.poison_aborts += 1;
             self.raise_app_crash();
             return 0;
         }
@@ -466,7 +496,7 @@ impl<'a> Machine<'a> {
         }
 
         // Timing fault on the load/store path.
-        if let Some(c) = self.timing.on_op(class, &mut self.rng) {
+        if let Some(c) = self.timing.on_op(kind.class(), &mut self.rng) {
             result = self.apply_value_fault(c, result);
             if write {
                 if let MachineStatus::Healthy = self.status {
@@ -483,23 +513,17 @@ impl<'a> Machine<'a> {
 
     /// Floating-point addition.
     pub fn fadd(&mut self, a: f64, b: f64) -> f64 {
-        self.f2(OpClass::FpAdd, PmuEvent::FpAddRetired, 0.2, a, b, |x, y| {
-            x + y
-        })
+        self.f2(OpKind::FpAdd, 0.2, a, b, |x, y| x + y)
     }
 
     /// Floating-point subtraction (shares the FP adder).
     pub fn fsub(&mut self, a: f64, b: f64) -> f64 {
-        self.f2(OpClass::FpAdd, PmuEvent::FpAddRetired, 0.2, a, b, |x, y| {
-            x - y
-        })
+        self.f2(OpKind::FpAdd, 0.2, a, b, |x, y| x - y)
     }
 
     /// Floating-point multiplication.
     pub fn fmul(&mut self, a: f64, b: f64) -> f64 {
-        self.f2(OpClass::FpMul, PmuEvent::FpMulRetired, 0.2, a, b, |x, y| {
-            x * y
-        })
+        self.f2(OpKind::FpMul, 0.2, a, b, |x, y| x * y)
     }
 
     /// Fused multiply-add.
@@ -507,9 +531,7 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return 0.0;
         }
-        self.account(OpClass::FpMul);
-        self.counters.incr(PmuEvent::FpInstRetired);
-        self.counters.incr(PmuEvent::FpFmaRetired);
+        self.account(OpKind::Fma);
         self.cycles += 0.2;
         let mut r = a.mul_add(b, c);
         if let Some(cq) = self.timing.on_op(OpClass::FpMul, &mut self.rng) {
@@ -520,11 +542,9 @@ impl<'a> Machine<'a> {
 
     /// Floating-point division (deep path: highest fault exposure, §3.4).
     pub fn fdiv(&mut self, a: f64, b: f64) -> f64 {
-        let r = self.f2(OpClass::FpDiv, PmuEvent::FpDivRetired, 6.0, a, b, |x, y| {
-            x / y
-        });
-        self.counters.add(PmuEvent::IssueStallCycles, 6);
-        r
+        // Counted per call, halted or not (see `driven_counts`).
+        self.tally.fdiv_calls += 1;
+        self.f2(OpKind::FpDiv, 6.0, a, b, |x, y| x / y)
     }
 
     /// Floating-point square root.
@@ -532,11 +552,8 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return 0.0;
         }
-        self.account(OpClass::FpSqrt);
-        self.counters.incr(PmuEvent::FpInstRetired);
-        self.counters.incr(PmuEvent::FpSqrtRetired);
+        self.account(OpKind::FpSqrt);
         self.cycles += 5.0;
-        self.counters.add(PmuEvent::IssueStallCycles, 5);
         let mut r = a.sqrt();
         if let Some(c) = self.timing.on_op(OpClass::FpSqrt, &mut self.rng) {
             r = f64::from_bits(self.apply_value_fault(c, r.to_bits()));
@@ -546,110 +563,49 @@ impl<'a> Machine<'a> {
 
     /// Integer addition.
     pub fn iadd(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            b,
-            |x, y| x.wrapping_add(y),
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x.wrapping_add(y))
     }
 
     /// Integer subtraction.
     pub fn isub(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            b,
-            |x, y| x.wrapping_sub(y),
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x.wrapping_sub(y))
     }
 
     /// Integer multiplication.
     pub fn imul(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntMul,
-            PmuEvent::IntMulRetired,
-            1.0,
-            a,
-            b,
-            |x, y| x.wrapping_mul(y),
-        )
+        self.i2(OpKind::IntMul, 1.0, a, b, |x, y| x.wrapping_mul(y))
     }
 
     /// Integer division (`0` divisor yields `0`, as a guarded idiv would).
     pub fn idiv(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntDiv,
-            PmuEvent::IntDivRetired,
-            8.0,
-            a,
-            b,
-            |x, y| x.checked_div(y).unwrap_or(0),
-        )
+        self.i2(OpKind::IntDiv, 8.0, a, b, |x, y| {
+            x.checked_div(y).unwrap_or(0)
+        })
     }
 
     /// Bitwise AND.
     pub fn iand(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            b,
-            |x, y| x & y,
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x & y)
     }
 
     /// Bitwise OR.
     pub fn ior(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            b,
-            |x, y| x | y,
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x | y)
     }
 
     /// Bitwise XOR.
     pub fn ixor(&mut self, a: u64, b: u64) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            b,
-            |x, y| x ^ y,
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x ^ y)
     }
 
     /// Logical shift left (modulo 64).
     pub fn ishl(&mut self, a: u64, b: u32) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            u64::from(b),
-            |x, y| x << (y % 64),
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, u64::from(b), |x, y| x << (y % 64))
     }
 
     /// Logical shift right (modulo 64).
     pub fn ishr(&mut self, a: u64, b: u32) -> u64 {
-        self.i2(
-            OpClass::IntAlu,
-            PmuEvent::IntAluRetired,
-            0.0,
-            a,
-            u64::from(b),
-            |x, y| x >> (y % 64),
-        )
+        self.i2(OpKind::IntAlu, 0.0, a, u64::from(b), |x, y| x >> (y % 64))
     }
 
     // ---------------------------------------------------------------
@@ -666,24 +622,13 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return false;
         }
-        self.account(OpClass::Branch);
-        self.counters.incr(PmuEvent::BrRetired);
-        self.counters.incr(PmuEvent::CondBrRetired);
-        self.counters.incr(PmuEvent::PcWriteRetired);
+        self.account(OpKind::CondBranch);
 
         // 2-bit bimodal predictor.
         let idx = (self.pc as usize >> 2) % BHT_ENTRIES;
         let predicted = self.bht[idx] >= 2;
-        if predicted == taken {
-            self.counters.incr(PmuEvent::BrPred);
-        } else {
-            self.counters.incr(PmuEvent::BrMisPred);
-            self.counters.incr(PmuEvent::BrMisPredRetired);
-            self.counters.incr(PmuEvent::PipelineFlush);
-            // Wrong-path work shows up as speculative-only instructions.
-            self.counters.add(PmuEvent::InstSpec, 9);
-            self.counters.add(PmuEvent::StallFrontend, 12);
-            self.counters.add(PmuEvent::DecodeStallCycles, 6);
+        if predicted != taken {
+            self.tally.mispredicts += 1;
             self.cycles += 12.0;
         }
         self.bht[idx] = match (taken, self.bht[idx]) {
@@ -693,15 +638,13 @@ impl<'a> Machine<'a> {
 
         // BTB for taken branches.
         if taken {
+            self.tally.taken += 1;
             let bidx = (self.pc as usize >> 2) % BTB_ENTRIES;
-            if self.btb[bidx] == self.pc {
-                self.counters.incr(PmuEvent::BtbHit);
-            } else {
-                self.counters.incr(PmuEvent::BtbMisPred);
+            if self.btb[bidx] != self.pc {
+                self.tally.cond_btb_misses += 1;
                 self.btb[bidx] = self.pc;
                 self.cycles += 2.0;
             }
-            self.counters.incr(PmuEvent::BrImmedRetired);
         }
 
         match self.timing.on_op(OpClass::Branch, &mut self.rng) {
@@ -722,19 +665,10 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return;
         }
-        self.account(OpClass::Branch);
-        self.counters.incr(PmuEvent::BrRetired);
-        self.counters.incr(PmuEvent::IndBrRetired);
-        self.counters.incr(PmuEvent::BrIndirectSpec);
-        self.counters.incr(PmuEvent::PcWriteRetired);
+        self.account(OpKind::IndirectBranch);
         let bidx = (target as usize >> 2) % BTB_ENTRIES;
-        if self.btb[bidx] == target {
-            self.counters.incr(PmuEvent::BtbHit);
-            self.counters.incr(PmuEvent::BrPred);
-        } else {
-            self.counters.incr(PmuEvent::BtbMisPred);
-            self.counters.incr(PmuEvent::BrMisPred);
-            self.counters.add(PmuEvent::StallFrontend, 14);
+        if self.btb[bidx] != target {
+            self.tally.indirect_btb_misses += 1;
             self.cycles += 14.0;
             self.btb[bidx] = target;
         }
@@ -753,8 +687,7 @@ impl<'a> Machine<'a> {
 
     fn f2(
         &mut self,
-        class: OpClass,
-        event: PmuEvent,
+        kind: OpKind,
         extra_cycles: f64,
         a: f64,
         b: f64,
@@ -763,12 +696,10 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return 0.0;
         }
-        self.account(class);
-        self.counters.incr(PmuEvent::FpInstRetired);
-        self.counters.incr(event);
+        self.account(kind);
         self.cycles += extra_cycles;
         let mut r = f(a, b);
-        if let Some(c) = self.timing.on_op(class, &mut self.rng) {
+        if let Some(c) = self.timing.on_op(kind.class(), &mut self.rng) {
             r = f64::from_bits(self.apply_value_fault(c, r.to_bits()));
         }
         r
@@ -776,8 +707,7 @@ impl<'a> Machine<'a> {
 
     fn i2(
         &mut self,
-        class: OpClass,
-        event: PmuEvent,
+        kind: OpKind,
         extra_cycles: f64,
         a: u64,
         b: u64,
@@ -786,29 +716,20 @@ impl<'a> Machine<'a> {
         if self.halted() {
             return 0;
         }
-        self.account(class);
-        self.counters.incr(event);
+        self.account(kind);
         self.cycles += extra_cycles;
         let mut r = f(a, b);
-        if let Some(c) = self.timing.on_op(class, &mut self.rng) {
+        if let Some(c) = self.timing.on_op(kind.class(), &mut self.rng) {
             r = self.apply_value_fault(c, r);
         }
         r
     }
 
     /// Per-op bookkeeping shared by every op kind.
-    fn account(&mut self, class: OpClass) {
-        self.ops += 1;
-        self.counters.incr(PmuEvent::InstRetired);
-        self.counters.incr(PmuEvent::InstSpec);
-        // Memory ops crack into address-generation + access uops.
-        let uops = match class {
-            OpClass::Load | OpClass::Store => 2,
-            _ => 1,
-        };
-        self.counters.add(PmuEvent::UopsRetired, uops);
+    fn account(&mut self, kind: OpKind) {
+        self.tally.ops[kind as usize] += 1;
         self.cycles += 1.0 / f64::from(crate::topology::ISSUE_WIDTH) + 0.05;
-        let act = class.activity_weight();
+        let act = kind.class().activity_weight();
         self.activity_sum += act;
         if self.droop.record_activity(act) {
             if self.enhancements.adaptive_clocking {
@@ -828,17 +749,13 @@ impl<'a> Machine<'a> {
         if self.fetch_accum >= FETCH_GROUP_OPS {
             self.fetch_accum = 0;
             self.pc = 0x40_0000 + (self.pc + 64 - 0x40_0000) % self.code_footprint;
-            self.counters.incr(PmuEvent::L1ICache);
-            self.counters.incr(PmuEvent::L1ITlb);
             if !self.caches.inst_access(self.core, self.pc) {
-                self.counters.incr(PmuEvent::L1ICacheRefill);
-                self.counters.add(PmuEvent::StallFrontend, 8);
+                self.tally.l1i_refills += 1;
                 self.cycles += 8.0;
             }
             let ipage = self.pc >> 12;
             if ipage != (self.pc.wrapping_sub(64)) >> 12 && self.code_footprint > 4096 {
-                self.counters.incr(PmuEvent::ItlbWalk);
-                self.counters.incr(PmuEvent::L1ITlbRefill);
+                self.tally.itlb_walks += 1;
             }
         }
 
@@ -846,10 +763,6 @@ impl<'a> Machine<'a> {
         self.os_accum += 1;
         if self.os_accum >= OS_TICK_INTERVAL {
             self.os_accum = 0;
-            self.counters.incr(PmuEvent::ExcTaken);
-            self.counters.incr(PmuEvent::ExcIrq);
-            self.counters.incr(PmuEvent::ExcReturn);
-            self.counters.add(PmuEvent::IrqDisabledCycles, 12);
             self.kernel_cycles += 50.0;
             self.cycles += 50.0;
             if let Some(c) = self.timing.on_burst(OpClass::Kernel, 1, &mut self.rng) {
@@ -874,7 +787,6 @@ impl<'a> Machine<'a> {
                 {
                     self.detected_faults += 1;
                     self.cycles += enhance::RETRY_PENALTY_CYCLES;
-                    self.counters.add(PmuEvent::PipelineFlush, 1);
                     return value;
                 }
                 self.silent_corruptions += 1;
@@ -898,40 +810,205 @@ impl<'a> Machine<'a> {
     fn raise_app_crash(&mut self) {
         if self.status == MachineStatus::Healthy {
             self.status = MachineStatus::AppCrashed;
-            self.counters.incr(PmuEvent::ExcTaken);
-            self.counters.incr(PmuEvent::ExcDabort);
+            self.tally.app_crashes += 1;
         }
     }
 
-    /// Finishes the run: derives the remaining aggregate counters and
+    /// The count of every PMU event the simulator drives, in counter-file
+    /// order. This map is the definition of each event: a fixed integer
+    /// function of the [`Tally`] and the cycle model, and the only writer
+    /// of the counter file. Sums and multiples saturate at `u64::MAX`, as
+    /// [`CounterFile::add`] does.
+    fn driven_counts(&self) -> [(PmuEvent, u64); DRIVEN_EVENTS] {
+        let t = &self.tally;
+        let sum = |terms: &[u64]| terms.iter().fold(0, |a: u64, &n| a.saturating_add(n));
+        let times = |n: u64, weight: u64| n.saturating_mul(weight);
+        let kind = |k: OpKind| t.ops[k as usize];
+
+        let ops = sum(&t.ops);
+        // A fetch group fires on every 16th op, an OS tick on every 640th.
+        let fetch_groups = ops / u64::from(FETCH_GROUP_OPS);
+        let os_ticks = ops / u64::from(OS_TICK_INTERVAL);
+        // Memory ops crack into address-generation + access uops; a
+        // segfaulting one is accounted but never reaches the TLB.
+        let mem_uops = sum(&[kind(OpKind::Load), kind(OpKind::Store)]);
+        let loads = kind(OpKind::Load) - t.segfaults[0];
+        let stores = kind(OpKind::Store) - t.segfaults[1];
+        let mem = sum(&[loads, stores]);
+        let (cond, indirect) = (kind(OpKind::CondBranch), kind(OpKind::IndirectBranch));
+        let [l1_rd, l1_wr] = t.l1_misses;
+        let l1 = sum(&t.l1_misses);
+        let l2 = t.l2_misses;
+        let dram = sum(&t.dram);
+        let [wb_l1, wb_l2, wb_l3] = t.writebacks;
+        let app_aborts = sum(&[t.poison_aborts, t.app_crashes]);
+        let cycles = self.cycles.round() as u64;
+
+        [
+            (PmuEvent::CpuCycles, cycles),
+            (PmuEvent::InstRetired, ops),
+            // Wrong-path work shows up as speculative-only instructions.
+            (PmuEvent::InstSpec, sum(&[ops, times(t.mispredicts, 9)])),
+            (PmuEvent::LdRetired, loads),
+            (PmuEvent::StRetired, stores),
+            (PmuEvent::MemAccess, mem),
+            (PmuEvent::ReadMemAccess, loads),
+            (PmuEvent::WriteMemAccess, stores),
+            (PmuEvent::ExcTaken, sum(&[t.boots, os_ticks, app_aborts])),
+            (PmuEvent::ExcReturn, sum(&[t.boots, os_ticks])),
+            (PmuEvent::ExcIrq, os_ticks),
+            (PmuEvent::ExcDabort, app_aborts),
+            (PmuEvent::PcWriteRetired, sum(&[cond, indirect])),
+            (PmuEvent::BrRetired, sum(&[cond, indirect])),
+            (PmuEvent::BrImmedRetired, t.taken),
+            (PmuEvent::BrIndirectSpec, indirect),
+            (PmuEvent::CondBrRetired, cond),
+            (PmuEvent::IndBrRetired, indirect),
+            (
+                PmuEvent::BrMisPred,
+                sum(&[t.mispredicts, t.indirect_btb_misses]),
+            ),
+            (PmuEvent::BrMisPredRetired, t.mispredicts),
+            (
+                PmuEvent::BrPred,
+                sum(&[cond - t.mispredicts, indirect - t.indirect_btb_misses]),
+            ),
+            (
+                PmuEvent::BtbMisPred,
+                sum(&[t.cond_btb_misses, t.indirect_btb_misses]),
+            ),
+            (
+                PmuEvent::BtbHit,
+                sum(&[
+                    t.taken - t.cond_btb_misses,
+                    indirect - t.indirect_btb_misses,
+                ]),
+            ),
+            (
+                PmuEvent::CpuCyclesUser,
+                (self.cycles - self.kernel_cycles).max(0.0).round() as u64,
+            ),
+            (PmuEvent::CpuCyclesKernel, self.kernel_cycles.round() as u64),
+            (
+                PmuEvent::StallFrontend,
+                sum(&[
+                    times(t.mispredicts, 12),
+                    times(t.indirect_btb_misses, 14),
+                    times(t.l1i_refills, 8),
+                ]),
+            ),
+            (
+                PmuEvent::StallBackend,
+                sum(&[times(l1, 6), times(l2, 20), times(dram, 60)]),
+            ),
+            (
+                PmuEvent::DispatchStallCycles,
+                sum(&[
+                    times(t.dtlb_refills, 20),
+                    times(l1, 6),
+                    times(l2, 20),
+                    times(dram, 60),
+                ]),
+            ),
+            // A known quirk, kept: the divide term counts `fdiv` calls, so
+            // a call on a halted machine still adds its 6-cycle stall, while
+            // `fsqrt` adds its 5 only when it executes. Counting executed
+            // divides instead would change what a halted run reports.
+            (
+                PmuEvent::IssueStallCycles,
+                sum(&[times(t.fdiv_calls, 6), times(kind(OpKind::FpSqrt), 5)]),
+            ),
+            (PmuEvent::DecodeStallCycles, times(t.mispredicts, 6)),
+            (PmuEvent::RobFullCycles, times(dram, 30)),
+            (PmuEvent::LsqFullCycles, times(l2, 5)),
+            (
+                PmuEvent::PipelineFlush,
+                sum(&[t.mispredicts, u64::from(self.detected_faults)]),
+            ),
+            (PmuEvent::UopsRetired, sum(&[ops, mem_uops])),
+            (
+                PmuEvent::FpInstRetired,
+                sum(&[
+                    kind(OpKind::FpAdd),
+                    kind(OpKind::FpMul),
+                    kind(OpKind::FpDiv),
+                    kind(OpKind::Fma),
+                    kind(OpKind::FpSqrt),
+                ]),
+            ),
+            (PmuEvent::FpAddRetired, kind(OpKind::FpAdd)),
+            (PmuEvent::FpMulRetired, kind(OpKind::FpMul)),
+            (PmuEvent::FpDivRetired, kind(OpKind::FpDiv)),
+            (PmuEvent::FpFmaRetired, kind(OpKind::Fma)),
+            (PmuEvent::FpSqrtRetired, kind(OpKind::FpSqrt)),
+            (PmuEvent::IntAluRetired, kind(OpKind::IntAlu)),
+            (PmuEvent::IntMulRetired, kind(OpKind::IntMul)),
+            (PmuEvent::IntDivRetired, kind(OpKind::IntDiv)),
+            (PmuEvent::L1ICache, fetch_groups),
+            (PmuEvent::L1ICacheRefill, t.l1i_refills),
+            (PmuEvent::L1ITlb, fetch_groups),
+            (PmuEvent::L1ITlbRefill, t.itlb_walks),
+            (PmuEvent::L1DCache, mem),
+            (PmuEvent::L1DCacheRefill, l1),
+            (PmuEvent::L1DCacheWb, wb_l1),
+            (PmuEvent::L1DCacheAllocate, l1),
+            (PmuEvent::L1DCacheRd, loads),
+            (PmuEvent::L1DCacheWr, stores),
+            (PmuEvent::L1DTlb, mem),
+            (PmuEvent::L1DTlbRefill, t.dtlb_refills),
+            (PmuEvent::L2DCache, l1),
+            (PmuEvent::L2DCacheRefill, l2),
+            (PmuEvent::L2DCacheWb, wb_l2),
+            (PmuEvent::L2DCacheAllocate, l2),
+            (PmuEvent::L2DCacheRd, l1_rd),
+            (PmuEvent::L2DCacheWr, l1_wr),
+            (PmuEvent::L3Cache, l2),
+            (PmuEvent::L3CacheRefill, dram),
+            (PmuEvent::L3CacheWb, wb_l3),
+            (PmuEvent::L3CacheRd, l2),
+            (PmuEvent::DtlbWalk, t.dtlb_refills),
+            (PmuEvent::ItlbWalk, t.itlb_walks),
+            (PmuEvent::PageWalkCycles, times(t.dtlb_refills, 20)),
+            (PmuEvent::PrefetchLinefill, t.prefetch_hits),
+            (PmuEvent::PrefetchLinefillDrop, l1 - t.prefetch_hits),
+            (PmuEvent::ReadAlloc, l1_rd),
+            (PmuEvent::WriteAlloc, l1_wr),
+            (PmuEvent::BusAccess, l2),
+            (PmuEvent::BusAccessRd, l2),
+            (PmuEvent::BusAccessWr, sum(&[wb_l2, wb_l3])),
+            (PmuEvent::BusCycles, cycles / 2),
+            (PmuEvent::MemoryError, t.ecc_errors),
+            (PmuEvent::LocalMemoryRd, t.dram[0]),
+            (PmuEvent::LocalMemoryWr, t.dram[1]),
+            (PmuEvent::IrqDisabledCycles, times(os_ticks, 12)),
+            (PmuEvent::ContextSwitches, t.boots),
+        ]
+    }
+
+    /// Finishes the run: derives the PMU counter file from the tally and
     /// returns the report.
     #[must_use]
     pub fn finalize(mut self) -> MachineReport {
-        let cycles = self.cycles.round() as u64;
-        self.counters.add(PmuEvent::CpuCycles, cycles);
-        self.counters
-            .add(PmuEvent::CpuCyclesKernel, self.kernel_cycles.round() as u64);
-        self.counters.add(
-            PmuEvent::CpuCyclesUser,
-            (self.cycles - self.kernel_cycles).max(0.0).round() as u64,
-        );
-        self.counters.add(PmuEvent::BusCycles, cycles / 2);
-        let instructions = self.counters[PmuEvent::InstRetired];
+        for (event, n) in self.driven_counts() {
+            self.counters.add(event, n);
+        }
+        let counters = self.counters;
+        let instructions = counters[PmuEvent::InstRetired];
         MachineReport {
             status: self.status,
-            cycles,
+            cycles: counters[PmuEvent::CpuCycles],
             instructions,
             timing_faults: self.timing.faults_fired(),
             fault_samples: self.timing.samples_drawn(),
             silent_corruptions: self.silent_corruptions,
             detected_faults: self.detected_faults,
             stress_mass: self.timing.stress_mass(),
-            mean_activity: if self.ops > 0 {
-                self.activity_sum / self.ops as f64
+            mean_activity: if instructions > 0 {
+                self.activity_sum / instructions as f64
             } else {
                 0.0
             },
-            counters: self.counters,
+            counters,
         }
     }
 }
