@@ -477,14 +477,16 @@ impl CampaignCache {
         }
     }
 
-    /// Persists the cache, overwriting `path`.
+    /// Persists the cache, replacing `path` whole
+    /// ([`margins_trace::write_atomic`]): a kill mid-save leaves the
+    /// previous file intact, never a torn one that a later load rejects.
     ///
     /// # Errors
     ///
     /// [`CacheError::Io`] when the file cannot be written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
         let path = path.as_ref();
-        std::fs::write(path, self.to_jsonl()).map_err(|e| CacheError::Io {
+        margins_trace::write_atomic(path, self.to_jsonl()).map_err(|e| CacheError::Io {
             path: path.display().to_string(),
             message: e.to_string(),
         })
@@ -496,7 +498,8 @@ impl CampaignCache {
     /// rewrites it in canonical serialized form — goldens first, key
     /// order, no superseded lines. Idempotent: compacting an
     /// already-compact file leaves it byte-identical and untouched on
-    /// disk.
+    /// disk. The rewrite replaces the file whole, as [`CampaignCache::save`]
+    /// does.
     ///
     /// # Errors
     ///
@@ -518,7 +521,7 @@ impl CampaignCache {
             rewritten: compacted != text,
         };
         if stats.rewritten {
-            std::fs::write(path, compacted).map_err(|e| CacheError::Io {
+            margins_trace::write_atomic(path, compacted).map_err(|e| CacheError::Io {
                 path: path.display().to_string(),
                 message: e.to_string(),
             })?;
@@ -956,6 +959,48 @@ mod tests {
         let reloaded = CampaignCache::load(&path).expect("load");
         assert_eq!(reloaded, cache);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A directory of this process's own, emptied.
+    fn private_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("margins-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn save_and_compaction_replace_the_file_and_leave_no_temporary() {
+        let dir = private_dir("cache-atomic");
+        let path = dir.join("cache.jsonl");
+        std::fs::write(&path, "stale\n").expect("seed file");
+        let cache = sample();
+        cache.save(&path).expect("save");
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            cache.to_jsonl()
+        );
+        assert_eq!(listing(&dir), ["cache.jsonl"]);
+
+        let doubled = cache.to_jsonl().repeat(2);
+        std::fs::write(&path, &doubled).expect("duplicate lines");
+        let stats = CampaignCache::compact_file(&path).expect("compacts");
+        assert!(stats.rewritten);
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            cache.to_jsonl()
+        );
+        assert_eq!(listing(&dir), ["cache.jsonl"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

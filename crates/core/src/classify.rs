@@ -140,6 +140,7 @@ mod tests {
             runtime_s: 1e-3,
             energy_j: 1e-2,
             stress_mass: 5.0,
+            fault_free: None,
         }
     }
 

@@ -33,7 +33,9 @@ use crate::severity::SeverityWeights;
 use crate::watchdog::Watchdog;
 use margins_rng::splitmix64;
 use margins_sim::volt::{Millivolts, PMD_NOMINAL, SOC_NOMINAL};
-use margins_sim::{ChipSpec, CoreId, CounterFile, OutputDigest, PmdId, System, SystemConfig};
+use margins_sim::{
+    ChipSpec, CoreId, CounterFile, OutputDigest, PmdId, RunRecord, System, SystemConfig,
+};
 use margins_trace::{EventBuffer, Observer, Sink, StreamFinalizer, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -425,6 +427,17 @@ impl Campaign {
     /// the cache when possible and executed otherwise on the item's one
     /// board, reinitialized to its power-on state first. A fully cached
     /// item builds no board.
+    ///
+    /// A probe whose every run is provably fault-free is replayed instead
+    /// of simulated: `chain[k]` is a simulated run that was the k-th after
+    /// a power-on state, with it and the k runs before it all fault-free,
+    /// so it starts from the cache contents iteration k of any fault-free
+    /// probe starts from. When the chain covers the iterations and the
+    /// board certifies each one at the step's supplies
+    /// ([`System::replays_cleanly`]), every iteration is answered by
+    /// [`System::replay`]; otherwise every iteration executes. A replay
+    /// leaves the board's cache contents behind, and nothing reads them:
+    /// the next probe, if any, reinitializes the board.
     fn characterize_item(
         &self,
         bench: &BenchmarkRef,
@@ -461,10 +474,13 @@ impl Campaign {
         let mut machine_probes = 0u32;
         let mut fresh_golden: Option<(GoldenKey, GoldenEntry)> = None;
         let mut fresh_steps: Vec<(StepKey, StepEntry)> = Vec::new();
+        let mut chain: Vec<RunRecord> = Vec::new();
+        let mut replayed_steps = 0u32;
         // Work accounting is a pure function of the deterministic run
         // records, so the tallies are identical across reruns and shard
-        // counts. Cached replays retain no ops/fault-sample counts, so a
-        // warm rerun legitimately reports less executed work.
+        // counts. A replayed run counts the modelled ops of the run it
+        // stands for; cached replays retain no ops/fault-sample counts, so
+        // a warm rerun legitimately reports less executed work.
         let mut tallies = PhaseTallies::new();
 
         // Golden run at nominal conditions.
@@ -541,6 +557,9 @@ impl Campaign {
                     },
                 ));
             }
+            if record.fault_free.is_some() {
+                chain.push(record);
+            }
             golden
         };
 
@@ -560,6 +579,12 @@ impl Campaign {
 
         while let Some(step) = plan.next_step() {
             let voltage = self.config.start_voltage.down_steps(step);
+            // The rails during the step's runs: the swept one at `voltage`,
+            // the other at nominal.
+            let (pmd_mv, soc_mv) = match self.config.rail {
+                SweptRail::Pmd => (voltage, SOC_NOMINAL),
+                SweptRail::PcpSoc => (PMD_NOMINAL, voltage),
+            };
             let step_key = StepKey {
                 chip: chip.clone(),
                 rail: rail_label(self.config.rail).to_owned(),
@@ -592,10 +617,6 @@ impl Campaign {
                 // coordinates, so its stored per-iteration outcomes are
                 // exactly what executing the probe now would produce.
                 cache_hits += 1;
-                let (pmd_mv, soc_mv) = match self.config.rail {
-                    SweptRail::Pmd => (voltage, SOC_NOMINAL),
-                    SweptRail::PcpSoc => (PMD_NOMINAL, voltage),
-                };
                 for (iteration, run) in entry.runs.iter().enumerate() {
                     let classified = ClassifiedRun {
                         program: bench.name.clone(),
@@ -661,30 +682,49 @@ impl Campaign {
                     mv: voltage.get(),
                     step,
                 });
+                let seeds: Vec<u64> = (0..self.config.iterations)
+                    .map(|iteration| {
+                        run_seed(
+                            self.config.seed,
+                            &bench.name,
+                            dataset,
+                            core,
+                            voltage.get(),
+                            iteration,
+                        )
+                    })
+                    .collect();
+                let replayed = chain.len() >= seeds.len() && {
+                    let runs: Vec<(&RunRecord, u64)> =
+                        chain.iter().zip(seeds.iter().copied()).collect();
+                    system.replays_cleanly(&runs, core, pmd_mv, soc_mv)
+                };
+                replayed_steps += u32::from(replayed);
                 let mut step_runs: Vec<CachedRun> = Vec::new();
                 let mut sc_runs = 0u32;
                 let mut abnormal = false;
-                for iteration in 0..self.config.iterations {
+                // Runs 0..iteration of this probe were all fault-free.
+                let mut clean_prefix = true;
+                for (iteration, &seed) in (0..).zip(&seeds) {
                     if watchdog.ensure_responsive_observed(system, &mut recoveries) {
                         // Recovery wiped the V/F setup; reapply it.
                         self.apply_reliable_cores_setup(system, core);
                     }
                     self.set_swept_rail(system, voltage);
-                    let seed = run_seed(
-                        self.config.seed,
-                        &bench.name,
-                        dataset,
-                        core,
-                        voltage.get(),
-                        iteration,
-                    );
                     #[expect(
                         clippy::expect_used,
-                        reason = "watchdog.ensure_responsive_observed() ran this iteration"
+                        reason = "watchdog.ensure_responsive_observed() ran this iteration, \
+                                  and replays_cleanly() certified every replay of the probe"
                     )]
-                    let record = system
-                        .run(program.as_ref(), core, seed)
-                        .expect("ensured responsive before the run");
+                    let record = if replayed {
+                        system
+                            .replay(&chain[iteration as usize], core, seed)
+                            .expect("certified before the probe")
+                    } else {
+                        system
+                            .run(program.as_ref(), core, seed)
+                            .expect("ensured responsive before the run")
+                    };
                     // Safe data collection: restore nominal before
                     // persisting the log (§2.2.1) — only possible if the
                     // board survived.
@@ -736,6 +776,10 @@ impl Campaign {
                         });
                     }
                     runs.push(classified);
+                    clean_prefix &= record.fault_free.is_some();
+                    if clean_prefix && !replayed && chain.len() == iteration as usize {
+                        chain.push(record);
+                    }
                 }
                 // Recover a trailing hang inside the probe that caused it,
                 // so the probe's power-cycle count — and thus its cache
@@ -789,6 +833,7 @@ impl Campaign {
             fresh_golden,
             fresh_steps,
             profile: tallies,
+            replayed_steps,
         }
     }
 
@@ -954,6 +999,12 @@ struct ItemResult {
     fresh_golden: Option<(GoldenKey, GoldenEntry)>,
     fresh_steps: Vec<(StepKey, StepEntry)>,
     profile: PhaseTallies,
+    /// Probes answered by [`System::replay`]; reaches no output.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "read only by this module's tests")
+    )]
+    replayed_steps: u32,
 }
 
 /// Seals `event` into the canonical stream and fans it out to every sink.
@@ -1124,7 +1175,7 @@ mod tests {
     use super::*;
     use crate::effect::Effect;
     use crate::exec::{SerialExecutor, ThreadPoolExecutor};
-    use margins_sim::{Corner, Millivolts};
+    use margins_sim::{Corner, Enhancements, Millivolts};
 
     fn tiny_config(bench: &str, core: u8, hi: u32, lo: u32, iters: u32) -> CampaignConfig {
         CampaignConfig::builder()
@@ -1183,6 +1234,66 @@ mod tests {
             .iter()
             .filter(|r| r.pmd_mv == Millivolts::new(915))
             .all(|r| r.effects.is_normal()));
+    }
+
+    #[test]
+    fn replayed_steps_match_simulated_ones() {
+        // Every step of a single-step campaign is simulated: its chain
+        // holds only the golden run, shorter than the iterations. In the
+        // sweeps, each step below the first fault-free one replays until
+        // runs start to fault, and must classify identically, counters
+        // included.
+        let sweeps = [
+            ("bwaves", 0, 930, 885, SweptRail::Pmd, Enhancements::stock()),
+            ("namd", 4, 900, 860, SweptRail::Pmd, Enhancements::all()),
+            ("mcf", 0, 950, 720, SweptRail::PcpSoc, Enhancements::stock()),
+        ];
+        for (bench, core, start, floor, rail, enhancements) in sweeps {
+            let config = |start: u32, floor: u32| {
+                CampaignConfig::builder()
+                    .benchmarks([bench])
+                    .cores([CoreId::new(core)])
+                    .iterations(3)
+                    .start_voltage(Millivolts::new(start))
+                    .floor_voltage(Millivolts::new(floor))
+                    .rail(rail)
+                    .enhancements(enhancements)
+                    .collect_counters(true)
+                    .seed(11)
+                    .build()
+                    .unwrap()
+            };
+            let spec = ChipSpec::new(Corner::Ttt, 0);
+            let sweep = Campaign::new(spec, config(start, floor));
+            let buffer = Arc::new(EventBuffer::new());
+            let item = sweep.characterize_item(
+                &sweep.config.benchmarks[0],
+                CoreId::new(core),
+                false,
+                &buffer,
+                None,
+                None,
+            );
+            assert!(
+                item.replayed_steps > 0,
+                "{bench}: no step of the sweep replayed"
+            );
+            let swept: std::collections::BTreeSet<Millivolts> =
+                item.runs.iter().map(|r| r.swept_mv(rail)).collect();
+            for mv in swept {
+                let single = Campaign::new(spec, config(mv.get(), mv.get()))
+                    .run(&SerialExecutor, ExecContext::new())
+                    .unwrap();
+                let replayed: Vec<&ClassifiedRun> = item
+                    .runs
+                    .iter()
+                    .filter(|r| r.swept_mv(rail) == mv)
+                    .collect();
+                let simulated: Vec<&ClassifiedRun> = single.runs.iter().collect();
+                assert_eq!(replayed, simulated, "{bench} at {mv}");
+                assert!(simulated.iter().all(|r| r.counters.is_some()));
+            }
+        }
     }
 
     #[test]

@@ -505,6 +505,8 @@ fn unknown_job(job: u64) -> Response {
 
 /// Writes a job's merged streams under `<dir>/<client>/job<id>/`,
 /// sanitizing the client name so it can never escape the artifact root.
+/// Each file is replaced whole ([`margins_trace::write_atomic`]), so a kill
+/// mid-write never leaves a torn artifact.
 fn write_artifacts(
     dir: &str,
     client: &str,
@@ -529,9 +531,9 @@ fn write_artifacts(
     };
     let job_dir = format!("{dir}/{safe}/job{job}");
     std::fs::create_dir_all(&job_dir).map_err(|e| format!("{job_dir}: {e}"))?;
-    std::fs::write(format!("{job_dir}/trace.jsonl"), trace)
+    margins_trace::write_atomic(format!("{job_dir}/trace.jsonl"), trace)
         .map_err(|e| format!("{job_dir}/trace.jsonl: {e}"))?;
-    std::fs::write(format!("{job_dir}/metrics.om"), metrics)
+    margins_trace::write_atomic(format!("{job_dir}/metrics.om"), metrics)
         .map_err(|e| format!("{job_dir}/metrics.om: {e}"))
 }
 
@@ -728,6 +730,30 @@ mod tests {
         write_artifacts(&dir, "../../etc", 0, "t\n", "# EOF\n").expect("writes");
         let written = format!("{dir}/______etc/job0/trace.jsonl");
         assert_eq!(std::fs::read_to_string(written).expect("exists"), "t\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn artifacts_are_replaced_whole_with_no_temporary_left() {
+        let dir = std::env::temp_dir().join(format!("fleet-artifacts-{}", std::process::id()));
+        let dir = dir.to_string_lossy().into_owned();
+        write_artifacts(&dir, "lab", 3, "old\n", "old\n").expect("writes");
+        write_artifacts(&dir, "lab", 3, "t\n", "# EOF\n").expect("rewrites");
+        let job_dir = format!("{dir}/lab/job3");
+        assert_eq!(
+            std::fs::read_to_string(format!("{job_dir}/trace.jsonl")).expect("trace"),
+            "t\n"
+        );
+        assert_eq!(
+            std::fs::read_to_string(format!("{job_dir}/metrics.om")).expect("metrics"),
+            "# EOF\n"
+        );
+        let mut names: Vec<String> = std::fs::read_dir(&job_dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["metrics.om", "trace.jsonl"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,6 +17,13 @@
 //! In the divided clock regime (≤ 1.2 GHz, §3.2) the slack is so large that
 //! no gradual path failures occur; instead the whole chip collapses at a
 //! uniform threshold — exposed here as [`TimingFaultModel::collapse_probability`].
+//!
+//! Because the accumulator only grows, a run fires no fault exactly when its
+//! final accumulator stays below the budget. The model records, at the
+//! droop refreshes it already performs, the two numbers that accumulator
+//! factors into ([`FaultFreeIntensity`]), so the same op stream can later be
+//! shown fault-free at another supply and thermal shift without executing
+//! it ([`FaultFreeIntensity::bound`]).
 
 use crate::calib;
 use crate::freq::TimingRegime;
@@ -168,6 +175,86 @@ pub struct TimingFaultModel {
     /// Poisson accounting events drawn this run (one per `on_op`/`on_burst`
     /// call) — the fault model's unit of work for profiling.
     samples: u64,
+    /// `stress_mass` when the open intensity segment began (the last
+    /// `refresh`).
+    segment_start: f64,
+    /// `e^{droop/S_MV}` of the open segment.
+    segment_factor: f64,
+    /// Mass of the first segment, once a `refresh` has closed it.
+    head: Option<f64>,
+    /// `Σ mass · e^{droop/S_MV}` over the closed segments after the first.
+    tail: f64,
+    /// Every droop passed to `refresh` lay in `[0, DROOP_MAX_MV]`, the
+    /// range [`FaultFreeIntensity::bound`]'s margin is derived for.
+    droop_in_range: bool,
+}
+
+/// The timing intensity of a full-speed run that fired no fault, factored
+/// so that it can be re-evaluated at any supply and thermal shift.
+///
+/// A run's segments are the op spans between the droop refreshes. The
+/// first one is sampled at droop 0 and thermal shift 0 (the intensity
+/// [`TimingFaultModel::new`] sets); every later segment `j` at droop `d_j`
+/// and the run's thermal shift `T`. The run's accumulated intensity is
+/// therefore
+///
+/// ```text
+/// Λ(V, T) = P0 · e^{(Vcrit − V)/S_MV} · (head + e^{T/S_MV} · tail)
+/// head = mass of the first segment
+/// tail = Σ_{j ≥ 1} mass_j · e^{d_j/S_MV}
+/// ```
+///
+/// Masses and droops depend only on the op stream, so `head` and `tail`
+/// hold at every supply and thermal shift.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultFreeIntensity {
+    /// Stress mass of the first segment.
+    pub head: f64,
+    /// Droop-weighted stress mass of the later segments.
+    pub tail: f64,
+    /// Poisson accounting events of the run.
+    pub samples: u64,
+}
+
+impl FaultFreeIntensity {
+    /// An upper bound on the final accumulator of the same op stream run at
+    /// `supply_mv` on a core with critical voltage `vcrit_mv` and thermal
+    /// shift `thermal_shift_mv`: if it is below the run's budget, that run
+    /// fires no timing fault.
+    ///
+    /// The margin covers every rounding between the real-valued `Λ` and
+    /// the two floating-point sums, with `u = ε/2` and `n = samples`:
+    ///
+    /// * every term is non-negative, so each sum is monotone and its
+    ///   rounding is relative: the accumulator rounds once per op
+    ///   (`(1+u)^n`), and each per-op λ is rounded twice (`w·P0`, then
+    ///   `·boost`), three times for a burst (`·count`);
+    /// * `exp` is within an ulp (`2u`), here and in the recorded droop
+    ///   factors `e^{d/S_MV}`, and the exponents carry the roundings of
+    ///   `V − Vcrit − d − T` and `/S_MV`, at most `4u · A / S_MV` with
+    ///   `A = |V − Vcrit| + DROOP_MAX_MV + |T|`;
+    /// * `head` and `tail` read segment masses as differences of the
+    ///   running `stress_mass`, whose roundings are relative to the whole
+    ///   run's mass: at most `n·u` of it, weighted by up to
+    ///   `K = e^{(DROOP_MAX_MV + max(T, 0))/S_MV}` against `head + e^{T/S}·tail`.
+    ///
+    /// Together they stay below `u · ((3 + K)(n + 4) + 4A/S_MV + 10)`; the
+    /// margin `8ε · (K(n + 64) + A/S_MV)` is at least four times that,
+    /// which also covers the roundings of this evaluation. The cap on the
+    /// exponent (30) only lowers an intensity, so it never breaks the
+    /// bound.
+    #[must_use]
+    pub fn bound(&self, vcrit_mv: f64, supply_mv: f64, thermal_shift_mv: f64) -> f64 {
+        let s = calib::S_MV;
+        let k = ((calib::DROOP_MAX_MV + thermal_shift_mv.max(0.0)) / s).exp();
+        let a = (supply_mv - vcrit_mv).abs() + calib::DROOP_MAX_MV + thermal_shift_mv.abs();
+        let n = self.samples as f64;
+        let margin = 1.0 + 8.0 * f64::EPSILON * (k * (n + 64.0) + a / s);
+        calib::P0
+            * ((vcrit_mv - supply_mv) / s).exp()
+            * (self.head + (thermal_shift_mv / s).exp() * self.tail)
+            * margin
+    }
 }
 
 impl TimingFaultModel {
@@ -176,24 +263,49 @@ impl TimingFaultModel {
     /// `rng`.
     #[must_use]
     pub fn new(vcrit_mv: f64, regime: TimingRegime, supply_mv: f64, rng: &mut Rng) -> Self {
+        Self::with_budget(vcrit_mv, regime, supply_mv, draw_exponential(rng))
+    }
+
+    /// Builds the sampler with an already drawn first `budget`; the first
+    /// segment runs at droop 0 and thermal shift 0.
+    #[must_use]
+    pub fn with_budget(vcrit_mv: f64, regime: TimingRegime, supply_mv: f64, budget: f64) -> Self {
         let mut model = TimingFaultModel {
             regime,
             vcrit_mv,
             supply_mv,
             lambda: [0.0; NUM_OP_CLASSES],
             accum: 0.0,
-            budget: draw_exponential(rng),
+            budget,
             stress_mass: 0.0,
             faults_fired: 0,
             samples: 0,
+            segment_start: 0.0,
+            segment_factor: 1.0,
+            head: None,
+            tail: 0.0,
+            droop_in_range: true,
         };
-        model.refresh(0.0, 0.0);
+        model.set_intensity(0.0, 0.0);
         model
     }
 
     /// Recomputes cached intensities for the current droop and thermal
-    /// shift (called at activity-block boundaries).
+    /// shift (called at activity-block boundaries). Closes the open
+    /// intensity segment and opens the next one at `droop_mv`.
     pub fn refresh(&mut self, droop_mv: f64, thermal_shift_mv: f64) {
+        let mass = self.stress_mass - self.segment_start;
+        match self.head {
+            None => self.head = Some(mass),
+            Some(_) => self.tail += mass * self.segment_factor,
+        }
+        self.segment_start = self.stress_mass;
+        self.segment_factor = (droop_mv / calib::S_MV).exp();
+        self.droop_in_range &= (0.0..=calib::DROOP_MAX_MV).contains(&droop_mv);
+        self.set_intensity(droop_mv, thermal_shift_mv);
+    }
+
+    fn set_intensity(&mut self, droop_mv: f64, thermal_shift_mv: f64) {
         match self.regime {
             TimingRegime::FullSpeed => {
                 let margin = self.supply_mv - self.vcrit_mv - droop_mv - thermal_shift_mv;
@@ -292,6 +404,25 @@ impl TimingFaultModel {
         self.samples
     }
 
+    /// The run's factored intensity, when the run so far is one the bound
+    /// covers: full speed, no fault fired, every droop in range.
+    #[must_use]
+    pub fn fault_free_intensity(&self) -> Option<FaultFreeIntensity> {
+        if self.regime != TimingRegime::FullSpeed || self.faults_fired > 0 || !self.droop_in_range {
+            return None;
+        }
+        let open = self.stress_mass - self.segment_start;
+        let (head, tail) = match self.head {
+            None => (open, 0.0),
+            Some(head) => (head, self.tail + open * self.segment_factor),
+        };
+        Some(FaultFreeIntensity {
+            head,
+            tail,
+            samples: self.samples,
+        })
+    }
+
     /// The effective critical voltage this model was built with.
     #[must_use]
     pub fn vcrit_mv(&self) -> f64 {
@@ -299,7 +430,8 @@ impl TimingFaultModel {
     }
 }
 
-fn draw_exponential(rng: &mut Rng) -> f64 {
+/// A unit-exponential draw: the distance to a Poisson process's next event.
+pub(crate) fn draw_exponential(rng: &mut Rng) -> f64 {
     let u = rng.range_f64(f64::MIN_POSITIVE, 1.0);
     -u.ln()
 }
@@ -438,6 +570,98 @@ mod tests {
         assert!(
             (frac - calib::OS_FAULT_SC_FRACTION).abs() < 0.1,
             "SC fraction {frac}"
+        );
+    }
+
+    /// Drives `m` through `ops` random ops the way `Machine` does: a boot
+    /// burst, a droop refresh after every 64th op (droop 0 under adaptive
+    /// clocking) before the op that completes the block is sampled, and an
+    /// OS tick burst every 640 ops.
+    fn drive_like_a_machine(
+        m: &mut TimingFaultModel,
+        r: &mut Rng,
+        ops: u32,
+        thermal_shift_mv: f64,
+        adaptive: bool,
+    ) {
+        let mut droop = crate::droop::DroopModel::new();
+        let _ = m.on_burst(OpClass::Kernel, 30, r);
+        for i in 1..=ops {
+            let class = OpClass::ALL[r.below(NUM_OP_CLASSES as u64) as usize];
+            if droop.record_activity(class.activity_weight() * 2.0 * r.next_f64()) {
+                let droop_mv = if adaptive { 0.0 } else { droop.droop_mv() };
+                m.refresh(droop_mv, thermal_shift_mv);
+            }
+            let _ = m.on_op(class, r);
+            if i % 640 == 0 {
+                let _ = m.on_burst(OpClass::Kernel, 1, r);
+            }
+        }
+    }
+
+    #[test]
+    fn fault_free_bound_covers_the_accumulator_tightly() {
+        // An infinite budget keeps every run fault-free, so the model's own
+        // accumulator is the sum the bound must cover.
+        let mut checked = 0;
+        for seed in 0..16u64 {
+            for thermal_shift_mv in [-4.0, 0.0, 3.0] {
+                for adaptive in [false, true] {
+                    let mut r = Rng::seed_from_u64(seed * 7919 + 3);
+                    let supply = 860.0 + 10.0 * r.next_f64() * 6.0;
+                    let ops = 2_000 + r.below(20_000) as u32;
+                    let mut m = TimingFaultModel::with_budget(
+                        886.0,
+                        TimingRegime::FullSpeed,
+                        supply,
+                        f64::INFINITY,
+                    );
+                    drive_like_a_machine(&mut m, &mut r, ops, thermal_shift_mv, adaptive);
+                    let intensity = m.fault_free_intensity().expect("no fault fired");
+                    assert_eq!(intensity.samples, m.samples_drawn());
+                    let bound = intensity.bound(886.0, supply, thermal_shift_mv);
+                    assert!(
+                        bound >= m.accum,
+                        "seed {seed}, T {thermal_shift_mv}, adaptive {adaptive}: \
+                         bound {bound:e} below the accumulator {:e}",
+                        m.accum
+                    );
+                    assert!(
+                        bound <= m.accum * (1.0 + 1e-9),
+                        "seed {seed}, T {thermal_shift_mv}, adaptive {adaptive}: \
+                         bound {bound:e} loose against {:e}",
+                        m.accum
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 96);
+    }
+
+    #[test]
+    fn only_runs_the_bound_covers_report_an_intensity() {
+        let mut r = rng();
+        let divided = TimingFaultModel::new(886.0, TimingRegime::Divided, 880.0, &mut r);
+        assert_eq!(divided.fault_free_intensity(), None);
+
+        let mut faulted = TimingFaultModel::with_budget(886.0, TimingRegime::FullSpeed, 880.0, 0.0);
+        assert!(faulted.on_op(OpClass::FpDiv, &mut r).is_some());
+        assert_eq!(faulted.fault_free_intensity(), None);
+
+        let mut odd_droop =
+            TimingFaultModel::with_budget(886.0, TimingRegime::FullSpeed, 880.0, f64::INFINITY);
+        odd_droop.refresh(calib::DROOP_MAX_MV + 1.0, 0.0);
+        assert_eq!(odd_droop.fault_free_intensity(), None);
+
+        // Before any refresh, the whole run is the first segment.
+        let mut short =
+            TimingFaultModel::with_budget(886.0, TimingRegime::FullSpeed, 880.0, f64::INFINITY);
+        let _ = short.on_op(OpClass::FpDiv, &mut r);
+        let intensity = short.fault_free_intensity().expect("fault-free");
+        assert_eq!(
+            (intensity.head, intensity.tail, intensity.samples),
+            (3.0, 0.0, 1)
         );
     }
 

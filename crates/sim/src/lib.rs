@@ -81,7 +81,7 @@ pub use corner::{ChipSpec, Corner};
 pub use counters::{CounterFile, PmuEvent};
 pub use enhance::Enhancements;
 pub use freq::Megahertz;
-pub use machine::Machine;
+pub use machine::{FaultFree, Machine};
 pub use program::{OutputDigest, Program};
 pub use system::{RunOutcome, RunRecord, System, SystemConfig};
 pub use topology::{CoreId, PmdId};

@@ -24,7 +24,9 @@ use crate::counters::{CounterFile, PmuEvent};
 use crate::droop::DroopModel;
 use crate::edac::EdacLog;
 use crate::enhance::{self, Enhancements};
-use crate::faults::timing::{FaultConsequence, OpClass, TimingFaultModel};
+use crate::faults::timing::{
+    draw_exponential, FaultConsequence, FaultFreeIntensity, OpClass, TimingFaultModel,
+};
 use crate::freq::TimingRegime;
 use crate::topology::CoreId;
 use margins_rng::Rng;
@@ -103,6 +105,75 @@ pub struct MachineReport {
     pub stress_mass: f64,
     /// Mean switching-activity weight per op (power model input).
     pub mean_activity: f64,
+    /// What proves the same run fault-free elsewhere, when it fired none.
+    pub fault_free: Option<FaultFree>,
+}
+
+/// The summary of a run that ended healthy with no timing fault, no silent
+/// corruption, no residue retry and no SRAM error observed.
+///
+/// Such a run's op stream, cache traffic, counters, cycles and digest are a
+/// function of the program, the core and the cache contents it started
+/// from: voltage, thermal shift and seed only feed the fault samplers. This
+/// summary is what those samplers need to decide, without executing the
+/// run, whether it would fire a fault at other supplies, thermal shift and
+/// seed ([`FaultFree::fires_no_fault`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultFree {
+    /// The timing sampler's factored intensity.
+    pub timing: FaultFreeIntensity,
+    /// Accesses that missed the L2: the SoC-logic sampler's trials.
+    pub soc_trials: u64,
+    /// Mean switching-activity weight per op (power model input).
+    pub mean_activity: f64,
+}
+
+impl FaultFree {
+    /// Whether a run with this summary and seed `seed`, on a core with
+    /// critical voltage `vcrit_mv` at `pmd_mv`, `soc_mv` and thermal shift
+    /// `thermal_shift_mv`, provably fires neither a timing nor a SoC-logic
+    /// fault. Both samplers only accumulate non-negative intensities, so
+    /// each fires exactly when its total reaches its budget; the budgets
+    /// are those [`Machine::new`] draws from `seed`.
+    ///
+    /// SRAM weak cells are not covered: the caller checks that every array
+    /// the run touches is inert at its supply.
+    #[must_use]
+    pub fn fires_no_fault(
+        &self,
+        vcrit_mv: f64,
+        pmd_mv: f64,
+        soc_mv: f64,
+        thermal_shift_mv: f64,
+        seed: u64,
+    ) -> bool {
+        let (_, timing_budget, soc_budget) = fault_budgets(seed);
+        // `soc_trials` adds of one λ round at most once each; the margin
+        // is the timing bound's, for the same reasons.
+        let trials = self.soc_trials as f64;
+        let soc_total = trials * soc_lambda(soc_mv) * (1.0 + 8.0 * f64::EPSILON * (trials + 64.0));
+        self.timing.bound(vcrit_mv, pmd_mv, thermal_shift_mv) < timing_budget
+            && soc_total < soc_budget
+    }
+}
+
+/// The run's random stream and its two first fault budgets, drawn from
+/// `seed` in this order: the timing budget, then the SoC-logic budget. The
+/// one definition [`Machine::new`] and [`FaultFree::fires_no_fault`] share.
+fn fault_budgets(seed: u64) -> (Rng, f64, f64) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let timing = draw_exponential(&mut rng);
+    let soc = draw_exponential(&mut rng);
+    (rng, timing, soc)
+}
+
+/// SoC (L3/DRAM-controller) logic fault intensity per L2-missing access at
+/// SoC rail voltage `soc_mv`; negligible unless the rail is scaled deep.
+fn soc_lambda(soc_mv: f64) -> f64 {
+    calib::SOC_P0
+        * ((calib::SOC_CRIT_MV - soc_mv) / calib::S_MV)
+            .min(30.0)
+            .exp()
 }
 
 const DTLB_ENTRIES: usize = 512;
@@ -171,8 +242,6 @@ struct Tally {
     ops: [u64; NUM_OP_KINDS],
     /// Memory ops that failed the bounds check.
     segfaults: [u64; 2],
-    /// `fdiv` calls, halted ones included.
-    fdiv_calls: u64,
     /// Taken conditional branches.
     taken: u64,
     /// Mispredicted conditional branches.
@@ -256,22 +325,17 @@ impl<'a> Machine<'a> {
         caches: &'a mut CacheHierarchy,
         edac: &'a mut EdacLog,
     ) -> Self {
-        let mut rng = Rng::seed_from_u64(params.seed);
-        let timing = TimingFaultModel::new(params.vcrit_mv, params.regime, params.pmd_mv, &mut rng);
+        let (rng, timing_budget, soc_budget) = fault_budgets(params.seed);
+        let timing = TimingFaultModel::with_budget(
+            params.vcrit_mv,
+            params.regime,
+            params.pmd_mv,
+            timing_budget,
+        );
         caches.begin_run();
         let sram_pmd_mv = match params.regime {
             TimingRegime::FullSpeed => params.pmd_mv,
             TimingRegime::Divided => params.pmd_mv + calib::SRAM_DIVIDED_RELIEF_MV,
-        };
-        // SoC (L3/DRAM-controller) logic fault intensity per L3-reaching
-        // access; negligible unless the PCP/SoC rail is scaled deep.
-        let soc_lambda = calib::SOC_P0
-            * ((calib::SOC_CRIT_MV - params.soc_mv) / calib::S_MV)
-                .min(30.0)
-                .exp();
-        let soc_budget = {
-            let u = rng.range_f64(f64::MIN_POSITIVE, 1.0);
-            -u.ln()
         };
         Machine {
             core: params.core,
@@ -299,7 +363,7 @@ impl<'a> Machine<'a> {
             silent_corruptions: 0,
             detected_faults: 0,
             enhancements: params.enhancements,
-            soc_lambda,
+            soc_lambda: soc_lambda(params.soc_mv),
             soc_accum: 0.0,
             soc_budget,
             activity_sum: 0.0,
@@ -448,8 +512,7 @@ impl<'a> Machine<'a> {
             self.soc_accum += self.soc_lambda;
             if self.soc_accum >= self.soc_budget {
                 self.soc_accum = 0.0;
-                let u = self.rng.range_f64(f64::MIN_POSITIVE, 1.0);
-                self.soc_budget = -u.ln();
+                self.soc_budget = draw_exponential(&mut self.rng);
                 if self.rng.next_f64() < 0.8 {
                     self.status = MachineStatus::SysHung;
                 } else {
@@ -542,8 +605,6 @@ impl<'a> Machine<'a> {
 
     /// Floating-point division (deep path: highest fault exposure, §3.4).
     pub fn fdiv(&mut self, a: f64, b: f64) -> f64 {
-        // Counted per call, halted or not (see `driven_counts`).
-        self.tally.fdiv_calls += 1;
         self.f2(OpKind::FpDiv, 6.0, a, b, |x, y| x / y)
     }
 
@@ -910,13 +971,12 @@ impl<'a> Machine<'a> {
                     times(dram, 60),
                 ]),
             ),
-            // A known quirk, kept: the divide term counts `fdiv` calls, so
-            // a call on a halted machine still adds its 6-cycle stall, while
-            // `fsqrt` adds its 5 only when it executes. Counting executed
-            // divides instead would change what a halted run reports.
             (
                 PmuEvent::IssueStallCycles,
-                sum(&[times(t.fdiv_calls, 6), times(kind(OpKind::FpSqrt), 5)]),
+                sum(&[
+                    times(kind(OpKind::FpDiv), 6),
+                    times(kind(OpKind::FpSqrt), 5),
+                ]),
             ),
             (PmuEvent::DecodeStallCycles, times(t.mispredicts, 6)),
             (PmuEvent::RobFullCycles, times(dram, 30)),
@@ -986,7 +1046,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Finishes the run: derives the PMU counter file from the tally and
-    /// returns the report.
+    /// returns the report, with a [`FaultFree`] summary when the run ended
+    /// healthy and no fault of any kind fired or was observed.
     #[must_use]
     pub fn finalize(mut self) -> MachineReport {
         for (event, n) in self.driven_counts() {
@@ -994,6 +1055,24 @@ impl<'a> Machine<'a> {
         }
         let counters = self.counters;
         let instructions = counters[PmuEvent::InstRetired];
+        let mean_activity = if instructions > 0 {
+            self.activity_sum / instructions as f64
+        } else {
+            0.0
+        };
+        let untouched = self.status == MachineStatus::Healthy
+            && self.silent_corruptions == 0
+            && self.detected_faults == 0
+            && self.tally.ecc_errors == 0;
+        let fault_free = self
+            .timing
+            .fault_free_intensity()
+            .filter(|_| untouched)
+            .map(|timing| FaultFree {
+                timing,
+                soc_trials: self.tally.l2_misses,
+                mean_activity,
+            });
         MachineReport {
             status: self.status,
             cycles: counters[PmuEvent::CpuCycles],
@@ -1003,12 +1082,9 @@ impl<'a> Machine<'a> {
             silent_corruptions: self.silent_corruptions,
             detected_faults: self.detected_faults,
             stress_mass: self.timing.stress_mass(),
-            mean_activity: if instructions > 0 {
-                self.activity_sum / instructions as f64
-            } else {
-                0.0
-            },
+            mean_activity,
             counters,
+            fault_free,
         }
     }
 }

@@ -7,12 +7,12 @@
 //! machine hangs — power-cycles it through the watchdog lines, exactly the
 //! loop of Figure 2 in the paper.
 
-use crate::cache::CacheHierarchy;
+use crate::cache::{CacheHierarchy, SetAssocCache};
 use crate::corner::{ChipSpec, VariationMap};
 use crate::counters::{CounterFile, PmuEvent};
 use crate::edac::{EdacKind, EdacLog};
-use crate::freq::{Megahertz, MAX_FREQ};
-use crate::machine::{Machine, MachineParams, MachineStatus};
+use crate::freq::{Megahertz, TimingRegime, MAX_FREQ};
+use crate::machine::{FaultFree, Machine, MachineParams, MachineReport, MachineStatus};
 use crate::power::{EnergyMeter, OperatingPoint, PowerModel};
 use crate::program::{OutputDigest, Program};
 use crate::thermal::ThermalModel;
@@ -113,6 +113,9 @@ pub struct RunRecord {
     pub energy_j: f64,
     /// The run's total timing stress mass (diagnostic).
     pub stress_mass: f64,
+    /// Present when the run fired and observed no fault of any kind: what
+    /// [`System::replay`] needs to stand this run in for another one.
+    pub fault_free: Option<FaultFree>,
 }
 
 /// Error returned when driving a hung system without power-cycling it.
@@ -329,8 +332,7 @@ impl System {
         if !self.responsive {
             return Err(UnresponsiveError);
         }
-        let freq = self.pmd_freq[core.pmd().index()];
-        let regime = freq.timing_regime();
+        let regime = self.pmd_freq[core.pmd().index()].timing_regime();
         let params = MachineParams {
             core,
             pmd_mv: self.supplies.pmd().as_f64(),
@@ -349,7 +351,157 @@ impl System {
             OutputDigest::new()
         };
         let report = machine.finalize();
+        Ok(self.complete_run(program.name(), program.dataset(), core, digest, report))
+    }
 
+    /// Answers a run of `record`'s program on `core` with `seed` without
+    /// executing it, when the board's current supplies, clocks, thermal
+    /// state and `seed` provably fire no fault in it. `record` must be a
+    /// fault-free run on `core` that started from the cache contents this
+    /// run would start from; the result then equals what [`System::run`]
+    /// would return, field for field, and the board's energy meter and
+    /// thermal state advance as that run would advance them.
+    ///
+    /// Returns `None`, changing nothing, when the board is hung, `record`
+    /// carries no [`FaultFree`] summary or ran on another core, the core's
+    /// clock is divided, any array the run touches (the core's L1D and L2
+    /// at the PMD rail, the L3 at the SoC rail) has a weak cell that fails
+    /// at its supply, or either fault sampler could fire.
+    ///
+    /// A replay does not advance the cache contents: a board that replayed
+    /// must be reinitialized (or power-cycled) before it executes again,
+    /// or that run starts from other contents than it would have.
+    pub fn replay(&mut self, record: &RunRecord, core: CoreId, seed: u64) -> Option<RunRecord> {
+        if !self.responsive {
+            return None;
+        }
+        let supplies = (self.supplies.pmd(), self.supplies.soc());
+        let summary = self.certify(record, core, seed, supplies, &self.thermal)?;
+        let report = MachineReport {
+            status: MachineStatus::Healthy,
+            counters: record.counters.clone(),
+            cycles: record.cycles,
+            instructions: record.instructions,
+            timing_faults: 0,
+            fault_samples: record.fault_samples,
+            silent_corruptions: 0,
+            detected_faults: 0,
+            stress_mass: record.stress_mass,
+            mean_activity: summary.mean_activity,
+            fault_free: Some(summary),
+        };
+        Some(self.complete_run(
+            &record.program,
+            &record.dataset,
+            core,
+            record.digest,
+            report,
+        ))
+    }
+
+    /// Whether [`System::replay`] would answer every `(record, seed)` of
+    /// `runs`, in order, on `core` with the PMD rail at `pmd` and the SoC
+    /// rail at `soc`. Changes nothing on the board: each run's thermal
+    /// shift depends on the energy of the runs before it, so a clone of
+    /// the thermal model is stepped through the same power function the
+    /// replays would step.
+    #[must_use]
+    pub fn replays_cleanly(
+        &self,
+        runs: &[(&RunRecord, u64)],
+        core: CoreId,
+        pmd: Millivolts,
+        soc: Millivolts,
+    ) -> bool {
+        let mut thermal = self.thermal.clone();
+        self.responsive
+            && runs.iter().all(|&(record, seed)| {
+                let Some(summary) = self.certify(record, core, seed, (pmd, soc), &thermal) else {
+                    return false;
+                };
+                let (runtime_s, watts) = self.run_power(
+                    core,
+                    (pmd, soc),
+                    &thermal,
+                    record.cycles,
+                    summary.mean_activity,
+                    &record.counters,
+                );
+                thermal.step(watts, runtime_s.min(1.0));
+                true
+            })
+    }
+
+    /// The check behind [`System::replay`], at supplies `(pmd, soc)` and
+    /// the thermal shift of `thermal`: `record`'s summary when it holds.
+    fn certify(
+        &self,
+        record: &RunRecord,
+        core: CoreId,
+        seed: u64,
+        (pmd, soc): (Millivolts, Millivolts),
+        thermal: &ThermalModel,
+    ) -> Option<FaultFree> {
+        let inert = |array: &SetAssocCache, supply: Millivolts| {
+            array
+                .weak_cells()
+                .weakest_cell_vfail_mv()
+                .is_none_or(|v| v <= supply.as_f64())
+        };
+        let summary = record.fault_free?;
+        let regime = self.pmd_freq[core.pmd().index()].timing_regime();
+        let certified = record.core == core
+            && regime == TimingRegime::FullSpeed
+            && inert(self.caches.l1d(core), pmd)
+            && inert(self.caches.l2(core), pmd)
+            && inert(self.caches.l3(), soc)
+            && summary.fires_no_fault(
+                self.variation.vcrit_mv(core, regime),
+                pmd.as_f64(),
+                soc.as_f64(),
+                thermal.vcrit_shift_mv(),
+                seed,
+            );
+        certified.then_some(summary)
+    }
+
+    /// Modelled runtime (s) and chip power (W) of a run of `cycles` cycles
+    /// on `core` at supplies `(pmd, soc)`, from `thermal`'s die
+    /// temperature, under the board's current clocks.
+    fn run_power(
+        &self,
+        core: CoreId,
+        (pmd, soc): (Millivolts, Millivolts),
+        thermal: &ThermalModel,
+        cycles: u64,
+        mean_activity: f64,
+        counters: &CounterFile,
+    ) -> (f64, f64) {
+        let freq = self.pmd_freq[core.pmd().index()];
+        let runtime_s = cycles as f64 / (freq.as_f64() * 1e6);
+        let mut op = OperatingPoint::idle_nominal();
+        op.pmd_voltage = pmd;
+        op.soc_voltage = soc;
+        op.pmd_freq = self.pmd_freq;
+        op.core_activity[core.index()] = mean_activity;
+        let mem_rate = counters.rate(PmuEvent::L2DCacheRefill, PmuEvent::InstRetired);
+        op.mem_activity = (mem_rate * 20.0).min(1.0);
+        op.die_temp_c = thermal.die_temp_c();
+        (runtime_s, self.power.total_watts(&op))
+    }
+
+    /// Everything after the machine, shared by [`System::run`] and
+    /// [`System::replay`]: the outcome and a hang's console line, runtime,
+    /// power, energy and the thermal step, and the EDAC drain with its
+    /// trace events.
+    fn complete_run(
+        &mut self,
+        program: &str,
+        dataset: &str,
+        core: CoreId,
+        digest: OutputDigest,
+        report: MachineReport,
+    ) -> RunRecord {
         let outcome = match report.status {
             MachineStatus::Healthy => RunOutcome::Completed,
             MachineStatus::AppCrashed => RunOutcome::AppCrashed,
@@ -361,18 +513,14 @@ impl System {
         }
 
         // Energy/thermal accounting over the modelled runtime.
-        let runtime_s = report.cycles as f64 / (freq.as_f64() * 1e6);
-        let mut op = OperatingPoint::idle_nominal();
-        op.pmd_voltage = self.supplies.pmd();
-        op.soc_voltage = self.supplies.soc();
-        op.pmd_freq = self.pmd_freq;
-        op.core_activity[core.index()] = report.mean_activity;
-        let mem_rate = report
-            .counters
-            .rate(PmuEvent::L2DCacheRefill, PmuEvent::InstRetired);
-        op.mem_activity = (mem_rate * 20.0).min(1.0);
-        op.die_temp_c = self.thermal.die_temp_c();
-        let watts = self.power.total_watts(&op);
+        let (runtime_s, watts) = self.run_power(
+            core,
+            (self.supplies.pmd(), self.supplies.soc()),
+            &self.thermal,
+            report.cycles,
+            report.mean_activity,
+            &report.counters,
+        );
         self.energy.accumulate(watts, runtime_s);
         self.thermal.step(watts, runtime_s.min(1.0));
 
@@ -394,13 +542,13 @@ impl System {
             });
         }
 
-        Ok(RunRecord {
-            program: program.name().to_owned(),
-            dataset: program.dataset().to_owned(),
+        RunRecord {
+            program: program.to_owned(),
+            dataset: dataset.to_owned(),
             core,
             pmd_mv: self.supplies.pmd(),
             soc_mv: self.supplies.soc(),
-            freq,
+            freq: self.pmd_freq[core.pmd().index()],
             outcome,
             digest,
             corrected_errors: ce,
@@ -414,7 +562,8 @@ impl System {
             runtime_s,
             energy_j: watts * runtime_s,
             stress_mass: report.stress_mass,
-        })
+            fault_free: report.fault_free,
+        }
     }
 }
 

@@ -59,7 +59,7 @@ pub mod span;
 pub mod validate;
 
 pub use event::{EncodeError, TraceEvent, TraceRecord};
-pub use files::collect_jsonl;
+pub use files::{collect_jsonl, write_atomic};
 pub use metrics::{Histogram, MergeError, MetricsRegistry};
 pub use observer::{merge_streams, EventBuffer, NullObserver, Observer, StreamFinalizer};
 pub use reader::{read_jsonl, ParseFailure};

@@ -1,0 +1,190 @@
+//! Differential test of `System::replay` against `System::run`.
+//!
+//! A run that fires no fault is a function of its program, its core and the
+//! cache contents it starts from; voltage, thermal shift and seed only feed
+//! the fault samplers. `replay` certifies, without executing, that a run
+//! recorded elsewhere would fire no fault at the board's current supplies,
+//! thermal state and seed, and then answers with that run's results.
+//!
+//! Each case records a chain of fault-free runs on one board at nominal
+//! voltage, so that `chain[k]` is the k-th run after power-on. Then, at
+//! every target voltage, one fresh board executes runs 0..K and a second
+//! fresh board replays `chain[0..K]` with the same seeds. Whenever `replay`
+//! answers, its record must equal the executed one field for field (so it
+//! never answers for a run that fired a fault), and it must answer for
+//! nearly every run that fired none.
+
+use margins_rng::splitmix64;
+use margins_sim::{
+    ChipSpec, CoreId, Corner, Enhancements, Millivolts, RunRecord, System, SystemConfig,
+};
+use margins_workloads::suite::{self, Dataset};
+
+/// Runs per target voltage: iteration k starts from k fault-free runs.
+const ITERATIONS: u32 = 3;
+
+#[derive(Debug, Clone, Copy)]
+enum Rail {
+    Pmd,
+    Soc,
+}
+
+struct Case {
+    corner: Corner,
+    enhancements: Enhancements,
+    core: u8,
+    kernel: &'static str,
+    rail: Rail,
+    /// Swept-rail voltages, top down.
+    voltages: Vec<u32>,
+}
+
+#[derive(Debug, Default)]
+struct Tally {
+    /// Runs that executed without any fault.
+    clean: u32,
+    /// Of those, the ones `replay` answered.
+    accepted: u32,
+    /// Runs that fired or observed a fault (all refused by `replay`).
+    faulted: u32,
+}
+
+fn board(case: &Case) -> System {
+    let serial = match case.corner {
+        Corner::Ttt => 0,
+        Corner::Tff => 1,
+        Corner::Tss => 2,
+    };
+    System::new(
+        ChipSpec::new(case.corner, serial),
+        SystemConfig {
+            enhancements: case.enhancements,
+            ..SystemConfig::default()
+        },
+    )
+}
+
+fn set_rail(sys: &mut System, rail: Rail, mv: u32) {
+    let mut slimpro = sys.slimpro_mut();
+    match rail {
+        Rail::Pmd => slimpro.set_pmd_voltage(Millivolts::new(mv)),
+        Rail::Soc => slimpro.set_soc_voltage(Millivolts::new(mv)),
+    }
+    .expect("on-grid voltage");
+}
+
+fn seed(case_index: usize, mv: u32, iteration: u32) -> u64 {
+    let mut state = (case_index as u64) << 40 | u64::from(mv) << 8 | u64::from(iteration);
+    splitmix64(&mut state)
+}
+
+fn check_case(case_index: usize, case: &Case, tally: &mut Tally) {
+    let program = suite::by_name(case.kernel, Dataset::Ref).expect("suite kernel");
+    let core = CoreId::new(case.core);
+
+    // The chain: fault-free runs at nominal, back to back from power-on.
+    let mut chain_board = board(case);
+    let chain: Vec<RunRecord> = (0..ITERATIONS)
+        .map(|k| {
+            let r = chain_board
+                .run(program.as_ref(), core, seed(case_index, 0, k))
+                .expect("a nominal board responds");
+            assert!(
+                r.fault_free.is_some(),
+                "{}: nominal run {k} faulted",
+                case.kernel
+            );
+            r
+        })
+        .collect();
+
+    for &mv in &case.voltages {
+        let mut executed = board(case);
+        let mut replayed = board(case);
+        set_rail(&mut executed, case.rail, mv);
+        set_rail(&mut replayed, case.rail, mv);
+        for (k, recorded) in (0..ITERATIONS).zip(&chain) {
+            let s = seed(case_index, mv, k);
+            let Ok(ran) = executed.run(program.as_ref(), core, s) else {
+                break; // the board hung on the previous run
+            };
+            let fault_free = ran.fault_free.is_some();
+            let answer = replayed.replay(recorded, core, s);
+            let label = format!(
+                "{:?} core {} {} {:?} {mv} mV, iteration {k}, enhanced {}",
+                case.corner,
+                case.core,
+                case.kernel,
+                case.rail,
+                case.enhancements.any()
+            );
+            match answer {
+                Some(answer) => {
+                    assert_eq!(answer, ran, "{label}: replay differs from the run");
+                    tally.clean += 1;
+                    tally.accepted += 1;
+                }
+                None => {
+                    if fault_free {
+                        tally.clean += 1;
+                    } else {
+                        tally.faulted += 1;
+                    }
+                    // The replayed board no longer stands where the executed
+                    // one does, so this voltage's sequence ends here.
+                    break;
+                }
+            }
+        }
+    }
+}
+
+fn cases() -> Vec<Case> {
+    let pmd_band: Vec<u32> = (0..19).map(|i| 935 - 5 * i).collect();
+    let mut cases = Vec::new();
+    let kernels = ["bwaves", "namd", "gromacs", "mcf", "lbm", "xalancbmk"];
+    let corners = [Corner::Ttt, Corner::Tff, Corner::Tss];
+    for (i, kernel) in kernels.into_iter().enumerate() {
+        for (j, core) in [0u8, 4, 7].into_iter().enumerate() {
+            cases.push(Case {
+                corner: corners[(i + j) % 3],
+                enhancements: if (i + j) % 2 == 0 {
+                    Enhancements::stock()
+                } else {
+                    Enhancements::all()
+                },
+                core,
+                kernel,
+                rail: Rail::Pmd,
+                voltages: pmd_band.clone(),
+            });
+        }
+    }
+    // A SoC-rail sweep from nominal into the L3 weak-cell tail and the
+    // SoC-logic crash band, with L3-reaching kernels.
+    for kernel in ["mcf", "lbm"] {
+        cases.push(Case {
+            corner: Corner::Ttt,
+            enhancements: Enhancements::stock(),
+            core: 0,
+            kernel,
+            rail: Rail::Soc,
+            voltages: (0..24).map(|i| 945 - 10 * i).collect(),
+        });
+    }
+    cases
+}
+
+#[test]
+fn replay_equals_run_whenever_it_answers() {
+    let mut tally = Tally::default();
+    for (i, case) in cases().iter().enumerate() {
+        check_case(i, case, &mut tally);
+    }
+    eprintln!("{tally:?}");
+    assert!(tally.faulted > 0, "the sweep must reach faulting runs");
+    assert!(
+        f64::from(tally.accepted) >= 0.99 * f64::from(tally.clean),
+        "replay refused too many fault-free runs: {tally:?}"
+    );
+}
