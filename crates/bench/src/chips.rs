@@ -11,19 +11,19 @@ pub fn ttt() -> ChipSpec {
 
 /// The fast-corner TFF part.
 #[must_use]
-pub fn tff() -> ChipSpec {
+fn tff() -> ChipSpec {
     ChipSpec::new(Corner::Tff, 1)
 }
 
 /// The slow-corner TSS part.
 #[must_use]
-pub fn tss() -> ChipSpec {
+fn tss() -> ChipSpec {
     ChipSpec::new(Corner::Tss, 2)
 }
 
 /// All three parts in the paper's presentation order.
 #[must_use]
-pub fn all() -> [ChipSpec; 3] {
+pub(crate) fn all() -> [ChipSpec; 3] {
     [ttt(), tff(), tss()]
 }
 

@@ -10,7 +10,7 @@ use margins_sim::{CoreId, Millivolts};
 use std::fmt::Write as _;
 
 /// The eight-benchmark multiprogram workload of Figure 9.
-pub const FIG9_WORKLOAD: [&str; 8] = [
+const FIG9_WORKLOAD: [&str; 8] = [
     "bwaves",
     "cactusADM",
     "dealII",
@@ -25,7 +25,7 @@ pub const FIG9_WORKLOAD: [&str; 8] = [
 /// characterization actually covered: benchmark k on the k-th available
 /// core, cycling benchmarks when fewer were characterized.
 #[must_use]
-pub fn fig9_assignments(chars: &ChipCharacterization) -> (Vec<Assignment>, VminTable) {
+fn fig9_assignments(chars: &ChipCharacterization) -> (Vec<Assignment>, VminTable) {
     let table = VminTable::from_characterization(&chars.result);
     let mut cores: Vec<CoreId> = CoreId::all()
         .filter(|c| FIG9_WORKLOAD.iter().any(|w| table.get(*c, w).is_some()))

@@ -26,7 +26,7 @@ pub fn characterize_chip(spec: ChipSpec, scale: &Scale) -> ChipCharacterization 
 
 /// Like [`characterize_chip`], but streams the campaign's telemetry into
 /// `sinks` (an empty slice disables tracing entirely).
-pub fn characterize_chip_traced(
+fn characterize_chip_traced(
     spec: ChipSpec,
     scale: &Scale,
     sinks: &mut [&mut dyn margins_trace::Sink],
@@ -52,26 +52,6 @@ pub fn characterize_chip_traced(
         spec,
         result: analyze(&outcome, &SeverityWeights::paper()),
     }
-}
-
-/// Runs the characterization for all three reference chips.
-#[must_use]
-pub fn characterize_all(scale: &Scale) -> Vec<ChipCharacterization> {
-    characterize_all_traced(scale, None).expect("tracing disabled, no IO to fail")
-}
-
-/// Runs the characterization for all three reference chips, writing one
-/// deterministic JSONL telemetry stream per chip into `trace_dir` when one
-/// is given (`fig34-<chip>.jsonl`).
-///
-/// # Errors
-///
-/// Returns the first IO error hit while creating or writing a trace file.
-pub fn characterize_all_traced(
-    scale: &Scale,
-    trace_dir: Option<&std::path::Path>,
-) -> std::io::Result<Vec<ChipCharacterization>> {
-    characterize_all_instrumented(scale, trace_dir, None)
 }
 
 /// Like [`characterize_all_traced`], but with the full observability

@@ -16,12 +16,12 @@ use std::fmt::Write as _;
 
 /// Number of features RFE keeps (§4.2: "we eventually selected the 5 most
 /// efficient and representative events").
-pub const RFE_KEEP: usize = 5;
+const RFE_KEEP: usize = 5;
 /// Features removed per RFE round (a throughput/accuracy compromise over
 /// scikit-learn's step=1).
-pub const RFE_STEP: usize = 5;
+const RFE_STEP: usize = 5;
 /// Training fraction (§4.3: 80/20).
-pub const TRAIN_FRACTION: f64 = 0.8;
+const TRAIN_FRACTION: f64 = 0.8;
 
 /// The evaluated outcome of one prediction test case.
 #[derive(Debug, Clone)]
@@ -45,7 +45,7 @@ pub struct PredictionOutcome {
 
 /// The benchmark list of the prediction study.
 #[must_use]
-pub fn prediction_benchmarks(scale: &Scale) -> Vec<BenchmarkRef> {
+fn prediction_benchmarks(scale: &Scale) -> Vec<BenchmarkRef> {
     if scale.full_prediction_suite {
         let mut refs = Vec::new();
         for name in margins_workloads::suite::ALL_NAMES {

@@ -42,7 +42,7 @@ pub struct StrategyRun {
 /// The study's campaign configuration: the Figure 3/4 reference bounds
 /// (945 → 830 mV, crash-stop after 2 all-crash steps) under `strategy`.
 #[must_use]
-pub fn study_config(scale: &Scale, strategy: SearchStrategy) -> CampaignConfig {
+fn study_config(scale: &Scale, strategy: SearchStrategy) -> CampaignConfig {
     CampaignConfig::builder()
         .benchmarks(scale.fig4_benchmarks.iter().copied())
         .cores(scale.fig4_cores.iter().copied())
@@ -58,7 +58,7 @@ pub fn study_config(scale: &Scale, strategy: SearchStrategy) -> CampaignConfig {
 
 /// Runs one campaign configuration and collects its probe-count metrics.
 #[must_use]
-pub fn run_config(
+fn run_config(
     spec: ChipSpec,
     config: CampaignConfig,
     threads: usize,
@@ -89,7 +89,7 @@ pub fn run_config(
 
 /// Runs one strategy's study campaign.
 #[must_use]
-pub fn run_strategy(
+fn run_strategy(
     spec: ChipSpec,
     scale: &Scale,
     strategy: SearchStrategy,
@@ -102,7 +102,7 @@ pub fn run_strategy(
 /// boundary estimate a persisted campaign cache (or the margin predictor)
 /// would supply.
 #[must_use]
-pub fn priors_from(result: &CharacterizationResult) -> SearchPriors {
+fn priors_from(result: &CharacterizationResult) -> SearchPriors {
     let mut priors = SearchPriors::new();
     for s in &result.summaries {
         let prior = ItemPrior {
@@ -132,7 +132,7 @@ pub fn study(spec: ChipSpec, scale: &Scale) -> Vec<StrategyRun> {
 /// exactly the hypothesis under which adaptive search provably reports the
 /// same boundaries as the exhaustive sweep.
 #[must_use]
-pub fn contiguous_regions(summary: &SweepSummary) -> bool {
+fn contiguous_regions(summary: &SweepSummary) -> bool {
     let mut seen_abnormal = false;
     let mut seen_crash = false;
     for step in &summary.steps {
@@ -161,7 +161,7 @@ pub fn contiguous_regions(summary: &SweepSummary) -> bool {
 /// the equivalence claim is unconditional: the item was swept over the
 /// whole grid (no crash-stop) and its regions are contiguous.
 #[must_use]
-pub fn comparable_keys(exhaustive: &StrategyRun) -> Vec<(String, String, usize)> {
+fn comparable_keys(exhaustive: &StrategyRun) -> Vec<(String, String, usize)> {
     exhaustive
         .result
         .summaries
@@ -174,7 +174,7 @@ pub fn comparable_keys(exhaustive: &StrategyRun) -> Vec<(String, String, usize)>
 /// The (program, core, safe Vmin, highest crash) boundary tuples of a
 /// characterization restricted to `keys`, in canonical order.
 #[must_use]
-pub fn boundaries(
+fn boundaries(
     result: &CharacterizationResult,
     keys: &[(String, String, usize)],
 ) -> Vec<(String, usize, Option<u32>, Option<u32>)> {

@@ -110,19 +110,19 @@ pub struct StepEntry {
 impl StepEntry {
     /// Whether any iteration manifested an abnormal effect.
     #[must_use]
-    pub fn any_abnormal(&self) -> bool {
+    pub(crate) fn any_abnormal(&self) -> bool {
         self.runs.iter().any(|r| !r.effects.is_normal())
     }
 
     /// Whether any iteration crashed the whole system.
     #[must_use]
-    pub fn any_system_crash(&self) -> bool {
+    pub(crate) fn any_system_crash(&self) -> bool {
         self.runs.iter().any(|r| r.effects.is_system_crash())
     }
 
     /// Whether every iteration crashed the whole system.
     #[must_use]
-    pub fn all_system_crash(&self) -> bool {
+    pub(crate) fn all_system_crash(&self) -> bool {
         !self.runs.is_empty() && self.runs.iter().all(|r| r.effects.is_system_crash())
     }
 }
@@ -173,13 +173,13 @@ impl std::error::Error for CacheError {}
 /// keys (bit 0 = extended ECC, bit 1 = residue checks, bit 2 = adaptive
 /// clocking).
 #[must_use]
-pub fn encode_enhancements(e: Enhancements) -> u8 {
+pub(crate) fn encode_enhancements(e: Enhancements) -> u8 {
     u8::from(e.extended_ecc) | u8::from(e.residue_checks) << 1 | u8::from(e.adaptive_clocking) << 2
 }
 
 /// The label cache keys use for a swept rail.
 #[must_use]
-pub fn rail_label(rail: SweptRail) -> &'static str {
+pub(crate) fn rail_label(rail: SweptRail) -> &'static str {
     match rail {
         SweptRail::Pmd => "pmd",
         SweptRail::PcpSoc => "soc",
@@ -249,7 +249,7 @@ impl CampaignCache {
 
     /// Looks up a golden capture.
     #[must_use]
-    pub fn golden(&self, key: &GoldenKey) -> Option<&GoldenEntry> {
+    pub(crate) fn golden(&self, key: &GoldenKey) -> Option<&GoldenEntry> {
         self.chips.get(key.chip.as_str())?.goldens.get(key)
     }
 
@@ -285,7 +285,7 @@ impl CampaignCache {
     /// voltage at which the item misbehaved / crashed — under the
     /// monotonicity the region model assumes, that is the boundary.
     #[must_use]
-    pub fn derive_priors(&self, chip: &str, config: &CampaignConfig) -> SearchPriors {
+    pub(crate) fn derive_priors(&self, chip: &str, config: &CampaignConfig) -> SearchPriors {
         let rail = rail_label(config.rail);
         let enh = encode_enhancements(config.enhancements);
         let mut priors = SearchPriors::new();
@@ -340,7 +340,7 @@ impl CampaignCache {
             push_str_field(&mut out, "dataset", &key.dataset);
             push_raw_field(&mut out, "core", &key.core.to_string());
             push_str_field(&mut out, "digest", &format!("{:016x}", entry.digest));
-            push_raw_field(&mut out, "runtime_s", &fmt_f64(entry.runtime_s));
+            push_raw_field(&mut out, "runtime_s", &json::fmt_f64(entry.runtime_s));
             out.push_str("}\n");
         }
         for (key, entry) in self.steps() {
@@ -363,11 +363,11 @@ impl CampaignCache {
                     out.push(',');
                 }
                 out.push_str("{\"effects\":");
-                push_json_string(&mut out, &run.effects.to_string());
+                json::escape_into(&mut out, &run.effects.to_string());
                 push_raw_field(&mut out, "ce", &run.corrected_errors.to_string());
                 push_raw_field(&mut out, "ue", &run.uncorrected_errors.to_string());
-                push_raw_field(&mut out, "runtime_s", &fmt_f64(run.runtime_s));
-                push_raw_field(&mut out, "energy_j", &fmt_f64(run.energy_j));
+                push_raw_field(&mut out, "runtime_s", &json::fmt_f64(run.runtime_s));
+                push_raw_field(&mut out, "energy_j", &json::fmt_f64(run.energy_j));
                 out.push('}');
             }
             out.push_str("]}\n");
@@ -621,13 +621,13 @@ impl SharedCampaignCache {
     /// held only for the clone, never while a reader probes the cache,
     /// so lookups never block on concurrent appends or publishes.
     #[must_use]
-    pub fn snapshot(&self) -> Arc<CampaignCache> {
+    pub(crate) fn snapshot(&self) -> Arc<CampaignCache> {
         lock(&self.snapshot).clone()
     }
 
     /// Appends a fresh golden capture to the log (visible to snapshots
     /// after the next [`SharedCampaignCache::publish`]).
-    pub fn append_golden(&self, key: GoldenKey, entry: GoldenEntry) {
+    pub(crate) fn append_golden(&self, key: GoldenKey, entry: GoldenEntry) {
         lock(&self.log).goldens.push((key, entry));
     }
 
@@ -663,16 +663,13 @@ impl SharedCampaignCache {
     /// Total records in the published view (pending appends are published
     /// first).
     #[must_use]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "callers read the record count; none asks for emptiness"
+    )]
     pub fn len(&self) -> usize {
         self.publish();
         lock(&self.snapshot).len()
-    }
-
-    /// Whether the published view holds no records (pending appends are
-    /// published first).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Publishes pending appends and serializes the store as canonical
@@ -693,13 +690,6 @@ impl SharedCampaignCache {
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CacheError> {
         self.publish();
         lock(&self.snapshot).save(path)
-    }
-
-    /// Publishes pending appends and extracts a plain owned cache.
-    #[must_use]
-    pub fn into_cache(self) -> CampaignCache {
-        self.publish();
-        CampaignCache::clone(&lock(&self.snapshot))
     }
 }
 
@@ -725,7 +715,7 @@ fn push_str_field(out: &mut String, name: &str, value: &str) {
     out.push_str(",\"");
     out.push_str(name);
     out.push_str("\":");
-    push_json_string(out, value);
+    json::escape_into(out, value);
 }
 
 /// Appends `,"name":raw` to `out` (for already-serialized numbers).
@@ -734,19 +724,6 @@ fn push_raw_field(out: &mut String, name: &str, raw: &str) {
     out.push_str(name);
     out.push_str("\":");
     out.push_str(raw);
-}
-
-/// Appends `value` as a JSON string literal.
-fn push_json_string(out: &mut String, value: &str) {
-    json::escape_into(out, value);
-}
-
-/// Shortest round-trip representation of a finite `f64`; non-finite values
-/// never occur in modelled runtimes/energies and serialize defensively as
-/// `null` so the reader rejects the record instead of producing invalid
-/// JSON.
-fn fmt_f64(v: f64) -> String {
-    json::fmt_f64(v)
 }
 
 /// Typed access to the fields of a parsed JSON object.
@@ -1027,7 +1004,7 @@ mod tests {
         // belongs to a different machine setup).
         assert_eq!(prior.crash_mv, Some(880));
         // A chip with no shard has no priors.
-        assert!(cache.derive_priors("TFF#1", &config).is_empty());
+        assert_eq!(cache.derive_priors("TFF#1", &config), SearchPriors::new());
 
         // Other chips' records, some above TTT#0's boundaries and one on
         // a name that shares TTT#0's prefix, stay in their own shards.
@@ -1054,7 +1031,7 @@ mod tests {
         assert_eq!((tss.vmin_mv, tss.crash_mv), (Some(925), Some(925)));
         let zero = prior_of("TTT#00").expect("prior derived");
         assert_eq!((zero.vmin_mv, zero.crash_mv), (Some(930), Some(930)));
-        assert!(cache.derive_priors("TTT#1", &config).is_empty());
+        assert_eq!(cache.derive_priors("TTT#1", &config), SearchPriors::new());
     }
 
     #[test]
@@ -1180,7 +1157,6 @@ mod tests {
 
         assert_eq!(ab.to_jsonl(), owned.to_jsonl());
         assert_eq!(ba.to_jsonl(), owned.to_jsonl());
-        assert_eq!(ab.into_cache(), owned);
     }
 
     #[test]
@@ -1374,7 +1350,6 @@ mod tests {
             assert_eq!(cache.len(), records.len(), "seed {seed}");
             let reloaded = CampaignCache::from_jsonl(&text).expect("own output parses");
             assert_eq!(reloaded, cache, "seed {seed}");
-            assert_eq!(shared.into_cache(), cache, "seed {seed}");
         }
     }
 

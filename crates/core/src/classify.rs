@@ -6,7 +6,7 @@
 //! at nominal conditions, not an oracle of the fault injector.
 
 use crate::effect::{Effect, EffectSet};
-use margins_sim::{CoreId, CounterFile, Millivolts};
+use margins_sim::{CoreId, Millivolts};
 use margins_sim::{Megahertz, OutputDigest, RunOutcome, RunRecord};
 
 /// One fully classified characterization run.
@@ -36,8 +36,6 @@ pub struct ClassifiedRun {
     pub runtime_s: f64,
     /// Modelled energy, joules.
     pub energy_j: f64,
-    /// Performance counters, retained only when the campaign asked for them.
-    pub counters: Option<CounterFile>,
 }
 
 impl ClassifiedRun {
@@ -62,7 +60,7 @@ impl ClassifiedRun {
 /// Multiple effects are all recorded (§3.4.1). When `golden` is `None`
 /// (no reference output available) SDC detection is skipped.
 #[must_use]
-pub fn classify(record: &RunRecord, golden: Option<OutputDigest>) -> EffectSet {
+fn classify(record: &RunRecord, golden: Option<OutputDigest>) -> EffectSet {
     let mut effects = EffectSet::new();
     match record.outcome {
         RunOutcome::SystemCrashed => effects.insert(Effect::Sc),
@@ -86,11 +84,10 @@ pub fn classify(record: &RunRecord, golden: Option<OutputDigest>) -> EffectSet {
 
 /// Builds the classified run from the raw record (the parsing-phase row).
 #[must_use]
-pub fn classify_run(
+pub(crate) fn classify_run(
     record: &RunRecord,
     golden: Option<OutputDigest>,
     iteration: u32,
-    keep_counters: bool,
 ) -> ClassifiedRun {
     ClassifiedRun {
         program: record.program.clone(),
@@ -105,17 +102,13 @@ pub fn classify_run(
         uncorrected_errors: record.uncorrected_errors,
         runtime_s: record.runtime_s,
         energy_j: record.energy_j,
-        counters: if keep_counters {
-            Some(record.counters.clone())
-        } else {
-            None
-        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use margins_sim::CounterFile;
 
     fn record(outcome: RunOutcome, digest_seed: u64, ce: usize, ue: usize) -> RunRecord {
         let mut digest = OutputDigest::new();
@@ -160,8 +153,7 @@ mod tests {
     fn digest_mismatch_is_sdc() {
         let r = record(RunOutcome::Completed, 2, 0, 0);
         let e = classify(&r, Some(golden()));
-        assert!(e.contains(Effect::Sdc));
-        assert_eq!(e.len(), 1);
+        assert_eq!(e.to_string(), "SDC");
     }
 
     #[test]
@@ -200,12 +192,9 @@ mod tests {
     #[test]
     fn classify_run_carries_context() {
         let r = record(RunOutcome::Completed, 1, 1, 0);
-        let c = classify_run(&r, Some(golden()), 7, false);
+        let c = classify_run(&r, Some(golden()), 7);
         assert_eq!(c.iteration, 7);
         assert_eq!(c.pmd_mv, Millivolts::new(900));
         assert_eq!(c.corrected_errors, 1);
-        assert!(c.counters.is_none());
-        let c = classify_run(&r, Some(golden()), 7, true);
-        assert!(c.counters.is_some());
     }
 }

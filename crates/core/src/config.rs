@@ -59,9 +59,6 @@ pub struct CampaignConfig {
     pub crash_stop_steps: u32,
     /// Base seed individualizing the campaign's run randomness.
     pub seed: u64,
-    /// Whether to retain each run's full PMU counter file (memory-heavy;
-    /// profiling normally uses [`crate::runner::profile`] instead).
-    pub collect_counters: bool,
     /// The rail the sweep scales (default: the PMD rail, as in the paper).
     pub rail: SweptRail,
     /// §6 hardware enhancements of the simulated chip revision under test.
@@ -88,17 +85,12 @@ impl CampaignConfig {
         (self.start_voltage.get() - self.floor_voltage.get()) / VOLTAGE_STEP_MV + 1
     }
 
-    /// Iterator over the sweep voltages, descending.
-    pub fn sweep_voltages(&self) -> impl Iterator<Item = Millivolts> + '_ {
-        (0..self.step_count()).map(|k| self.start_voltage.down_steps(k))
-    }
-
     /// Iterator over the campaign's work items in canonical order —
     /// benchmarks-major, exactly the order a serial execution visits them
     /// and the order the merged trace stream presents them. Yields
     /// `(benchmark index, core)` pairs; the enumeration position is the
     /// item's canonical index.
-    pub fn work_items(&self) -> impl Iterator<Item = (usize, CoreId)> + '_ {
+    pub(crate) fn work_items(&self) -> impl Iterator<Item = (usize, CoreId)> + '_ {
         self.benchmarks
             .iter()
             .enumerate()
@@ -118,7 +110,6 @@ pub struct CampaignConfigBuilder {
     parked_frequency: Megahertz,
     crash_stop_steps: u32,
     seed: u64,
-    collect_counters: bool,
     rail: SweptRail,
     enhancements: Enhancements,
     search: SearchStrategy,
@@ -140,7 +131,6 @@ impl Default for CampaignConfigBuilder {
             parked_frequency: Megahertz::new(300),
             crash_stop_steps: 2,
             seed: 0xC0FF_EE00,
-            collect_counters: false,
             rail: SweptRail::Pmd,
             enhancements: Enhancements::stock(),
             search: SearchStrategy::Exhaustive,
@@ -215,13 +205,6 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Sets the parked clock of the other PMDs (default 300 MHz).
-    #[must_use]
-    pub fn parked_frequency(mut self, f: Megahertz) -> Self {
-        self.parked_frequency = f;
-        self
-    }
-
     /// Sets the all-SC early-stop threshold (0 disables).
     #[must_use]
     pub fn crash_stop_steps(mut self, n: u32) -> Self {
@@ -233,13 +216,6 @@ impl CampaignConfigBuilder {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Retains per-run counter files.
-    #[must_use]
-    pub fn collect_counters(mut self, yes: bool) -> Self {
-        self.collect_counters = yes;
         self
     }
 
@@ -327,7 +303,6 @@ impl CampaignConfigBuilder {
             parked_frequency: self.parked_frequency,
             crash_stop_steps: self.crash_stop_steps,
             seed: self.seed,
-            collect_counters: self.collect_counters,
             rail: self.rail,
             enhancements: self.enhancements,
             search: self.search,
@@ -423,18 +398,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.search, SearchStrategy::Bisection);
-    }
-
-    #[test]
-    fn sweep_voltages_descend_in_5mv_steps() {
-        let c = CampaignConfig::builder()
-            .benchmarks(["namd"])
-            .start_voltage(Millivolts::new(900))
-            .floor_voltage(Millivolts::new(885))
-            .build()
-            .unwrap();
-        let vs: Vec<u32> = c.sweep_voltages().map(Millivolts::get).collect();
-        assert_eq!(vs, vec![900, 895, 890, 885]);
     }
 
     #[test]

@@ -138,7 +138,7 @@ impl EffectSet {
 
     /// `true` when the run crashed the whole system.
     #[must_use]
-    pub fn is_system_crash(self) -> bool {
+    pub(crate) fn is_system_crash(self) -> bool {
         self.contains(Effect::Sc)
     }
 
@@ -147,19 +147,6 @@ impl EffectSet {
         Effect::ALL
             .into_iter()
             .filter(move |e| e.is_abnormal() && self.contains(*e))
-    }
-
-    /// Number of abnormal effects present.
-    #[must_use]
-    pub fn len(self) -> usize {
-        self.bits.count_ones() as usize
-    }
-
-    /// `true` when no abnormal effects are present (alias of
-    /// [`EffectSet::is_normal`], for collection-like reading).
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.is_normal()
     }
 
     /// Union of two effect sets.
@@ -251,7 +238,6 @@ mod tests {
         assert!(s.is_normal());
         assert!(s.contains(Effect::No));
         assert_eq!(s.to_string(), "NO");
-        assert_eq!(s.len(), 0);
     }
 
     #[test]
@@ -262,7 +248,6 @@ mod tests {
         assert!(s.contains(Effect::Ce));
         assert!(!s.contains(Effect::Sc));
         assert!(!s.contains(Effect::No));
-        assert_eq!(s.len(), 2);
         assert_eq!(s.to_string(), "SDC+CE");
     }
 

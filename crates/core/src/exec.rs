@@ -184,7 +184,7 @@ pub struct ItemOutput {
 impl ItemOutput {
     /// The canonical index of the item this output belongs to.
     #[must_use]
-    pub fn index(&self) -> usize {
+    fn index(&self) -> usize {
         self.index
     }
 

@@ -12,7 +12,7 @@
 //!    §2.2.1), steps the shared PMD rail down in 5 mV increments, runs each
 //!    configuration N times (*massive iterative execution*), restores
 //!    nominal voltage before persisting each run's log (*safe data
-//!    collection*), and leans on the [`watchdog`] to power-cycle the board
+//!    collection*), and leans on the `watchdog` module to power-cycle the board
 //!    whenever a run hangs it (*failure recognition*).
 //! 3. **Parsing** — [`classify`] turns raw run records into the Table 3
 //!    effect taxonomy {NO, SDC, CE, UE, AC, SC}; [`regions`] derives the
@@ -72,16 +72,6 @@ pub mod report;
 pub mod runner;
 pub mod search;
 pub mod severity;
-pub mod watchdog;
+mod watchdog;
 
-pub use cache::{CacheError, CampaignCache, SharedCampaignCache};
-pub use classify::ClassifiedRun;
-pub use config::CampaignConfig;
-pub use effect::{Effect, EffectSet};
-pub use exec::{
-    CacheHandle, CampaignExecutor, ExecContext, ExecError, SerialExecutor, ThreadPoolExecutor,
-};
-pub use regions::{CharacterizationResult, RegionKind, SweepSummary};
-pub use runner::{Campaign, UnknownBenchmark};
-pub use search::{SearchPriors, SearchStrategy};
-pub use severity::{Severity, SeverityWeights};
+pub use regions::CharacterizationResult;

@@ -39,7 +39,7 @@ impl Phase {
 
     /// The phase's serialized name in profile events.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Phase::BoardInit => "board_init",
             Phase::GoldenRun => "golden_run",
@@ -111,7 +111,13 @@ impl PhaseTallies {
     }
 
     /// Attributes one executed run's work to `phase`.
-    pub fn record_run(&mut self, phase: Phase, ops: u64, fault_samples: u64, sram_events: u64) {
+    pub(crate) fn record_run(
+        &mut self,
+        phase: Phase,
+        ops: u64,
+        fault_samples: u64,
+        sram_events: u64,
+    ) {
         let t = &mut self.tallies[phase.index()];
         t.ops = t.ops.saturating_add(ops);
         t.fault_samples = t.fault_samples.saturating_add(fault_samples);
@@ -119,13 +125,13 @@ impl PhaseTallies {
     }
 
     /// Counts one campaign-cache probe.
-    pub fn record_cache_probe(&mut self) {
+    pub(crate) fn record_cache_probe(&mut self) {
         let t = &mut self.tallies[Phase::CacheLookup.index()];
         t.cache_probes = t.cache_probes.saturating_add(1);
     }
 
     /// Counts `n` watchdog recoveries against board init.
-    pub fn record_recoveries(&mut self, n: u64) {
+    pub(crate) fn record_recoveries(&mut self, n: u64) {
         let t = &mut self.tallies[Phase::BoardInit.index()];
         t.recoveries = t.recoveries.saturating_add(n);
     }
@@ -138,7 +144,7 @@ impl PhaseTallies {
     }
 
     /// Iterates `(phase, tally)` pairs in canonical order.
-    pub fn iter(&self) -> impl Iterator<Item = (Phase, &WorkTally)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (Phase, &WorkTally)> + '_ {
         Phase::ALL.iter().map(move |p| (*p, self.get(*p)))
     }
 
@@ -155,7 +161,12 @@ impl PhaseTallies {
     /// The per-sweep [`TraceEvent::ProfileSample`] records of these
     /// tallies, one per phase in canonical order.
     #[must_use]
-    pub fn sample_events(&self, program: &str, dataset: &str, core: CoreId) -> Vec<TraceEvent> {
+    pub(crate) fn sample_events(
+        &self,
+        program: &str,
+        dataset: &str,
+        core: CoreId,
+    ) -> Vec<TraceEvent> {
         self.iter()
             .map(|(phase, t)| TraceEvent::ProfileSample {
                 program: program.to_owned(),
@@ -174,7 +185,7 @@ impl PhaseTallies {
     /// The campaign-level [`TraceEvent::ProfilePhase`] rollups of these
     /// (merged) tallies, one per phase in canonical order.
     #[must_use]
-    pub fn phase_events(&self, sweeps: u64) -> Vec<TraceEvent> {
+    pub(crate) fn phase_events(&self, sweeps: u64) -> Vec<TraceEvent> {
         self.iter()
             .map(|(phase, t)| TraceEvent::ProfilePhase {
                 phase: phase.name().to_owned(),

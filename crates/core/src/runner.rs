@@ -70,18 +70,6 @@ impl Campaign {
         Campaign { spec, config }
     }
 
-    /// The chip under characterization.
-    #[must_use]
-    pub fn spec(&self) -> ChipSpec {
-        self.spec
-    }
-
-    /// The campaign configuration.
-    #[must_use]
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
     /// Executes the campaign on `exec` — the one way to run a campaign.
     /// [`SerialExecutor`](crate::exec::SerialExecutor) runs it on the
     /// calling thread, a
@@ -453,13 +441,6 @@ impl Campaign {
         )]
         let program = margins_workloads::suite::by_name(&bench.name, bench.dataset)
             .expect("benchmark validated at config build time");
-        // Cached entries do not retain counter files, so counter-collecting
-        // campaigns always execute their probes.
-        let cache = if self.config.collect_counters {
-            None
-        } else {
-            cache
-        };
         let chip = self.spec.to_string();
         let dataset = bench.dataset.label();
         let core_u8 = core.index() as u8;
@@ -631,7 +612,6 @@ impl Campaign {
                         uncorrected_errors: run.uncorrected_errors as usize,
                         runtime_s: run.runtime_s,
                         energy_j: run.energy_j,
-                        counters: None,
                     };
                     note(traced, buffer, || TraceEvent::RunCompleted {
                         program: classified.program.clone(),
@@ -741,12 +721,7 @@ impl Campaign {
                         record.fault_samples,
                         (record.corrected_errors + record.uncorrected_errors) as u64,
                     );
-                    let classified = classify_run(
-                        &record,
-                        Some(golden),
-                        iteration,
-                        self.config.collect_counters,
-                    );
+                    let classified = classify_run(&record, Some(golden), iteration);
                     if classified.effects.is_system_crash() {
                         sc_runs += 1;
                     }
@@ -1053,7 +1028,7 @@ pub struct UnknownBenchmark {
 impl UnknownBenchmark {
     /// An error for `name`, with near-miss suggestions from the suite.
     #[must_use]
-    pub fn new(name: &str) -> Self {
+    fn new(name: &str) -> Self {
         UnknownBenchmark {
             name: name.to_owned(),
             suggestions: suggest_benchmarks(name),
@@ -1258,7 +1233,6 @@ mod tests {
                     .floor_voltage(Millivolts::new(floor))
                     .rail(rail)
                     .enhancements(enhancements)
-                    .collect_counters(true)
                     .seed(11)
                     .build()
                     .unwrap()
@@ -1291,7 +1265,6 @@ mod tests {
                     .collect();
                 let simulated: Vec<&ClassifiedRun> = single.runs.iter().collect();
                 assert_eq!(replayed, simulated, "{bench} at {mv}");
-                assert!(simulated.iter().all(|r| r.counters.is_some()));
             }
         }
     }

@@ -74,7 +74,7 @@ impl SearchStrategy {
     /// Whether the strategy consumes warm-start priors — the signal the
     /// runner uses to derive priors from a cache before execution starts.
     #[must_use]
-    pub fn uses_priors(self) -> bool {
+    pub(crate) fn uses_priors(self) -> bool {
         matches!(self, SearchStrategy::WarmStart)
     }
 }
@@ -88,7 +88,7 @@ impl std::fmt::Display for SearchStrategy {
 /// What the search needs to know about one probed step, aggregated over
 /// the step's iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StepVerdict {
+pub(crate) struct StepVerdict {
     /// Some iteration manifested an abnormal effect (the step would not be
     /// part of the safe region).
     pub abnormal: bool,
@@ -142,22 +142,10 @@ impl SearchPriors {
 
     /// The prior for one item, if any.
     #[must_use]
-    pub fn get(&self, program: &str, dataset: &str, core: CoreId) -> Option<ItemPrior> {
+    pub(crate) fn get(&self, program: &str, dataset: &str, core: CoreId) -> Option<ItemPrior> {
         self.map
             .get(&(program.to_owned(), dataset.to_owned(), core.index() as u8))
             .copied()
-    }
-
-    /// Number of items with a prior.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no priors are present.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -268,7 +256,7 @@ impl BoundarySearch {
 /// Probes are pure (pristine board per step), so the plan replays an
 /// already-known verdict instead of requesting the same step twice.
 #[derive(Debug, Clone)]
-pub struct SearchPlan {
+pub(crate) struct SearchPlan {
     kind: PlanKind,
 }
 
@@ -294,7 +282,7 @@ impl SearchPlan {
     /// The exhaustive top-down sweep over `steps` grid points with the
     /// crash-stop rule (`crash_stop == 0` disables it).
     #[must_use]
-    pub fn exhaustive(steps: u32, crash_stop: u32) -> SearchPlan {
+    fn exhaustive(steps: u32, crash_stop: u32) -> SearchPlan {
         SearchPlan {
             kind: PlanKind::Exhaustive {
                 steps,
@@ -309,7 +297,7 @@ impl SearchPlan {
     /// An adaptive (bisection) plan over `steps` grid points, optionally
     /// seeded with prior step indices for the two boundaries.
     #[must_use]
-    pub fn adaptive(steps: u32, prior_vmin: Option<u32>, prior_crash: Option<u32>) -> SearchPlan {
+    fn adaptive(steps: u32, prior_vmin: Option<u32>, prior_crash: Option<u32>) -> SearchPlan {
         SearchPlan {
             kind: PlanKind::Adaptive {
                 steps,
@@ -323,7 +311,7 @@ impl SearchPlan {
 
     /// The plan for `strategy` over `steps` grid points.
     #[must_use]
-    pub fn for_strategy(
+    pub(crate) fn for_strategy(
         strategy: SearchStrategy,
         steps: u32,
         crash_stop: u32,
@@ -341,7 +329,7 @@ impl SearchPlan {
     }
 
     /// The next grid step to probe, or `None` when the search concluded.
-    pub fn next_step(&mut self) -> Option<u32> {
+    pub(crate) fn next_step(&mut self) -> Option<u32> {
         match &mut self.kind {
             PlanKind::Exhaustive {
                 steps,
@@ -394,7 +382,7 @@ impl SearchPlan {
 
     /// Feeds back the verdict for the step returned by
     /// [`SearchPlan::next_step`].
-    pub fn record(&mut self, step: u32, verdict: StepVerdict) {
+    pub(crate) fn record(&mut self, step: u32, verdict: StepVerdict) {
         match &mut self.kind {
             PlanKind::Exhaustive {
                 crash_stop,
@@ -431,19 +419,9 @@ impl SearchPlan {
         }
     }
 
-    /// Steps probed so far (each counts once, however often its verdict
-    /// was replayed).
-    #[must_use]
-    pub fn probed(&self) -> u32 {
-        match &self.kind {
-            PlanKind::Exhaustive { next, .. } => *next,
-            PlanKind::Adaptive { verdicts, .. } => verdicts.len() as u32,
-        }
-    }
-
     /// Which boundary the plan is currently hunting, for trace events.
     #[must_use]
-    pub fn phase(&self) -> &'static str {
+    pub(crate) fn phase(&self) -> &'static str {
         match &self.kind {
             PlanKind::Exhaustive { .. } => "sweep",
             PlanKind::Adaptive { vmin, .. } => {
@@ -459,31 +437,10 @@ impl SearchPlan {
     /// The exhaustive sweep's crash-stop trigger, as (step, consecutive
     /// all-crash steps), when it fired.
     #[must_use]
-    pub fn early_stop(&self) -> Option<(u32, u32)> {
+    pub(crate) fn early_stop(&self) -> Option<(u32, u32)> {
         match &self.kind {
             PlanKind::Exhaustive { stopped, .. } => *stopped,
             PlanKind::Adaptive { .. } => None,
-        }
-    }
-
-    /// The resolved boundaries, once [`SearchPlan::next_step`] returned
-    /// `None`: (first abnormal step, first crash step), each `None` when
-    /// the predicate never became true on the grid. The exhaustive plan
-    /// reports `None` here — its verdicts live in the run log.
-    #[must_use]
-    pub fn boundaries(&self) -> (Option<u32>, Option<u32>) {
-        match &self.kind {
-            PlanKind::Exhaustive { .. } => (None, None),
-            PlanKind::Adaptive {
-                steps, vmin, crash, ..
-            } => {
-                let b = (vmin.is_done() && vmin.boundary() < *steps).then(|| vmin.boundary());
-                let c = crash
-                    .as_ref()
-                    .filter(|c| c.is_done() && c.boundary() < *steps)
-                    .map(BoundarySearch::boundary);
-                (b, c)
-            }
         }
     }
 }
@@ -500,7 +457,7 @@ impl ItemPrior {
     /// Resolves this prior against a concrete grid, producing the step
     /// hints [`SearchPlan::for_strategy`] consumes.
     #[must_use]
-    pub fn on_grid(self, start: Millivolts) -> ResolvedPrior {
+    pub(crate) fn on_grid(self, start: Millivolts) -> ResolvedPrior {
         ResolvedPrior {
             vmin_step: self.vmin_mv.map(|mv| Self::step_on_grid(mv, start.get())),
             crash_step: self.crash_mv.map(|mv| Self::step_on_grid(mv, start.get())),
@@ -510,7 +467,7 @@ impl ItemPrior {
 
 /// An [`ItemPrior`] resolved to step indices on a concrete voltage grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ResolvedPrior {
+pub(crate) struct ResolvedPrior {
     /// Expected first abnormal step.
     pub vmin_step: Option<u32>,
     /// Expected first crash step.
@@ -570,6 +527,25 @@ mod tests {
         assert_eq!(plan.early_stop(), Some((5, 2)));
     }
 
+    /// The plan's resolved boundaries once `next_step` returned `None`:
+    /// (first abnormal step, first crash step), each `None` when the
+    /// predicate never became true on the grid.
+    fn boundaries(plan: &SearchPlan) -> (Option<u32>, Option<u32>) {
+        match &plan.kind {
+            PlanKind::Exhaustive { .. } => (None, None),
+            PlanKind::Adaptive {
+                steps, vmin, crash, ..
+            } => {
+                let b = (vmin.is_done() && vmin.boundary() < *steps).then(|| vmin.boundary());
+                let c = crash
+                    .as_ref()
+                    .filter(|c| c.is_done() && c.boundary() < *steps)
+                    .map(BoundarySearch::boundary);
+                (b, c)
+            }
+        }
+    }
+
     #[test]
     fn bisection_finds_confirmed_boundaries_on_every_grid() {
         for steps in 1..=24u32 {
@@ -580,7 +556,7 @@ mod tests {
                     let mut plan = SearchPlan::adaptive(steps, None, None);
                     drive(&mut plan, steps, vmin, crash);
                     assert_eq!(
-                        plan.boundaries(),
+                        boundaries(&plan),
                         (vmin, vmin.and(crash)),
                         "steps={steps} vmin={vmin:?} crash={crash:?}"
                     );
@@ -600,7 +576,7 @@ mod tests {
                 probes.len() <= 5,
                 "exact priors must resolve in <=5 probes, took {probes:?} for vmin={vmin_at}"
             );
-            assert_eq!(plan.boundaries(), (Some(vmin_at), Some(crash_at)));
+            assert_eq!(boundaries(&plan), (Some(vmin_at), Some(crash_at)));
         }
     }
 
@@ -612,7 +588,7 @@ mod tests {
                 let vmin = (truth < steps).then_some(truth);
                 let mut plan = SearchPlan::adaptive(steps, Some(prior), None);
                 drive(&mut plan, steps, vmin, None);
-                assert_eq!(plan.boundaries().0, vmin, "prior={prior} truth={truth:?}");
+                assert_eq!(boundaries(&plan).0, vmin, "prior={prior} truth={truth:?}");
             }
         }
     }
@@ -632,7 +608,7 @@ mod tests {
     fn all_safe_grid_skips_the_crash_search() {
         let mut plan = SearchPlan::adaptive(16, None, None);
         let probes = drive(&mut plan, 16, None, None);
-        assert_eq!(plan.boundaries(), (None, None));
+        assert_eq!(boundaries(&plan), (None, None));
         // Resolving "all safe" needs only the bisection path down to the
         // floor probe.
         assert!(probes.contains(&15), "must confirm the floor step");
@@ -678,7 +654,6 @@ mod tests {
     #[test]
     fn search_priors_store_and_fetch() {
         let mut p = SearchPriors::new();
-        assert!(p.is_empty());
         p.insert(
             "bwaves",
             "ref",
@@ -688,7 +663,6 @@ mod tests {
                 crash_mv: Some(880),
             },
         );
-        assert_eq!(p.len(), 1);
         assert_eq!(
             p.get("bwaves", "ref", CoreId::new(0))
                 .and_then(|i| i.vmin_mv),

@@ -18,7 +18,7 @@ pub struct Severity(f64);
 
 impl Severity {
     /// Zero severity: nothing abnormal (the safe region).
-    pub const ZERO: Severity = Severity(0.0);
+    pub(crate) const ZERO: Severity = Severity(0.0);
 
     /// Wraps a raw severity value.
     ///
@@ -26,7 +26,7 @@ impl Severity {
     ///
     /// Panics on NaN (severity is always a finite weighted average).
     #[must_use]
-    pub fn new(value: f64) -> Self {
+    fn new(value: f64) -> Self {
         assert!(!value.is_nan(), "severity cannot be NaN");
         Severity(value)
     }
@@ -120,7 +120,7 @@ impl SeverityWeights {
 
     /// The weight assigned to one effect (NO weighs 0).
     #[must_use]
-    pub fn weight(&self, effect: Effect) -> f64 {
+    fn weight(&self, effect: Effect) -> f64 {
         match effect {
             Effect::No => 0.0,
             Effect::Sdc => self.sdc,
@@ -134,7 +134,7 @@ impl SeverityWeights {
     /// The severity of a *single* run's effect set: Σ weights of the
     /// effects it manifested.
     #[must_use]
-    pub fn run_severity(&self, effects: EffectSet) -> f64 {
+    pub(crate) fn run_severity(&self, effects: EffectSet) -> f64 {
         effects.iter().map(|e| self.weight(e)).sum()
     }
 

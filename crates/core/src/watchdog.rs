@@ -15,22 +15,20 @@ use margins_sim::System;
 
 /// The watchdog monitor attached to a system's power/reset lines.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Watchdog {
+pub(crate) struct Watchdog {
     power_cycles: u32,
-    checks: u64,
 }
 
 impl Watchdog {
     /// A fresh watchdog.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Watchdog::default()
     }
 
     /// Polls the heartbeat; if the board is unresponsive, presses the power
     /// button. Returns `true` when a recovery was performed.
-    pub fn ensure_responsive(&mut self, system: &mut System) -> bool {
-        self.checks += 1;
+    fn ensure_responsive(&mut self, system: &mut System) -> bool {
         if system.is_responsive() {
             false
         } else {
@@ -49,7 +47,7 @@ impl Watchdog {
     /// ordinal. The ordinal is sweep-relative (never the board's boot
     /// count) so traced streams stay identical between serial and sharded
     /// executions.
-    pub fn ensure_responsive_observed(
+    pub(crate) fn ensure_responsive_observed(
         &mut self,
         system: &mut System,
         sweep_recoveries: &mut u32,
@@ -65,14 +63,8 @@ impl Watchdog {
 
     /// Number of power cycles performed so far.
     #[must_use]
-    pub fn power_cycles(&self) -> u32 {
+    pub(crate) fn power_cycles(&self) -> u32 {
         self.power_cycles
-    }
-
-    /// Number of heartbeat polls performed so far.
-    #[must_use]
-    pub fn checks(&self) -> u64 {
-        self.checks
     }
 }
 
@@ -88,7 +80,6 @@ mod tests {
         let mut dog = Watchdog::new();
         assert!(!dog.ensure_responsive(&mut sys));
         assert_eq!(dog.power_cycles(), 0);
-        assert_eq!(dog.checks(), 1);
     }
 
     #[test]

@@ -18,12 +18,16 @@
 //!
 //! ```
 //! use margins_ecc::secded::Codeword;
+//! use margins_ecc::CheckOutcome;
 //!
 //! let cw = Codeword::encode(0xDEAD_BEEF_CAFE_F00D);
 //! // Flip one data bit in flight…
 //! let corrupted = cw.with_flipped_data_bit(17);
 //! // …and SECDED transparently corrects it.
-//! assert_eq!(corrupted.decode().data(), Some(0xDEAD_BEEF_CAFE_F00D));
+//! assert_eq!(
+//!     corrupted.check_against(0xDEAD_BEEF_CAFE_F00D),
+//!     CheckOutcome::Corrected
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -32,10 +36,6 @@
 pub mod parity;
 pub mod secded;
 pub mod secded32;
-
-pub use parity::{parity64, ParityWord};
-pub use secded::{Codeword, Decoded};
-pub use secded32::{Codeword32, InterleavedWord};
 
 /// Outcome of checking a protected memory word, in the vocabulary the Linux
 /// EDAC driver (and hence the characterization framework) uses.
@@ -58,48 +58,4 @@ pub enum CheckOutcome {
     /// Undetected corruption is what ultimately surfaces as a *silent data
     /// corruption* at program level.
     Undetected,
-}
-
-impl CheckOutcome {
-    /// Returns `true` if the consumer may use the (possibly corrected) data.
-    ///
-    /// ```
-    /// use margins_ecc::CheckOutcome;
-    /// assert!(CheckOutcome::Corrected.is_usable());
-    /// assert!(!CheckOutcome::Uncorrected.is_usable());
-    /// ```
-    #[must_use]
-    pub fn is_usable(self) -> bool {
-        matches!(
-            self,
-            CheckOutcome::Clean | CheckOutcome::Corrected | CheckOutcome::Undetected
-        )
-    }
-
-    /// Returns `true` if hardware would raise any error report (CE or UE).
-    #[must_use]
-    pub fn is_reported(self) -> bool {
-        matches!(self, CheckOutcome::Corrected | CheckOutcome::Uncorrected)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn outcome_usability_matrix() {
-        assert!(CheckOutcome::Clean.is_usable());
-        assert!(CheckOutcome::Corrected.is_usable());
-        assert!(CheckOutcome::Undetected.is_usable());
-        assert!(!CheckOutcome::Uncorrected.is_usable());
-    }
-
-    #[test]
-    fn outcome_reporting_matrix() {
-        assert!(!CheckOutcome::Clean.is_reported());
-        assert!(CheckOutcome::Corrected.is_reported());
-        assert!(CheckOutcome::Uncorrected.is_reported());
-        assert!(!CheckOutcome::Undetected.is_reported());
-    }
 }

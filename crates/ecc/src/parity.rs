@@ -12,14 +12,8 @@ use crate::CheckOutcome;
 ///
 /// The returned bit is chosen so that the total number of set bits in
 /// `(word, bit)` is even.
-///
-/// ```
-/// use margins_ecc::parity::parity64;
-/// assert_eq!(parity64(0), false);
-/// assert_eq!(parity64(0b1011), true);
-/// ```
 #[must_use]
-pub fn parity64(word: u64) -> bool {
+fn parity64(word: u64) -> bool {
     word.count_ones() % 2 == 1
 }
 
@@ -29,9 +23,10 @@ pub fn parity64(word: u64) -> bool {
 /// ```
 /// use margins_ecc::{parity::ParityWord, CheckOutcome};
 ///
-/// let w = ParityWord::store(42);
-/// assert_eq!(w.check(), CheckOutcome::Clean);
-/// assert_eq!(w.data(), 42);
+/// let mut w = ParityWord::store(42);
+/// assert_eq!(w.check_against(42), CheckOutcome::Clean);
+/// w.flip_data_bit(3);
+/// assert_eq!(w.check_against(42), CheckOutcome::Uncorrected);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParityWord {
@@ -49,25 +44,6 @@ impl ParityWord {
         }
     }
 
-    /// Reconstructs a stored word from raw array contents (used by fault
-    /// injection, which manipulates the bits behind the codec's back).
-    #[must_use]
-    pub fn from_raw(data: u64, parity: bool) -> Self {
-        ParityWord { data, parity }
-    }
-
-    /// The raw data bits as currently held in the array (possibly corrupt).
-    #[must_use]
-    pub fn data(&self) -> u64 {
-        self.data
-    }
-
-    /// The stored parity bit.
-    #[must_use]
-    pub fn parity_bit(&self) -> bool {
-        self.parity
-    }
-
     /// Flips data bit `bit` (0–63) in place, simulating a cell failure.
     ///
     /// # Panics
@@ -76,11 +52,6 @@ impl ParityWord {
     pub fn flip_data_bit(&mut self, bit: u32) {
         assert!(bit < 64, "data bit index out of range: {bit}");
         self.data ^= 1u64 << bit;
-    }
-
-    /// Flips the stored parity bit in place.
-    pub fn flip_parity_bit(&mut self) {
-        self.parity = !self.parity;
     }
 
     /// Checks the stored word against its parity bit.
@@ -92,11 +63,23 @@ impl ParityWord {
     /// callers that injected a known number of faults should use
     /// [`ParityWord::check_against`] to obtain the full outcome.
     #[must_use]
-    pub fn check(&self) -> CheckOutcome {
+    fn check(&self) -> CheckOutcome {
         if parity64(self.data) == self.parity {
             CheckOutcome::Clean
         } else {
             CheckOutcome::Uncorrected
+        }
+    }
+
+    /// The outcome of reading a word whose data bits `flips` (a mask) were
+    /// flipped: parity detects an odd number of flips and misses an even
+    /// one.
+    #[must_use]
+    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
+        match flips.count_ones() {
+            0 => CheckOutcome::Clean,
+            n if n % 2 == 1 => CheckOutcome::Uncorrected,
+            _ => CheckOutcome::Undetected,
         }
     }
 
@@ -135,7 +118,7 @@ mod tests {
     #[test]
     fn parity_bit_flip_is_detected() {
         let mut w = ParityWord::store(7);
-        w.flip_parity_bit();
+        w.parity = !w.parity;
         assert_eq!(w.check(), CheckOutcome::Uncorrected);
     }
 
@@ -162,12 +145,5 @@ mod tests {
         for v in [0u64, 1, 2, 3, u64::MAX, 0x8000_0000_0000_0001] {
             assert_eq!(parity64(v), v.count_ones() % 2 == 1);
         }
-    }
-
-    #[test]
-    fn from_raw_roundtrip() {
-        let w = ParityWord::store(1234);
-        let w2 = ParityWord::from_raw(w.data(), w.parity_bit());
-        assert_eq!(w, w2);
     }
 }

@@ -19,7 +19,7 @@ pub const CODEWORD_BITS: u32 = 72;
 /// Number of protected data bits per codeword.
 pub const DATA_BITS: u32 = 64;
 /// Number of Hamming check bits (excluding the overall parity bit).
-pub const CHECK_BITS: u32 = 7;
+const CHECK_BITS: u32 = 7;
 
 /// Returns `true` if codeword position `pos` holds a check bit
 /// (position 0 = overall parity, powers of two = Hamming bits).
@@ -52,10 +52,10 @@ fn data_position(data_bit: u32) -> u32 {
 /// integer is codeword position `i`.
 ///
 /// ```
-/// use margins_ecc::secded::Codeword;
+/// use margins_ecc::secded::{Codeword, Decoded};
 ///
 /// let cw = Codeword::encode(12345);
-/// assert_eq!(cw.decode().data(), Some(12345));
+/// assert_eq!(cw.decode(), Decoded::Clean(12345));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codeword {
@@ -79,32 +79,7 @@ pub enum Decoded {
     DoubleError,
 }
 
-impl Decoded {
-    /// The decoded data, if usable (clean or corrected).
-    ///
-    /// ```
-    /// use margins_ecc::secded::{Codeword, Decoded};
-    /// assert_eq!(Codeword::encode(7).decode().data(), Some(7));
-    /// assert_eq!(Decoded::DoubleError.data(), None);
-    /// ```
-    #[must_use]
-    pub fn data(&self) -> Option<u64> {
-        match *self {
-            Decoded::Clean(d) | Decoded::Corrected { data: d, .. } => Some(d),
-            Decoded::DoubleError => None,
-        }
-    }
-
-    /// Translates the decode result into the EDAC-level [`CheckOutcome`].
-    #[must_use]
-    pub fn outcome(&self) -> CheckOutcome {
-        match self {
-            Decoded::Clean(_) => CheckOutcome::Clean,
-            Decoded::Corrected { .. } => CheckOutcome::Corrected,
-            Decoded::DoubleError => CheckOutcome::Uncorrected,
-        }
-    }
-}
+impl Decoded {}
 
 impl Codeword {
     /// Encodes 64 data bits into a 72-bit SECDED codeword.
@@ -138,23 +113,6 @@ impl Codeword {
             bits |= 1;
         }
         Codeword { bits }
-    }
-
-    /// Reconstructs a codeword from raw array bits (low 72 bits are used).
-    ///
-    /// This is the entry point for fault injection, which flips bits in the
-    /// stored array image directly.
-    #[must_use]
-    pub fn from_raw(bits: u128) -> Self {
-        Codeword {
-            bits: bits & ((1u128 << CODEWORD_BITS) - 1),
-        }
-    }
-
-    /// The raw 72 stored bits.
-    #[must_use]
-    pub fn raw(&self) -> u128 {
-        self.bits
     }
 
     /// Returns a copy with codeword position `pos` (0–71) flipped.
@@ -196,7 +154,7 @@ impl Codeword {
     /// Computes the Hamming syndrome: XOR of the positions of all bits that
     /// disagree with the check bits. Zero means "no Hamming-visible error".
     #[must_use]
-    pub fn syndrome(&self) -> u32 {
+    fn syndrome(&self) -> u32 {
         let mut syndrome = 0u32;
         for k in 0..CHECK_BITS {
             let check_pos = 1u32 << k;
@@ -249,6 +207,20 @@ impl Codeword {
             // Syndrome pointing outside the codeword (possible for ≥2 flips)
             // or nonzero syndrome with good parity: uncorrectable.
             _ => Decoded::DoubleError,
+        }
+    }
+
+    /// The outcome of reading a codeword whose data bits `flips` (a mask)
+    /// were flipped, by flip count alone: one flip is corrected, two are
+    /// detected, and three or more are treated as undetected because they
+    /// may alias to a clean or single-error syndrome.
+    #[must_use]
+    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
+        match flips.count_ones() {
+            0 => CheckOutcome::Clean,
+            1 => CheckOutcome::Corrected,
+            2 => CheckOutcome::Uncorrected,
+            _ => CheckOutcome::Undetected,
         }
     }
 
@@ -366,12 +338,6 @@ mod tests {
                 .check_against(v),
             CheckOutcome::Uncorrected
         );
-    }
-
-    #[test]
-    fn from_raw_masks_to_72_bits() {
-        let cw = Codeword::from_raw(u128::MAX);
-        assert_eq!(cw.raw() >> CODEWORD_BITS, 0);
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! errors, and adjacent-bit doubles (the dominant multi-cell failure mode)
 //! always split across ways.
 
+use crate::secded::Codeword;
 use crate::CheckOutcome;
 
 /// Codeword bits of the (39,32) code.
-pub const CODEWORD_BITS_32: u32 = 39;
+const CODEWORD_BITS_32: u32 = 39;
 /// Data bits per codeword.
-pub const DATA_BITS_32: u32 = 32;
+const DATA_BITS_32: u32 = 32;
 /// Hamming check bits (excluding overall parity).
-pub const CHECK_BITS_32: u32 = 6;
+const CHECK_BITS_32: u32 = 6;
 
 fn is_check_position(pos: u32) -> bool {
     pos == 0 || pos.is_power_of_two()
@@ -39,13 +40,13 @@ fn data_position(data_bit: u32) -> u32 {
 
 /// A 39-bit SECDED codeword protecting 32 data bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Codeword32 {
+struct Codeword32 {
     bits: u64,
 }
 
 /// Decode result of a [`Codeword32`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decoded32 {
+enum Decoded32 {
     /// Clean; contains the data.
     Clean(u32),
     /// Single-bit error corrected; contains the repaired data.
@@ -57,7 +58,7 @@ pub enum Decoded32 {
 impl Decoded32 {
     /// The usable data, if any.
     #[must_use]
-    pub fn data(&self) -> Option<u32> {
+    fn data(&self) -> Option<u32> {
         match *self {
             Decoded32::Clean(d) | Decoded32::Corrected(d) => Some(d),
             Decoded32::DoubleError => None,
@@ -68,7 +69,7 @@ impl Decoded32 {
 impl Codeword32 {
     /// Encodes 32 data bits.
     #[must_use]
-    pub fn encode(data: u32) -> Self {
+    fn encode(data: u32) -> Self {
         let mut bits: u64 = 0;
         for b in 0..DATA_BITS_32 {
             if data >> b & 1 == 1 {
@@ -99,7 +100,7 @@ impl Codeword32 {
     ///
     /// Panics if `pos >= 39`.
     #[must_use]
-    pub fn with_flipped_position(&self, pos: u32) -> Self {
+    fn with_flipped_position(&self, pos: u32) -> Self {
         assert!(pos < CODEWORD_BITS_32, "position out of range: {pos}");
         Codeword32 {
             bits: self.bits ^ (1u64 << pos),
@@ -112,7 +113,7 @@ impl Codeword32 {
     ///
     /// Panics if `bit >= 32`.
     #[must_use]
-    pub fn with_flipped_data_bit(&self, bit: u32) -> Self {
+    fn with_flipped_data_bit(&self, bit: u32) -> Self {
         assert!(bit < DATA_BITS_32, "data bit out of range: {bit}");
         self.with_flipped_position(data_position(bit))
     }
@@ -146,7 +147,7 @@ impl Codeword32 {
 
     /// Decodes, correcting a single-bit error.
     #[must_use]
-    pub fn decode(&self) -> Decoded32 {
+    fn decode(&self) -> Decoded32 {
         let syndrome = self.syndrome();
         let parity_ok = self.bits.count_ones().is_multiple_of(2);
         match (syndrome, parity_ok) {
@@ -165,11 +166,13 @@ impl Codeword32 {
 ///
 /// ```
 /// use margins_ecc::secded32::InterleavedWord;
+/// use margins_ecc::CheckOutcome;
 ///
-/// let w = InterleavedWord::encode(0xDEAD_BEEF_0BAD_F00D);
+/// let data = 0xDEAD_BEEF_0BAD_F00D;
+/// let w = InterleavedWord::encode(data);
 /// // An *adjacent* double-bit flip is fully corrected:
 /// let bad = w.with_flipped_data_bit(8).with_flipped_data_bit(9);
-/// assert_eq!(bad.decode_data(), Some(0xDEAD_BEEF_0BAD_F00D));
+/// assert_eq!(bad.check_against(data), CheckOutcome::Corrected);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterleavedWord {
@@ -205,43 +208,38 @@ impl InterleavedWord {
         InterleavedWord { ways }
     }
 
-    /// Decodes both ways and reassembles the word, if usable.
+    /// Decodes both ways and classifies the reassembled word against a
+    /// known-good reference, so that alias patterns from ≥3 flips in a way
+    /// are labelled [`CheckOutcome::Undetected`].
     #[must_use]
-    pub fn decode_data(&self) -> Option<u64> {
-        let even = self.ways[0].decode().data()?;
-        let odd = self.ways[1].decode().data()?;
+    pub fn check_against(&self, reference: u64) -> CheckOutcome {
+        let (a, b) = (self.ways[0].decode(), self.ways[1].decode());
+        let (Some(even), Some(odd)) = (a.data(), b.data()) else {
+            return CheckOutcome::Uncorrected;
+        };
         let mut data = 0u64;
         for i in 0..32 {
             data |= u64::from(even >> i & 1) << (2 * i);
             data |= u64::from(odd >> i & 1) << (2 * i + 1);
         }
-        Some(data)
-    }
-
-    /// The EDAC-level outcome of reading this word.
-    #[must_use]
-    pub fn check(&self) -> CheckOutcome {
-        let a = self.ways[0].decode();
-        let b = self.ways[1].decode();
         match (a, b) {
+            _ if data != reference => CheckOutcome::Undetected,
             (Decoded32::Clean(_), Decoded32::Clean(_)) => CheckOutcome::Clean,
-            (Decoded32::DoubleError, _) | (_, Decoded32::DoubleError) => CheckOutcome::Uncorrected,
             _ => CheckOutcome::Corrected,
         }
     }
 
-    /// Classifies a *k*-bit random error pattern's outcome without
-    /// constructing bit positions: the caller supplies how many flips
-    /// landed in each way. Utility for the fault model.
+    /// The outcome of reading a word whose data bits `flips` (a mask) were
+    /// flipped, without constructing the codewords: each way follows
+    /// [`Codeword::outcome_for_flips`] on its own bits, and the worse way
+    /// decides.
+    ///
+    /// [`Codeword::outcome_for_flips`]: crate::secded::Codeword::outcome_for_flips
     #[must_use]
-    pub fn outcome_for_flips(even_way_flips: u32, odd_way_flips: u32) -> CheckOutcome {
-        let way = |k: u32| match k {
-            0 => CheckOutcome::Clean,
-            1 => CheckOutcome::Corrected,
-            2 => CheckOutcome::Uncorrected,
-            _ => CheckOutcome::Undetected, // may alias; treated as silent risk
-        };
-        match (way(even_way_flips), way(odd_way_flips)) {
+    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
+        let even = Codeword::outcome_for_flips(flips & 0x5555_5555_5555_5555);
+        let odd = Codeword::outcome_for_flips(flips & 0xAAAA_AAAA_AAAA_AAAA);
+        match (even, odd) {
             (CheckOutcome::Undetected, _) | (_, CheckOutcome::Undetected) => {
                 CheckOutcome::Undetected
             }
@@ -300,8 +298,7 @@ mod tests {
     fn interleaved_roundtrip() {
         for v in [0u64, u64::MAX, 0x0123_4567_89AB_CDEF] {
             let w = InterleavedWord::encode(v);
-            assert_eq!(w.decode_data(), Some(v));
-            assert_eq!(w.check(), CheckOutcome::Clean);
+            assert_eq!(w.check_against(v), CheckOutcome::Clean);
         }
     }
 
@@ -311,8 +308,11 @@ mod tests {
         let w = InterleavedWord::encode(v);
         for bit in 0..63 {
             let bad = w.with_flipped_data_bit(bit).with_flipped_data_bit(bit + 1);
-            assert_eq!(bad.decode_data(), Some(v), "adjacent pair at {bit}");
-            assert_eq!(bad.check(), CheckOutcome::Corrected);
+            assert_eq!(
+                bad.check_against(v),
+                CheckOutcome::Corrected,
+                "adjacent pair at {bit}"
+            );
         }
     }
 
@@ -322,8 +322,7 @@ mod tests {
         let w = InterleavedWord::encode(v);
         // Bits 0 and 2 both land in the even way.
         let bad = w.with_flipped_data_bit(0).with_flipped_data_bit(2);
-        assert_eq!(bad.check(), CheckOutcome::Uncorrected);
-        assert_eq!(bad.decode_data(), None);
+        assert_eq!(bad.check_against(v), CheckOutcome::Uncorrected);
     }
 
     #[test]
@@ -337,17 +336,18 @@ mod tests {
         let inter = InterleavedWord::encode(v)
             .with_flipped_data_bit(10)
             .with_flipped_data_bit(11);
-        assert_eq!(inter.decode_data(), Some(v));
+        assert_eq!(inter.check_against(v), CheckOutcome::Corrected);
     }
 
     #[test]
     fn outcome_for_flips_matrix() {
         use CheckOutcome::*;
-        assert_eq!(InterleavedWord::outcome_for_flips(0, 0), Clean);
-        assert_eq!(InterleavedWord::outcome_for_flips(1, 0), Corrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(1, 1), Corrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(2, 0), Uncorrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(2, 1), Uncorrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(3, 0), Undetected);
+        // Bit 2k lands in the even way, bit 2k+1 in the odd way.
+        assert_eq!(InterleavedWord::outcome_for_flips(0), Clean);
+        assert_eq!(InterleavedWord::outcome_for_flips(0b1), Corrected);
+        assert_eq!(InterleavedWord::outcome_for_flips(0b11), Corrected);
+        assert_eq!(InterleavedWord::outcome_for_flips(0b101), Uncorrected);
+        assert_eq!(InterleavedWord::outcome_for_flips(0b111), Uncorrected);
+        assert_eq!(InterleavedWord::outcome_for_flips(0b10101), Undetected);
     }
 }

@@ -75,18 +75,6 @@ impl Governor {
         Governor { table, policy }
     }
 
-    /// The underlying table.
-    #[must_use]
-    pub fn table(&self) -> &VminTable {
-        &self.table
-    }
-
-    /// The active policy.
-    #[must_use]
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
     /// Chooses the deepest staircase point whose performance stays within
     /// budget, with the guardband applied to the voltage. Returns `None`
     /// when the table lacks an entry for some assignment — the safe

@@ -22,16 +22,11 @@
 //! # Example
 //!
 //! ```
-//! use margins_energy::model::{relative_performance, relative_power, energy_savings};
-//! use margins_sim::{Megahertz, Millivolts};
+//! use margins_energy::model::undervolt_savings;
+//! use margins_sim::Millivolts;
 //!
-//! // Figure 9, second point: 900 mV with one PMD dropped to 1.2 GHz.
-//! let freqs = [Megahertz::new(2400), Megahertz::new(2400),
-//!              Megahertz::new(2400), Megahertz::new(1200)];
-//! let p = relative_power(Millivolts::new(900), &freqs);
-//! assert!((p - 0.738).abs() < 0.001);
-//! assert!((relative_performance(&freqs) - 0.875).abs() < 1e-12);
-//! assert!((energy_savings(p) - 0.262).abs() < 0.001);
+//! // §5: undervolting to 915 mV at full clocks saves 12.8% energy.
+//! assert!((undervolt_savings(Millivolts::new(915)) - 0.128).abs() < 0.001);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,8 +48,5 @@ pub mod schedule;
 pub mod tradeoff;
 pub mod vmin;
 
-pub use governor::{Governor, GovernorDecision, Policy};
-pub use predictor::OnlinePredictor;
-pub use schedule::{Assignment, Scheduler};
-pub use tradeoff::{pareto_curve, TradeoffPoint};
+pub use governor::{Governor, Policy};
 pub use vmin::VminTable;

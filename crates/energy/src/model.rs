@@ -11,8 +11,6 @@
 //!   "69.9% energy savings" (the figure's printed 37.6% is inconsistent
 //!   with its own other points; we follow the text — see EXPERIMENTS.md).
 
-use margins_sim::freq::MAX_FREQ;
-use margins_sim::topology::NUM_PMDS;
 use margins_sim::volt::PMD_NOMINAL;
 use margins_sim::{Megahertz, Millivolts};
 
@@ -23,7 +21,7 @@ use margins_sim::{Megahertz, Millivolts};
 ///
 /// Panics if `freqs` is empty.
 #[must_use]
-pub fn relative_power(voltage: Millivolts, freqs: &[Megahertz]) -> f64 {
+pub(crate) fn relative_power(voltage: Millivolts, freqs: &[Megahertz]) -> f64 {
     assert!(!freqs.is_empty(), "at least one PMD frequency required");
     let v2 = voltage.ratio_to(PMD_NOMINAL).powi(2);
     let f_mean = freqs.iter().map(|f| f.ratio_to_max()).sum::<f64>() / freqs.len() as f64;
@@ -36,14 +34,14 @@ pub fn relative_power(voltage: Millivolts, freqs: &[Megahertz]) -> f64 {
 ///
 /// Panics if `freqs` is empty.
 #[must_use]
-pub fn relative_performance(freqs: &[Megahertz]) -> f64 {
+pub(crate) fn relative_performance(freqs: &[Megahertz]) -> f64 {
     assert!(!freqs.is_empty(), "at least one PMD frequency required");
     freqs.iter().map(|f| f.ratio_to_max()).sum::<f64>() / freqs.len() as f64
 }
 
 /// Energy savings corresponding to a relative power level.
 #[must_use]
-pub fn energy_savings(relative_power: f64) -> f64 {
+pub(crate) fn energy_savings(relative_power: f64) -> f64 {
     1.0 - relative_power
 }
 
@@ -60,21 +58,11 @@ pub fn undervolt_savings(voltage: Millivolts) -> f64 {
     energy_savings(voltage.ratio_to(PMD_NOMINAL).powi(2))
 }
 
-/// All four PMDs at the same frequency.
-#[must_use]
-pub fn uniform_freqs(f: Megahertz) -> [Megahertz; NUM_PMDS] {
-    [f; NUM_PMDS]
-}
-
-/// All four PMDs at 2.4 GHz.
-#[must_use]
-pub fn full_speed_freqs() -> [Megahertz; NUM_PMDS] {
-    uniform_freqs(MAX_FREQ)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use margins_sim::freq::MAX_FREQ;
+    use margins_sim::topology::NUM_PMDS;
 
     fn mixed(full: usize) -> Vec<Megahertz> {
         let mut v = vec![MAX_FREQ; full];
@@ -132,7 +120,7 @@ mod tests {
 
     #[test]
     fn savings_monotone_in_voltage() {
-        let f = full_speed_freqs();
+        let f = mixed(NUM_PMDS);
         let mut last = -1.0;
         for mv in (760..=980).step_by(5) {
             let s = energy_savings(relative_power(Millivolts::new(mv), &f));

@@ -13,7 +13,7 @@
 //! paper lists (approximate computing, video processing, jammer detectors).
 
 use margins_predict::RecursiveFeatureElimination;
-use margins_sim::volt::{PMD_NOMINAL, VOLTAGE_STEP_MV};
+use margins_sim::volt::PMD_NOMINAL;
 use margins_sim::Millivolts;
 
 /// The conservative severity budget: no predicted abnormality (§4.4
@@ -40,16 +40,10 @@ impl OnlinePredictor {
         OnlinePredictor { model }
     }
 
-    /// The underlying model.
-    #[must_use]
-    pub fn model(&self) -> &RecursiveFeatureElimination {
-        &self.model
-    }
-
     /// Predicted severity of running a workload with nominal-conditions
     /// `counters` at `voltage`.
     #[must_use]
-    pub fn predicted_severity(&self, counters: &[f64], voltage: Millivolts) -> f64 {
+    fn predicted_severity(&self, counters: &[f64], voltage: Millivolts) -> f64 {
         let mut features = counters.to_vec();
         features.push(voltage.as_f64());
         self.model.predict(&features)
@@ -83,26 +77,6 @@ impl OnlinePredictor {
         }
         best
     }
-
-    /// Convenience: the §4.4 policy pair — (conservative voltage,
-    /// SDC-tolerant voltage) for one workload.
-    #[must_use]
-    pub fn policy_pair(
-        &self,
-        counters: &[f64],
-        floor: Millivolts,
-    ) -> (Option<Millivolts>, Option<Millivolts>) {
-        (
-            self.safe_voltage(counters, BUDGET_CONSERVATIVE, floor),
-            self.safe_voltage(counters, BUDGET_SDC_TOLERANT, floor),
-        )
-    }
-}
-
-/// Grid helper: the number of 5 mV steps between two voltages.
-#[must_use]
-pub fn steps_between(high: Millivolts, low: Millivolts) -> u32 {
-    high.get().saturating_sub(low.get()) / VOLTAGE_STEP_MV
 }
 
 #[cfg(test)]
@@ -148,9 +122,6 @@ mod tests {
         let floor = Millivolts::new(800);
         let conservative = p.safe_voltage(&counters, BUDGET_CONSERVATIVE, floor);
         let tolerant = p.safe_voltage(&counters, BUDGET_SDC_TOLERANT, floor);
-        let (c2, t2) = p.policy_pair(&counters, floor);
-        assert_eq!(conservative, c2);
-        assert_eq!(tolerant, t2);
         let (c, t) = (conservative.unwrap(), tolerant.unwrap());
         assert!(t <= c, "tolerant {t} must be at or below conservative {c}");
         assert!(t < c, "a 4-unit budget buys real depth here");
@@ -177,16 +148,7 @@ mod tests {
             .safe_voltage(&[1000.0, 1.0], BUDGET_SDC_TOLERANT, floor)
             .unwrap();
         assert!(v >= floor);
-        assert_eq!(v.get() % VOLTAGE_STEP_MV, 0);
+        assert_eq!(v.get() % margins_sim::volt::VOLTAGE_STEP_MV, 0);
         assert!(v <= PMD_NOMINAL);
-    }
-
-    #[test]
-    fn steps_between_counts_grid_steps() {
-        assert_eq!(
-            steps_between(Millivolts::new(980), Millivolts::new(900)),
-            16
-        );
-        assert_eq!(steps_between(Millivolts::new(900), Millivolts::new(980)), 0);
     }
 }

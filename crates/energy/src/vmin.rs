@@ -17,12 +17,12 @@ pub struct VminTable {
 impl VminTable {
     /// An empty table.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VminTable::default()
     }
 
     /// Inserts/overwrites an entry, returning the previous value if any.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         core: CoreId,
         workload: impl Into<String>,
@@ -42,14 +42,12 @@ impl VminTable {
 
     /// Number of entries.
     #[must_use]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "callers read the entry count; none asks for emptiness"
+    )]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Imports every measured safe Vmin from a characterization result
@@ -68,7 +66,7 @@ impl VminTable {
     /// Mean Vmin of a core across all its workloads — the robustness
     /// ranking used by robust-first scheduling (§5). Lower is more robust.
     #[must_use]
-    pub fn core_mean_vmin(&self, core: CoreId) -> Option<f64> {
+    fn core_mean_vmin(&self, core: CoreId) -> Option<f64> {
         let values: Vec<f64> = self
             .entries
             .iter()
@@ -84,7 +82,7 @@ impl VminTable {
 
     /// Cores present in the table, ordered most-robust first.
     #[must_use]
-    pub fn cores_by_robustness(&self) -> Vec<CoreId> {
+    pub(crate) fn cores_by_robustness(&self) -> Vec<CoreId> {
         let mut cores: Vec<(CoreId, f64)> = CoreId::all()
             .filter_map(|c| self.core_mean_vmin(c).map(|v| (c, v)))
             .collect();
@@ -100,7 +98,6 @@ mod tests {
     #[test]
     fn insert_and_get() {
         let mut t = VminTable::new();
-        assert!(t.is_empty());
         assert_eq!(
             t.insert(CoreId::new(0), "bwaves", Millivolts::new(905)),
             None

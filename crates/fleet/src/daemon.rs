@@ -54,11 +54,6 @@ pub struct ServeConfig {
     /// When set, each completed job's merged streams are also written
     /// under `<out_dir>/<client>/job<id>/`.
     pub out_dir: Option<String>,
-    /// Bound on each subscriber's event queue; `0` means
-    /// [`DEFAULT_SUBSCRIBER_QUEUE`]. Slow consumers overflowing the
-    /// bound lose events (counted exactly, reported via a `lagged`
-    /// frame) instead of blocking the scheduler.
-    pub subscriber_queue: usize,
 }
 
 /// A daemon that could not start or persist its state.
@@ -120,11 +115,6 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
 
     let stop = AtomicBool::new(false);
     let live = AtomicUsize::new(0);
-    let subscriber_queue = if config.subscriber_queue == 0 {
-        DEFAULT_SUBSCRIBER_QUEUE
-    } else {
-        config.subscriber_queue
-    };
     service.run(|| {
         std::thread::scope(|scope| {
             for stream in listener.incoming() {
@@ -154,7 +144,7 @@ pub fn serve(config: &ServeConfig) -> Result<(), ServeError> {
                 let out_dir = config.out_dir.as_deref();
                 scope.spawn(move || {
                     let _slot = slot;
-                    handle_connection(stream, service, stop, local, out_dir, subscriber_queue);
+                    handle_connection(stream, service, stop, local, out_dir);
                 });
             }
         });
@@ -235,7 +225,6 @@ fn handle_connection(
     stop: &AtomicBool,
     local: SocketAddr,
     out_dir: Option<&str>,
-    subscriber_queue: usize,
 ) {
     let Ok(read_half) = open_connection(&stream) else {
         return;
@@ -267,17 +256,7 @@ fn handle_connection(
                     // EOF; a final unterminated line is still a frame.
                     if !buf.is_empty() {
                         let line = String::from_utf8_lossy(&buf).into_owned();
-                        handle_line(
-                            &line,
-                            service,
-                            stop,
-                            local,
-                            out_dir,
-                            subscriber_queue,
-                            &writer,
-                            &subs,
-                            scope,
-                        );
+                        handle_line(&line, service, stop, local, out_dir, &writer, &subs, scope);
                     }
                     break;
                 }
@@ -290,17 +269,8 @@ fn handle_connection(
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let keep = handle_line(
-                        &line,
-                        service,
-                        stop,
-                        local,
-                        out_dir,
-                        subscriber_queue,
-                        &writer,
-                        &subs,
-                        scope,
-                    );
+                    let keep =
+                        handle_line(&line, service, stop, local, out_dir, &writer, &subs, scope);
                     if !keep {
                         break;
                     }
@@ -348,14 +318,16 @@ fn handle_line<'scope, 'env>(
     stop: &AtomicBool,
     local: SocketAddr,
     out_dir: Option<&str>,
-    subscriber_queue: usize,
     writer: &'scope Mutex<TcpStream>,
     subs: &Mutex<Vec<(u64, Subscription)>>,
     scope: &'scope std::thread::Scope<'scope, 'env>,
 ) -> bool {
     match Request::parse_line(line) {
         Ok(Request::Subscribe { client, job }) => {
-            match service.subscribe(&client, job, subscriber_queue) {
+            // Slow consumers overflowing the bound lose events (counted
+            // exactly, reported via a `lagged` frame) instead of blocking
+            // the scheduler.
+            match service.subscribe(&client, job, DEFAULT_SUBSCRIBER_QUEUE) {
                 Some(sub) => {
                     {
                         let mut subs = subs
@@ -692,7 +664,7 @@ mod tests {
             scope.spawn(|| {
                 for stream in listener.incoming().take(2) {
                     let stream = stream.expect("accept");
-                    handle_connection(stream, &svc, &stop, local, None, DEFAULT_SUBSCRIBER_QUEUE);
+                    handle_connection(stream, &svc, &stop, local, None);
                 }
             });
 
@@ -711,6 +683,54 @@ mod tests {
             assert_eq!(reader.read_line(&mut frame).ok(), Some(0), "then EOF");
 
             // The daemon itself is unharmed.
+            writeln!(&fresh, "{}", Request::Health.to_line()).expect("send");
+            let mut reply = String::new();
+            BufReader::new(&fresh)
+                .read_line(&mut reply)
+                .expect("a health frame");
+            assert!(
+                matches!(Response::parse_line(&reply), Ok(Response::Health(_))),
+                "{reply}"
+            );
+        });
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_malformed_and_the_daemon_survives() {
+        let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let local = listener.local_addr().expect("bound address");
+        let stop = AtomicBool::new(false);
+        let connect = || {
+            let stream = TcpStream::connect(local).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            stream
+        };
+        std::thread::scope(|scope| {
+            let (hostile, fresh) = (connect(), connect());
+            scope.spawn(|| {
+                for stream in listener.incoming().take(2) {
+                    let stream = stream.expect("accept");
+                    handle_connection(stream, &svc, &stop, local, None);
+                }
+            });
+
+            // A newline-terminated frame of 300 000 `[`, well under the
+            // frame cap, parsed on the connection thread's stack.
+            let frame = format!("{}\n", "[".repeat(300_000));
+            (&hostile).write_all(frame.as_bytes()).expect("send");
+            let mut reader = BufReader::new(&hostile);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("an error frame");
+            let Ok(Response::Error { proto, code, .. }) = Response::parse_line(&reply) else {
+                panic!("expected an error frame, got {reply:?}");
+            };
+            assert_eq!((proto, code.as_str()), (PROTO_VERSION, "malformed"));
+            drop(reader);
+            drop(hostile);
+
             writeln!(&fresh, "{}", Request::Health.to_line()).expect("send");
             let mut reply = String::new();
             BufReader::new(&fresh)

@@ -31,10 +31,8 @@ pub mod daemon;
 pub mod proto;
 pub mod service;
 
-pub use daemon::{serve, ServeConfig, ServeError};
+pub use daemon::{serve, ServeConfig};
 pub use proto::{
     FleetEvent, FleetSpec, HealthSnapshot, ProtoError, Request, Response, SpecError, PROTO_VERSION,
 };
-pub use service::{
-    FleetResults, FleetService, JobOutcome, JobStatus, Subscription, DEFAULT_SUBSCRIBER_QUEUE,
-};
+pub use service::{FleetResults, FleetService, JobOutcome, Subscription};

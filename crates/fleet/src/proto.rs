@@ -32,12 +32,12 @@ pub const PROTO_VERSION: u32 = 2;
 /// Largest chip count a single submit may request. Far above "thousands
 /// of simulated chips"; the bound turns an absurd request into a typed
 /// rejection instead of an allocation storm.
-pub const MAX_CHIPS: u32 = 65_536;
+const MAX_CHIPS: u32 = 65_536;
 
 /// Largest request frame the daemon reads, its `\n` included. A submit
 /// frame is under 1 KiB; the bound keeps a peer that never sends `\n`
 /// from growing the daemon's read buffer without limit.
-pub const MAX_FRAME_BYTES: usize = 1 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// Most client connections the daemon serves at once, each on its own
 /// thread. A connection past the cap is answered on the accept thread
@@ -364,7 +364,7 @@ pub enum FleetEvent {
 impl FleetEvent {
     /// The `what` sub-discriminator token on the wire.
     #[must_use]
-    pub fn what(&self) -> &str {
+    fn what(&self) -> &str {
         match self {
             FleetEvent::JobQueued { .. } => "job-queued",
             FleetEvent::JobStarted { .. } => "job-started",
@@ -522,7 +522,7 @@ pub enum ProtoError {
 impl ProtoError {
     /// The stable machine-readable code for [`Response::Error`] frames.
     #[must_use]
-    pub fn code(&self) -> &'static str {
+    fn code(&self) -> &'static str {
         match self {
             ProtoError::Malformed { .. } => "malformed",
             ProtoError::NotAnObject => "not-an-object",
@@ -563,7 +563,7 @@ impl std::error::Error for ProtoError {}
 
 /// The lowercase wire token of a corner.
 #[must_use]
-pub fn corner_token(corner: Corner) -> &'static str {
+fn corner_token(corner: Corner) -> &'static str {
     match corner {
         Corner::Ttt => "ttt",
         Corner::Tff => "tff",
@@ -573,7 +573,7 @@ pub fn corner_token(corner: Corner) -> &'static str {
 
 /// Parses a corner wire token.
 #[must_use]
-pub fn parse_corner(token: &str) -> Option<Corner> {
+fn parse_corner(token: &str) -> Option<Corner> {
     match token {
         "ttt" => Some(Corner::Ttt),
         "tff" => Some(Corner::Tff),

@@ -34,11 +34,11 @@ use std::fmt::Write as _;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
 
 /// A job identifier, unique within one service instance.
-pub type JobId = u64;
+type JobId = u64;
 
 /// Default bound on a subscriber's event queue when the caller does not
 /// pick one.
-pub const DEFAULT_SUBSCRIBER_QUEUE: usize = 1024;
+pub(crate) const DEFAULT_SUBSCRIBER_QUEUE: usize = 1024;
 
 /// A job's progress, as reported to status requests.
 #[derive(Debug, Clone, PartialEq)]
@@ -303,12 +303,6 @@ impl FleetService {
     #[must_use]
     pub fn cache(&self) -> &SharedCampaignCache {
         &self.cache
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Locks the scheduler state, recovering from poisoning: state is

@@ -7,7 +7,7 @@
 //! this crate reimplements both so the whole reproduction is dependency
 //! free:
 //!
-//! * [`linalg`] — a small dense matrix with Gaussian elimination,
+//! * `linalg` — a small dense matrix with Gaussian elimination,
 //! * [`ols`] — [`ols::LinearRegression`] with feature standardization and a
 //!   vanishing ridge term for rank-deficient systems (n < p happens in the
 //!   Vmin study: 40 samples × 101 counters),
@@ -45,7 +45,7 @@
     )
 )]
 
-pub mod linalg;
+mod linalg;
 pub mod metrics;
 pub mod naive;
 pub mod ols;
@@ -54,6 +54,6 @@ pub mod split;
 
 pub use metrics::{r2_score, rmse};
 pub use naive::NaiveMean;
-pub use ols::{FitError, LinearRegression};
+pub use ols::LinearRegression;
 pub use rfe::RecursiveFeatureElimination;
 pub use split::train_test_split;

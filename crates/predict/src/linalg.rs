@@ -6,7 +6,7 @@ use std::fmt;
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -19,7 +19,7 @@ impl Matrix {
     ///
     /// Panics if either dimension is zero.
     #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Matrix {
             rows,
@@ -34,7 +34,7 @@ impl Matrix {
     ///
     /// Panics on empty input or ragged rows.
     #[must_use]
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_rows(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "matrix needs at least one column");
@@ -46,31 +46,9 @@ impl Matrix {
         m
     }
 
-    /// The identity matrix of order `n`.
-    #[must_use]
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// The Gram matrix `AᵀA` (symmetric, `cols × cols`).
     #[must_use]
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let mut g = Matrix::zeros(self.cols, self.cols);
         for i in 0..self.cols {
             for j in i..self.cols {
@@ -91,7 +69,7 @@ impl Matrix {
     ///
     /// Panics if `v.len() != rows`.
     #[must_use]
-    pub fn transpose_mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn transpose_mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.rows, "vector length must equal row count");
         let mut out = vec![0.0; self.cols];
         for r in 0..self.rows {
@@ -104,7 +82,7 @@ impl Matrix {
     }
 
     /// Adds `lambda` to every diagonal entry (ridge regularization).
-    pub fn add_diagonal(&mut self, lambda: f64) {
+    pub(crate) fn add_diagonal(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
@@ -118,7 +96,7 @@ impl Matrix {
     ///
     /// Panics if `A` is not square or `b` has the wrong length.
     #[must_use]
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "rhs length must equal matrix order");
         let n = self.rows;
@@ -212,7 +190,10 @@ mod tests {
 
     #[test]
     fn identity_solve_is_identity() {
-        let a = Matrix::identity(4);
+        let rows: Vec<Vec<f64>> = (0..4)
+            .map(|i| (0..4).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+            .collect();
+        let a = Matrix::from_rows(&rows);
         let b = vec![1.0, -2.0, 3.5, 0.0];
         assert_eq!(a.solve(&b).unwrap(), b);
     }
@@ -244,7 +225,7 @@ mod tests {
     fn gram_matrix_is_symmetric_psd_diagonal() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
         let g = a.gram();
-        assert_eq!(g.rows(), 2);
+        assert_eq!(g.rows, 2);
         assert_eq!(g[(0, 1)], g[(1, 0)]);
         assert_eq!(g[(0, 0)], 1.0 + 9.0 + 25.0);
         assert_eq!(g[(1, 1)], 4.0 + 16.0 + 36.0);

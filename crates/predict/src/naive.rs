@@ -22,12 +22,6 @@ impl NaiveMean {
         }
     }
 
-    /// The constant prediction.
-    #[must_use]
-    pub fn predict(&self) -> f64 {
-        self.mean
-    }
-
     /// Predictions for `n` samples (all identical).
     #[must_use]
     pub fn predict_many(&self, n: usize) -> Vec<f64> {
@@ -42,7 +36,6 @@ mod tests {
     #[test]
     fn predicts_training_mean() {
         let m = NaiveMean::fit(&[1.0, 2.0, 3.0, 6.0]);
-        assert_eq!(m.predict(), 3.0);
         assert_eq!(m.predict_many(3), vec![3.0, 3.0, 3.0]);
     }
 

@@ -137,7 +137,7 @@ impl LinearRegression {
     ///
     /// Panics if the feature count differs from the fitted model.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         assert_eq!(
             features.len(),
             self.coefficients.len(),
@@ -157,22 +157,10 @@ impl LinearRegression {
         x.iter().map(|r| self.predict(r)).collect()
     }
 
-    /// Coefficients in original feature units.
-    #[must_use]
-    pub fn coefficients(&self) -> &[f64] {
-        &self.coefficients
-    }
-
-    /// The intercept β₀.
-    #[must_use]
-    pub fn intercept(&self) -> f64 {
-        self.intercept
-    }
-
     /// Coefficients in standardized units — comparable across features;
     /// this is the importance RFE ranks by.
     #[must_use]
-    pub fn standardized_coefficients(&self) -> &[f64] {
+    pub(crate) fn standardized_coefficients(&self) -> &[f64] {
         &self.standardized_coefficients
     }
 }
@@ -189,9 +177,9 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|r| 4.0 * r[0] - 2.5 * r[1] + 7.0).collect();
         let m = LinearRegression::fit(&x, &y).unwrap();
         // The small ridge biases coefficients by O(RIDGE).
-        assert!((m.coefficients()[0] - 4.0).abs() < 1e-2);
-        assert!((m.coefficients()[1] + 2.5).abs() < 1e-2);
-        assert!((m.intercept() - 7.0).abs() < 0.1);
+        assert!((m.coefficients[0] - 4.0).abs() < 1e-2);
+        assert!((m.coefficients[1] + 2.5).abs() < 1e-2);
+        assert!((m.intercept - 7.0).abs() < 0.1);
     }
 
     #[test]
@@ -199,7 +187,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![f64::from(i), 3.0]).collect();
         let y: Vec<f64> = x.iter().map(|r| 2.0 * r[0] + 1.0).collect();
         let m = LinearRegression::fit(&x, &y).unwrap();
-        assert_eq!(m.coefficients()[1], 0.0);
+        assert_eq!(m.coefficients[1], 0.0);
         assert!((m.predict(&[10.0, 3.0]) - 21.0).abs() < 0.05);
     }
 

@@ -74,15 +74,9 @@ impl RecursiveFeatureElimination {
         &self.selected
     }
 
-    /// The model fitted on the selected features.
-    #[must_use]
-    pub fn model(&self) -> &LinearRegression {
-        &self.model
-    }
-
     /// Projects a full feature row onto the selected features.
     #[must_use]
-    pub fn project(&self, features: &[f64]) -> Vec<f64> {
+    fn project(&self, features: &[f64]) -> Vec<f64> {
         self.selected.iter().map(|&j| features[j]).collect()
     }
 

@@ -50,7 +50,7 @@ impl DivergenceClass {
 
     /// A stable lowercase name for reports.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             DivergenceClass::Identical => "identical",
             DivergenceClass::ScheduleOnly => "schedule-only",

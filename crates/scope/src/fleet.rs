@@ -44,7 +44,7 @@ pub struct FleetReport {
 impl FleetReport {
     /// Fleet-wide totals across every chip row.
     #[must_use]
-    pub fn totals(&self) -> ChipRollup {
+    fn totals(&self) -> ChipRollup {
         let mut total = ChipRollup {
             chip: "fleet".to_owned(),
             runs: 0,
@@ -137,7 +137,7 @@ pub fn fleet_report(records: &[TraceRecord]) -> Result<FleetReport, SpanError> {
 
 /// Folds an already-computed stream summary into per-chip rollups.
 #[must_use]
-pub fn rollup(summary: &StreamSummary) -> FleetReport {
+fn rollup(summary: &StreamSummary) -> FleetReport {
     let chips = summary
         .campaigns
         .iter()

@@ -48,15 +48,8 @@ pub mod profile;
 pub mod render;
 pub mod summary;
 
-pub use diff::{diff, DiffReport, Divergence, DivergenceClass};
-pub use fleet::{fleet_report, ChipRollup, FleetReport};
-pub use population::{
-    population_report, Bucket, CornerPopulation, Distribution, PopulationReport, SweepPopulation,
-    BUCKET_WIDTH_MV,
-};
-pub use profile::{PhaseWork, ProfileDivergence, ProfileReport, SweepProfile};
+pub use diff::{diff, DiffReport, DivergenceClass};
+pub use fleet::fleet_report;
+pub use population::population_report;
 pub use render::{csv, json, markdown};
-pub use summary::{
-    summarize, summarize_records, summarize_str, CampaignSummary, DecisionSummary, RecoveryStorm,
-    ScopeError, SearchTotals, StreamSummary, SweepSummary, RECOVERY_STORM_THRESHOLD,
-};
+pub use summary::summarize_records;

@@ -20,16 +20,15 @@
 //! the record sequence: reruns, thread counts and subscriber presence
 //! never change a byte of the output.
 
-use crate::summary::ScopeError;
 use margins_trace::json::{self, Value};
-use margins_trace::{reconstruct, CampaignSpan, TraceEvent, TraceRecord};
+use margins_trace::{reconstruct, CampaignSpan, SpanError, TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Histogram bucket width for Vmin/margin distributions, millivolts.
 /// Matches the 5 mV sweep granularity of the reference campaigns, so one
 /// bucket is one probed step.
-pub const BUCKET_WIDTH_MV: u32 = 5;
+const BUCKET_WIDTH_MV: u32 = 5;
 
 /// One fixed-width histogram bucket covering `[lo_mv, lo_mv + width)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +61,7 @@ impl Distribution {
     /// Builds the distribution of a non-empty sample set; `None` for an
     /// empty one.
     #[must_use]
-    pub fn of(samples: &[u32]) -> Option<Distribution> {
+    fn of(samples: &[u32]) -> Option<Distribution> {
         if samples.is_empty() {
             return None;
         }
@@ -209,10 +208,10 @@ fn sweep_vmin(steps: &BTreeMap<u32, bool>) -> Option<u32> {
 ///
 /// # Errors
 ///
-/// [`ScopeError`] when the record sequence is not a valid stream
+/// [`SpanError`] when the record sequence is not a valid stream
 /// (unbalanced spans, broken seq/clock invariants).
-pub fn population_report(records: &[TraceRecord]) -> Result<PopulationReport, ScopeError> {
-    let tree = reconstruct(records).map_err(ScopeError::Span)?;
+pub fn population_report(records: &[TraceRecord]) -> Result<PopulationReport, SpanError> {
+    let tree = reconstruct(records)?;
     let chips: Vec<ChipFold> = tree.campaigns.iter().map(fold_chip).collect();
 
     let mut corners: BTreeMap<String, Vec<&ChipFold>> = BTreeMap::new();

@@ -17,15 +17,14 @@
 //! work drift within the same phase structure, or a phase-structure
 //! divergence (work appearing in a phase that should be idle).
 
-use crate::summary::ScopeError;
 use margins_trace::json::{self, Value};
 use margins_trace::span::SpanTree;
-use margins_trace::{read_jsonl, reconstruct, TraceEvent};
+use margins_trace::TraceEvent;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The pipeline phases in canonical stream order.
-pub const PHASE_ORDER: [&str; 5] = [
+const PHASE_ORDER: [&str; 5] = [
     "board_init",
     "golden_run",
     "probe",
@@ -60,7 +59,7 @@ pub struct PhaseWork {
 impl PhaseWork {
     /// Total work units, saturating.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.ops
             .saturating_add(self.fault_samples)
             .saturating_add(self.sram_events)
@@ -93,13 +92,13 @@ pub struct SweepProfile {
 impl SweepProfile {
     /// A stable human label, e.g. `bwaves:ref@core0`.
     #[must_use]
-    pub fn label(&self) -> String {
+    fn label(&self) -> String {
         format!("{}:{}@core{}", self.program, self.dataset, self.core)
     }
 
     /// Total work units over all phases, saturating.
     #[must_use]
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.phases
             .values()
             .fold(0u64, |acc, w| acc.saturating_add(w.total()))
@@ -121,13 +120,13 @@ pub struct ProfileReport {
 impl ProfileReport {
     /// Whether the stream carried any profile records at all.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.phases.is_empty() && self.sweeps.is_empty()
     }
 
     /// Total work units over all phases, saturating.
     #[must_use]
-    pub fn grand_total(&self) -> u64 {
+    fn grand_total(&self) -> u64 {
         self.phases
             .values()
             .fold(0u64, |acc, w| acc.saturating_add(w.total()))
@@ -135,7 +134,7 @@ impl ProfileReport {
 
     /// A phase's share of the total work, in [0, 1].
     #[must_use]
-    pub fn phase_share(&self, phase: &str) -> f64 {
+    fn phase_share(&self, phase: &str) -> f64 {
         let total = self.grand_total();
         if total == 0 {
             return 0.0;
@@ -145,7 +144,7 @@ impl ProfileReport {
 
     /// Phase names sorted hottest-first (canonical order breaks ties).
     #[must_use]
-    pub fn hottest_phases(&self) -> Vec<&str> {
+    fn hottest_phases(&self) -> Vec<&str> {
         let mut names: Vec<&str> = self.phases.keys().map(String::as_str).collect();
         names.sort_by_key(|p| {
             let total = self.phases[*p].total();
@@ -156,7 +155,7 @@ impl ProfileReport {
 
     /// Sweep indices sorted hottest-first (stream order breaks ties).
     #[must_use]
-    pub fn hottest_sweeps(&self) -> Vec<usize> {
+    fn hottest_sweeps(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.sweeps.len()).collect();
         order.sort_by_key(|i| (std::cmp::Reverse(self.sweeps[*i].total()), *i));
         order
@@ -164,32 +163,20 @@ impl ProfileReport {
 
     /// Voltage-step work: `(probe, search_step)` totals.
     #[must_use]
-    pub fn step_work(&self) -> (u64, u64) {
+    fn step_work(&self) -> (u64, u64) {
         let of = |phase: &str| self.phases.get(phase).map_or(0, PhaseWork::total);
         (of("probe"), of("search_step"))
     }
 
     /// Mean step-probing work per sweep; `None` without declared sweeps.
     #[must_use]
-    pub fn probe_cost_per_sweep(&self) -> Option<f64> {
+    fn probe_cost_per_sweep(&self) -> Option<f64> {
         if self.sweeps_declared == 0 {
             return None;
         }
         let (probe, search) = self.step_work();
         Some(probe.saturating_add(search) as f64 / self.sweeps_declared as f64)
     }
-}
-
-/// Folds a JSONL stream's profile records into a report.
-///
-/// # Errors
-///
-/// Returns [`ScopeError`] when a line does not parse or the span nesting
-/// is invalid.
-pub fn report_str(input: &str) -> Result<ProfileReport, ScopeError> {
-    let records = read_jsonl(input)?;
-    let tree = reconstruct(&records)?;
-    Ok(report(&tree))
 }
 
 /// Folds a reconstructed span tree's profile records into a report.
@@ -657,7 +644,7 @@ mod tests {
     }
 
     fn report_of(records: &[TraceRecord]) -> ProfileReport {
-        report(&reconstruct(records).expect("valid stream"))
+        report(&margins_trace::reconstruct(records).expect("valid stream"))
     }
 
     #[test]
@@ -773,18 +760,5 @@ mod tests {
             other => panic!("expected phase divergence, got {other:?}"),
         }
         assert_eq!(divergence.exit_code(), 5);
-    }
-
-    #[test]
-    fn report_str_reads_jsonl_round_trip() {
-        let records = profiled_stream(400, false);
-        let mut text = String::new();
-        for r in &records {
-            text.push_str(&r.to_json_line().expect("serializable"));
-            text.push('\n');
-        }
-        let r = report_str(&text).expect("valid stream");
-        assert_eq!(r, report_of(&records));
-        assert!(report_str("not json\n").is_err());
     }
 }

@@ -6,14 +6,13 @@
 //! the foundation for byte-deterministic reports.
 
 use margins_trace::span::{CampaignSpan, SpanTree, SweepSpan};
-use margins_trace::{read_jsonl, reconstruct, ParseFailure, SpanError, TraceEvent, TraceRecord};
+use margins_trace::{reconstruct, SpanError, TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Power cycles within one sweep at or above which the sweep is flagged as
 /// a *recovery storm* — the §2.2.1 situation where the watchdog fights a
 /// crashing configuration instead of the sweep making progress.
-pub const RECOVERY_STORM_THRESHOLD: u32 = 3;
+const RECOVERY_STORM_THRESHOLD: u32 = 3;
 
 /// Everything a trace stream contained, summarized.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,13 +85,13 @@ pub struct CampaignSummary {
 impl CampaignSummary {
     /// A stable human label, e.g. `TTT#0/pmd`.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}/{}", self.chip, self.rail)
     }
 
     /// Cache hit rate in [0, 1]; `None` when no lookup happened.
     #[must_use]
-    pub fn cache_hit_rate(&self) -> Option<f64> {
+    pub(crate) fn cache_hit_rate(&self) -> Option<f64> {
         (self.cache_lookups > 0).then(|| self.cache_hits as f64 / self.cache_lookups as f64)
     }
 }
@@ -146,13 +145,13 @@ pub struct SweepSummary {
 impl SweepSummary {
     /// A stable human label, e.g. `bwaves:ref@core0`.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         format!("{}:{}@core{}", self.program, self.dataset, self.core)
     }
 
     /// Whether the sweep's recoveries reached the storm threshold.
     #[must_use]
-    pub fn recovery_storm(&self) -> bool {
+    pub(crate) fn recovery_storm(&self) -> bool {
         self.power_cycles >= RECOVERY_STORM_THRESHOLD
     }
 }
@@ -171,7 +170,7 @@ pub struct SearchTotals {
 impl SearchTotals {
     /// Fraction of grid probes the strategy avoided, in [0, 1].
     #[must_use]
-    pub fn savings(&self) -> f64 {
+    pub(crate) fn savings(&self) -> f64 {
         if self.grid_steps == 0 {
             return 0.0;
         }
@@ -203,49 +202,6 @@ pub struct DecisionSummary {
     pub energy_savings: f64,
 }
 
-/// Reading or reconstructing a stream for summarization failed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ScopeError {
-    /// A line did not parse as a trace record.
-    Parse(ParseFailure),
-    /// The record sequence violates the span-nesting contract.
-    Span(SpanError),
-}
-
-impl fmt::Display for ScopeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScopeError::Parse(e) => write!(f, "{e}"),
-            ScopeError::Span(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for ScopeError {}
-
-impl From<ParseFailure> for ScopeError {
-    fn from(e: ParseFailure) -> Self {
-        ScopeError::Parse(e)
-    }
-}
-
-impl From<SpanError> for ScopeError {
-    fn from(e: SpanError) -> Self {
-        ScopeError::Span(e)
-    }
-}
-
-/// Summarizes a JSONL stream.
-///
-/// # Errors
-///
-/// Returns [`ScopeError`] when a line does not parse or the span nesting
-/// is invalid.
-pub fn summarize_str(input: &str) -> Result<StreamSummary, ScopeError> {
-    let records = read_jsonl(input)?;
-    Ok(summarize_records(&records)?)
-}
-
 /// Summarizes a record sequence.
 ///
 /// # Errors
@@ -257,7 +213,7 @@ pub fn summarize_records(records: &[TraceRecord]) -> Result<StreamSummary, SpanE
 
 /// Summarizes an already-reconstructed span tree.
 #[must_use]
-pub fn summarize(tree: &SpanTree) -> StreamSummary {
+fn summarize(tree: &SpanTree) -> StreamSummary {
     let campaigns: Vec<CampaignSummary> = tree.campaigns.iter().map(summarize_campaign).collect();
     let records = campaigns
         .iter()
@@ -582,18 +538,6 @@ mod tests {
         let empty = summarize_records(&[]).expect("empty is valid");
         assert_eq!(empty.records, 0);
         assert!(empty.campaigns.is_empty() && empty.standalone_decisions.is_empty());
-    }
-
-    #[test]
-    fn summarize_str_propagates_both_error_kinds() {
-        let err = summarize_str("not json\n").expect_err("parse error");
-        assert!(matches!(err, ScopeError::Parse(_)), "{err}");
-
-        let orphan = seal(vec![run(900, "NO", 0.0)]);
-        let line = orphan[0].to_json_line().expect("serializable");
-        let err = summarize_str(&format!("{line}\n")).expect_err("span error");
-        assert!(matches!(err, ScopeError::Span(_)), "{err}");
-        assert!(err.to_string().contains("outside a sweep"), "{err}");
     }
 
     #[test]

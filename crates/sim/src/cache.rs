@@ -11,6 +11,10 @@ use crate::corner::ChipSpec;
 use crate::edac::{EdacKind, EdacLog, EdacRecord};
 use crate::faults::sram::{WeakCellMap, WORDS_PER_LINE};
 use crate::topology::{CacheLevel, CoreId, Protection, LINE_BYTES, NUM_CORES, NUM_PMDS};
+use margins_ecc::parity::ParityWord;
+use margins_ecc::secded::Codeword;
+use margins_ecc::secded32::InterleavedWord;
+use margins_ecc::CheckOutcome;
 use std::collections::BTreeSet;
 
 /// Associativity used for every level (8-way, typical of the design).
@@ -91,7 +95,7 @@ impl SetAssocCache {
 
     /// Builds the array with the §6a interleaved-SECDED upgrade toggled.
     #[must_use]
-    pub fn with_protection(
+    fn with_protection(
         spec: ChipSpec,
         level: CacheLevel,
         instance: u8,
@@ -246,43 +250,27 @@ impl SetAssocCache {
             if *mask == 0 {
                 continue;
             }
-            let flips = mask.count_ones();
             let word = word as u8;
             let newly = self.reported.insert((set, way, word));
-            let outcome = if self.extended_ecc {
-                // §6a: two-way interleaved SECDED(39,32) on every array.
-                let even = (mask & 0x5555_5555_5555_5555).count_ones();
-                let odd = (mask & 0xAAAA_AAAA_AAAA_AAAA).count_ones();
-                match margins_ecc::secded32::InterleavedWord::outcome_for_flips(even, odd) {
-                    margins_ecc::CheckOutcome::Clean => continue,
-                    margins_ecc::CheckOutcome::Corrected => WordOutcome::Corrected,
-                    margins_ecc::CheckOutcome::Uncorrected => WordOutcome::Uncorrected,
-                    margins_ecc::CheckOutcome::Undetected => WordOutcome::Silent,
-                }
+            // §6a replaces every array's code with two-way interleaved
+            // SECDED(39,32).
+            let (outcome, detect_only) = if self.extended_ecc {
+                (InterleavedWord::outcome_for_flips(*mask), false)
             } else {
                 match self.level.protection() {
-                    Protection::Parity => {
-                        if flips % 2 == 1 {
-                            // Parity hit: clean lines refetch (corrected at the
-                            // system level); dirty lines are lost.
-                            if dirty {
-                                WordOutcome::Uncorrected
-                            } else {
-                                WordOutcome::Corrected
-                            }
-                        } else {
-                            WordOutcome::Silent
-                        }
-                    }
-                    Protection::Secded => match flips {
-                        1 => WordOutcome::Corrected,
-                        2 => WordOutcome::Uncorrected,
-                        _ => WordOutcome::Silent,
-                    },
+                    Protection::Parity => (ParityWord::outcome_for_flips(*mask), true),
+                    Protection::Secded => (Codeword::outcome_for_flips(*mask), false),
                 }
             };
+            // A detect-only hit refetches a clean line (corrected at the
+            // system level); a dirty line is lost.
+            let outcome = match outcome {
+                CheckOutcome::Uncorrected if detect_only && !dirty => CheckOutcome::Corrected,
+                other => other,
+            };
             match outcome {
-                WordOutcome::Corrected => {
+                CheckOutcome::Clean => {}
+                CheckOutcome::Corrected => {
                     if newly {
                         obs.corrected += 1;
                         edac.report(EdacRecord {
@@ -294,7 +282,7 @@ impl SetAssocCache {
                         });
                     }
                 }
-                WordOutcome::Uncorrected => {
+                CheckOutcome::Uncorrected => {
                     if newly {
                         obs.uncorrected += 1;
                         edac.report(EdacRecord {
@@ -309,7 +297,7 @@ impl SetAssocCache {
                         obs.poison = true;
                     }
                 }
-                WordOutcome::Silent => {
+                CheckOutcome::Undetected => {
                     if word == word_in_line {
                         obs.silent_corruption_mask ^= mask;
                     }
@@ -320,15 +308,9 @@ impl SetAssocCache {
     }
 }
 
-enum WordOutcome {
-    Corrected,
-    Uncorrected,
-    Silent,
-}
-
 /// Result of a full hierarchy access, for counter accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyAccess {
+pub(crate) struct HierarchyAccess {
     /// Hit in the core's L1D.
     pub l1_hit: bool,
     /// Hit in the PMD's L2 (only meaningful when L1 missed).
@@ -348,7 +330,7 @@ pub struct HierarchyAccess {
 impl HierarchyAccess {
     /// Whether the access reached DRAM.
     #[must_use]
-    pub fn dram(&self) -> bool {
+    pub(crate) fn dram(&self) -> bool {
         !self.l1_hit && !self.l2_hit && !self.l3_hit
     }
 }
@@ -372,7 +354,7 @@ impl CacheHierarchy {
 
     /// Builds the hierarchy with the §6a interleaved-SECDED upgrade toggled.
     #[must_use]
-    pub fn with_protection(spec: ChipSpec, extended_ecc: bool) -> Self {
+    pub(crate) fn with_protection(spec: ChipSpec, extended_ecc: bool) -> Self {
         let build = |level, i| SetAssocCache::with_protection(spec, level, i, extended_ecc);
         CacheHierarchy {
             l1d: (0..NUM_CORES as u8)
@@ -390,24 +372,24 @@ impl CacheHierarchy {
 
     /// The core's private L1 data cache.
     #[must_use]
-    pub fn l1d(&self, core: CoreId) -> &SetAssocCache {
+    pub(crate) fn l1d(&self, core: CoreId) -> &SetAssocCache {
         &self.l1d[core.index()]
     }
 
     /// The PMD-shared L2 serving `core`.
     #[must_use]
-    pub fn l2(&self, core: CoreId) -> &SetAssocCache {
+    pub(crate) fn l2(&self, core: CoreId) -> &SetAssocCache {
         &self.l2[core.pmd().index()]
     }
 
     /// The chip-wide L3.
     #[must_use]
-    pub fn l3(&self) -> &SetAssocCache {
+    pub(crate) fn l3(&self) -> &SetAssocCache {
         &self.l3
     }
 
     /// Invalidates everything (power cycle).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for c in self
             .l1d
             .iter_mut()
@@ -420,7 +402,7 @@ impl CacheHierarchy {
     }
 
     /// Clears per-run fault dedupe on every array.
-    pub fn begin_run(&mut self) {
+    pub(crate) fn begin_run(&mut self) {
         for c in self
             .l1d
             .iter_mut()
@@ -436,7 +418,7 @@ impl CacheHierarchy {
     /// L1D → L2 → L3 → DRAM, probing weak cells in each touched array.
     ///
     /// `pmd_mv` powers L1/L2 (the PMD rail); `soc_mv` powers L3.
-    pub fn data_access(
+    pub(crate) fn data_access(
         &mut self,
         core: CoreId,
         addr: u64,
@@ -497,7 +479,7 @@ impl CacheHierarchy {
 
     /// An instruction-fetch access by `core` (drives the L1I counters; in
     /// the kernels' working sets instruction fetches nearly always hit).
-    pub fn inst_access(&mut self, core: CoreId, addr: u64) -> bool {
+    pub(crate) fn inst_access(&mut self, core: CoreId, addr: u64) -> bool {
         let line = addr / LINE_BYTES as u64;
         self.l1i[core.index()].access(line, false).hit
     }
@@ -566,7 +548,7 @@ mod tests {
             assert_eq!(a.faults.corrected, 0);
             assert_eq!(a.faults.silent_corruption_mask, 0);
         }
-        assert!(edac.is_empty());
+        assert!(edac.records().is_empty());
     }
 
     #[test]
@@ -581,7 +563,7 @@ mod tests {
             let _ = h.data_access(core, i * LINE_BYTES as u64, false, 700.0, 950.0, &mut edac);
         }
         assert!(
-            !edac.is_empty(),
+            !edac.records().is_empty(),
             "a 256KB sweep at 700mV must trip weak cells"
         );
     }
@@ -608,7 +590,7 @@ mod tests {
         for i in 0..(2 * L2_LINES) {
             let _ = h.data_access(core, i * LINE_BYTES as u64, false, 700.0, 950.0, &mut edac);
         }
-        assert!(!edac.is_empty());
+        assert!(!edac.records().is_empty());
     }
 
     #[test]

@@ -25,26 +25,19 @@
 //! voltage sits a further `S_MV · ln(M / M_os)`-ish below, reproducing the
 //! benchmark-dependent width of the unsafe (grey) region.
 
-use crate::freq::TimingRegime;
-
 /// Fault-process intensity at zero margin per unit stress weight.
 ///
 /// Chosen together with [`S_MV`] and the workload stress masses so that the
 /// robust-core (core 4) safe Vmin of the TTT chip lands in the paper's
 /// 860–885 mV band at 2.4 GHz (Figure 4).
-pub const P0: f64 = 1e-6;
+pub(crate) const P0: f64 = 1e-6;
 
 /// Exponential voltage scale of the timing-fault intensity, in mV.
 ///
 /// Sets how fast abnormal behaviour ramps as voltage drops below Vmin: the
 /// unsafe (grey) regions of Figure 4 span roughly 10–35 mV, i.e. severity
 /// saturates within ~6 regulator steps.
-pub const S_MV: f64 = 5.0;
-
-/// Detection threshold: expected-fault level at which a 10-iteration
-/// campaign starts observing abnormalities (used only by analytical
-/// helpers / tests; the simulator itself just samples the Poisson process).
-pub const LAMBDA_DETECT: f64 = 0.07;
+pub(crate) const S_MV: f64 = 5.0;
 
 /// Critical voltage (mV) of the *most robust* core of the TTT chip at the
 /// full-speed timing regime, before per-core offsets.
@@ -52,90 +45,83 @@ pub const LAMBDA_DETECT: f64 = 0.07;
 /// Anchored to Figure 4 (TTT): robust-core safe Vmin 860–885 mV across the
 /// ten SPEC benchmarks with nominal at 980 mV (≥ ~18% voltage guardband,
 /// §3.2).
-pub const VCRIT_BASE_TTT_MV: f64 = 886.0;
+pub(crate) const VCRIT_BASE_TTT_MV: f64 = 886.0;
 
 /// Corner shift of the TFF (fast, high-leakage) part, mV.
 ///
 /// §3.3: "the TFF chip has lower Vmin points than the TTT chip".
-pub const VCRIT_SHIFT_TFF_MV: f64 = -5.0;
+pub(crate) const VCRIT_SHIFT_TFF_MV: f64 = -5.0;
 
 /// Corner shift of the TSS (slow, low-leakage) part, mV.
 ///
 /// §3.3: TSS "has significantly higher Vmin points than the other two
 /// chips"; §3.2: TSS guardband is ~15.7% vs ~18.4% (≈ +13 mV at the top).
-pub const VCRIT_SHIFT_TSS_MV: f64 = 13.0;
+pub(crate) const VCRIT_SHIFT_TSS_MV: f64 = 13.0;
 
 /// Per-core critical-voltage offsets (mV) on top of the corner base.
 ///
 /// Figure 4 / §3.3: PMD 2 (cores 4 and 5) is the most robust PMD on all
 /// three chips; PMD 0 (cores 0 and 1) the most sensitive; the spread is "up
 /// to 3.6% more voltage reduction" (~25–30 mV).
-pub const CORE_OFFSET_MV: [f64; 8] = [22.0, 19.0, 12.0, 14.0, 0.0, 2.0, 9.0, 7.0];
+pub(crate) const CORE_OFFSET_MV: [f64; 8] = [22.0, 19.0, 12.0, 14.0, 0.0, 2.0, 9.0, 7.0];
 
 /// Standard deviation (mV) of the per-chip-serial jitter added to each
 /// core's offset, keeping the PMD ordering stable while making each chip
 /// individual ("large Vmin variation … among 3 different chips", §1).
-pub const CORE_JITTER_SIGMA_MV: f64 = 2.0;
+pub(crate) const CORE_JITTER_SIGMA_MV: f64 = 2.0;
 
 /// Voltage collapse threshold (mV) of the divided (≤1.2 GHz) clock regime.
 ///
 /// §3.2: at 1.2 GHz every program on every core is safe down to 760 mV and
 /// the system only *crashes* below it — no SDC/CE unsafe band exists.
-pub const DIVIDED_COLLAPSE_MV: f64 = 760.0;
+pub(crate) const DIVIDED_COLLAPSE_MV: f64 = 760.0;
 
 /// Logistic steepness (per mV) of the collapse probability below
 /// [`DIVIDED_COLLAPSE_MV`]; large enough that 5 mV below the threshold the
 /// first campaign iteration already crashes (§3.2: "only system crashes
 /// below the safe Vmin").
-pub const DIVIDED_COLLAPSE_STEEPNESS: f64 = 1.4;
-
-/// Stress mass of the OS/boot activity that accompanies every run.
-///
-/// This is what turns deep undervolting into *system* crashes: kernel-mode
-/// faults are control-critical. Calibrated so the crash (black) region of
-/// Figure 4 starts ~25–35 mV below the robust-core Vmin.
-pub const OS_STRESS_MASS: f64 = 95.0;
+pub(crate) const DIVIDED_COLLAPSE_STEEPNESS: f64 = 1.4;
 
 /// Fraction of OS-activity faults that take the whole system down (the rest
 /// are absorbed/panic-handled as application-visible errors).
-pub const OS_FAULT_SC_FRACTION: f64 = 0.85;
+pub(crate) const OS_FAULT_SC_FRACTION: f64 = 0.85;
 
 /// Consequence mix of a timing fault on an arithmetic (ALU/FPU) op:
 /// (silent data corruption, application crash, system crash).
 ///
 /// §3.4: "SDCs occur when the pipeline gets stressed (ALU and FPU tests)" —
 /// datapath faults overwhelmingly corrupt values.
-pub const ARITH_CONSEQUENCE: (f64, f64, f64) = (0.88, 0.09, 0.03);
+pub(crate) const ARITH_CONSEQUENCE: (f64, f64, f64) = (0.88, 0.09, 0.03);
 
 /// Consequence mix of a timing fault on an address-generation/memory op.
-pub const MEM_CONSEQUENCE: (f64, f64, f64) = (0.35, 0.55, 0.10);
+pub(crate) const MEM_CONSEQUENCE: (f64, f64, f64) = (0.35, 0.55, 0.10);
 
 /// Consequence mix of a timing fault on a branch/control op.
-pub const BRANCH_CONSEQUENCE: (f64, f64, f64) = (0.50, 0.30, 0.20);
+pub(crate) const BRANCH_CONSEQUENCE: (f64, f64, f64) = (0.50, 0.30, 0.20);
 
 /// Number of workload-level faults in a single run beyond which cascading
 /// failure escalates to a system crash regardless of individual outcomes.
-pub const CASCADE_SC_THRESHOLD: u32 = 24;
+pub(crate) const CASCADE_SC_THRESHOLD: u32 = 24;
 
 /// Maximum supply droop (mV) added to the effective critical voltage under
 /// full switching activity (di/dt noise, §7's voltage-noise literature).
-pub const DROOP_MAX_MV: f64 = 6.0;
+pub(crate) const DROOP_MAX_MV: f64 = 6.0;
 
 /// EWMA smoothing factor of the droop activity tracker (per 64-op block).
-pub const DROOP_EWMA_ALPHA: f64 = 0.25;
+pub(crate) const DROOP_EWMA_ALPHA: f64 = 0.25;
 
 /// Mean number of weak SRAM bit-cells per L2 array instance (256 KB + ECC ≈
 /// 2.36 Mbit). The *tail* of the weak-cell distribution produces the
 /// occasional corrected errors that accompany SDCs in the unsafe region
 /// (§3.4: corrected errors never appear *first/alone* on X-Gene 2).
-pub const L2_WEAK_CELLS_MEAN: f64 = 60.0;
+pub(crate) const L2_WEAK_CELLS_MEAN: f64 = 60.0;
 
 /// Mean number of weak cells per L1 array (32 KB).
-pub const L1_WEAK_CELLS_MEAN: f64 = 7.0;
+pub(crate) const L1_WEAK_CELLS_MEAN: f64 = 7.0;
 
 /// Mean number of weak cells in the L3 array (8 MB, PCP/SoC domain — only
 /// exposed when the SoC rail itself is scaled).
-pub const L3_WEAK_CELLS_MEAN: f64 = 450.0;
+pub(crate) const L3_WEAK_CELLS_MEAN: f64 = 450.0;
 
 /// Base voltage (mV) of the weak-cell failure distribution: a weak cell's
 /// fail voltage is `SRAM_WEAK_BASE_MV + Exp(SRAM_WEAK_TAIL_MV)`.
@@ -144,10 +130,10 @@ pub const L3_WEAK_CELLS_MEAN: f64 = 450.0;
 /// tests crash in much lower voltages than the ALU and FPU tests)" — the
 /// bulk of cells is far more robust than the logic timing paths; only an
 /// exponential tail of weak cells reaches into the unsafe region.
-pub const SRAM_WEAK_BASE_MV: f64 = 740.0;
+pub(crate) const SRAM_WEAK_BASE_MV: f64 = 740.0;
 
 /// Exponential tail scale (mV) of weak-cell fail voltages.
-pub const SRAM_WEAK_TAIL_MV: f64 = 33.0;
+pub(crate) const SRAM_WEAK_TAIL_MV: f64 = 33.0;
 
 /// Upper truncation (mV) of shipped weak-cell fail voltages.
 ///
@@ -164,10 +150,10 @@ pub const SRAM_REPAIR_CLAMP_MV: f64 = 855.0;
 /// logic collapses far below the PMD cores' critical voltages, leaving a
 /// wide band where only the L3's weak cells (caught by ECC) misbehave —
 /// the Itanium-style corrected-errors-first profile of §4.4.
-pub const SOC_CRIT_MV: f64 = 730.0;
+pub(crate) const SOC_CRIT_MV: f64 = 730.0;
 
 /// Fault intensity per L3/DRAM access at zero SoC margin.
-pub const SOC_P0: f64 = 2e-5;
+pub(crate) const SOC_P0: f64 = 2e-5;
 
 /// Effective SRAM margin relief (mV) in the divided clock regime.
 ///
@@ -176,13 +162,13 @@ pub const SOC_P0: f64 = 2e-5;
 /// shipped weak cell's fail voltage far below the 760 mV logic-collapse
 /// threshold. This reproduces §3.2: at 1.2 GHz no abnormal behaviour of any
 /// kind appears above the crash voltage.
-pub const SRAM_DIVIDED_RELIEF_MV: f64 = 150.0;
+pub(crate) const SRAM_DIVIDED_RELIEF_MV: f64 = 150.0;
 
 /// Relative leakage-power multiplier per corner (TFF leaks, TSS doesn't):
 /// §3, "The TFF is a fast corner part, which has high leakage … The TSS part
 /// … has low leakage".
 #[must_use]
-pub fn leakage_multiplier(corner: crate::corner::Corner) -> f64 {
+pub(crate) fn leakage_multiplier(corner: crate::corner::Corner) -> f64 {
     match corner {
         crate::corner::Corner::Ttt => 1.0,
         crate::corner::Corner::Tff => 1.65,
@@ -192,33 +178,26 @@ pub fn leakage_multiplier(corner: crate::corner::Corner) -> f64 {
 
 /// Temperature sensitivity of the effective critical voltage, mV per °C
 /// away from the 43 °C setpoint the paper stabilizes (§3.1).
-pub const VCRIT_TEMP_SLOPE_MV_PER_C: f64 = 0.35;
+pub(crate) const VCRIT_TEMP_SLOPE_MV_PER_C: f64 = 0.35;
 
 /// Die temperature setpoint the fan controller regulates to (§3.1: "We
 /// stabilize the temperature at 43°C").
-pub const TEMP_SETPOINT_C: f64 = 43.0;
-
-/// Expected Vmin (analytical helper): the voltage at which the run-level
-/// expected fault count crosses [`LAMBDA_DETECT`], for a workload of stress
-/// mass `stress_mass` on a core with critical voltage `vcrit_mv`.
-///
-/// Used by calibration tests to cross-check the emergent simulator
-/// behaviour against the closed form.
-#[must_use]
-pub fn expected_vmin_mv(vcrit_mv: f64, stress_mass: f64) -> f64 {
-    vcrit_mv + S_MV * (stress_mass * P0 / LAMBDA_DETECT).ln()
-}
-
-/// Which regime-dependent parameters apply at a given effective timing
-/// regime.
-#[must_use]
-pub fn regime_is_full_speed(regime: TimingRegime) -> bool {
-    matches!(regime, TimingRegime::FullSpeed)
-}
+pub(crate) const TEMP_SETPOINT_C: f64 = 43.0;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Detection threshold: expected-fault level at which a 10-iteration
+    /// campaign starts observing abnormalities.
+    const LAMBDA_DETECT: f64 = 0.07;
+
+    /// Closed-form Vmin (mV): the supply at which the expected fault count
+    /// crosses [`LAMBDA_DETECT`], for a workload of stress mass
+    /// `stress_mass` on a core with critical voltage `vcrit_mv`.
+    fn expected_vmin_mv(vcrit_mv: f64, stress_mass: f64) -> f64 {
+        vcrit_mv + S_MV * (stress_mass * P0 / LAMBDA_DETECT).ln()
+    }
 
     #[test]
     fn expected_vmin_is_monotone_in_stress() {

@@ -28,15 +28,9 @@ pub enum Corner {
 }
 
 impl Corner {
-    /// All three corners in the order the paper presents them.
-    #[must_use]
-    pub fn all() -> [Corner; 3] {
-        [Corner::Ttt, Corner::Tff, Corner::Tss]
-    }
-
     /// Corner shift (mV) of the timing-critical voltage.
     #[must_use]
-    pub fn vcrit_shift_mv(self) -> f64 {
+    fn vcrit_shift_mv(self) -> f64 {
         match self {
             Corner::Ttt => 0.0,
             Corner::Tff => calib::VCRIT_SHIFT_TFF_MV,
@@ -46,7 +40,7 @@ impl Corner {
 
     /// Relative leakage-power multiplier.
     #[must_use]
-    pub fn leakage_multiplier(self) -> f64 {
+    pub(crate) fn leakage_multiplier(self) -> f64 {
         calib::leakage_multiplier(self)
     }
 }
@@ -89,12 +83,6 @@ impl ChipSpec {
     #[must_use]
     pub fn corner(self) -> Corner {
         self.corner
-    }
-
-    /// The chip's serial number.
-    #[must_use]
-    pub fn serial(self) -> u64 {
-        self.serial
     }
 
     /// Derives the chip's static variation map (per-core critical-voltage
@@ -157,7 +145,7 @@ impl VariationMap {
 
     /// The core's total static offset (mV) above the corner base.
     #[must_use]
-    pub fn core_offset_mv(&self, core: CoreId) -> f64 {
+    fn core_offset_mv(&self, core: CoreId) -> f64 {
         self.core_offset_mv[core.index()]
     }
 
@@ -175,30 +163,6 @@ impl VariationMap {
             }
             TimingRegime::Divided => calib::DIVIDED_COLLAPSE_MV,
         }
-    }
-
-    /// The most robust core (lowest critical voltage) of the chip.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "CoreId::all() is a fixed non-empty topology"
-    )]
-    pub fn most_robust_core(&self) -> CoreId {
-        CoreId::all()
-            .min_by(|a, b| self.core_offset_mv(*a).total_cmp(&self.core_offset_mv(*b)))
-            .expect("there is always a core")
-    }
-
-    /// The most sensitive core (highest critical voltage) of the chip.
-    #[must_use]
-    #[expect(
-        clippy::expect_used,
-        reason = "CoreId::all() is a fixed non-empty topology"
-    )]
-    pub fn most_sensitive_core(&self) -> CoreId {
-        CoreId::all()
-            .max_by(|a, b| self.core_offset_mv(*a).total_cmp(&self.core_offset_mv(*b)))
-            .expect("there is always a core")
     }
 }
 
@@ -250,12 +214,14 @@ mod tests {
         // reference chips used throughout the experiments.
         for (corner, serial) in [(Corner::Ttt, 0), (Corner::Tff, 1), (Corner::Tss, 2)] {
             let v = ChipSpec::new(corner, serial).variation();
-            let robust = v.most_robust_core();
+            let by_offset =
+                |a: &CoreId, b: &CoreId| v.core_offset_mv(*a).total_cmp(&v.core_offset_mv(*b));
+            let robust = CoreId::all().min_by(by_offset).expect("eight cores");
             assert!(
                 robust == CoreId::new(4) || robust == CoreId::new(5),
                 "{corner}: robust core was {robust}"
             );
-            let sensitive = v.most_sensitive_core();
+            let sensitive = CoreId::all().max_by(by_offset).expect("eight cores");
             assert!(
                 sensitive == CoreId::new(0) || sensitive == CoreId::new(1),
                 "{corner}: sensitive core was {sensitive}"

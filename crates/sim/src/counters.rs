@@ -38,17 +38,8 @@ macro_rules! pmu_events {
 
             /// The event's fixed index in the counter file.
             #[must_use]
-            pub fn index(self) -> usize {
+            fn index(self) -> usize {
                 self as usize
-            }
-
-            /// Looks an event up by its mnemonic.
-            #[must_use]
-            pub fn from_label(label: &str) -> Option<$name> {
-                match label {
-                    $($label => Some($name::$variant),)+
-                    _ => None,
-                }
             }
         }
     };
@@ -178,7 +169,7 @@ impl fmt::Display for PmuEvent {
 /// use margins_sim::counters::{CounterFile, PmuEvent};
 ///
 /// let mut c = CounterFile::new();
-/// c.add(PmuEvent::InstRetired, 100);
+/// c[PmuEvent::InstRetired] += 100;
 /// c[PmuEvent::CpuCycles] += 250;
 /// assert_eq!(c[PmuEvent::InstRetired], 100);
 /// assert!((c.rate(PmuEvent::InstRetired, PmuEvent::CpuCycles) - 0.4).abs() < 1e-12);
@@ -187,7 +178,7 @@ impl fmt::Display for PmuEvent {
 pub struct CounterFile {
     /// Sized by the event count, so indexing by an event needs no bounds
     /// check; boxed, so the file stays one pointer wide wherever it is
-    /// held (every classified run carries an `Option<CounterFile>`).
+    /// held (every run record carries one).
     counts: Box<[u64; NUM_EVENTS]>,
 }
 
@@ -203,14 +194,9 @@ impl CounterFile {
     /// Adds `n` to the counter for `event`, saturating at `u64::MAX` —
     /// hardware counter files pin rather than wrap, and a wrapped count
     /// would silently corrupt every rate and profile derived from it.
-    pub fn add(&mut self, event: PmuEvent, n: u64) {
+    pub(crate) fn add(&mut self, event: PmuEvent, n: u64) {
         let c = &mut self.counts[event.index()];
         *c = c.saturating_add(n);
-    }
-
-    /// Increments the counter for `event` by one.
-    pub fn incr(&mut self, event: PmuEvent) {
-        self.add(event, 1);
     }
 
     /// The current count for `event`.
@@ -227,19 +213,6 @@ impl CounterFile {
             return 0.0;
         }
         self.get(numerator) as f64 / d as f64
-    }
-
-    /// Accumulates another counter file into this one, saturating at
-    /// `u64::MAX` per counter.
-    pub fn merge(&mut self, other: &CounterFile) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Iterates over `(event, count)` pairs in counter-file order.
@@ -292,14 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn label_roundtrip() {
-        for e in PmuEvent::ALL {
-            assert_eq!(PmuEvent::from_label(e.label()), Some(*e));
-        }
-        assert_eq!(PmuEvent::from_label("NO_SUCH_EVENT"), None);
-    }
-
-    #[test]
     fn indices_are_dense_and_ordered() {
         for (i, e) in PmuEvent::ALL.iter().enumerate() {
             assert_eq!(e.index(), i);
@@ -317,7 +282,10 @@ mod tests {
             "COND_BR_RETIRED",
             "IND_BR_RETIRED",
         ] {
-            assert!(PmuEvent::from_label(label).is_some(), "{label} missing");
+            assert!(
+                PmuEvent::ALL.iter().any(|e| e.label() == label),
+                "{label} missing"
+            );
         }
     }
 
@@ -325,18 +293,9 @@ mod tests {
     fn counter_file_arithmetic() {
         let mut c = CounterFile::new();
         c.add(PmuEvent::LdRetired, 10);
-        c.incr(PmuEvent::LdRetired);
+        c.add(PmuEvent::LdRetired, 1);
         assert_eq!(c[PmuEvent::LdRetired], 11);
-
-        let mut d = CounterFile::new();
-        d.add(PmuEvent::LdRetired, 9);
-        d.add(PmuEvent::StRetired, 5);
-        c.merge(&d);
-        assert_eq!(c[PmuEvent::LdRetired], 20);
-        assert_eq!(c[PmuEvent::StRetired], 5);
-
-        c.reset();
-        assert!(c.iter().all(|(_, v)| v == 0));
+        assert_eq!(c[PmuEvent::StRetired], 0);
     }
 
     #[test]
@@ -345,13 +304,6 @@ mod tests {
         c.add(PmuEvent::CpuCycles, u64::MAX - 1);
         c.add(PmuEvent::CpuCycles, 5);
         assert_eq!(c[PmuEvent::CpuCycles], u64::MAX);
-
-        let mut d = CounterFile::new();
-        d.add(PmuEvent::CpuCycles, u64::MAX);
-        d.add(PmuEvent::InstRetired, 3);
-        c.merge(&d);
-        assert_eq!(c[PmuEvent::CpuCycles], u64::MAX);
-        assert_eq!(c[PmuEvent::InstRetired], 3);
     }
 
     #[test]
@@ -362,7 +314,7 @@ mod tests {
 
     #[test]
     fn counter_file_is_one_pointer_wide() {
-        // An inline array would add ~800 bytes to every classified run.
+        // An inline array would add ~800 bytes to every run record.
         assert_eq!(
             std::mem::size_of::<CounterFile>(),
             std::mem::size_of::<usize>()

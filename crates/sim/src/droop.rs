@@ -14,21 +14,11 @@
 use crate::calib;
 
 /// Number of ops per activity-accounting block.
-pub const BLOCK_OPS: u32 = 64;
+const BLOCK_OPS: u32 = 64;
 
 /// Tracks switching activity and converts it into an effective droop.
-///
-/// ```
-/// use margins_sim::droop::DroopModel;
-///
-/// let mut d = DroopModel::new();
-/// for _ in 0..64 {
-///     d.record_activity(1.0); // a block of maximum-weight ops
-/// }
-/// assert!(d.droop_mv() > 0.0);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct DroopModel {
+pub(crate) struct DroopModel {
     ewma: f64,
     block_accum: f64,
     block_ops: u32,
@@ -37,7 +27,7 @@ pub struct DroopModel {
 impl DroopModel {
     /// A quiescent droop tracker.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         DroopModel {
             ewma: 0.0,
             block_accum: 0.0,
@@ -51,7 +41,7 @@ impl DroopModel {
     ///
     /// Returns `true` when a block boundary was crossed (the caller may then
     /// refresh cached fault intensities).
-    pub fn record_activity(&mut self, activity: f64) -> bool {
+    pub(crate) fn record_activity(&mut self, activity: f64) -> bool {
         self.block_accum += activity;
         self.block_ops += 1;
         if self.block_ops >= BLOCK_OPS {
@@ -69,19 +59,8 @@ impl DroopModel {
     /// The current droop contribution (mV) to the effective critical
     /// voltage.
     #[must_use]
-    pub fn droop_mv(&self) -> f64 {
+    pub(crate) fn droop_mv(&self) -> f64 {
         calib::DROOP_MAX_MV * self.ewma.clamp(0.0, 1.0)
-    }
-
-    /// The raw activity EWMA (diagnostics and power model input).
-    #[must_use]
-    pub fn activity(&self) -> f64 {
-        self.ewma
-    }
-
-    /// Resets the tracker to quiescent (e.g. on power cycle).
-    pub fn reset(&mut self) {
-        *self = DroopModel::new();
     }
 }
 
@@ -144,15 +123,5 @@ mod tests {
             d.record_activity(5.0); // out-of-range activity is clamped
         }
         assert!(d.droop_mv() <= calib::DROOP_MAX_MV + 1e-12);
-    }
-
-    #[test]
-    fn reset_restores_quiescence() {
-        let mut d = DroopModel::new();
-        for _ in 0..64 * 10 {
-            d.record_activity(1.0);
-        }
-        d.reset();
-        assert_eq!(d.droop_mv(), 0.0);
     }
 }

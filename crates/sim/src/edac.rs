@@ -59,7 +59,7 @@ impl EdacLog {
     }
 
     /// Appends a record.
-    pub fn report(&mut self, record: EdacRecord) {
+    pub(crate) fn report(&mut self, record: EdacRecord) {
         self.records.push(record);
     }
 
@@ -69,33 +69,9 @@ impl EdacLog {
         &self.records
     }
 
-    /// Number of corrected-error records pending.
-    #[must_use]
-    pub fn corrected_count(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.kind == EdacKind::Corrected)
-            .count()
-    }
-
-    /// Number of uncorrected-error records pending.
-    #[must_use]
-    pub fn uncorrected_count(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.kind == EdacKind::Uncorrected)
-            .count()
-    }
-
     /// Removes and returns all pending records (the SLIMpro mailbox read).
-    pub fn drain(&mut self) -> Vec<EdacRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<EdacRecord> {
         std::mem::take(&mut self.records)
-    }
-
-    /// Whether any record is pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 }
 
@@ -119,9 +95,9 @@ mod tests {
         log.report(record(EdacKind::Corrected));
         log.report(record(EdacKind::Corrected));
         log.report(record(EdacKind::Uncorrected));
-        assert_eq!(log.corrected_count(), 2);
-        assert_eq!(log.uncorrected_count(), 1);
-        assert!(!log.is_empty());
+        let count = |kind| log.records().iter().filter(|r| r.kind == kind).count();
+        assert_eq!(count(EdacKind::Corrected), 2);
+        assert_eq!(count(EdacKind::Uncorrected), 1);
     }
 
     #[test]
@@ -130,8 +106,7 @@ mod tests {
         log.report(record(EdacKind::Corrected));
         let drained = log.drain();
         assert_eq!(drained.len(), 1);
-        assert!(log.is_empty());
-        assert_eq!(log.corrected_count(), 0);
+        assert!(log.records().is_empty());
     }
 
     #[test]

@@ -60,14 +60,14 @@ impl Enhancements {
 
 /// Fraction of datapath timing faults the §6b detectors catch (residue and
 /// parity predictors do not cover every path).
-pub const RESIDUE_COVERAGE: f64 = 0.85;
+pub(crate) const RESIDUE_COVERAGE: f64 = 0.85;
 
 /// Cycle penalty of one detected-and-retried op.
-pub const RETRY_PENALTY_CYCLES: f64 = 24.0;
+pub(crate) const RETRY_PENALTY_CYCLES: f64 = 24.0;
 
 /// Throughput tax of adaptive clocking per activity block, cycles per mV of
 /// suppressed droop.
-pub const ADAPTIVE_CLOCK_STRETCH_CYCLES_PER_MV: f64 = 1.5;
+pub(crate) const ADAPTIVE_CLOCK_STRETCH_CYCLES_PER_MV: f64 = 1.5;
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,3 @@
 
 pub mod sram;
 pub mod timing;
-
-pub use sram::{WeakCell, WeakCellMap};
-pub use timing::{FaultConsequence, OpClass, TimingFaultModel};

@@ -60,7 +60,7 @@ impl WeakCellMap {
     /// Generates the weak-cell map for array `instance` of `level` on the
     /// chip described by `spec`, for an array of `sets` sets × `ways` ways.
     #[must_use]
-    pub fn generate(
+    pub(crate) fn generate(
         spec: ChipSpec,
         level: CacheLevel,
         instance: usize,
@@ -106,12 +106,6 @@ impl WeakCellMap {
         }
     }
 
-    /// The cache level this map belongs to.
-    #[must_use]
-    pub fn level(&self) -> CacheLevel {
-        self.level
-    }
-
     /// All weak cells in the array.
     #[must_use]
     pub fn cells(&self) -> &[WeakCell] {
@@ -121,7 +115,7 @@ impl WeakCellMap {
     /// Weak cells residing at `(set, way)` that are *failing* at supply
     /// voltage `supply_mv` (their fail voltage exceeds the supply), in
     /// generation order.
-    pub fn failing_at<'a>(
+    pub(crate) fn failing_at<'a>(
         &'a self,
         set: u32,
         way: u8,
@@ -135,12 +129,6 @@ impl WeakCellMap {
             .take_while(move |&&(s, w, _)| (s, w) == (set, way))
             .map(move |&(_, _, i)| &self.cells[i as usize])
             .filter(move |c| c.vfail_mv > supply_mv)
-    }
-
-    /// Total number of cells failing anywhere in the array at `supply_mv`.
-    #[must_use]
-    pub fn failing_count(&self, supply_mv: f64) -> usize {
-        self.cells.iter().filter(|c| c.vfail_mv > supply_mv).count()
     }
 
     /// The highest fail voltage present in the array (the array's own
@@ -172,6 +160,11 @@ fn sample_poisson(mean: f64, rng: &mut Rng) -> u32 {
 mod tests {
     use super::*;
     use crate::corner::Corner;
+
+    /// Total number of cells failing anywhere in the array at `supply_mv`.
+    fn failing_count(map: &WeakCellMap, supply_mv: f64) -> usize {
+        map.cells.iter().filter(|c| c.vfail_mv > supply_mv).count()
+    }
 
     fn l2_map(serial: u64) -> WeakCellMap {
         // 256 KB, 8-way, 64 B lines → 512 sets.
@@ -213,15 +206,15 @@ mod tests {
         // chip: tail would need to reach 240 mV above base (p < 1e-3 per
         // cell). Spot-check a handful of chips.
         for serial in 0..10 {
-            assert_eq!(l2_map(serial).failing_count(980.0), 0, "serial {serial}");
+            assert_eq!(failing_count(&l2_map(serial), 980.0), 0, "serial {serial}");
         }
     }
 
     #[test]
     fn most_cells_fail_only_far_below_the_unsafe_region() {
         let map = l2_map(0);
-        let deep = map.failing_count(760.0);
-        let shallow = map.failing_count(850.0);
+        let deep = failing_count(&map, 760.0);
+        let shallow = failing_count(&map, 850.0);
         assert!(deep > shallow);
         assert!(
             shallow <= 4,
@@ -230,7 +223,10 @@ mod tests {
         // The manufacturing-repair clamp guarantees the §3.4 ordering:
         // nothing fails above the lowest workload Vmin.
         for serial in 0..20 {
-            assert_eq!(l2_map(serial).failing_count(calib::SRAM_REPAIR_CLAMP_MV), 0);
+            assert_eq!(
+                failing_count(&l2_map(serial), calib::SRAM_REPAIR_CLAMP_MV),
+                0
+            );
         }
     }
 

@@ -33,7 +33,7 @@ use std::fmt;
 /// Micro-op classes, each with its own path-stress and switching weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)] // variants are self-describing op kinds
-pub enum OpClass {
+pub(crate) enum OpClass {
     IntAlu,
     IntMul,
     IntDiv,
@@ -48,11 +48,11 @@ pub enum OpClass {
 }
 
 /// Number of op classes.
-pub const NUM_OP_CLASSES: usize = 11;
+const NUM_OP_CLASSES: usize = 11;
 
 impl OpClass {
     /// All op classes in index order.
-    pub const ALL: [OpClass; NUM_OP_CLASSES] = [
+    const ALL: [OpClass; NUM_OP_CLASSES] = [
         OpClass::IntAlu,
         OpClass::IntMul,
         OpClass::IntDiv,
@@ -68,7 +68,7 @@ impl OpClass {
 
     /// Dense index of the class.
     #[must_use]
-    pub fn index(self) -> usize {
+    fn index(self) -> usize {
         self as usize
     }
 
@@ -82,7 +82,7 @@ impl OpClass {
     /// pointer-chasing integer workload must carry orders of magnitude less
     /// stress per op than an FP-divide-dense one.
     #[must_use]
-    pub fn stress_weight(self) -> f64 {
+    fn stress_weight(self) -> f64 {
         match self {
             OpClass::IntAlu => 0.010,
             OpClass::IntMul => 0.100,
@@ -100,7 +100,7 @@ impl OpClass {
 
     /// Switching-activity weight (feeds droop and dynamic power).
     #[must_use]
-    pub fn activity_weight(self) -> f64 {
+    pub(crate) fn activity_weight(self) -> f64 {
         match self {
             OpClass::IntAlu => 0.30,
             OpClass::IntMul => 0.60,
@@ -118,7 +118,7 @@ impl OpClass {
 
     /// The (SDC, AC, SC) consequence mix of a fault on this op class.
     #[must_use]
-    pub fn consequence_mix(self) -> (f64, f64, f64) {
+    fn consequence_mix(self) -> (f64, f64, f64) {
         match self {
             OpClass::IntAlu
             | OpClass::IntMul
@@ -147,7 +147,7 @@ impl fmt::Display for OpClass {
 
 /// What a timing fault does to the machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultConsequence {
+pub(crate) enum FaultConsequence {
     /// The op's result value latched wrong — a candidate silent data
     /// corruption if it propagates to program output.
     CorruptValue,
@@ -159,7 +159,7 @@ pub enum FaultConsequence {
 
 /// Per-run Poisson sampler of timing faults for one core.
 #[derive(Debug, Clone)]
-pub struct TimingFaultModel {
+pub(crate) struct TimingFaultModel {
     regime: TimingRegime,
     vcrit_mv: f64,
     supply_mv: f64,
@@ -194,7 +194,7 @@ pub struct TimingFaultModel {
 ///
 /// A run's segments are the op spans between the droop refreshes. The
 /// first one is sampled at droop 0 and thermal shift 0 (the intensity
-/// [`TimingFaultModel::new`] sets); every later segment `j` at droop `d_j`
+/// [`TimingFaultModel::with_budget`] sets); every later segment `j` at droop `d_j`
 /// and the run's thermal shift `T`. The run's accumulated intensity is
 /// therefore
 ///
@@ -244,7 +244,7 @@ impl FaultFreeIntensity {
     /// exponent (30) only lowers an intensity, so it never breaks the
     /// bound.
     #[must_use]
-    pub fn bound(&self, vcrit_mv: f64, supply_mv: f64, thermal_shift_mv: f64) -> f64 {
+    pub(crate) fn bound(&self, vcrit_mv: f64, supply_mv: f64, thermal_shift_mv: f64) -> f64 {
         let s = calib::S_MV;
         let k = ((calib::DROOP_MAX_MV + thermal_shift_mv.max(0.0)) / s).exp();
         let a = (supply_mv - vcrit_mv).abs() + calib::DROOP_MAX_MV + thermal_shift_mv.abs();
@@ -258,18 +258,15 @@ impl FaultFreeIntensity {
 }
 
 impl TimingFaultModel {
-    /// Builds the sampler for a core with critical voltage `vcrit_mv`
-    /// operating in `regime` at `supply_mv`, drawing its first budget from
-    /// `rng`.
-    #[must_use]
-    pub fn new(vcrit_mv: f64, regime: TimingRegime, supply_mv: f64, rng: &mut Rng) -> Self {
-        Self::with_budget(vcrit_mv, regime, supply_mv, draw_exponential(rng))
-    }
-
     /// Builds the sampler with an already drawn first `budget`; the first
     /// segment runs at droop 0 and thermal shift 0.
     #[must_use]
-    pub fn with_budget(vcrit_mv: f64, regime: TimingRegime, supply_mv: f64, budget: f64) -> Self {
+    pub(crate) fn with_budget(
+        vcrit_mv: f64,
+        regime: TimingRegime,
+        supply_mv: f64,
+        budget: f64,
+    ) -> Self {
         let mut model = TimingFaultModel {
             regime,
             vcrit_mv,
@@ -293,7 +290,7 @@ impl TimingFaultModel {
     /// Recomputes cached intensities for the current droop and thermal
     /// shift (called at activity-block boundaries). Closes the open
     /// intensity segment and opens the next one at `droop_mv`.
-    pub fn refresh(&mut self, droop_mv: f64, thermal_shift_mv: f64) {
+    pub(crate) fn refresh(&mut self, droop_mv: f64, thermal_shift_mv: f64) {
         let mass = self.stress_mass - self.segment_start;
         match self.head {
             None => self.head = Some(mass),
@@ -325,7 +322,7 @@ impl TimingFaultModel {
     }
 
     /// Accounts one executed op; returns the consequence if a fault fires.
-    pub fn on_op(&mut self, class: OpClass, rng: &mut Rng) -> Option<FaultConsequence> {
+    pub(crate) fn on_op(&mut self, class: OpClass, rng: &mut Rng) -> Option<FaultConsequence> {
         let lambda = self.lambda[class.index()];
         self.samples += 1;
         self.stress_mass += class.stress_weight();
@@ -342,7 +339,12 @@ impl TimingFaultModel {
     /// Accounts a burst of `n` identical ops at once (used for OS/boot
     /// activity); returns the consequence of the *first* fault inside the
     /// burst, if any.
-    pub fn on_burst(&mut self, class: OpClass, n: u32, rng: &mut Rng) -> Option<FaultConsequence> {
+    pub(crate) fn on_burst(
+        &mut self,
+        class: OpClass,
+        n: u32,
+        rng: &mut Rng,
+    ) -> Option<FaultConsequence> {
         let lambda = self.lambda[class.index()];
         self.samples += 1;
         self.stress_mass += class.stress_weight() * f64::from(n);
@@ -372,7 +374,7 @@ impl TimingFaultModel {
     /// divided clock regime (§3.2: crash-only behaviour below 760 mV).
     /// Zero in the full-speed regime (gradual faults handle it there).
     #[must_use]
-    pub fn collapse_probability(&self) -> f64 {
+    pub(crate) fn collapse_probability(&self) -> f64 {
         match self.regime {
             TimingRegime::FullSpeed => 0.0,
             TimingRegime::Divided => {
@@ -388,26 +390,26 @@ impl TimingFaultModel {
 
     /// Total stress mass accumulated so far this run.
     #[must_use]
-    pub fn stress_mass(&self) -> f64 {
+    pub(crate) fn stress_mass(&self) -> f64 {
         self.stress_mass
     }
 
     /// Number of faults fired so far this run.
     #[must_use]
-    pub fn faults_fired(&self) -> u32 {
+    pub(crate) fn faults_fired(&self) -> u32 {
         self.faults_fired
     }
 
     /// Number of Poisson accounting events drawn so far this run.
     #[must_use]
-    pub fn samples_drawn(&self) -> u64 {
+    pub(crate) fn samples_drawn(&self) -> u64 {
         self.samples
     }
 
     /// The run's factored intensity, when the run so far is one the bound
     /// covers: full speed, no fault fired, every droop in range.
     #[must_use]
-    pub fn fault_free_intensity(&self) -> Option<FaultFreeIntensity> {
+    pub(crate) fn fault_free_intensity(&self) -> Option<FaultFreeIntensity> {
         if self.regime != TimingRegime::FullSpeed || self.faults_fired > 0 || !self.droop_in_range {
             return None;
         }
@@ -421,12 +423,6 @@ impl TimingFaultModel {
             tail,
             samples: self.samples,
         })
-    }
-
-    /// The effective critical voltage this model was built with.
-    #[must_use]
-    pub fn vcrit_mv(&self) -> f64 {
-        self.vcrit_mv
     }
 }
 
@@ -450,7 +446,12 @@ mod tests {
         let mut faults = 0;
         for seed in 0..seeds {
             let mut r = Rng::seed_from_u64(seed * 1001 + 13);
-            let mut m = TimingFaultModel::new(vcrit, TimingRegime::FullSpeed, supply, &mut r);
+            let mut m = TimingFaultModel::with_budget(
+                vcrit,
+                TimingRegime::FullSpeed,
+                supply,
+                draw_exponential(&mut r),
+            );
             for _ in 0..ops {
                 if m.on_op(class, &mut r).is_some() {
                     faults += 1;
@@ -493,7 +494,12 @@ mod tests {
         let mut burst_faults = 0u32;
         for seed in 0..10 {
             let mut r1 = Rng::seed_from_u64(seed * 77 + 5);
-            let mut a = TimingFaultModel::new(886.0, TimingRegime::FullSpeed, 880.0, &mut r1);
+            let mut a = TimingFaultModel::with_budget(
+                886.0,
+                TimingRegime::FullSpeed,
+                880.0,
+                draw_exponential(&mut r1),
+            );
             for _ in 0..100 {
                 if a.on_burst(OpClass::Kernel, 1_000, &mut r1).is_some() {
                     burst_faults += 1;
@@ -511,7 +517,12 @@ mod tests {
     #[test]
     fn divided_regime_has_no_gradual_faults() {
         let mut r = rng();
-        let mut m = TimingFaultModel::new(886.0, TimingRegime::Divided, 800.0, &mut r);
+        let mut m = TimingFaultModel::with_budget(
+            886.0,
+            TimingRegime::Divided,
+            800.0,
+            draw_exponential(&mut r),
+        );
         for _ in 0..500_000 {
             assert!(m.on_op(OpClass::FpDiv, &mut r).is_none());
         }
@@ -520,11 +531,26 @@ mod tests {
     #[test]
     fn divided_collapse_probability_profile() {
         let mut r = rng();
-        let safe = TimingFaultModel::new(760.0, TimingRegime::Divided, 760.0, &mut r);
+        let safe = TimingFaultModel::with_budget(
+            760.0,
+            TimingRegime::Divided,
+            760.0,
+            draw_exponential(&mut r),
+        );
         assert_eq!(safe.collapse_probability(), 0.0);
-        let below = TimingFaultModel::new(760.0, TimingRegime::Divided, 755.0, &mut r);
+        let below = TimingFaultModel::with_budget(
+            760.0,
+            TimingRegime::Divided,
+            755.0,
+            draw_exponential(&mut r),
+        );
         assert!(below.collapse_probability() > 0.99);
-        let full = TimingFaultModel::new(760.0, TimingRegime::FullSpeed, 700.0, &mut r);
+        let full = TimingFaultModel::with_budget(
+            760.0,
+            TimingRegime::FullSpeed,
+            700.0,
+            draw_exponential(&mut r),
+        );
         assert_eq!(full.collapse_probability(), 0.0);
     }
 
@@ -535,8 +561,18 @@ mod tests {
         for seed in 0..12 {
             let mut r1 = Rng::seed_from_u64(seed * 31 + 1);
             let mut r2 = Rng::seed_from_u64(seed * 31 + 2);
-            let mut quiet = TimingFaultModel::new(886.0, TimingRegime::FullSpeed, 884.0, &mut r1);
-            let mut noisy = TimingFaultModel::new(886.0, TimingRegime::FullSpeed, 884.0, &mut r2);
+            let mut quiet = TimingFaultModel::with_budget(
+                886.0,
+                TimingRegime::FullSpeed,
+                884.0,
+                draw_exponential(&mut r1),
+            );
+            let mut noisy = TimingFaultModel::with_budget(
+                886.0,
+                TimingRegime::FullSpeed,
+                884.0,
+                draw_exponential(&mut r2),
+            );
             noisy.refresh(calib::DROOP_MAX_MV, 0.0);
             for _ in 0..120_000 {
                 if quiet.on_op(OpClass::FpAdd, &mut r1).is_some() {
@@ -553,7 +589,12 @@ mod tests {
     #[test]
     fn consequence_mix_respected_for_kernel_ops() {
         let mut r = rng();
-        let mut m = TimingFaultModel::new(886.0, TimingRegime::FullSpeed, 830.0, &mut r);
+        let mut m = TimingFaultModel::with_budget(
+            886.0,
+            TimingRegime::FullSpeed,
+            830.0,
+            draw_exponential(&mut r),
+        );
         let mut sc = 0;
         let mut total = 0;
         for _ in 0..400_000 {
@@ -642,7 +683,12 @@ mod tests {
     #[test]
     fn only_runs_the_bound_covers_report_an_intensity() {
         let mut r = rng();
-        let divided = TimingFaultModel::new(886.0, TimingRegime::Divided, 880.0, &mut r);
+        let divided = TimingFaultModel::with_budget(
+            886.0,
+            TimingRegime::Divided,
+            880.0,
+            draw_exponential(&mut r),
+        );
         assert_eq!(divided.fault_free_intensity(), None);
 
         let mut faulted = TimingFaultModel::with_budget(886.0, TimingRegime::FullSpeed, 880.0, 0.0);
@@ -668,7 +714,12 @@ mod tests {
     #[test]
     fn stress_mass_accounting() {
         let mut r = rng();
-        let mut m = TimingFaultModel::new(886.0, TimingRegime::FullSpeed, 980.0, &mut r);
+        let mut m = TimingFaultModel::with_budget(
+            886.0,
+            TimingRegime::FullSpeed,
+            980.0,
+            draw_exponential(&mut r),
+        );
         for _ in 0..10 {
             let _ = m.on_op(OpClass::FpDiv, &mut r);
         }

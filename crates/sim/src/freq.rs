@@ -13,9 +13,10 @@ use std::fmt;
 /// A clock frequency in megahertz.
 ///
 /// ```
-/// use margins_sim::freq::{Megahertz, TimingRegime};
-/// assert_eq!(Megahertz::new(1500).timing_regime(), TimingRegime::FullSpeed);
-/// assert_eq!(Megahertz::new(1200).timing_regime(), TimingRegime::Divided);
+/// use margins_sim::freq::Megahertz;
+/// assert!(Megahertz::new(1500).is_valid_pmd_frequency());
+/// assert!(!Megahertz::new(1000).is_valid_pmd_frequency());
+/// assert_eq!(Megahertz::new(1200).ratio_to_max(), 0.5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Megahertz(u32);
@@ -23,9 +24,9 @@ pub struct Megahertz(u32);
 /// Clock source of the PMD domain: 2.4 GHz (§2.1).
 pub const MAX_FREQ: Megahertz = Megahertz(2400);
 /// Lowest supported PMD frequency: 300 MHz (§2.1).
-pub const MIN_FREQ: Megahertz = Megahertz(300);
+const MIN_FREQ: Megahertz = Megahertz(300);
 /// PMD frequency granularity: 300 MHz steps (§2.1).
-pub const FREQ_STEP: u32 = 300;
+const FREQ_STEP: u32 = 300;
 
 impl Megahertz {
     /// Creates a frequency from a raw megahertz count.
@@ -42,7 +43,7 @@ impl Megahertz {
 
     /// The value as `f64` for model math.
     #[must_use]
-    pub fn as_f64(self) -> f64 {
+    pub(crate) fn as_f64(self) -> f64 {
         f64::from(self.0)
     }
 
@@ -56,7 +57,7 @@ impl Megahertz {
     /// The effective timing regime under the clock-skipping/division rule of
     /// §3.2.
     #[must_use]
-    pub fn timing_regime(self) -> TimingRegime {
+    pub(crate) fn timing_regime(self) -> TimingRegime {
         if self.0 > MAX_FREQ.0 / 2 {
             TimingRegime::FullSpeed
         } else {
@@ -104,19 +105,6 @@ impl fmt::Display for TimingRegime {
     }
 }
 
-/// Iterator over every valid PMD frequency, ascending.
-///
-/// ```
-/// use margins_sim::freq::valid_frequencies;
-/// let all: Vec<_> = valid_frequencies().map(|f| f.get()).collect();
-/// assert_eq!(all.first(), Some(&300));
-/// assert_eq!(all.last(), Some(&2400));
-/// assert_eq!(all.len(), 8);
-/// ```
-pub fn valid_frequencies() -> impl Iterator<Item = Megahertz> {
-    (1..=MAX_FREQ.0 / FREQ_STEP).map(|k| Megahertz(k * FREQ_STEP))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,14 +130,6 @@ mod tests {
         );
         assert_eq!(Megahertz::new(1200).timing_regime(), TimingRegime::Divided);
         assert_eq!(Megahertz::new(300).timing_regime(), TimingRegime::Divided);
-    }
-
-    #[test]
-    fn all_valid_frequencies_enumerated() {
-        let freqs: Vec<_> = valid_frequencies().collect();
-        assert_eq!(freqs.len(), 8);
-        assert!(freqs.iter().all(|f| f.is_valid_pmd_frequency()));
-        assert!(freqs.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

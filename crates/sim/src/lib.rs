@@ -22,8 +22,8 @@
 //!   CE/UE reports) ([`faults`]),
 //! * the **cache hierarchy** with its protection schemes and an EDAC-style
 //!   error log ([`cache`], [`edac`]),
-//! * **power, thermal and supply-droop** models ([`power`], [`thermal`],
-//!   [`droop`]),
+//! * **power, thermal and supply-droop** models ([`power`], `thermal`,
+//!   `droop`),
 //! * the 101-event **PMU counter file** used by the prediction study
 //!   ([`counters`]),
 //! * the **management processors** (SLIMpro/PMpro) through which system
@@ -63,7 +63,7 @@ pub mod cache;
 pub mod calib;
 pub mod corner;
 pub mod counters;
-pub mod droop;
+mod droop;
 pub mod edac;
 pub mod enhance;
 pub mod faults;
@@ -73,7 +73,7 @@ pub mod mgmt;
 pub mod power;
 pub mod program;
 pub mod system;
-pub mod thermal;
+mod thermal;
 pub mod topology;
 pub mod volt;
 
@@ -81,7 +81,7 @@ pub use corner::{ChipSpec, Corner};
 pub use counters::{CounterFile, PmuEvent};
 pub use enhance::Enhancements;
 pub use freq::Megahertz;
-pub use machine::{FaultFree, Machine};
+pub use machine::Machine;
 pub use program::{OutputDigest, Program};
 pub use system::{RunOutcome, RunRecord, System, SystemConfig};
 pub use topology::{CoreId, PmdId};

@@ -36,12 +36,6 @@ use margins_rng::Rng;
 pub struct Addr(u64);
 
 impl Addr {
-    /// The raw word index.
-    #[must_use]
-    pub fn index(self) -> u64 {
-        self.0
-    }
-
     /// The address `n` words further.
     #[must_use]
     pub fn offset(self, n: u64) -> Addr {
@@ -139,7 +133,7 @@ impl FaultFree {
     /// SRAM weak cells are not covered: the caller checks that every array
     /// the run touches is inert at its supply.
     #[must_use]
-    pub fn fires_no_fault(
+    pub(crate) fn fires_no_fault(
         &self,
         vcrit_mv: f64,
         pmd_mv: f64,
@@ -181,8 +175,9 @@ const BHT_ENTRIES: usize = 4096;
 const BTB_ENTRIES: usize = 512;
 const FETCH_GROUP_OPS: u32 = 16;
 /// Interval (in ops) between background-OS activity ticks; together with
-/// the kernel stress weight this delivers ≈[`calib::OS_STRESS_MASS`] per
-/// typical run.
+/// the kernel stress weight this delivers a stress mass of about 95 per
+/// typical run, calibrated so the crash region of Figure 4 starts
+/// ~25–35 mV below the robust-core Vmin.
 const OS_TICK_INTERVAL: u32 = 640;
 /// Kernel-mode ops simulated at boot before the program starts.
 const BOOT_KERNEL_OPS: u32 = 30;
@@ -371,15 +366,9 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// The core this machine executes on.
-    #[must_use]
-    pub fn core(&self) -> CoreId {
-        self.core
-    }
-
     /// Current machine liveness.
     #[must_use]
-    pub fn status(&self) -> MachineStatus {
+    pub(crate) fn status(&self) -> MachineStatus {
         self.status
     }
 
@@ -400,7 +389,7 @@ impl<'a> Machine<'a> {
     /// Boot/OS-resume activity executed before the program: a burst of
     /// kernel-mode ops plus — in the divided clock regime — the outright
     /// collapse roll of §3.2.
-    pub fn boot(&mut self) {
+    pub(crate) fn boot(&mut self) {
         let p = self.timing.collapse_probability();
         if p > 0.0 && self.rng.next_f64() < p {
             self.status = MachineStatus::SysHung;
@@ -1435,7 +1424,11 @@ mod tests {
                 let _ = m.load_u64(base.offset((i * 1021) % (1 << 20)));
             }
             assert_eq!(m.status(), MachineStatus::Healthy, "seed {seed}");
-            ces += e.corrected_count();
+            ces += e
+                .records()
+                .iter()
+                .filter(|r| r.kind == crate::edac::EdacKind::Corrected)
+                .count();
         }
         assert!(ces > 0, "L3 weak cells must report CEs at 800mV SoC");
     }

@@ -13,7 +13,6 @@
 //! standby domain is never scaled, so they keep working while the cores are
 //! being crashed.
 
-use crate::edac::EdacRecord;
 use crate::freq::Megahertz;
 use crate::system::System;
 use crate::topology::PmdId;
@@ -100,23 +99,6 @@ impl<'a> SlimPro<'a> {
     pub fn read_die_temperature_c(&self) -> f64 {
         self.sys.thermal.die_temp_c()
     }
-
-    /// Drains all pending EDAC error reports (the error-reporting mailbox).
-    pub fn drain_error_reports(&mut self) -> Vec<EdacRecord> {
-        self.sys.edac.drain()
-    }
-
-    /// Current PMD-rail voltage readback.
-    #[must_use]
-    pub fn read_pmd_voltage(&self) -> Millivolts {
-        self.sys.supplies.pmd()
-    }
-
-    /// Current PCP/SoC-rail voltage readback.
-    #[must_use]
-    pub fn read_soc_voltage(&self) -> Millivolts {
-        self.sys.supplies.soc()
-    }
 }
 
 /// The PMpro power-management interface.
@@ -136,25 +118,6 @@ impl<'a> PmPro<'a> {
         self.sys
             .log_console(&format!("pmpro: fan setpoint -> {setpoint_c:.1}C"));
     }
-
-    /// Average chip power since power-up, watts (the external power meter).
-    #[must_use]
-    pub fn read_average_power_w(&self) -> f64 {
-        self.sys.energy.average_watts()
-    }
-
-    /// Cumulative energy since power-up, joules.
-    #[must_use]
-    pub fn read_energy_j(&self) -> f64 {
-        self.sys.energy.joules()
-    }
-
-    /// Whether the chip currently respects its TDP envelope at the given
-    /// instantaneous estimate (external power-throttling support hook).
-    #[must_use]
-    pub fn within_tdp(&self, estimate_w: f64) -> bool {
-        estimate_w <= crate::topology::MAX_TDP_WATTS
-    }
 }
 
 #[cfg(test)]
@@ -173,8 +136,8 @@ mod tests {
         let mut sp = s.slimpro_mut();
         sp.set_pmd_voltage(Millivolts::new(905)).unwrap();
         sp.set_soc_voltage(Millivolts::new(930)).unwrap();
-        assert_eq!(sp.read_pmd_voltage().get(), 905);
-        assert_eq!(sp.read_soc_voltage().get(), 930);
+        assert_eq!(s.supplies().pmd().get(), 905);
+        assert_eq!(s.supplies().soc().get(), 930);
     }
 
     #[test]
@@ -213,9 +176,6 @@ mod tests {
         let mut s = sys();
         {
             let mut pp = s.pmpro_mut();
-            assert_eq!(pp.read_energy_j(), 0.0);
-            assert!(pp.within_tdp(30.0));
-            assert!(!pp.within_tdp(60.0));
             pp.set_temperature_setpoint(50.0);
         }
         assert!(s.console().iter().any(|l| l.contains("pmpro")));

@@ -31,7 +31,7 @@ const LEAKAGE_TEMP_COEFF: f64 = 0.02;
 
 /// The chip's operating point, as the power model sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OperatingPoint {
+pub(crate) struct OperatingPoint {
     /// PMD-rail voltage.
     pub pmd_voltage: Millivolts,
     /// PCP/SoC-rail voltage.
@@ -49,7 +49,7 @@ pub struct OperatingPoint {
 impl OperatingPoint {
     /// Nominal V/F, everything idle, regulated temperature.
     #[must_use]
-    pub fn idle_nominal() -> Self {
+    pub(crate) fn idle_nominal() -> Self {
         OperatingPoint {
             pmd_voltage: PMD_NOMINAL,
             soc_voltage: SOC_NOMINAL,
@@ -62,39 +62,21 @@ impl OperatingPoint {
 }
 
 /// The power model for a chip of a given corner.
-///
-/// ```
-/// use margins_sim::power::{PowerModel, OperatingPoint};
-/// use margins_sim::Corner;
-///
-/// let model = PowerModel::new(Corner::Ttt);
-/// let mut op = OperatingPoint::idle_nominal();
-/// op.core_activity = [1.0; 8];
-/// op.mem_activity = 1.0;
-/// let w = model.total_watts(&op);
-/// assert!(w > 20.0 && w < 35.0, "full load inside TDP: {w}");
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PowerModel {
+pub(crate) struct PowerModel {
     corner: Corner,
 }
 
 impl PowerModel {
     /// A power model for the given process corner.
     #[must_use]
-    pub fn new(corner: Corner) -> Self {
+    pub(crate) fn new(corner: Corner) -> Self {
         PowerModel { corner }
-    }
-
-    /// The model's corner.
-    #[must_use]
-    pub fn corner(self) -> Corner {
-        self.corner
     }
 
     /// Dynamic power of the PMD domain, watts.
     #[must_use]
-    pub fn pmd_dynamic_watts(self, op: &OperatingPoint) -> f64 {
+    fn pmd_dynamic_watts(self, op: &OperatingPoint) -> f64 {
         let v2 = op.pmd_voltage.ratio_to(PMD_NOMINAL).powi(2);
         let per_pmd = PMD_DYNAMIC_FULL_W / NUM_PMDS as f64;
         let mut total = 0.0;
@@ -107,7 +89,7 @@ impl PowerModel {
 
     /// Leakage power of the PMD domain, watts.
     #[must_use]
-    pub fn pmd_leakage_watts(self, op: &OperatingPoint) -> f64 {
+    fn pmd_leakage_watts(self, op: &OperatingPoint) -> f64 {
         let v2 = op.pmd_voltage.ratio_to(PMD_NOMINAL).powi(2);
         let temp = 1.0 + LEAKAGE_TEMP_COEFF * (op.die_temp_c - crate::calib::TEMP_SETPOINT_C);
         PMD_LEAKAGE_NOMINAL_W * self.corner.leakage_multiplier() * v2 * temp.max(0.2)
@@ -115,14 +97,14 @@ impl PowerModel {
 
     /// Power of the PCP/SoC domain, watts.
     #[must_use]
-    pub fn soc_watts(self, op: &OperatingPoint) -> f64 {
+    fn soc_watts(self, op: &OperatingPoint) -> f64 {
         let v2 = op.soc_voltage.ratio_to(SOC_NOMINAL).powi(2);
         SOC_FULL_W * v2 * (SOC_IDLE_FRACTION + (1.0 - SOC_IDLE_FRACTION) * op.mem_activity)
     }
 
     /// Total chip power, watts.
     #[must_use]
-    pub fn total_watts(self, op: &OperatingPoint) -> f64 {
+    pub(crate) fn total_watts(self, op: &OperatingPoint) -> f64 {
         self.pmd_dynamic_watts(op) + self.pmd_leakage_watts(op) + self.soc_watts(op)
     }
 }
@@ -137,12 +119,12 @@ pub struct EnergyMeter {
 impl EnergyMeter {
     /// A zeroed meter.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EnergyMeter::default()
     }
 
     /// Accumulates `watts` drawn for `dt_s` seconds.
-    pub fn accumulate(&mut self, watts: f64, dt_s: f64) {
+    pub(crate) fn accumulate(&mut self, watts: f64, dt_s: f64) {
         self.joules += watts * dt_s;
         self.seconds += dt_s;
     }
@@ -157,21 +139,6 @@ impl EnergyMeter {
     #[must_use]
     pub fn seconds(self) -> f64 {
         self.seconds
-    }
-
-    /// Average power over the accumulated interval, watts.
-    #[must_use]
-    pub fn average_watts(self) -> f64 {
-        if self.seconds > 0.0 {
-            self.joules / self.seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Clears the meter.
-    pub fn reset(&mut self) {
-        *self = EnergyMeter::default();
     }
 }
 
@@ -238,9 +205,6 @@ mod tests {
         m.accumulate(20.0, 1.0);
         assert!((m.joules() - 40.0).abs() < 1e-12);
         assert!((m.seconds() - 3.0).abs() < 1e-12);
-        assert!((m.average_watts() - 40.0 / 3.0).abs() < 1e-12);
-        m.reset();
-        assert_eq!(m.average_watts(), 0.0);
     }
 
     #[test]

@@ -22,14 +22,15 @@ use margins_trace::{Observer, TraceEvent};
 use std::fmt;
 use std::sync::Arc;
 
+/// Maximum serial-console lines a board retains.
+const CONSOLE_CAPACITY: usize = 256;
+
 /// Static configuration of the simulated board.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Die-temperature setpoint the fan controller regulates to, °C
     /// (§3.1 uses 43 °C).
     pub temp_setpoint_c: f64,
-    /// Maximum serial-console lines retained.
-    pub console_capacity: usize,
     /// §6 hardware enhancements of this chip revision (stock by default).
     pub enhancements: crate::enhance::Enhancements,
 }
@@ -38,7 +39,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             temp_setpoint_c: crate::calib::TEMP_SETPOINT_C,
-            console_capacity: 256,
             enhancements: crate::enhance::Enhancements::stock(),
         }
     }
@@ -200,18 +200,6 @@ impl System {
         self.log_console("boot: firmware handoff, supplies at nominal");
     }
 
-    /// The chip's identity.
-    #[must_use]
-    pub fn spec(&self) -> ChipSpec {
-        self.spec
-    }
-
-    /// The chip's static variation map.
-    #[must_use]
-    pub fn variation(&self) -> &VariationMap {
-        &self.variation
-    }
-
     /// Current supply state.
     #[must_use]
     pub fn supplies(&self) -> SupplyState {
@@ -257,11 +245,6 @@ impl System {
         self.observer = Some(observer);
     }
 
-    /// Detaches the telemetry observer.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
-    }
-
     /// Reports one event through the attached observer, constructing it
     /// only when an enabled observer is attached — instrumented callers
     /// (the characterization framework) pay nothing when tracing is off.
@@ -300,15 +283,8 @@ impl System {
         self.log_console("watchdog: power cycle, supplies restored to nominal");
     }
 
-    /// Warm reset via the reset button: like a power cycle but keeps the
-    /// energy meter semantics identical (provided for completeness; the
-    /// framework uses [`System::power_cycle`]).
-    pub fn reset(&mut self) {
-        self.power_cycle();
-    }
-
     pub(crate) fn log_console(&mut self, line: &str) {
-        if self.console.len() >= self.config.console_capacity {
+        if self.console.len() >= CONSOLE_CAPACITY {
             self.console.remove(0);
         }
         self.console.push(line.to_owned());
@@ -713,13 +689,6 @@ mod tests {
             &events[0],
             margins_trace::TraceEvent::RailSet { rail, mv: 905 } if rail == "pmd"
         ));
-
-        traced.clear_observer();
-        traced
-            .slimpro_mut()
-            .set_pmd_voltage(Millivolts::new(905))
-            .unwrap();
-        assert!(buf.is_empty(), "detached observer must see nothing");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::calib;
 
 /// Ambient temperature around the board, °C.
-pub const AMBIENT_C: f64 = 25.0;
+const AMBIENT_C: f64 = 25.0;
 
 /// Thermal capacitance of the die+spreader node, J/°C.
 const THERMAL_CAPACITANCE: f64 = 12.0;
@@ -22,19 +22,8 @@ const R_MIN: f64 = 0.35;
 const R_MAX: f64 = 3.0;
 
 /// A single-node RC thermal model with a proportional fan controller.
-///
-/// ```
-/// use margins_sim::thermal::ThermalModel;
-///
-/// let mut t = ThermalModel::new();
-/// // Run 20 W through the die for a while; the fan converges on 43 °C.
-/// for _ in 0..20_000 {
-///     t.step(20.0, 0.05);
-/// }
-/// assert!((t.die_temp_c() - 43.0).abs() < 1.5);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct ThermalModel {
+pub(crate) struct ThermalModel {
     die_temp_c: f64,
     setpoint_c: f64,
     fan_level: f64, // 0.0 (off) .. 1.0 (full speed)
@@ -43,13 +32,13 @@ pub struct ThermalModel {
 impl ThermalModel {
     /// A model starting at the paper's 43 °C setpoint.
     #[must_use]
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::with_setpoint(calib::TEMP_SETPOINT_C)
     }
 
     /// A model regulating towards `setpoint_c`.
     #[must_use]
-    pub fn with_setpoint(setpoint_c: f64) -> Self {
+    pub(crate) fn with_setpoint(setpoint_c: f64) -> Self {
         ThermalModel {
             die_temp_c: setpoint_c,
             setpoint_c,
@@ -59,25 +48,13 @@ impl ThermalModel {
 
     /// Current die temperature, °C.
     #[must_use]
-    pub fn die_temp_c(&self) -> f64 {
+    pub(crate) fn die_temp_c(&self) -> f64 {
         self.die_temp_c
-    }
-
-    /// The regulation setpoint, °C.
-    #[must_use]
-    pub fn setpoint_c(&self) -> f64 {
-        self.setpoint_c
-    }
-
-    /// Current fan drive level in `[0, 1]`.
-    #[must_use]
-    pub fn fan_level(&self) -> f64 {
-        self.fan_level
     }
 
     /// Advances the model by `dt_s` seconds while the chip dissipates
     /// `power_w` watts, and lets the fan controller react.
-    pub fn step(&mut self, power_w: f64, dt_s: f64) {
+    pub(crate) fn step(&mut self, power_w: f64, dt_s: f64) {
         // Proportional fan control on the temperature error.
         let error = self.die_temp_c - self.setpoint_c;
         self.fan_level = (self.fan_level + 0.08 * error * dt_s.max(1e-3)).clamp(0.0, 1.0);
@@ -89,7 +66,7 @@ impl ThermalModel {
     /// The critical-voltage shift (mV) induced by deviating from the
     /// characterization setpoint; zero when perfectly regulated (§3.1).
     #[must_use]
-    pub fn vcrit_shift_mv(&self) -> f64 {
+    pub(crate) fn vcrit_shift_mv(&self) -> f64 {
         (self.die_temp_c - calib::TEMP_SETPOINT_C) * calib::VCRIT_TEMP_SLOPE_MV_PER_C
     }
 }
@@ -111,7 +88,7 @@ mod tests {
             t.step(25.0, 0.05);
         }
         assert!(
-            (t.die_temp_c() - t.setpoint_c()).abs() < 1.5,
+            (t.die_temp_c() - t.setpoint_c).abs() < 1.5,
             "converged to {}",
             t.die_temp_c()
         );
@@ -125,7 +102,7 @@ mod tests {
             light.step(8.0, 0.05);
             heavy.step(30.0, 0.05);
         }
-        assert!(heavy.fan_level() > light.fan_level());
+        assert!(heavy.fan_level > light.fan_level);
     }
 
     #[test]

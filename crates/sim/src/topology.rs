@@ -8,7 +8,6 @@
 //! controllers, the central switch and the I/O bridge live in the separate
 //! PCP/SoC power domain.
 
-use crate::volt::PowerDomain;
 use std::fmt;
 
 /// Number of cores on the chip (Table 2).
@@ -16,21 +15,21 @@ pub const NUM_CORES: usize = 8;
 /// Number of PMDs (pairs of cores, Figure 1).
 pub const NUM_PMDS: usize = 4;
 /// L1 instruction-cache capacity per core, bytes (Table 2: 32 KB).
-pub const L1I_BYTES: usize = 32 * 1024;
+const L1I_BYTES: usize = 32 * 1024;
 /// L1 data-cache capacity per core, bytes (Table 2: 32 KB).
-pub const L1D_BYTES: usize = 32 * 1024;
+const L1D_BYTES: usize = 32 * 1024;
 /// L2 capacity per PMD, bytes (Table 2: 256 KB).
-pub const L2_BYTES: usize = 256 * 1024;
+pub(crate) const L2_BYTES: usize = 256 * 1024;
 /// L3 capacity, bytes (Table 2: 8 MB).
-pub const L3_BYTES: usize = 8 * 1024 * 1024;
+const L3_BYTES: usize = 8 * 1024 * 1024;
 /// Cache line size in bytes (64 B, typical of the microarchitecture).
 pub const LINE_BYTES: usize = 64;
 /// Issue width of the out-of-order pipeline (Table 2: 4-issue).
-pub const ISSUE_WIDTH: u32 = 4;
+pub(crate) const ISSUE_WIDTH: u32 = 4;
 /// Maximum thermal design power in watts (Table 2: 35 W).
-pub const MAX_TDP_WATTS: f64 = 35.0;
+pub(crate) const MAX_TDP_WATTS: f64 = 35.0;
 /// Manufacturing technology node in nanometres (Table 2: 28 nm).
-pub const TECHNOLOGY_NM: u32 = 28;
+const TECHNOLOGY_NM: u32 = 28;
 
 /// Identifier of one of the eight cores (0–7).
 ///
@@ -105,12 +104,6 @@ impl PmdId {
         self.0 as usize
     }
 
-    /// The two cores belonging to this PMD.
-    #[must_use]
-    pub fn cores(self) -> [CoreId; 2] {
-        [CoreId(self.0 * 2), CoreId(self.0 * 2 + 1)]
-    }
-
     /// Iterates over all four PMDs in index order.
     pub fn all() -> impl Iterator<Item = PmdId> {
         (0..NUM_PMDS as u8).map(PmdId)
@@ -146,16 +139,6 @@ impl CacheLevel {
             CacheLevel::L1D => L1D_BYTES,
             CacheLevel::L2 => L2_BYTES,
             CacheLevel::L3 => L3_BYTES,
-        }
-    }
-
-    /// The power domain supplying this array (L1/L2 sit with the cores in
-    /// the PMD domain; L3 is in PCP/SoC — Figure 1).
-    #[must_use]
-    pub fn power_domain(self) -> PowerDomain {
-        match self {
-            CacheLevel::L1I | CacheLevel::L1D | CacheLevel::L2 => PowerDomain::Pmd,
-            CacheLevel::L3 => PowerDomain::PcpSoc,
         }
     }
 
@@ -249,15 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn pmd_cores_are_inverse_of_core_pmd() {
-        for pmd in PmdId::all() {
-            for core in pmd.cores() {
-                assert_eq!(core.pmd(), pmd);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn core_id_bounds_checked() {
         let _ = CoreId::new(8);
@@ -283,13 +257,6 @@ mod tests {
         assert_eq!(CacheLevel::L1D.protection(), Protection::Parity);
         assert_eq!(CacheLevel::L2.protection(), Protection::Secded);
         assert_eq!(CacheLevel::L3.protection(), Protection::Secded);
-    }
-
-    #[test]
-    fn l3_is_in_soc_domain() {
-        use crate::volt::PowerDomain;
-        assert_eq!(CacheLevel::L3.power_domain(), PowerDomain::PcpSoc);
-        assert_eq!(CacheLevel::L2.power_domain(), PowerDomain::Pmd);
     }
 
     #[test]

@@ -86,47 +86,6 @@ pub const PMD_NOMINAL: Millivolts = Millivolts::new(980);
 /// Nominal PCP/SoC-domain supply (§2.1: "beginning from 950mV").
 pub const SOC_NOMINAL: Millivolts = Millivolts::new(950);
 
-/// One of the three independently regulated power domains of §2.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PowerDomain {
-    /// The shared supply of all four processor modules (cores + L1 + L2).
-    Pmd,
-    /// The processor-complex/SoC supply (L3, memory controllers, switch, I/O).
-    PcpSoc,
-    /// The always-on management domain (SLIMpro, PMpro, I2C).
-    Standby,
-}
-
-impl PowerDomain {
-    /// The domain's nominal supply voltage.
-    #[must_use]
-    pub fn nominal(self) -> Millivolts {
-        match self {
-            PowerDomain::Pmd => PMD_NOMINAL,
-            PowerDomain::PcpSoc => SOC_NOMINAL,
-            // The standby domain is not scaled; model it at the SoC level.
-            PowerDomain::Standby => SOC_NOMINAL,
-        }
-    }
-
-    /// Whether system software may scale this domain's voltage.
-    #[must_use]
-    pub fn is_scalable(self) -> bool {
-        !matches!(self, PowerDomain::Standby)
-    }
-}
-
-impl fmt::Display for PowerDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            PowerDomain::Pmd => "PMD",
-            PowerDomain::PcpSoc => "PCP/SoC",
-            PowerDomain::Standby => "Standby",
-        };
-        f.write_str(name)
-    }
-}
-
 /// The regulated state of the chip's supplies: one shared PMD rail and one
 /// PCP/SoC rail, per §2.1 (the coarse-grained domain design the paper's §6
 /// critiques).
@@ -154,7 +113,7 @@ impl SupplyState {
 
     /// Current PCP/SoC-rail voltage.
     #[must_use]
-    pub fn soc(self) -> Millivolts {
+    pub(crate) fn soc(self) -> Millivolts {
         self.soc
     }
 
@@ -176,7 +135,7 @@ impl SupplyState {
     /// # Errors
     ///
     /// See [`SupplyState::set_pmd`].
-    pub fn set_soc(&mut self, v: Millivolts) -> Result<(), SupplyError> {
+    pub(crate) fn set_soc(&mut self, v: Millivolts) -> Result<(), SupplyError> {
         Self::validate(v, SOC_NOMINAL)?;
         self.soc = v;
         Ok(())
@@ -274,17 +233,8 @@ mod tests {
     }
 
     #[test]
-    fn domain_properties() {
-        assert!(PowerDomain::Pmd.is_scalable());
-        assert!(PowerDomain::PcpSoc.is_scalable());
-        assert!(!PowerDomain::Standby.is_scalable());
-        assert_eq!(PowerDomain::Pmd.nominal(), PMD_NOMINAL);
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(Millivolts::new(760).to_string(), "760mV");
-        assert_eq!(PowerDomain::PcpSoc.to_string(), "PCP/SoC");
         let err = SupplyError::OffStep {
             requested: Millivolts::new(902),
         };

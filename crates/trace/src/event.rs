@@ -304,7 +304,7 @@ impl TraceEvent {
     /// Modelled time the event consumes on the campaign clock: the run
     /// duration for executed work, zero for markers.
     #[must_use]
-    pub fn modelled_duration_s(&self) -> f64 {
+    pub(crate) fn modelled_duration_s(&self) -> f64 {
         match self {
             TraceEvent::GoldenCaptured { runtime_s, .. }
             | TraceEvent::RunCompleted { runtime_s, .. } => *runtime_s,

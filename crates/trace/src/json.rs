@@ -134,7 +134,7 @@ pub fn render(value: &Value) -> String {
 }
 
 /// Appends the compact rendering of `value` to `out`.
-pub fn render_into(out: &mut String, value: &Value) {
+fn render_into(out: &mut String, value: &Value) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -166,6 +166,14 @@ pub fn render_into(out: &mut String, value: &Value) {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level on the caller's stack, and the daemon parses untrusted
+/// frames of up to 1 MiB on a connection thread, so an unbounded depth
+/// lets one frame of `[` bytes overflow the stack and abort the process.
+/// Every writer in the workspace nests at most four levels (a benchmark
+/// report: document, run, metrics, row).
+const MAX_DEPTH: usize = 64;
+
 /// Parses exactly one JSON value spanning the whole input.
 ///
 /// Numbers keep their raw token so 64-bit integers never pass through
@@ -174,11 +182,13 @@ pub fn render_into(out: &mut String, value: &Value) {
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error.
+/// Returns a message describing the first syntax error, or naming the
+/// offset where nesting exceeds [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -192,6 +202,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +241,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -418,6 +444,21 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "1 2", "nul", "+5"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        // One byte short of the daemon's 1 MiB frame cap, parsed on a
+        // spawned thread's default stack like a daemon connection.
+        let deep = "[".repeat((1 << 20) - 1);
+        let result = std::thread::spawn(move || parse(&deep))
+            .join()
+            .expect("the parser must not overflow its thread's stack");
+        let err = result.expect_err("unterminated deep nesting is rejected");
+        assert_eq!(err, "nesting deeper than 64 levels at offset 64");
+
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok(), "{MAX_DEPTH} levels still parse");
     }
 
     #[test]

@@ -60,9 +60,9 @@ pub mod validate;
 
 pub use event::{EncodeError, TraceEvent, TraceRecord};
 pub use files::{collect_jsonl, write_atomic};
-pub use metrics::{Histogram, MergeError, MetricsRegistry};
+pub use metrics::MetricsRegistry;
 pub use observer::{merge_streams, EventBuffer, NullObserver, Observer, StreamFinalizer};
 pub use reader::{read_jsonl, ParseFailure};
 pub use sink::{JsonlSink, MemorySink, ProgressSink, Sink};
-pub use span::{reconstruct, span_path_at, CampaignSpan, SpanError, SpanTree, SweepSpan};
-pub use validate::{validate_jsonl, validate_records, StreamError, StreamStats};
+pub use span::{reconstruct, span_path_at, CampaignSpan, SpanError};
+pub use validate::{validate_jsonl, validate_records, StreamStats};

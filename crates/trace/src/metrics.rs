@@ -10,13 +10,12 @@
 use crate::event::{TraceEvent, TraceRecord};
 use crate::sink::Sink;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fmt::Write as _;
 
 /// A fixed-bucket histogram: `bounds` are the inclusive upper edges of the
 /// first `bounds.len()` buckets; one overflow bucket catches the rest.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+struct Histogram {
     bounds: Vec<f64>,
     counts: Vec<u64>,
     sum: f64,
@@ -25,7 +24,7 @@ pub struct Histogram {
 impl Histogram {
     /// A histogram over the given ascending upper edges.
     #[must_use]
-    pub fn new(bounds: &[f64]) -> Self {
+    fn new(bounds: &[f64]) -> Self {
         Histogram {
             bounds: bounds.to_vec(),
             counts: vec![0; bounds.len() + 1],
@@ -34,7 +33,7 @@ impl Histogram {
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
+    fn observe(&mut self, value: f64) {
         let idx = self
             .bounds
             .iter()
@@ -46,91 +45,28 @@ impl Histogram {
 
     /// Total observations.
     #[must_use]
-    pub fn count(&self) -> u64 {
+    fn count(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Sum of all observations.
     #[must_use]
-    pub fn sum(&self) -> f64 {
+    fn sum(&self) -> f64 {
         self.sum
     }
 
     /// Per-bucket counts (last bucket is the overflow bucket).
     #[must_use]
-    pub fn buckets(&self) -> &[u64] {
+    fn buckets(&self) -> &[u64] {
         &self.counts
     }
 
     /// The bucket upper edges.
     #[must_use]
-    pub fn bounds(&self) -> &[f64] {
+    fn bounds(&self) -> &[f64] {
         &self.bounds
     }
-
-    /// Folds another histogram into this one (bucket-wise saturating
-    /// addition).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the bucket layouts differ: merging incompatible layouts
-    /// would silently misplace observations.
-    pub fn merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
-        let same_bounds = self.bounds.len() == other.bounds.len()
-            && self
-                .bounds
-                .iter()
-                .zip(&other.bounds)
-                // Exact layout identity, not numeric tolerance: bucket
-                // edges are compile-time constants, never computed.
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !same_bounds {
-            return Err(MergeError::BucketLayout {
-                left: self.bounds.clone(),
-                right: other.bounds.clone(),
-            });
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine = mine.saturating_add(*theirs);
-        }
-        self.sum += other.sum;
-        Ok(())
-    }
 }
-
-/// Why two registries (or histograms) could not be reconciled.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergeError {
-    /// Two histograms under the same name had different bucket layouts.
-    BucketLayout {
-        /// Bucket edges on the receiving side.
-        left: Vec<f64>,
-        /// Bucket edges on the incoming side.
-        right: Vec<f64>,
-    },
-    /// The offending histogram, when merging whole registries.
-    Histogram {
-        /// Histogram name.
-        name: String,
-        /// The underlying layout mismatch.
-        cause: Box<MergeError>,
-    },
-}
-
-impl fmt::Display for MergeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MergeError::BucketLayout { left, right } => {
-                write!(f, "bucket layouts differ: {left:?} vs {right:?}")
-            }
-            MergeError::Histogram { name, cause } => {
-                write!(f, "histogram '{name}': {cause}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MergeError {}
 
 /// Ordered counters and histograms derived from the event stream.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -166,52 +102,12 @@ impl MetricsRegistry {
         &self.counters
     }
 
-    /// Reads a histogram by name.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Adds `by` to a named counter, saturating at `u64::MAX` — a
     /// saturated counter stays comparable instead of wrapping to a small
     /// value and masquerading as a quiet campaign.
-    pub fn incr(&mut self, name: &str, by: u64) {
+    fn incr(&mut self, name: &str, by: u64) {
         let slot = self.counters.entry(name.to_owned()).or_insert(0);
         *slot = slot.saturating_add(by);
-    }
-
-    /// Folds another registry into this one: counters add (saturating),
-    /// same-name histograms merge bucket-wise, and both sides' pending
-    /// step-severity buffers are flushed first so nothing is lost.
-    ///
-    /// Merging the per-shard registries of a sharded campaign yields the
-    /// registry of the equivalent serial campaign, except `step_severity`:
-    /// its per-step means need all shards' runs, so it reconciles only
-    /// when each step's runs live on one shard.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a same-name histogram has a different bucket layout.
-    pub fn merge(&mut self, mut other: MetricsRegistry) -> Result<(), MergeError> {
-        self.flush_step();
-        other.flush_step();
-        for (name, value) in other.counters {
-            self.incr(&name, value);
-        }
-        for (name, histogram) in other.histograms {
-            match self.histograms.get_mut(&name) {
-                Some(mine) => mine
-                    .merge(&histogram)
-                    .map_err(|cause| MergeError::Histogram {
-                        name: name.clone(),
-                        cause: Box::new(cause),
-                    })?,
-                None => {
-                    self.histograms.insert(name, histogram);
-                }
-            }
-        }
-        Ok(())
     }
 
     fn observe(&mut self, name: &str, bounds: &[f64], value: f64) {
@@ -468,7 +364,7 @@ mod tests {
                 run("SC", 16.0),
             ],
         );
-        let h = m.histogram("step_severity").expect("recorded");
+        let h = m.histograms.get("step_severity").expect("recorded");
         // Two steps: mean severities 8.0 and 16.0.
         assert_eq!(h.count(), 2);
         assert!((h.sum() - 24.0).abs() < 1e-12);
@@ -539,80 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_saturates_and_rejects_layout_mismatch() {
-        let mut a = Histogram::new(&[1.0]);
-        let mut b = Histogram::new(&[1.0]);
-        a.observe(0.5);
-        b.observe(0.5);
-        b.observe(3.0);
-        a.merge(&b).expect("same layout");
-        assert_eq!(a.buckets(), &[2, 1]);
-        assert!((a.sum() - 4.0).abs() < 1e-12);
-
-        let other = Histogram::new(&[2.0]);
-        let err = a.merge(&other).expect_err("layout mismatch");
-        assert!(matches!(err, MergeError::BucketLayout { .. }));
-    }
-
-    #[test]
-    fn per_shard_registries_merge_to_the_whole_stream_registry() {
-        // One registry per "shard", fed disjoint slices of the stream, must
-        // reconcile with a single registry fed everything — counters and
-        // per-run histograms exactly (step_severity excluded: its per-step
-        // means are defined over the whole step, not per shard).
-        let shard_a = vec![
-            run("NO", 0.0),
-            run("SDC+CE", 5.0),
-            TraceEvent::WatchdogPowerCycle { recovery: 1 },
-        ];
-        let shard_b = vec![
-            run("SC", 16.0),
-            TraceEvent::CacheLookup {
-                program: "bwaves".into(),
-                dataset: "ref".into(),
-                core: 0,
-                probe: "vmin".into(),
-                mv: 900,
-                hit: true,
-            },
-        ];
-        let mut whole = MetricsRegistry::new();
-        feed(
-            &mut whole,
-            shard_a.iter().chain(&shard_b).cloned().collect(),
-        );
-
-        let mut merged = MetricsRegistry::new();
-        for shard in [shard_a, shard_b] {
-            let mut per_shard = MetricsRegistry::new();
-            feed(&mut per_shard, shard);
-            merged.merge(per_shard).expect("compatible layouts");
-        }
-        assert_eq!(merged.counters(), whole.counters());
-        for name in ["run_runtime_s", "run_severity"] {
-            assert_eq!(
-                merged.histogram(name).expect("merged"),
-                whole.histogram(name).expect("whole"),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn merging_pending_severities_flushes_both_sides() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        let mut fin = StreamFinalizer::new();
-        // Emit without finish(): severities stay buffered in pending_step.
-        a.emit(&fin.seal(run("SC", 16.0)));
-        b.emit(&fin.seal(run("NO", 0.0)));
-        a.merge(b).expect("compatible");
-        let h = a.histogram("step_severity").expect("flushed");
-        assert_eq!(h.count(), 2);
-        assert!((h.sum() - 16.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn openmetrics_exposition_is_deterministic_and_terminated() {
         let mut m = MetricsRegistry::new();
         feed(
@@ -640,6 +462,9 @@ mod tests {
         assert!(text.contains("voltmargin_run_runtime_seconds_bucket{le=\"0.01\"} 2"));
         // Exposition does not mutate the registry's buffered state.
         assert!(text.contains("voltmargin_step_severity_count 1"));
-        assert_eq!(m.histogram("step_severity").map(Histogram::count), Some(1));
+        assert_eq!(
+            m.histograms.get("step_severity").map(Histogram::count),
+            Some(1)
+        );
     }
 }

@@ -64,18 +64,6 @@ impl EventBuffer {
         std::mem::take(&mut *self.events())
     }
 
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events().len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events().is_empty()
-    }
-
     /// Locks the buffer, recovering it if a recording thread panicked: a
     /// push either happened or did not, so the events are consistent.
     fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
@@ -119,18 +107,6 @@ impl StreamFinalizer {
         };
         self.seq += 1;
         record
-    }
-
-    /// The modelled campaign clock so far, seconds.
-    #[must_use]
-    pub fn clock_s(&self) -> f64 {
-        self.clock_s
-    }
-
-    /// Number of events sealed so far.
-    #[must_use]
-    pub fn sealed(&self) -> u64 {
-        self.seq
     }
 }
 
@@ -185,11 +161,11 @@ mod tests {
         let buf = EventBuffer::new();
         buf.record(&TraceEvent::WatchdogPowerCycle { recovery: 2 });
         buf.record(&run(0.5));
-        assert_eq!(buf.len(), 2);
         let events = buf.drain();
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].name(), "WatchdogPowerCycle");
         assert_eq!(events[1].name(), "RunCompleted");
-        assert!(buf.is_empty());
+        assert!(buf.drain().is_empty());
     }
 
     #[test]
@@ -206,9 +182,8 @@ mod tests {
         assert!(buf.events.is_poisoned());
 
         buf.record(&TraceEvent::WatchdogPowerCycle { recovery: 1 });
-        assert_eq!(buf.len(), 2);
         assert_eq!(buf.drain().len(), 2);
-        assert!(buf.is_empty());
+        assert!(buf.drain().is_empty());
     }
 
     #[test]
@@ -221,7 +196,7 @@ mod tests {
         assert!(a.t_model_s.abs() < 1e-12);
         assert!((b.t_model_s - 0.25).abs() < 1e-12);
         assert!((c.t_model_s - 0.25).abs() < 1e-12);
-        assert_eq!(fin.sealed(), 3);
+        assert_eq!(fin.seq, 3);
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //! pin it down — the offending field, so `trace-check` and `trace-scope`
 //! can point at the exact byte range a producer corrupted.
 //!
-//! Decoding is deliberately strict: the expected payload fields of every
-//! event are checked against a schema table (unknown extra fields are
-//! rejected, since the writer never emits them), numeric ranges are
-//! enforced (a `core` of 300 is corruption, not data), and integer tokens
-//! are parsed from their raw text so 64-bit values never round-trip
-//! through `f64`.
+//! Decoding is deliberately strict: each event's decoder is its schema.
+//! It reads every payload field by name and type, and a field no decoder
+//! read is rejected afterwards, since the writer never emits one. Numeric
+//! ranges are enforced (a `core` of 300 is corruption, not data), and
+//! integer tokens are parsed from their raw text so 64-bit values never
+//! round-trip through `f64`.
 //!
 //! [`JsonlSink`]: crate::sink::JsonlSink
 
@@ -78,238 +78,94 @@ pub fn read_jsonl(input: &str) -> Result<Vec<TraceRecord>, ParseFailure> {
     Ok(records)
 }
 
-/// The JSON shape a payload field must have.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FieldKind {
-    /// Unsigned integer fitting in `u8`.
-    U8,
-    /// Unsigned integer fitting in `u32`.
-    U32,
-    /// Unsigned integer fitting in `u64`.
-    U64,
-    /// Any finite JSON number.
-    F64,
-    /// A JSON string.
-    Str,
-    /// A JSON boolean.
-    Bool,
-}
-
-impl FieldKind {
-    fn accepts(self, value: &Value) -> bool {
-        match self {
-            FieldKind::U8 => number_parses::<u8>(value),
-            FieldKind::U32 => number_parses::<u32>(value),
-            FieldKind::U64 => number_parses::<u64>(value),
-            FieldKind::F64 => value
-                .as_number()
-                .is_some_and(|raw| raw.parse::<f64>().is_ok_and(f64::is_finite)),
-            FieldKind::Str => value.as_str().is_some(),
-            FieldKind::Bool => matches!(value, Value::Bool(_)),
-        }
-    }
-
-    fn describe(self) -> &'static str {
-        match self {
-            FieldKind::U8 => "an unsigned integer ≤ 255",
-            FieldKind::U32 => "an unsigned 32-bit integer",
-            FieldKind::U64 => "an unsigned 64-bit integer",
-            FieldKind::F64 => "a finite number",
-            FieldKind::Str => "a string",
-            FieldKind::Bool => "a boolean",
-        }
-    }
-}
-
-/// Whether `value` is a number whose raw token parses as `T` — exact
-/// integer semantics (`300` is not a `u8`, `-3` is not a `u64`, `1.5` is
-/// not an integer at all), no `f64` round trip.
-fn number_parses<T: std::str::FromStr>(value: &Value) -> bool {
-    value
-        .as_number()
-        .is_some_and(|raw| raw.parse::<T>().is_ok())
-}
-
-/// Payload schema per event tag, mirroring [`crate::event::TraceEvent`].
-/// A sync test in this module asserts every variant serializes to exactly
-/// these fields.
-fn event_schema(event: &str) -> Option<&'static [(&'static str, FieldKind)]> {
-    use FieldKind::{Bool, Str, F64, U32, U64, U8};
-    Some(match event {
-        "CampaignStarted" => &[
-            ("chip", Str),
-            ("rail", Str),
-            ("benchmarks", U32),
-            ("cores", U32),
-            ("steps", U32),
-            ("iterations", U32),
-            ("shards", U32),
-            ("seed", U64),
-        ],
-        "ShardScheduled" => &[("shard", U32), ("items", U32)],
-        "SweepStarted" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("shard", U32),
-        ],
-        "GoldenCaptured" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("digest", Str),
-            ("runtime_s", F64),
-        ],
-        "VoltageStepped" => &[("rail", Str), ("mv", U32), ("step", U32)],
-        "RailSet" => &[("rail", Str), ("mv", U32)],
-        "WatchdogPowerCycle" => &[("recovery", U32)],
-        "CacheErrorReported" => &[("level", Str), ("instance", U8), ("corrected", Bool)],
-        "RunCompleted" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("mv", U32),
-            ("iteration", U32),
-            ("effects", Str),
-            ("severity", F64),
-            ("runtime_s", F64),
-            ("energy_j", F64),
-            ("corrected_errors", U64),
-            ("uncorrected_errors", U64),
-        ],
-        "SearchStep" => &[
-            ("program", Str),
-            ("core", U8),
-            ("strategy", Str),
-            ("phase", Str),
-            ("step", U32),
-            ("mv", U32),
-        ],
-        "CacheLookup" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("probe", Str),
-            ("mv", U32),
-            ("hit", Bool),
-        ],
-        "SearchConcluded" => &[
-            ("program", Str),
-            ("core", U8),
-            ("strategy", Str),
-            ("probed_steps", U32),
-            ("grid_steps", U32),
-            ("cache_hits", U32),
-        ],
-        "EarlyStop" => &[
-            ("program", Str),
-            ("core", U8),
-            ("mv", U32),
-            ("consecutive_all_sc", U32),
-        ],
-        "ProfileSample" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("phase", Str),
-            ("ops", U64),
-            ("fault_samples", U64),
-            ("sram_events", U64),
-            ("cache_probes", U64),
-            ("recoveries", U64),
-        ],
-        "SweepFinished" => &[
-            ("program", Str),
-            ("dataset", Str),
-            ("core", U8),
-            ("runs", U32),
-        ],
-        "ProfilePhase" => &[
-            ("phase", Str),
-            ("sweeps", U64),
-            ("ops", U64),
-            ("fault_samples", U64),
-            ("sram_events", U64),
-            ("cache_probes", U64),
-            ("recoveries", U64),
-        ],
-        "CampaignFinished" => &[("runs", U64), ("power_cycles", U32)],
-        "VoltageDecision" => &[
-            ("voltage_mv", U32),
-            ("guardband_steps", U32),
-            ("relative_power", F64),
-            ("relative_performance", F64),
-            ("energy_savings", F64),
-        ],
-        _ => return None,
-    })
-}
-
-/// The envelope fields every record carries besides the event payload.
-const ENVELOPE_FIELDS: [(&str, FieldKind); 2] =
-    [("seq", FieldKind::U64), ("t_model_s", FieldKind::F64)];
-
-/// Typed access to the fields of a schema-validated JSON object. Every
-/// accessor still returns `Result` (never panics on adversarial input),
-/// but after the schema pass the error paths are unreachable.
+/// Typed access to the fields of one line's JSON object. Every accessor
+/// returns `Result` (never panics on adversarial input) and counts the
+/// field it read, so [`Obj::finish`] can reject the fields no decoder
+/// asked for.
 struct Obj<'a> {
     map: &'a BTreeMap<String, Value>,
+    /// The event whose payload is being decoded; `None` while the
+    /// envelope is read.
+    event: Option<&'a str>,
+    read: Vec<&'static str>,
 }
 
-impl Obj<'_> {
-    fn raw(&self, name: &str) -> Result<&Value, Fail> {
-        self.map
-            .get(name)
-            .ok_or_else(|| (Some(name.to_owned()), "missing".to_owned()))
+impl<'a> Obj<'a> {
+    fn raw(&mut self, name: &'static str) -> Result<&'a Value, Fail> {
+        self.read.push(name);
+        self.map.get(name).ok_or_else(|| {
+            let message = match self.event {
+                Some(event) => format!("missing (required by {event})"),
+                None => "missing".to_owned(),
+            };
+            (Some(name.to_owned()), message)
+        })
     }
 
-    fn str(&self, name: &str) -> Result<String, Fail> {
-        self.raw(name)?
+    fn str(&mut self, name: &'static str) -> Result<String, Fail> {
+        let value = self.raw(name)?;
+        value
             .as_str()
             .map(str::to_owned)
-            .ok_or_else(|| type_fail(name, FieldKind::Str, self.map))
+            .ok_or_else(|| type_fail(name, "a string", value))
     }
 
-    fn int<T: std::str::FromStr>(&self, name: &str, kind: FieldKind) -> Result<T, Fail> {
-        self.raw(name)?
+    fn int<T: std::str::FromStr>(&mut self, name: &'static str, expected: &str) -> Result<T, Fail> {
+        let value = self.raw(name)?;
+        value
             .as_number()
             .and_then(|raw| raw.parse::<T>().ok())
-            .ok_or_else(|| type_fail(name, kind, self.map))
+            .ok_or_else(|| type_fail(name, expected, value))
     }
 
-    fn u8(&self, name: &str) -> Result<u8, Fail> {
-        self.int(name, FieldKind::U8)
+    fn u8(&mut self, name: &'static str) -> Result<u8, Fail> {
+        self.int(name, "an unsigned integer ≤ 255")
     }
 
-    fn u32(&self, name: &str) -> Result<u32, Fail> {
-        self.int(name, FieldKind::U32)
+    fn u32(&mut self, name: &'static str) -> Result<u32, Fail> {
+        self.int(name, "an unsigned 32-bit integer")
     }
 
-    fn u64(&self, name: &str) -> Result<u64, Fail> {
-        self.int(name, FieldKind::U64)
+    fn u64(&mut self, name: &'static str) -> Result<u64, Fail> {
+        self.int(name, "an unsigned 64-bit integer")
     }
 
-    fn f64(&self, name: &str) -> Result<f64, Fail> {
-        self.raw(name)?
+    fn f64(&mut self, name: &'static str) -> Result<f64, Fail> {
+        let value = self.raw(name)?;
+        value
             .as_number()
             .and_then(|raw| raw.parse::<f64>().ok())
             .filter(|v| v.is_finite())
-            .ok_or_else(|| type_fail(name, FieldKind::F64, self.map))
+            .ok_or_else(|| type_fail(name, "a finite number", value))
     }
 
-    fn bool(&self, name: &str) -> Result<bool, Fail> {
+    fn bool(&mut self, name: &'static str) -> Result<bool, Fail> {
         match self.raw(name)? {
             Value::Bool(b) => Ok(*b),
-            _ => Err(type_fail(name, FieldKind::Bool, self.map)),
+            other => Err(type_fail(name, "a boolean", other)),
+        }
+    }
+
+    /// Rejects the first field, in key order, that no accessor read.
+    fn finish(&self, event: &str) -> Result<(), Fail> {
+        if self.read.len() == self.map.len() {
+            return Ok(());
+        }
+        match self
+            .map
+            .keys()
+            .find(|key| !self.read.contains(&key.as_str()))
+        {
+            Some(key) => Err((Some(key.clone()), format!("unexpected field for {event}"))),
+            None => Ok(()),
         }
     }
 }
 
-fn type_fail(name: &str, kind: FieldKind, map: &BTreeMap<String, Value>) -> Fail {
-    let got = map.get(name).map_or("nothing".to_owned(), json::render);
+fn type_fail(name: &str, expected: &str, got: &Value) -> Fail {
     (
         Some(name.to_owned()),
-        format!("expected {}, got {got}", kind.describe()),
+        format!("expected {expected}, got {}", json::render(got)),
     )
 }
 
@@ -319,67 +175,34 @@ fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
     let Some(map) = value.as_object() else {
         return Err((None, "line is not a JSON object".to_owned()));
     };
-    let obj = Obj { map };
-
-    for (name, kind) in ENVELOPE_FIELDS {
-        match map.get(name) {
-            None => return Err((Some(name.to_owned()), "missing".to_owned())),
-            Some(v) if !kind.accepts(v) => return Err(type_fail(name, kind, map)),
-            Some(_) => {}
-        }
-    }
-    let Some(event) = map.get("event") else {
-        return Err((Some("event".to_owned()), "missing".to_owned()));
+    let mut obj = Obj {
+        map,
+        event: None,
+        read: Vec::new(),
     };
+    let seq = obj.u64("seq")?;
+    let t_model_s = obj.f64("t_model_s")?;
+    let event = obj.raw("event")?;
     let Some(event_name) = event.as_str() else {
         return Err((
             Some("event".to_owned()),
             format!("expected a string event tag, got {}", json::render(event)),
         ));
     };
-    let Some(schema) = event_schema(event_name) else {
-        return Err((
-            Some("event".to_owned()),
-            format!("unknown event '{event_name}'"),
-        ));
-    };
-
-    for (name, kind) in schema {
-        match map.get(*name) {
-            None => {
-                return Err((
-                    Some((*name).to_owned()),
-                    format!("missing (required by {event_name})"),
-                ))
-            }
-            Some(v) if !kind.accepts(v) => return Err(type_fail(name, *kind, map)),
-            Some(_) => {}
-        }
-    }
-    for key in map.keys() {
-        let known = key == "seq"
-            || key == "t_model_s"
-            || key == "event"
-            || schema.iter().any(|(name, _)| name == key);
-        if !known {
-            return Err((
-                Some(key.clone()),
-                format!("unexpected field for {event_name}"),
-            ));
-        }
-    }
-
+    obj.event = Some(event_name);
+    let event = decode_event(event_name, &mut obj)?;
+    obj.finish(event_name)?;
     Ok(TraceRecord {
-        seq: obj.u64("seq")?,
-        t_model_s: obj.f64("t_model_s")?,
-        event: decode_event(event_name, &obj)?,
+        seq,
+        t_model_s,
+        event,
     })
 }
 
-/// Builds the typed event from a schema-validated object. The inverse of
-/// [`TraceEvent`]'s payload encoder; the round-trip test below keeps the
-/// two (and the schema table) in sync.
-fn decode_event(name: &str, obj: &Obj<'_>) -> Result<TraceEvent, Fail> {
+/// Builds the typed event from the object's payload fields. The inverse of
+/// [`TraceEvent`]'s payload encoder; the round-trip and pinned-bytes tests
+/// below keep the two in sync.
+fn decode_event(name: &str, obj: &mut Obj<'_>) -> Result<TraceEvent, Fail> {
     Ok(match name {
         "CampaignStarted" => TraceEvent::CampaignStarted {
             chip: obj.str("chip")?,
@@ -506,7 +329,6 @@ fn decode_event(name: &str, obj: &Obj<'_>) -> Result<TraceEvent, Fail> {
             energy_savings: obj.f64("energy_savings")?,
         },
         other => {
-            // Unreachable: the schema pass already rejected unknown tags.
             return Err((Some("event".to_owned()), format!("unknown event '{other}'")));
         }
     })
@@ -517,8 +339,7 @@ mod tests {
     use super::*;
     use crate::observer::StreamFinalizer;
 
-    /// One sample per variant — keep in sync with [`TraceEvent`]; the
-    /// schema-coverage test below fails when a variant is missing here.
+    /// One sample per variant — keep in sync with [`TraceEvent`].
     pub(crate) fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::CampaignStarted {
@@ -703,42 +524,6 @@ mod tests {
             out.push('\n');
         }
         out
-    }
-
-    #[test]
-    fn schema_matches_every_serialized_variant() {
-        let samples = sample_events();
-        assert_eq!(samples.len(), 18, "add new variants to sample_events()");
-        for event in samples {
-            let name = event.name();
-            let schema = event_schema(name).unwrap_or_else(|| panic!("no schema for {name}"));
-            let record = TraceRecord {
-                seq: 0,
-                t_model_s: 0.0,
-                event,
-            };
-            let line = record.to_json_line().expect("serializable");
-            let value = json::parse(&line).expect("the line is JSON");
-            let object = value.as_object().expect("flat object");
-            // Every serialized payload key (minus tag and envelope) is in
-            // the schema with an accepting kind, and vice versa.
-            let payload: Vec<&String> = object
-                .keys()
-                .filter(|k| *k != "event" && *k != "seq" && *k != "t_model_s")
-                .collect();
-            assert_eq!(payload.len(), schema.len(), "{name} field count");
-            for (field, kind) in schema {
-                let v = object
-                    .get(*field)
-                    .unwrap_or_else(|| panic!("{name}.{field} missing from serialization"));
-                assert!(
-                    kind.accepts(v),
-                    "{name}.{field}: {} rejected by schema",
-                    json::render(v)
-                );
-            }
-        }
-        assert!(event_schema("NoSuchEvent").is_none());
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl<W: Write> JsonlSink<W> {
         self.lines
     }
 
-    /// The first IO error encountered, if any.
-    #[must_use]
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
     /// Flushes and returns the writer, surfacing any sticky error.
     ///
     /// # Errors

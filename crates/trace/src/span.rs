@@ -97,12 +97,6 @@ impl SweepSpan {
 }
 
 impl CampaignSpan {
-    /// A stable human label for the campaign, e.g. `TTT#0/pmd`.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.chip, self.rail)
-    }
-
     /// Total records inside the span, delimiters included.
     #[must_use]
     pub fn records(&self) -> u64 {
@@ -416,7 +410,6 @@ mod tests {
         assert_eq!(s.label(), "namd:ref@core4");
         assert_eq!(s.leaves.len(), 2);
         assert_eq!(s.declared_runs, 2);
-        assert_eq!(c.label(), "TTT#0/pmd");
     }
 
     #[test]

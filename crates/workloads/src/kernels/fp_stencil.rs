@@ -22,14 +22,14 @@ fn fill_grid(m: &mut Machine<'_>, base: Addr, n: usize, gen: &mut DataGen) {
 /// anchoring the top of the Vmin band and the wide unsafe region the paper
 /// highlights for bwaves (Figure 5).
 #[derive(Debug, Clone)]
-pub struct Bwaves {
+pub(crate) struct Bwaves {
     dataset: Dataset,
 }
 
 impl Bwaves {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Bwaves { dataset }
     }
 }
@@ -102,14 +102,14 @@ impl Program for Bwaves {
 /// uses for its §5 domain-limit example (robust PMD 880 mV vs sensitive
 /// PMD 915 mV).
 #[derive(Debug, Clone)]
-pub struct Leslie3d {
+pub(crate) struct Leslie3d {
     dataset: Dataset,
 }
 
 impl Leslie3d {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Leslie3d { dataset }
     }
 }
@@ -173,14 +173,14 @@ impl Program for Leslie3d {
 /// `cactusADM`-like: numerical relativity — staggered-grid update with a
 /// square root in the lapse computation. Stress mass ≈ 19k (`ref`).
 #[derive(Debug, Clone)]
-pub struct CactusAdm {
+pub(crate) struct CactusAdm {
     dataset: Dataset,
 }
 
 impl CactusAdm {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         CactusAdm { dataset }
     }
 }
@@ -247,14 +247,14 @@ impl Program for CactusAdm {
 /// `zeusmp`-like: magnetohydrodynamics — two alternating directional passes
 /// of a lighter stencil. Stress mass ≈ 15k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Zeusmp {
+pub(crate) struct Zeusmp {
     dataset: Dataset,
 }
 
 impl Zeusmp {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Zeusmp { dataset }
     }
 }
@@ -327,14 +327,14 @@ impl Program for Zeusmp {
 /// its working set far exceeds the L2 so it stresses L3/DRAM. Stress mass
 /// ≈ 8k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Lbm {
+pub(crate) struct Lbm {
     dataset: Dataset,
 }
 
 impl Lbm {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Lbm { dataset }
     }
 }
@@ -391,14 +391,14 @@ impl Program for Lbm {
 /// `GemsFDTD`-like: finite-difference time domain — interleaved E/H field
 /// updates, memory heavy with moderate FP. Stress mass ≈ 12k (`ref`).
 #[derive(Debug, Clone)]
-pub struct GemsFdtd {
+pub(crate) struct GemsFdtd {
     dataset: Dataset,
 }
 
 impl GemsFdtd {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         GemsFdtd { dataset }
     }
 }

@@ -12,14 +12,14 @@ use margins_sim::{Machine, OutputDigest, Program};
 /// lowest stress mass of the suite (≈ 0.6k `ref`), anchoring the bottom of
 /// the Vmin band.
 #[derive(Debug, Clone)]
-pub struct Mcf {
+pub(crate) struct Mcf {
     dataset: Dataset,
 }
 
 impl Mcf {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Mcf { dataset }
     }
 }
@@ -70,14 +70,14 @@ impl Program for Mcf {
 /// with a large instruction footprint (drives L1I refills). Stress mass
 /// ≈ 0.9k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Gcc {
+pub(crate) struct Gcc {
     dataset: Dataset,
 }
 
 impl Gcc {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Gcc { dataset }
     }
 }
@@ -126,14 +126,14 @@ impl Program for Gcc {
 /// `gobmk`-like: Go position evaluation — bitboard operations with
 /// hard-to-predict branches. Stress mass ≈ 0.9k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Gobmk {
+pub(crate) struct Gobmk {
     dataset: Dataset,
 }
 
 impl Gobmk {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Gobmk { dataset }
     }
 }
@@ -184,14 +184,14 @@ impl Program for Gobmk {
 /// `sjeng`-like: chess search — shift-heavy bitboard move generation with
 /// data-dependent branches. Stress mass ≈ 0.85k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Sjeng {
+pub(crate) struct Sjeng {
     dataset: Dataset,
 }
 
 impl Sjeng {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Sjeng { dataset }
     }
 }
@@ -241,14 +241,14 @@ impl Program for Sjeng {
 /// `hmmer`-like: profile HMM dynamic programming — a predictable
 /// add/compare inner loop over score matrices. Stress mass ≈ 1.1k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Hmmer {
+pub(crate) struct Hmmer {
     dataset: Dataset,
 }
 
 impl Hmmer {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Hmmer { dataset }
     }
 }
@@ -309,14 +309,14 @@ impl Program for Hmmer {
 /// `libquantum`-like: quantum gate simulation — streaming XOR over a large
 /// state vector. Stress mass ≈ 0.7k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Libquantum {
+pub(crate) struct Libquantum {
     dataset: Dataset,
 }
 
 impl Libquantum {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Libquantum { dataset }
     }
 }
@@ -361,14 +361,14 @@ impl Program for Libquantum {
 /// macroblocks; streaming loads with a compare/branch per pixel. Stress
 /// mass ≈ 1.0k (`ref`).
 #[derive(Debug, Clone)]
-pub struct H264Ref {
+pub(crate) struct H264Ref {
     dataset: Dataset,
 }
 
 impl H264Ref {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         H264Ref { dataset }
     }
 }
@@ -415,14 +415,14 @@ impl Program for H264Ref {
 /// operations, pointer-y with data-dependent branches. Stress mass ≈ 0.75k
 /// (`ref`).
 #[derive(Debug, Clone)]
-pub struct Omnetpp {
+pub(crate) struct Omnetpp {
     dataset: Dataset,
 }
 
 impl Omnetpp {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Omnetpp { dataset }
     }
 }
@@ -492,14 +492,14 @@ impl Program for Omnetpp {
 /// `astar`-like: pathfinding — grid neighbour expansion with open-list
 /// updates; loads and unpredictable branches. Stress mass ≈ 0.8k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Astar {
+pub(crate) struct Astar {
     dataset: Dataset,
 }
 
 impl Astar {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Astar { dataset }
     }
 }
@@ -556,14 +556,14 @@ impl Program for Astar {
 /// `bzip2`-like: block compression — byte histogram + counting-sort pass.
 /// Stress mass ≈ 0.9k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Bzip2 {
+pub(crate) struct Bzip2 {
     dataset: Dataset,
 }
 
 impl Bzip2 {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Bzip2 { dataset }
     }
 }
@@ -618,14 +618,14 @@ impl Program for Bzip2 {
 /// dispatch (indirect branches) and a huge instruction footprint. Stress
 /// mass ≈ 0.6k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Xalancbmk {
+pub(crate) struct Xalancbmk {
     dataset: Dataset,
 }
 
 impl Xalancbmk {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Xalancbmk { dataset }
     }
 }
@@ -673,14 +673,14 @@ impl Program for Xalancbmk {
 /// `perlbench`-like: interpreter — hash-table churn with multiply/xor
 /// string hashing. Stress mass ≈ 1.0k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Perlbench {
+pub(crate) struct Perlbench {
     dataset: Dataset,
 }
 
 impl Perlbench {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Perlbench { dataset }
     }
 }

@@ -9,14 +9,14 @@ use margins_sim::{Machine, OutputDigest, Program};
 /// product, i.e. a conjugate-gradient step. Indexed loads dominate; FP is
 /// light. Stress mass ≈ 3.2k (`ref`).
 #[derive(Debug, Clone)]
-pub struct DealII {
+pub(crate) struct DealII {
     dataset: Dataset,
 }
 
 impl DealII {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         DealII { dataset }
     }
 }
@@ -86,14 +86,14 @@ impl Program for DealII {
 /// `soplex`-like: LP simplex — a ratio test (branch-heavy scan with
 /// divides) followed by a pivot row update. Stress mass ≈ 1.6k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Soplex {
+pub(crate) struct Soplex {
     dataset: Dataset,
 }
 
 impl Soplex {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Soplex { dataset }
     }
 }
@@ -159,14 +159,14 @@ impl Program for Soplex {
 /// with square roots and divides on the diagonal. Stress mass ≈ 5.5k
 /// (`ref`).
 #[derive(Debug, Clone)]
-pub struct Calculix {
+pub(crate) struct Calculix {
     dataset: Dataset,
 }
 
 impl Calculix {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Calculix { dataset }
     }
 }
@@ -242,14 +242,14 @@ fn float_of(n: usize) -> f64 {
 /// `milc`-like: lattice QCD — SU(3) complex 3×3 matrix products. Dense
 /// multiply/add chains. Stress mass ≈ 10k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Milc {
+pub(crate) struct Milc {
     dataset: Dataset,
 }
 
 impl Milc {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Milc { dataset }
     }
 }
@@ -315,14 +315,14 @@ impl Program for Milc {
 /// `tonto`-like: quantum chemistry — two-electron integral evaluation with
 /// square roots and divides per shell pair. Stress mass ≈ 7k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Tonto {
+pub(crate) struct Tonto {
     dataset: Dataset,
 }
 
 impl Tonto {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Tonto { dataset }
     }
 }
@@ -371,14 +371,14 @@ impl Program for Tonto {
 /// `gamess`-like: lighter quantum-chemistry SCF iteration — mostly
 /// multiply/add with occasional square roots. Stress mass ≈ 2.5k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Gamess {
+pub(crate) struct Gamess {
     dataset: Dataset,
 }
 
 impl Gamess {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Gamess { dataset }
     }
 }

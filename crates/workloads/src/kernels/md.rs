@@ -9,14 +9,14 @@ use margins_sim::{Machine, OutputDigest, Program};
 /// divides and square roots inside the cutoff make it mid/high-stress.
 /// Stress mass ≈ 6k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Gromacs {
+pub(crate) struct Gromacs {
     dataset: Dataset,
 }
 
 impl Gromacs {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Gromacs { dataset }
     }
 }
@@ -91,14 +91,14 @@ impl Program for Gromacs {
 /// (the reciprocals come from a precomputed interpolation table, as in the
 /// real NAMD). Low/mid stress mass ≈ 2k (`ref`).
 #[derive(Debug, Clone)]
-pub struct Namd {
+pub(crate) struct Namd {
     dataset: Dataset,
 }
 
 impl Namd {
     /// Creates the kernel for `dataset`.
     #[must_use]
-    pub fn new(dataset: Dataset) -> Self {
+    pub(crate) fn new(dataset: Dataset) -> Self {
         Namd { dataset }
     }
 }

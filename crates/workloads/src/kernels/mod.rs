@@ -17,14 +17,14 @@
 //! stress weights), the quantity that positions its safe Vmin inside the
 //! 860–885 mV robust-core band.
 
-pub mod fp_stencil;
-pub mod integer;
-pub mod linear;
-pub mod md;
+mod fp_stencil;
+mod integer;
+mod linear;
+mod md;
 
-pub use fp_stencil::{Bwaves, CactusAdm, GemsFdtd, Lbm, Leslie3d, Zeusmp};
-pub use integer::{
+pub(crate) use fp_stencil::{Bwaves, CactusAdm, GemsFdtd, Lbm, Leslie3d, Zeusmp};
+pub(crate) use integer::{
     Astar, Bzip2, Gcc, Gobmk, H264Ref, Hmmer, Libquantum, Mcf, Omnetpp, Perlbench, Sjeng, Xalancbmk,
 };
-pub use linear::{Calculix, DealII, Gamess, Milc, Soplex, Tonto};
-pub use md::{Gromacs, Namd};
+pub(crate) use linear::{Calculix, DealII, Gamess, Milc, Soplex, Tonto};
+pub(crate) use md::{Gromacs, Namd};

@@ -16,7 +16,7 @@
 //! comparison (Table 3).
 //!
 //! The crate also contains the component-focused **self-tests** of §3.4
-//! ([`selftest`]): cache march tests that fill and flip every bit of an
+//! (`selftest`): cache march tests that fill and flip every bit of an
 //! array level, and ALU/FPU stress tests — used to demonstrate that the
 //! simulated chip, like the real X-Gene 2, is dominated by timing-path
 //! failures rather than SRAM failures.
@@ -36,8 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod kernels;
-pub mod selftest;
+mod kernels;
+mod selftest;
 pub mod suite;
 #[cfg(test)]
 pub(crate) mod testutil;

@@ -20,7 +20,7 @@ use margins_sim::{Machine, OutputDigest, Program};
 /// the complement), and checks the read-back, folding mismatches into the
 /// digest.
 #[derive(Debug, Clone)]
-pub struct CacheTest {
+pub(crate) struct CacheTest {
     level: CacheLevel,
     passes: usize,
 }
@@ -28,21 +28,8 @@ pub struct CacheTest {
 impl CacheTest {
     /// A test for the given cache level (one march pass).
     #[must_use]
-    pub fn new(level: CacheLevel) -> Self {
+    pub(crate) fn new(level: CacheLevel) -> Self {
         CacheTest { level, passes: 1 }
-    }
-
-    /// Overrides the number of march passes.
-    #[must_use]
-    pub fn with_passes(mut self, passes: usize) -> Self {
-        self.passes = passes.max(1);
-        self
-    }
-
-    /// The targeted cache level.
-    #[must_use]
-    pub fn level(&self) -> CacheLevel {
-        self.level
     }
 }
 
@@ -111,22 +98,15 @@ impl Program for CacheTest {
 /// The ALU stress test: dense chains of integer operations over
 /// pseudo-random values, exercising many operand patterns.
 #[derive(Debug, Clone)]
-pub struct AluTest {
+pub(crate) struct AluTest {
     rounds: usize,
 }
 
 impl AluTest {
     /// The default-size ALU test.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AluTest { rounds: 12_000 }
-    }
-
-    /// Overrides the number of rounds.
-    #[must_use]
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds.max(1);
-        self
     }
 }
 
@@ -169,22 +149,15 @@ impl Program for AluTest {
 /// random values — the deepest timing paths of the machine (§3.4: this is
 /// where SDCs show up first).
 #[derive(Debug, Clone)]
-pub struct FpuTest {
+pub(crate) struct FpuTest {
     rounds: usize,
 }
 
 impl FpuTest {
     /// The default-size FPU test.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FpuTest { rounds: 10_000 }
-    }
-
-    /// Overrides the number of rounds.
-    #[must_use]
-    pub fn with_rounds(mut self, rounds: usize) -> Self {
-        self.rounds = rounds.max(1);
-        self
     }
 }
 

@@ -29,7 +29,7 @@ impl Dataset {
 
     /// Linear scale factor applied to the kernel's working size.
     #[must_use]
-    pub fn scale(self) -> f64 {
+    fn scale(self) -> f64 {
         match self {
             Dataset::Ref => 1.0,
             Dataset::Train => 0.6,
@@ -38,7 +38,7 @@ impl Dataset {
 
     /// Scales an item count by the dataset factor (minimum 1).
     #[must_use]
-    pub fn scaled(self, n: usize) -> usize {
+    pub(crate) fn scaled(self, n: usize) -> usize {
         ((n as f64 * self.scale()) as usize).max(1)
     }
 }
@@ -166,15 +166,6 @@ pub fn by_name(name: &str, dataset: Dataset) -> Option<Box<dyn Program>> {
     Some(program)
 }
 
-/// The ten-benchmark suite of the Figure 3/4/5 characterization.
-#[must_use]
-pub fn figure4_suite() -> Vec<Box<dyn Program>> {
-    FIGURE4_NAMES
-        .iter()
-        .map(|n| by_name(n, Dataset::Ref).expect("figure-4 kernels all exist"))
-        .collect()
-}
-
 /// The full prediction suite: all 26 programs with every available input
 /// dataset — 40 program-input pairs, as in §4.3.1.
 #[must_use]
@@ -196,7 +187,7 @@ mod tests {
     #[test]
     fn suite_sizes_match_the_paper() {
         assert_eq!(ALL_NAMES.len(), 26, "26 SPEC CPU2006 benchmarks (§4.1)");
-        assert_eq!(figure4_suite().len(), 10, "10 characterized benchmarks");
+        assert_eq!(FIGURE4_NAMES.len(), 10, "10 characterized benchmarks");
         assert_eq!(
             prediction_suite().len(),
             40,

@@ -6,33 +6,33 @@
 /// the SDC reference), so all "input data" comes from this seeded stream —
 /// never from global state or the machine's fault RNG.
 #[derive(Debug, Clone)]
-pub struct DataGen {
+pub(crate) struct DataGen {
     state: u64,
 }
 
 impl DataGen {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         DataGen {
             state: seed ^ 0xD6E8_FEB8_6659_FD93,
         }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         margins_rng::splitmix64(&mut self.state)
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
+    pub(crate) fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
     }
 
     /// Uniform integer in `[0, n)`.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n.max(1)
     }
 }

@@ -107,7 +107,6 @@ rejects every other flag):
                             serve also honours --cache (shared campaign
                             cache, loaded at start, saved at shutdown) and
                             --out-dir (per-client job artifacts)
-  --subscriber-queue N      (serve) bound on each subscriber's event queue
                             (default 1024); slow consumers overflowing it
                             lose events (reported via a `lagged` frame)
                             instead of blocking the scheduler
@@ -185,7 +184,6 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
         workers: opts.parse_num("workers", 4usize)?,
         cache_path: opts.flags.get("cache").cloned(),
         out_dir: opts.flags.get("out-dir").cloned(),
-        subscriber_queue: opts.parse_num("subscriber-queue", 0usize)?,
     };
     voltmargin::fleet::serve(&config).map_err(|e| e.to_string())
 }
@@ -404,7 +402,7 @@ fn command_flags(command: &str) -> Option<&'static [&'static str]> {
             "trace",
             "metrics-out",
         ],
-        "serve" => &["addr", "workers", "cache", "out-dir", "subscriber-queue"],
+        "serve" => &["addr", "workers", "cache", "out-dir"],
         "watch" => &["addr", "client", "job", "trace-out"],
         "help" | "list-benchmarks" => &[],
         _ => return None,
