@@ -777,10 +777,18 @@ impl<'a> Fields<'a> {
             .map_err(|e| format!("field '{name}': {e}"))
     }
 
+    /// A finite number: `to_jsonl` writes a non-finite one as `null`, so
+    /// accepting `1e999` here would save a file that cannot be loaded.
     fn f64(&self, name: &str) -> Result<f64, String> {
-        self.number(name)?
+        let value: f64 = self
+            .number(name)?
             .parse()
-            .map_err(|e| format!("field '{name}': {e}"))
+            .map_err(|e| format!("field '{name}': {e}"))?;
+        if value.is_finite() {
+            Ok(value)
+        } else {
+            Err(format!("field '{name}' is not a finite number"))
+        }
     }
 
     fn arr(&self, name: &str) -> Result<&'a [json::Value], String> {
@@ -911,6 +919,8 @@ mod tests {
             "[1,2,3]\n",                            // not an object
             "\n",                                   // blank line
             "{\"kind\":\"step\",\"seed\":1e309}\n", // unparseable number field
+            // Non-finite float: it would be saved as `null`.
+            "{\"kind\":\"golden\",\"chip\":\"TTT#0\",\"target_mhz\":2400,\"parked_mhz\":300,\"enh\":0,\"seed\":1,\"program\":\"bwaves\",\"dataset\":\"ref\",\"core\":0,\"digest\":\"00ff\",\"runtime_s\":1e999}\n",
         ] {
             let err = CampaignCache::from_jsonl(garbage).expect_err(garbage);
             assert!(matches!(err, CacheError::Corrupt { .. }), "{garbage:?}");

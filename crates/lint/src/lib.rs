@@ -1,46 +1,43 @@
 //! `margins-lint` — the workspace-semantic checks behind the
-//! reproduction's determinism and unit-safety invariants that clippy
-//! cannot express.
+//! reproduction's unit-safety and determinism invariants that no other
+//! tool in the build checks.
 //!
 //! The paper's figures (safe `Vmin` per benchmark/core, severity, predictor
 //! accuracy) are statements about *distributions* of system-level effects;
-//! they only replicate if a fixed seed yields bit-identical campaigns.
-//! Clippy guards the per-expression half of that property through the root
-//! `clippy.toml` and the crate manifests' lint levels (the former rules
-//! L1–L5). This crate checks the rest, five rules:
+//! they only replicate if quantities keep their units and a fixed seed
+//! yields bit-identical campaigns. Clippy guards the per-expression half of
+//! that through the root `clippy.toml` and the crate manifests' lint levels
+//! (the former rules L1–L5). This crate checks two rules:
 //!
 //! | rule | name | scope | invariant |
 //! |------|------|-------|-----------|
-//! | L6 | `stale-file` | whole tree | no `*.bak`/`*.orig`/`*.rej` files |
 //! | L7 | `unit-escape` | all non-test code | no raw `u32`/`u8` quantities on `pub fn` boundaries where a workspace newtype exists |
-//! | L8 | `span-balance` | all non-test code | `TraceEvent` uses match the schema; span opens are closed in the same fn |
-//! | L9 | `order-sensitivity` | deterministic crates | thread-spawn sites route results through a reorder/finalizer path |
 //! | L10 | `swallowed-fallibility` | deterministic crates | no `let _ =`/`drop()` of fallible I/O, cache and sink `Result`s |
 //!
-//! L6 judges paths. L7–L10 are *semantic* rules: a first pass parses every
-//! workspace file into items (see [`parse`]) and merges their declarations
-//! into a cross-file symbol table (see [`symbols`]); a second pass judges
-//! each file against that table. Every run is one full scan.
+//! Both are *semantic* rules: a first pass parses every workspace file into
+//! items (see [`parse`]) and merges their declarations into a cross-file
+//! symbol table (see [`symbols`]); a second pass judges each file against
+//! that table. Every run is one full scan of what cargo builds (see
+//! [`walk`]).
 //!
-//! The *deterministic crates* are `sim`, `core`, `energy`, `predict`,
-//! `trace` and `scope` —
-//! everything between a campaign seed and a figure. Test code (`tests/`,
-//! `benches/`, `examples/`, `#[cfg(test)]` modules) is exempt from code
-//! rules.
+//! The *deterministic crates* are `rng`, `sim`, `core`, `energy`,
+//! `predict`, `trace` and `scope` — everything between a campaign seed and
+//! a figure. Test code (`tests/`, `benches/`, `examples/`, `#[cfg(test)]`
+//! modules) is exempt.
 //!
-//! Any code rule can be waived per line with an explicit, reported comment:
+//! Any finding can be waived per line with an explicit, reported comment:
 //!
 //! ```text
 //! // lint: allow(swallowed-fallibility) — best-effort progress on stderr
 //! ```
 //!
 //! The linter is dependency-free by design: it lexes Rust itself (see
-//! [`lexer`]) instead of using `syn`, so it builds in hermetic CI
-//! sandboxes with no registry access, and its JSON and SARIF (see
-//! [`sarif`]) reports are byte-deterministic.
+//! [`lexer`]) instead of using `syn`, so it builds in hermetic sandboxes
+//! with no registry access.
 //!
-//! Run it with `cargo run -p margins-lint -- --workspace [--deny]`, or in
-//! tier-1 via the `workspace_clean` integration test.
+//! It runs as the tier-1 `workspace_clean` integration test, which fails
+//! on any unwaived finding or unused waiver and prints
+//! [`report::Report::render_human`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +46,6 @@ pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod sarif;
 pub mod symbols;
 pub mod walk;
 
@@ -87,9 +83,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             continue;
         };
         report.files_scanned += 1;
-        if let Some(stale) = rules::check_stale_file(&rel) {
-            report.findings.push(stale);
-        }
         if !rel.ends_with(".rs") {
             continue;
         }

@@ -1,11 +1,11 @@
 //! A lightweight item-level parser on top of [`crate::lexer`].
 //!
-//! The semantic rules (L7–L10) need to know *where function boundaries
+//! The semantic rules (L7, L10) need to know *where function boundaries
 //! are* and *what types cross them* — not full expression trees. This
 //! parser recovers exactly that: `fn` signatures (params, return type,
-//! body token span), `struct`/`enum` declarations (fields, tuple-newtype
-//! shape), `impl` blocks (so methods know their owning type), and `use`
-//! paths — all from the token stream, with no external dependencies.
+//! body token span), tuple-struct fields (the newtype shape), and `impl`
+//! blocks (so methods know their owning type) — all from the token
+//! stream, with no external dependencies.
 //!
 //! Like the lexer, the parser is forgiving: any construct it does not
 //! recognise is skipped token-by-token, never an error. A lint pass must
@@ -32,26 +32,6 @@ pub struct FnSig {
     pub ret: Option<String>,
 }
 
-/// One struct/enum field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Field {
-    /// Field name; empty for tuple fields.
-    pub name: String,
-    /// Normalized type text.
-    pub ty: String,
-}
-
-/// One enum variant with its fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Variant {
-    /// Variant name.
-    pub name: String,
-    /// Fields; empty for unit variants.
-    pub fields: Vec<Field>,
-    /// Whether the fields are named (`{ a: T }`) rather than tuple (`(T)`).
-    pub named: bool,
-}
-
 /// What kind of item was parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ItemKind {
@@ -59,15 +39,9 @@ pub enum ItemKind {
     Fn(FnSig),
     /// A struct declaration.
     Struct {
-        /// Declared fields (tuple fields have empty names).
-        fields: Vec<Field>,
-        /// Whether this is a tuple struct (`struct Millivolts(u32);`).
-        tuple: bool,
-    },
-    /// An enum declaration.
-    Enum {
-        /// Declared variants.
-        variants: Vec<Variant>,
+        /// Normalized types of a tuple struct's fields (`["u32"]` for
+        /// `struct Millivolts(u32);`); empty for named and unit structs.
+        tuple_fields: Vec<String>,
     },
     /// An `impl` block (inherent or trait).
     Impl {
@@ -77,11 +51,6 @@ pub enum ItemKind {
         /// Whether this is `impl Trait for Type`.
         is_trait_impl: bool,
     },
-    /// A `use` declaration with its joined path text.
-    Use {
-        /// The imported path, tokens joined (`std::collections::BTreeMap`).
-        path: String,
-    },
 }
 
 /// One parsed item with position and context.
@@ -89,7 +58,7 @@ pub enum ItemKind {
 pub struct Item {
     /// Item kind and payload.
     pub kind: ItemKind,
-    /// Item name (empty for `impl` blocks and `use` items).
+    /// Item name (empty for `impl` blocks).
     pub name: String,
     /// Whether the item is `pub` (any visibility wider than private).
     pub is_pub: bool,
@@ -280,7 +249,8 @@ fn parse_items(
                 i = parse_struct(tokens, i, end, is_pub, out);
             }
             Some("enum") => {
-                i = parse_enum(tokens, i, end, is_pub, out);
+                // Variants hold nothing the rules read.
+                i = skip_macro_like(tokens, i, end);
             }
             Some("impl") => {
                 i = parse_impl(tokens, i, end, out);
@@ -291,10 +261,7 @@ fn parse_items(
             Some("mod") => {
                 i = parse_mod(tokens, i, end, owner, in_trait_impl, out);
             }
-            Some("use") => {
-                i = parse_use(tokens, i, end, is_pub, out);
-            }
-            Some("const" | "static" | "type") => {
+            Some("const" | "static" | "type" | "use") => {
                 i = skip_to_semi(tokens, i);
             }
             Some("macro_rules") => {
@@ -316,7 +283,8 @@ fn parse_items(
     }
 }
 
-/// Skips `name ! (...)` / `name ! { ... }` / `macro_rules! name { ... }`.
+/// Skips `name ! (...)` / `name ! { ... }` / `macro_rules! name { ... }`,
+/// and an `enum` item through its brace body.
 fn skip_macro_like(tokens: &[Token], mut i: usize, end: usize) -> usize {
     while i < end {
         match tokens[i].punct() {
@@ -533,38 +501,28 @@ fn parse_struct(
             i += 1;
         }
     }
-    let mut fields = Vec::new();
-    let mut tuple = false;
+    let mut tuple_fields = Vec::new();
     match tokens.get(i).and_then(Token::punct) {
         Some("(") => {
-            tuple = true;
             let close = match_delim(tokens, i)
                 .unwrap_or(end.saturating_sub(1))
                 .max(i + 1);
             for seg in split_top_commas(&tokens[i + 1..close]) {
                 let seg = strip_visibility(seg);
-                if seg.is_empty() {
-                    continue;
+                if !seg.is_empty() {
+                    tuple_fields.push(join_tokens(seg));
                 }
-                fields.push(Field {
-                    name: String::new(),
-                    ty: join_tokens(seg),
-                });
             }
             i = skip_to_semi(tokens, close + 1);
         }
         Some("{") => {
-            let close = match_delim(tokens, i)
-                .unwrap_or(end.saturating_sub(1))
-                .max(i + 1);
-            fields = parse_named_fields(&tokens[i + 1..close]);
-            i = close + 1;
+            i = match_delim(tokens, i).map_or(end, |close| close + 1);
         }
         Some(";") => i += 1,
         _ => {}
     }
     out.push(Item {
-        kind: ItemKind::Struct { fields, tuple },
+        kind: ItemKind::Struct { tuple_fields },
         name,
         is_pub,
         line,
@@ -587,108 +545,6 @@ fn strip_visibility(seg: &[Token]) -> &[Token] {
         return &seg[1..];
     }
     seg
-}
-
-/// Parses `name: Ty` named fields (attributes stripped).
-fn parse_named_fields(tokens: &[Token]) -> Vec<Field> {
-    let mut fields = Vec::new();
-    for seg in split_top_commas(tokens) {
-        // Strip leading attributes.
-        let mut s = seg;
-        while s.first().and_then(Token::punct) == Some("#") {
-            let after = skip_attribute(s, 0);
-            s = &s[after.min(s.len())..];
-        }
-        let s = strip_visibility(s);
-        if s.len() < 3 || s[1].punct() != Some(":") {
-            continue;
-        }
-        let Some(name) = s[0].ident() else { continue };
-        fields.push(Field {
-            name: name.to_owned(),
-            ty: join_tokens(&s[2..]),
-        });
-    }
-    fields
-}
-
-/// Parses an `enum` item; returns the index past it.
-fn parse_enum(
-    tokens: &[Token],
-    kw_idx: usize,
-    end: usize,
-    is_pub: bool,
-    out: &mut Vec<Item>,
-) -> usize {
-    let mut i = kw_idx + 1;
-    let Some(name_tok) = tokens.get(i) else {
-        return end;
-    };
-    let Some(name) = name_tok.ident().map(str::to_owned) else {
-        return i + 1;
-    };
-    let (line, col) = (name_tok.line, name_tok.col);
-    i += 1;
-    if i < end && tokens[i].punct().is_some_and(|p| p.starts_with('<')) {
-        i = skip_generics(tokens, i);
-    }
-    let mut variants = Vec::new();
-    if tokens.get(i).and_then(Token::punct) == Some("{") {
-        let close = match_delim(tokens, i)
-            .unwrap_or(end.saturating_sub(1))
-            .max(i + 1);
-        for seg in split_top_commas(&tokens[i + 1..close]) {
-            let mut s = seg;
-            while s.first().and_then(Token::punct) == Some("#") {
-                let after = skip_attribute(s, 0);
-                s = &s[after.min(s.len())..];
-            }
-            let Some(vname) = s.first().and_then(Token::ident) else {
-                continue;
-            };
-            let mut fields = Vec::new();
-            let mut named = false;
-            match s.get(1).and_then(Token::punct) {
-                Some("{") => {
-                    named = true;
-                    if let Some(vclose) = match_delim(s, 1) {
-                        fields = parse_named_fields(&s[2..vclose]);
-                    }
-                }
-                Some("(") => {
-                    if let Some(vclose) = match_delim(s, 1) {
-                        for f in split_top_commas(&s[2..vclose]) {
-                            if f.is_empty() {
-                                continue;
-                            }
-                            fields.push(Field {
-                                name: String::new(),
-                                ty: join_tokens(f),
-                            });
-                        }
-                    }
-                }
-                _ => {}
-            }
-            variants.push(Variant {
-                name: vname.to_owned(),
-                fields,
-                named,
-            });
-        }
-        i = close + 1;
-    }
-    out.push(Item {
-        kind: ItemKind::Enum { variants },
-        name,
-        is_pub,
-        line,
-        col,
-        body: None,
-        owner: None,
-        in_trait_impl: false,
-    });
-    i
 }
 
 /// Parses an `impl` block, recursing into its body for methods.
@@ -797,31 +653,6 @@ fn parse_mod(
     end
 }
 
-/// Parses a `use` item, recording the joined path.
-fn parse_use(
-    tokens: &[Token],
-    kw_idx: usize,
-    _end: usize,
-    is_pub: bool,
-    out: &mut Vec<Item>,
-) -> usize {
-    let (line, col) = (tokens[kw_idx].line, tokens[kw_idx].col);
-    let start = kw_idx + 1;
-    let semi = skip_to_semi(tokens, start);
-    let path = join_tokens(&tokens[start..semi.saturating_sub(1).max(start)]);
-    out.push(Item {
-        kind: ItemKind::Use { path },
-        name: String::new(),
-        is_pub,
-        line,
-        col,
-        body: None,
-        owner: None,
-        in_trait_impl: false,
-    });
-    semi
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,45 +716,10 @@ mod tests {
     fn tuple_struct_detected_as_newtype() {
         let it = &items("pub struct Millivolts(u32);")[0];
         assert_eq!(it.name, "Millivolts");
-        let ItemKind::Struct { fields, tuple } = &it.kind else {
+        let ItemKind::Struct { tuple_fields } = &it.kind else {
             panic!()
         };
-        assert!(*tuple);
-        assert_eq!(fields.len(), 1);
-        assert_eq!(fields[0].ty, "u32");
-    }
-
-    #[test]
-    fn named_struct_fields_parsed() {
-        let it = &items("pub struct S { pub mv: u32, name: String }")[0];
-        let ItemKind::Struct { fields, tuple } = &it.kind else {
-            panic!()
-        };
-        assert!(!*tuple);
-        assert_eq!(
-            fields[0],
-            Field {
-                name: "mv".into(),
-                ty: "u32".into()
-            }
-        );
-        assert_eq!(fields[1].name, "name");
-    }
-
-    #[test]
-    fn enum_variants_with_named_fields() {
-        let src = "pub enum E { Unit, Tuple(u32, String), Rec { core: u8, mv: u32 } }";
-        let it = &items(src)[0];
-        let ItemKind::Enum { variants } = &it.kind else {
-            panic!()
-        };
-        assert_eq!(variants.len(), 3);
-        assert_eq!(variants[0].name, "Unit");
-        assert!(variants[0].fields.is_empty());
-        assert_eq!(variants[1].fields.len(), 2);
-        assert!(!variants[1].named);
-        assert!(variants[2].named);
-        assert_eq!(variants[2].fields[1].name, "mv");
+        assert_eq!(tuple_fields, &["u32"]);
     }
 
     #[test]
@@ -980,15 +776,6 @@ mod tests {
         let all = fns(src);
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].name, "after");
-    }
-
-    #[test]
-    fn use_paths_joined() {
-        let it = &items("use std::collections::BTreeMap;")[0];
-        let ItemKind::Use { path } = &it.kind else {
-            panic!()
-        };
-        assert_eq!(path, "std::collections::BTreeMap");
     }
 
     #[test]

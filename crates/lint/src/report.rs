@@ -1,20 +1,16 @@
-//! Machine-readable (JSON) and human diagnostics for a lint run.
+//! The result of a lint run and its human diagnostics.
 //!
-//! The JSON writer is hand-rolled (no serde — the linter is hermetic) and
-//! byte-deterministic: findings and waivers are emitted in sorted order
-//! with sorted count maps, so two runs over the same tree produce
-//! byte-identical reports — the linter holds itself to the invariant it
-//! enforces.
+//! Findings and waivers are kept in sorted order, so two runs over the
+//! same tree render byte-identical text — the linter holds itself to the
+//! invariant it enforces.
 
-use crate::rules::{Finding, Waiver, RULE_NAMES};
-use std::collections::BTreeMap;
+use crate::rules::{Finding, Waiver};
 use std::fmt::Write as _;
 
 /// Everything a lint run produced.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Workspace-relative files scanned (Rust files lexed + all files
-    /// checked for staleness).
+    /// Workspace-relative files scanned (manifests and Rust sources).
     pub files_scanned: usize,
     /// Unwaived findings, sorted by (file, line, col, rule).
     pub findings: Vec<Finding>,
@@ -32,101 +28,6 @@ impl Report {
             .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     }
 
-    /// Count of findings per rule name, every rule present (0 when clean).
-    #[must_use]
-    pub fn findings_by_rule(&self) -> BTreeMap<&'static str, usize> {
-        let mut map: BTreeMap<&'static str, usize> = RULE_NAMES.iter().map(|n| (*n, 0)).collect();
-        for f in &self.findings {
-            *map.entry(f.rule.name()).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// Count of waivers per rule name (only rules with waivers appear).
-    #[must_use]
-    pub fn waivers_by_rule(&self) -> BTreeMap<&'static str, usize> {
-        let mut map = BTreeMap::new();
-        for w in &self.waivers {
-            *map.entry(w.rule.name()).or_insert(0) += 1;
-        }
-        map
-    }
-
-    /// The byte-deterministic JSON form.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n  \"tool\": \"margins-lint\",\n  \"schema_version\": 1,\n");
-        let _ = writeln!(s, "  \"files_scanned\": {},", self.files_scanned);
-
-        s.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"rule\": {}, \"label\": {}, \"file\": {}, \"line\": {}, \"column\": {}, \"message\": {}}}",
-                json_str(f.rule.name()),
-                json_str(f.rule.label()),
-                json_str(&f.file),
-                f.line,
-                f.col,
-                json_str(&f.message)
-            );
-        }
-        s.push_str(if self.findings.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        s.push_str("  \"waivers\": [");
-        for (i, w) in self.waivers.iter().enumerate() {
-            s.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                s,
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"used\": {}}}",
-                json_str(w.rule.name()),
-                json_str(&w.file),
-                w.line,
-                w.used
-            );
-        }
-        s.push_str(if self.waivers.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        s.push_str("  \"counts\": {\n    \"findings_by_rule\": {");
-        let by_rule = self.findings_by_rule();
-        for (i, (rule, n)) in by_rule.iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{}: {}",
-                if i == 0 { "" } else { ", " },
-                json_str(rule),
-                n
-            );
-        }
-        s.push_str("},\n    \"waivers_by_rule\": {");
-        for (i, (rule, n)) in self.waivers_by_rule().iter().enumerate() {
-            let _ = write!(
-                s,
-                "{}{}: {}",
-                if i == 0 { "" } else { ", " },
-                json_str(rule),
-                n
-            );
-        }
-        let _ = write!(
-            s,
-            "}},\n    \"findings\": {},\n    \"waivers\": {}\n  }}\n}}\n",
-            self.findings.len(),
-            self.waivers.len()
-        );
-        s
-    }
-
     /// `file:line:col: [rule] message` diagnostics plus a summary block.
     #[must_use]
     pub fn render_human(&self) -> String {
@@ -134,11 +35,10 @@ impl Report {
         for f in &self.findings {
             let _ = writeln!(
                 s,
-                "{}:{}:{}: [{}/{}] {}",
+                "{}:{}:{}: [{}] {}",
                 f.file,
                 f.line,
                 f.col,
-                f.rule.label(),
                 f.rule.name(),
                 f.message
             );
@@ -150,11 +50,6 @@ impl Report {
             self.findings.len(),
             self.waivers.len()
         );
-        for (rule, n) in self.findings_by_rule() {
-            if n > 0 {
-                let _ = writeln!(s, "  {n:>4}  {rule}");
-            }
-        }
         let unused: Vec<&Waiver> = self.waivers.iter().filter(|w| !w.used).collect();
         if !unused.is_empty() {
             let _ = writeln!(s, "unused waivers ({}):", unused.len());
@@ -166,33 +61,13 @@ impl Report {
     }
 }
 
-/// Escapes a string for JSON output.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rules::Rule;
 
-    fn sample() -> Report {
+    #[test]
+    fn human_render_names_each_finding_and_unused_waiver() {
         let mut r = Report {
             files_scanned: 2,
             findings: vec![
@@ -201,7 +76,7 @@ mod tests {
                     line: 9,
                     col: 4,
                     rule: Rule::SwallowedFallibility,
-                    message: "flush() \"quoted\"".into(),
+                    message: "flush()".into(),
                 },
                 Finding {
                     file: "crates/sim/src/a.rs".into(),
@@ -214,44 +89,20 @@ mod tests {
             waivers: vec![Waiver {
                 file: "crates/sim/src/a.rs".into(),
                 line: 5,
-                rule: Rule::SpanBalance,
+                rule: Rule::UnitEscape,
                 used: false,
             }],
         };
         r.sort();
-        r
-    }
-
-    #[test]
-    fn json_is_sorted_and_escaped() {
-        let json = sample().to_json();
-        let a = json.find("a.rs").unwrap();
-        let b = json.find("b.rs").unwrap();
-        assert!(a < b, "findings must be sorted by file");
-        assert!(json.contains("flush() \\\"quoted\\\""));
-        assert!(json.contains("\"findings\": 2"));
-        assert!(json.contains("\"swallowed-fallibility\": 1"));
-        assert!(json.contains("\"stale-file\": 0"));
-    }
-
-    #[test]
-    fn json_is_deterministic() {
-        assert_eq!(sample().to_json(), sample().to_json());
-    }
-
-    #[test]
-    fn human_render_mentions_rule_labels() {
-        let text = sample().render_human();
-        assert!(text.contains("crates/sim/src/b.rs:9:4: [L10/swallowed-fallibility]"));
-        assert!(text.contains("unused waivers (1):"));
-    }
-
-    #[test]
-    fn empty_report_is_valid() {
-        let mut r = Report::default();
-        r.sort();
-        let json = r.to_json();
-        assert!(json.contains("\"findings\": []"));
-        assert!(json.contains("\"findings\": 0"));
+        let text = r.render_human();
+        let a = text
+            .find("crates/sim/src/a.rs:2:1: [unit-escape] m")
+            .unwrap();
+        let b = text
+            .find("crates/sim/src/b.rs:9:4: [swallowed-fallibility] flush()")
+            .unwrap();
+        assert!(a < b, "findings are sorted by file");
+        assert!(text.contains("2 file(s) scanned, 2 finding(s), 1 waiver(s)"));
+        assert!(text.contains("unused waivers (1):\n  crates/sim/src/a.rs:5: allow(unit-escape)"));
     }
 }

@@ -1,12 +1,11 @@
-//! Rules L6–L10 and the waiver machinery.
+//! Rules L7 and L10 and the waiver machinery.
 //!
-//! L6 judges paths: stale editor/VCS droppings. L7–L10 are semantic checks
-//! over the item-level parse ([`crate::parse`]) and the workspace symbol
-//! table ([`crate::symbols`]): unit-escape at `pub fn` boundaries,
-//! trace-span balance and event-schema conformance, order-sensitive spawn
-//! sites, and swallowed fallibility. They are scoped by file role (test
-//! code is exempt) and, for L9/L10, by crate (only the deterministic-path
-//! crates). Findings can be waived with an explicit comment:
+//! Both are semantic checks over the item-level parse ([`crate::parse`])
+//! and the workspace symbol table ([`crate::symbols`]): unit-escape at
+//! `pub fn` boundaries and swallowed fallibility. They are scoped by file
+//! role (test code is exempt) and, for L10, by crate (only the
+//! deterministic-path crates). Findings can be waived with an explicit
+//! comment:
 //!
 //! ```text
 //! // lint: allow(<rule>[, <rule>...]) — optional justification
@@ -14,42 +13,23 @@
 //!
 //! placed either on the offending line or on its own line directly above.
 //! Waivers are never silent: each one is recorded in the report with a
-//! `used` flag so reviewers can see (and CI can count) every escape hatch.
+//! `used` flag so reviewers can see (and the tier-1 gate can count) every
+//! escape hatch.
 
 use crate::lexer::{lex, Comment, Lexed, TokKind, Token};
 use crate::parse::{self, ItemKind, ParsedFile};
 use crate::symbols::{crate_of, ty_mentions, Symbols};
 use std::collections::BTreeSet;
 
-/// Machine name of every rule, in L-number order.
-pub const RULE_NAMES: [&str; 5] = [
-    Rule::StaleFile.name(),
-    Rule::UnitEscape.name(),
-    Rule::SpanBalance.name(),
-    Rule::OrderSensitivity.name(),
-    Rule::SwallowedFallibility.name(),
-];
-
-/// The lint rules: L6–L10, the part of the determinism/unit-safety
-/// invariant set that clippy cannot express. (L1–L5 are clippy lints now;
-/// their labels are not reused.)
+/// The lint rules: the part of the unit-safety and determinism invariant
+/// set that neither clippy nor rustc nor a conformance suite checks.
+/// DESIGN.md §6 and §10 say where the other L-numbers are checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// L6: stale editor/VCS droppings (`*.bak`, `*.orig`, `*.rej`) in tree.
-    StaleFile,
     /// L7: a raw primitive carrying a typed quantity (`mv: u32`,
     /// `core: u8`) across a `pub fn` boundary of a crate that can see the
     /// workspace newtype for that quantity.
     UnitEscape,
-    /// L8: a trace span opened (`CampaignStarted`/`SweepStarted`
-    /// constructed) without its closing event in the same function, or an
-    /// event constructor/pattern naming variants or fields that are not in
-    /// the `TraceEvent` schema.
-    SpanBalance,
-    /// L9: a thread-spawn site in a deterministic-path crate whose
-    /// enclosing function shows no reorder/finalize step, so worker
-    /// completion order could leak into results.
-    OrderSensitivity,
     /// L10: a discarded `Result` (`let _ =` / `drop(...)`) from an I/O,
     /// sink or always-fallible workspace call on the deterministic path.
     SwallowedFallibility,
@@ -60,119 +40,8 @@ impl Rule {
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
-            Rule::StaleFile => "stale-file",
             Rule::UnitEscape => "unit-escape",
-            Rule::SpanBalance => "span-balance",
-            Rule::OrderSensitivity => "order-sensitivity",
             Rule::SwallowedFallibility => "swallowed-fallibility",
-        }
-    }
-
-    /// The L-number label (`L6`…`L10`).
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            Rule::StaleFile => "L6",
-            Rule::UnitEscape => "L7",
-            Rule::SpanBalance => "L8",
-            Rule::OrderSensitivity => "L9",
-            Rule::SwallowedFallibility => "L10",
-        }
-    }
-
-    /// One-line description of the invariant, used by SARIF rule metadata
-    /// and the `--explain` subcommand.
-    #[must_use]
-    pub const fn summary(self) -> &'static str {
-        match self {
-            Rule::StaleFile => "no stale editor/VCS droppings (*.bak, *.orig, *.rej) in the tree",
-            Rule::UnitEscape => {
-                "no raw primitives carrying typed quantities (mV, MHz, core ids) across pub fn boundaries"
-            }
-            Rule::SpanBalance => {
-                "trace spans must close in the function that opens them, and event constructors must match the TraceEvent schema"
-            }
-            Rule::OrderSensitivity => {
-                "thread-spawn sites must route results through a reorder/finalize step before order-sensitive sinks"
-            }
-            Rule::SwallowedFallibility => {
-                "no silently discarded Results from I/O, sink or always-fallible workspace calls"
-            }
-        }
-    }
-
-    /// Long-form rationale, example and waiver syntax, printed by
-    /// `margins-lint --explain <rule>`.
-    #[must_use]
-    pub const fn explain(self) -> &'static str {
-        match self {
-            Rule::StaleFile => {
-                "\
-Why: *.bak/*.orig/*.rej files are editor/VCS droppings; checked in,
-they rot, shadow real sources in greps, and confuse the lint walker.
-
-Fix: delete the file (its history lives in git).
-
-Waive: not waivable — L6 applies to paths, not lines."
-            }
-            Rule::UnitEscape => {
-                "\
-Why: the workspace defines quantity newtypes (Millivolts, Megahertz,
-CoreId) so a 980 can never be read as MHz where mV was meant — the
-paper's entire dataset is keyed by (voltage, frequency, core). A raw
-u32/u8 on a pub fn boundary reopens that confusion exactly where
-crates hand values to each other. The rule fires only in crates that
-can actually name the newtype (it is in their dependency closure).
-
-Bad:   pub fn on_grid(self, start_mv: u32) -> ResolvedPrior
-Good:  pub fn on_grid(self, start_mv: Millivolts) -> ResolvedPrior
-
-Waive: // lint: allow(unit-escape) — <why the raw representation is the API>"
-            }
-            Rule::SpanBalance => {
-                "\
-Why: campaign traces are spans (CampaignStarted..CampaignFinished,
-SweepStarted..SweepFinished); an open without its close truncates every
-derived analysis (durations, diffs, OpenMetrics counters). Constructors
-must also match the TraceEvent schema so serialized streams stay
-replayable.
-
-Bad:   obs.record(&TraceEvent::SweepStarted { program, dataset, core });
-       // fn returns with no SweepFinished on this path
-Good:  emit SweepFinished (or delegate to a helper that does) before
-       every return of the same function.
-
-Waive: // lint: allow(span-balance) — <which caller closes the span, and why
-       that is guaranteed>"
-            }
-            Rule::OrderSensitivity => {
-                "\
-Why: PR 2's bug class — worker threads finishing in scheduler order
-wrote events straight into an order-sensitive sink, so two identical
-campaigns produced different traces. Every spawn site on the
-deterministic path must re-merge results in canonical order (reorder
-buffer, BTreeMap staging, StreamFinalizer) before anything ordered
-consumes them.
-
-Bad:   scope.spawn(move || sink.write(run(item)));
-Good:  scope.spawn(move || tx.send((idx, run(item))));
-       // ...then drain via a BTreeMap keyed by idx / StreamFinalizer.
-
-Waive: // lint: allow(order-sensitivity) — <why completion order cannot
-       reach any output>"
-            }
-            Rule::SwallowedFallibility => {
-                "\
-Why: a silently dropped Result from I/O, sink or cache calls turns a
-half-written campaign cache or truncated trace into 'success'; the
-stale data then poisons every later incremental run. Handle the error,
-propagate it, or own the discard with a waiver.
-
-Bad:   let _ = self.writer.flush();
-Good:  self.writer.flush().map_err(CacheError::Io)?;
-
-Waive: // lint: allow(swallowed-fallibility) — <why best-effort is correct here>"
-            }
         }
     }
 
@@ -180,25 +49,10 @@ Waive: // lint: allow(swallowed-fallibility) — <why best-effort is correct her
     #[must_use]
     pub fn from_name(name: &str) -> Option<Rule> {
         match name {
-            "stale-file" => Some(Rule::StaleFile),
             "unit-escape" => Some(Rule::UnitEscape),
-            "span-balance" => Some(Rule::SpanBalance),
-            "order-sensitivity" => Some(Rule::OrderSensitivity),
             "swallowed-fallibility" => Some(Rule::SwallowedFallibility),
             _ => None,
         }
-    }
-
-    /// All rules, in L-number order.
-    #[must_use]
-    pub const fn all() -> [Rule; 5] {
-        [
-            Rule::StaleFile,
-            Rule::UnitEscape,
-            Rule::SpanBalance,
-            Rule::OrderSensitivity,
-            Rule::SwallowedFallibility,
-        ]
     }
 }
 
@@ -255,7 +109,7 @@ pub struct FileOutcome {
 /// streams are part of the reproducible surface), and the analytics crate
 /// (its reports and diffs gate CI on byte equality).
 ///
-/// L9/L10 bind these crates; their manifests deny clippy's determinism
+/// L10 binds these crates; their manifests deny clippy's determinism
 /// lints. The `workspace_clean` test keeps the two lists equal.
 pub const DETERMINISTIC_CRATES: [&str; 7] =
     ["rng", "sim", "core", "energy", "predict", "trace", "scope"];
@@ -285,8 +139,8 @@ pub fn classify_path(rel: &str) -> Option<FileScope> {
     })
 }
 
-/// Lints one Rust source file with the code rules L7–L10, resolving them
-/// against the workspace symbol table.
+/// Lints one Rust source file with the code rules L7 and L10, resolving
+/// them against the workspace symbol table.
 #[must_use]
 pub fn lint_rust_file(rel: &str, src: &str, scope: FileScope, symbols: &Symbols) -> FileOutcome {
     let lexed = lex(src);
@@ -298,9 +152,7 @@ pub fn lint_rust_file(rel: &str, src: &str, scope: FileScope, symbols: &Symbols)
         let in_test = |line: u32| test_lines.iter().any(|(a, b)| line >= *a && line <= *b);
         let parsed = parse::parse(&lexed.tokens);
         check_unit_escape(rel, &parsed, symbols, &in_test, &mut raw);
-        check_span_balance(rel, &lexed.tokens, &parsed, symbols, &in_test, &mut raw);
         if scope.is_deterministic_path {
-            check_order_sensitivity(rel, &lexed.tokens, &parsed, &in_test, &mut raw);
             check_swallowed_fallibility(rel, &lexed.tokens, symbols, &in_test, &mut raw);
         }
     }
@@ -557,231 +409,6 @@ fn check_unit_escape(
     }
 }
 
-/// Span-open variants and the close variant that must balance each within
-/// one function body.
-const SPAN_PAIRS: [(&str, &str); 2] = [
-    ("CampaignStarted", "CampaignFinished"),
-    ("SweepStarted", "SweepFinished"),
-];
-
-/// One `TraceEvent::Variant` occurrence found by the L8 scanner.
-struct EventUse {
-    /// Index of the variant ident token.
-    at: usize,
-    variant: String,
-    /// Named fields mentioned at brace depth 1 (`field:`), if braced.
-    fields: Vec<String>,
-    /// Whether the payload is an explicit construction: at least one
-    /// `field:` and no `..` rest token. Match patterns use shorthand or
-    /// `..`, so they never count as span opens.
-    constructs: bool,
-}
-
-/// Scans token stream for `TraceEvent::Variant` uses and their payloads.
-fn scan_event_uses(tokens: &[Token]) -> Vec<EventUse> {
-    let mut uses = Vec::new();
-    let mut i = 0usize;
-    while i + 2 < tokens.len() {
-        if tokens[i].ident() == Some("TraceEvent")
-            && tokens[i + 1].punct() == Some("::")
-            && matches!(tokens[i + 2].kind, TokKind::Ident(_))
-        {
-            let variant = tokens[i + 2].ident().unwrap_or_default().to_owned();
-            let mut fields = Vec::new();
-            let mut constructs = false;
-            if tokens.get(i + 3).and_then(Token::punct) == Some("{") {
-                let open = i + 3;
-                let mut depth = 0usize;
-                let mut close = open;
-                for (j, t) in tokens.iter().enumerate().skip(open) {
-                    match t.punct() {
-                        Some("{") => depth += 1,
-                        Some("}") => {
-                            depth -= 1;
-                            if depth == 0 {
-                                close = j;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                let mut named = 0usize;
-                let mut rest = false;
-                let payload = if close > open {
-                    &tokens[open + 1..close]
-                } else {
-                    &[]
-                };
-                for seg in parse::split_top_commas(payload) {
-                    match (seg.first(), seg.get(1)) {
-                        (Some(a), Some(b))
-                            if matches!(a.kind, TokKind::Ident(_)) && b.punct() == Some(":") =>
-                        {
-                            fields.push(a.ident().unwrap_or_default().to_owned());
-                            named += 1;
-                        }
-                        (Some(a), _) if matches!(a.kind, TokKind::Ident(_)) => {
-                            // Shorthand `field` — a field mention either way.
-                            fields.push(a.ident().unwrap_or_default().to_owned());
-                        }
-                        (Some(a), _) if a.punct() == Some("..") => rest = true,
-                        _ => {}
-                    }
-                }
-                constructs = named > 0 && !rest;
-            }
-            uses.push(EventUse {
-                at: i + 2,
-                variant,
-                fields,
-                constructs,
-            });
-            i += 3;
-            continue;
-        }
-        i += 1;
-    }
-    uses
-}
-
-/// L8: `TraceEvent` uses must match the workspace schema, and span-open
-/// constructions must be balanced by their close variant in the same fn.
-fn check_span_balance(
-    rel: &str,
-    tokens: &[Token],
-    parsed: &ParsedFile,
-    symbols: &Symbols,
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    if symbols.trace_schema.is_empty() {
-        return;
-    }
-    let uses = scan_event_uses(tokens);
-    for u in &uses {
-        let tok = &tokens[u.at];
-        if in_test(tok.line) {
-            continue;
-        }
-        match symbols.trace_schema.get(&u.variant) {
-            None => push(
-                out,
-                rel,
-                tok,
-                Rule::SpanBalance,
-                format!(
-                    "`TraceEvent::{}` is not a variant of the workspace trace schema",
-                    u.variant
-                ),
-            ),
-            Some(schema) => {
-                for f in &u.fields {
-                    if !schema.contains(f) {
-                        push(
-                            out,
-                            rel,
-                            tok,
-                            Rule::SpanBalance,
-                            format!(
-                                "field `{f}` is not part of the `TraceEvent::{}` schema",
-                                u.variant
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // Balance check: per fn body, an explicit construction of a span-open
-    // variant needs a mention of the close variant in the same body.
-    for item in &parsed.items {
-        let (ItemKind::Fn(_), Some((lo, hi))) = (&item.kind, item.body) else {
-            continue;
-        };
-        if in_test(item.line) {
-            continue;
-        }
-        for (open_v, close_v) in SPAN_PAIRS {
-            let opens: Vec<&EventUse> = uses
-                .iter()
-                .filter(|u| u.at >= lo && u.at < hi && u.variant == open_v && u.constructs)
-                .collect();
-            if opens.is_empty() {
-                continue;
-            }
-            let closed = uses
-                .iter()
-                .any(|u| u.at >= lo && u.at < hi && u.variant == close_v);
-            if !closed {
-                for u in opens {
-                    push(
-                        out,
-                        rel,
-                        &tokens[u.at],
-                        Rule::SpanBalance,
-                        format!(
-                            "`{open_v}` span opened in fn `{}` with no matching `{close_v}` on any path",
-                            item.name
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Idents whose presence in a spawning fn indicates results are re-merged
-/// deterministically before reaching order-sensitive sinks.
-const REORDER_MARKERS: [&str; 6] = [
-    "StreamFinalizer",
-    "emit_record",
-    "BTreeMap",
-    "BTreeSet",
-    "reorder",
-    "finalizer",
-];
-
-/// L9: thread-spawn sites in deterministic crates must route results
-/// through a reorder/finalizer path.
-fn check_order_sensitivity(
-    rel: &str,
-    tokens: &[Token],
-    parsed: &ParsedFile,
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    for item in &parsed.items {
-        let (ItemKind::Fn(_), Some((lo, hi))) = (&item.kind, item.body) else {
-            continue;
-        };
-        if in_test(item.line) || hi <= lo {
-            continue;
-        }
-        let body = &tokens[lo..hi.min(tokens.len())];
-        let spawn_at = body.iter().enumerate().position(|(j, t)| {
-            t.ident() == Some("spawn") && body.get(j + 1).and_then(Token::punct) == Some("(")
-        });
-        let Some(spawn_at) = spawn_at else { continue };
-        let reordered = body.iter().any(|t| {
-            t.ident()
-                .is_some_and(|id| REORDER_MARKERS.contains(&id) || id.starts_with("sort"))
-        });
-        if !reordered {
-            push(
-                out,
-                rel,
-                &body[spawn_at],
-                Rule::OrderSensitivity,
-                format!(
-                    "fn `{}` spawns workers without a reorder/finalizer path; completion order will leak into output",
-                    item.name
-                ),
-            );
-        }
-    }
-}
-
 /// Fallible I/O-ish method names whose `Result` must not be dropped
 /// silently in deterministic crates.
 const IO_METHODS: [&str; 9] = [
@@ -924,21 +551,6 @@ fn check_swallowed_fallibility(
     }
 }
 
-/// L6: stale file extensions. Applies to *paths*, not contents.
-#[must_use]
-pub fn check_stale_file(rel: &str) -> Option<Finding> {
-    let stale = [".bak", ".orig", ".rej"]
-        .iter()
-        .find(|ext| rel.ends_with(**ext))?;
-    Some(Finding {
-        file: rel.to_owned(),
-        line: 0,
-        col: 0,
-        rule: Rule::StaleFile,
-        message: format!("stale `{stale}` file checked into the tree; delete it"),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,15 +580,8 @@ mod tests {
         assert!(!root.is_deterministic_path && !root.is_test_context);
     }
 
-    #[test]
-    fn stale_file_rule() {
-        assert!(check_stale_file("crates/bench/src/lib.rs.bak").is_some());
-        assert!(check_stale_file("crates/bench/src/lib.rs").is_none());
-        assert!(check_stale_file("a/b.orig").is_some());
-    }
-
     // ------------------------------------------------------------------
-    // Semantic rules L7–L10 against a hand-built symbol table.
+    // Semantic rules L7 and L10 against a hand-built symbol table.
 
     fn sim_symbols() -> Symbols {
         let mut sym = Symbols::default();
@@ -984,20 +589,6 @@ mod tests {
             .insert("Millivolts".into(), ("u32".into(), "sim".into()));
         sym.newtypes
             .insert("CoreId".into(), ("u8".into(), "sim".into()));
-        sym.trace_schema.insert(
-            "SweepStarted".into(),
-            ["program", "dataset", "core"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-        );
-        sym.trace_schema.insert(
-            "SweepFinished".into(),
-            ["program", "vmin_mv"]
-                .iter()
-                .map(|s| (*s).to_owned())
-                .collect(),
-        );
         sym.fn_result.insert("persist_cache".into(), (1, 1));
         sym.fn_result.insert("lookup".into(), (1, 2));
         sym.active_quantities = vec![
@@ -1053,49 +644,6 @@ mod tests {
             &sim_symbols(),
         );
         assert!(out.findings.is_empty());
-    }
-
-    #[test]
-    fn span_balance_unknown_variant_and_field() {
-        let out = lint_sem(
-            "fn f(o: &O) { o.record(&TraceEvent::Bogus { x: 1 }); }\n\
-             fn g(o: &O) { o.record(&TraceEvent::SweepFinished { program: p, typo: 1 }); }",
-        );
-        assert_eq!(rules_of(&out), vec![Rule::SpanBalance, Rule::SpanBalance]);
-        assert!(out.findings[0].message.contains("Bogus"));
-        assert!(out.findings[1].message.contains("typo"));
-    }
-
-    #[test]
-    fn span_balance_unclosed_open_flagged() {
-        let src = "fn f(o: &O) { o.record(&TraceEvent::SweepStarted { program: p, core: c }); }";
-        let out = lint_sem(src);
-        assert_eq!(rules_of(&out), vec![Rule::SpanBalance]);
-        assert!(out.findings[0].message.contains("SweepFinished"));
-    }
-
-    #[test]
-    fn span_balance_closed_open_and_patterns_ok() {
-        // Open + close in the same fn is balanced; match patterns with `..`
-        // or shorthand are not constructions.
-        let src = "fn f(o: &O) {\n\
-                     o.record(&TraceEvent::SweepStarted { program: p, core: c });\n\
-                     o.record(&TraceEvent::SweepFinished { program: p, vmin_mv: v });\n\
-                   }\n\
-                   fn g(e: &TraceEvent) { match e { TraceEvent::SweepStarted { program, .. } => (), _ => () } }";
-        assert!(lint_sem(src).findings.is_empty());
-    }
-
-    #[test]
-    fn order_sensitivity_flags_bare_spawn() {
-        let out = lint_sem("fn run(s: &S) { s.spawn(|| work()); collect(); }");
-        assert_eq!(rules_of(&out), vec![Rule::OrderSensitivity]);
-    }
-
-    #[test]
-    fn order_sensitivity_reorder_path_ok() {
-        let src = "fn run(s: &S) { s.spawn(|| work()); let pending = BTreeMap::new(); emit_record(pending); }";
-        assert!(lint_sem(src).findings.is_empty());
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The cross-file workspace symbol table.
 //!
-//! The semantic rules need three kinds of workspace-global knowledge that
+//! The semantic rules need two kinds of workspace-global knowledge that
 //! no single file contains:
 //!
 //! * which **quantity newtypes** exist and where (`Millivolts` in
 //!   `crates/sim` wraps `u32`) — drives L7 unit-escape,
-//! * the **trace event schema** (`TraceEvent`'s variants and field names)
-//!   — drives L8 span-balance,
 //! * which function names **always return `Result`** — drives L10
 //!   swallowed-fallibility,
 //!
@@ -33,9 +31,6 @@ pub struct FileSymbols {
     /// Public single-field tuple structs wrapping a primitive:
     /// `(newtype name, inner primitive)`.
     pub newtypes: Vec<(String, String)>,
-    /// Variants of a `TraceEvent` enum declared in this file:
-    /// `(variant name, named field names)`.
-    pub trace_variants: Vec<(String, Vec<String>)>,
     /// Every function declared in this file: `(name, returns Result)`.
     pub fns: Vec<(String, bool)>,
 }
@@ -46,19 +41,13 @@ pub fn file_symbols(parsed: &ParsedFile) -> FileSymbols {
     let mut out = FileSymbols::default();
     for item in &parsed.items {
         match &item.kind {
-            ItemKind::Struct { fields, tuple }
+            ItemKind::Struct { tuple_fields }
                 if item.is_pub
-                    && *tuple
-                    && fields.len() == 1
-                    && PRIMITIVES.contains(&fields[0].ty.as_str()) =>
+                    && tuple_fields.len() == 1
+                    && PRIMITIVES.contains(&tuple_fields[0].as_str()) =>
             {
-                out.newtypes.push((item.name.clone(), fields[0].ty.clone()));
-            }
-            ItemKind::Enum { variants } if item.name == "TraceEvent" => {
-                for v in variants {
-                    let fields: Vec<String> = v.fields.iter().map(|f| f.name.clone()).collect();
-                    out.trace_variants.push((v.name.clone(), fields));
-                }
+                out.newtypes
+                    .push((item.name.clone(), tuple_fields[0].clone()));
             }
             ItemKind::Fn(sig) => {
                 let returns_result = sig.ret.as_deref().is_some_and(|r| ty_mentions(r, "Result"));
@@ -68,7 +57,6 @@ pub fn file_symbols(parsed: &ParsedFile) -> FileSymbols {
         }
     }
     out.newtypes.sort();
-    out.trace_variants.sort();
     out.fns.sort();
     out
 }
@@ -125,8 +113,6 @@ pub struct ActiveQuantity {
 pub struct Symbols {
     /// Newtype name → (inner primitive, defining crate).
     pub newtypes: BTreeMap<String, (String, String)>,
-    /// `TraceEvent` variant name → set of named fields.
-    pub trace_schema: BTreeMap<String, BTreeSet<String>>,
     /// Function name → (how many declarations return `Result`, total
     /// declarations).
     pub fn_result: BTreeMap<String, (u32, u32)>,
@@ -154,12 +140,6 @@ impl Symbols {
                 sym.newtypes
                     .entry(name.clone())
                     .or_insert_with(|| (inner.clone(), krate.clone()));
-            }
-            for (variant, fields) in &fs.trace_variants {
-                sym.trace_schema
-                    .entry(variant.clone())
-                    .or_default()
-                    .extend(fields.iter().cloned());
             }
             for (name, returns_result) in &fs.fns {
                 let slot = sym.fn_result.entry(name.clone()).or_insert((0, 0));
@@ -333,19 +313,6 @@ mod tests {
             fs.newtypes,
             vec![("Millivolts".to_owned(), "u32".to_owned())]
         );
-    }
-
-    #[test]
-    fn trace_schema_collects_named_fields() {
-        let fs =
-            symbols_of("pub enum TraceEvent { SweepStarted { program: String, core: u8 }, Plain }");
-        assert_eq!(fs.trace_variants.len(), 2);
-        assert_eq!(fs.trace_variants[1].0, "SweepStarted");
-        assert_eq!(fs.trace_variants[1].1, vec!["program", "core"]);
-        // Other enums do not contribute.
-        assert!(symbols_of("pub enum Other { A { x: u8 } }")
-            .trace_variants
-            .is_empty());
     }
 
     #[test]

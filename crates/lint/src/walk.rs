@@ -1,52 +1,69 @@
-//! Deterministic workspace traversal.
+//! The files cargo builds, in a deterministic order.
 //!
-//! `std::fs::read_dir` order is filesystem-dependent; the walker sorts
-//! every directory's entries by name so the scan order — and therefore the
-//! report — is identical on every machine.
+//! The lint judges the workspace's packages, not whatever lies in the
+//! working tree: the root package and each `crates/*` member contribute
+//! their `Cargo.toml` and the Rust files under `src/`, `tests/`,
+//! `examples/` and `benches/`. An untracked copy of the sources (a
+//! benchmark checkout under `.bench_build/`, say) would otherwise be
+//! linted as root-package code and could claim the workspace's newtypes,
+//! and `perf/`, which is not a member, would be linted too.
 
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Directories never descended into.
-const SKIP_DIRS: [&str; 3] = [".git", "target", "node_modules"];
+/// The package directories whose Rust files cargo compiles.
+const SOURCE_DIRS: [&str; 4] = ["src", "tests", "examples", "benches"];
 
-/// Recursively lists all files under `root`, sorted, as
-/// workspace-relative `/`-separated paths.
+/// Lists the package manifests and Rust sources of the workspace at
+/// `root`, sorted, as workspace-relative `/`-separated paths.
 pub fn walk(root: &Path) -> io::Result<Vec<String>> {
+    let mut packages = vec![String::new()];
+    let members = root.join("crates");
+    if members.is_dir() {
+        for entry in fs::read_dir(&members)? {
+            let dir = entry?.path();
+            if dir.join("Cargo.toml").is_file() {
+                packages.push(format!("crates/{}/", file_name(&dir)));
+            }
+        }
+    }
     let mut out = Vec::new();
-    walk_dir(root, root, &mut out)?;
+    for package in packages {
+        let manifest = format!("{package}Cargo.toml");
+        if root.join(&manifest).is_file() {
+            out.push(manifest);
+        }
+        for sub in SOURCE_DIRS {
+            let rel = format!("{package}{sub}");
+            let dir = root.join(&rel);
+            if dir.is_dir() {
+                walk_sources(&dir, &rel, &mut out)?;
+            }
+        }
+    }
+    // `read_dir` order is filesystem-dependent; the report must not be.
     out.sort();
     Ok(out)
 }
 
-fn walk_dir(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
-    let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .unwrap_or_default()
-            .to_owned();
+fn walk_sources(dir: &Path, rel: &str, out: &mut Vec<String>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        let rel = format!("{rel}/{}", file_name(&path));
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_str()) {
-                continue;
-            }
-            walk_dir(root, &path, out)?;
-        } else if let Ok(rel) = path.strip_prefix(root) {
-            let rel: Vec<String> = rel
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy().into_owned())
-                .collect();
-            out.push(rel.join("/"));
+            walk_sources(&path, &rel, out)?;
+        } else if rel.ends_with(".rs") {
+            out.push(rel);
         }
     }
     Ok(())
+}
+
+fn file_name(path: &Path) -> String {
+    path.file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -57,13 +74,35 @@ mod tests {
     fn walk_is_sorted_and_relative() {
         let dir = std::env::temp_dir().join(format!("margins-lint-walk-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("b/inner")).unwrap();
-        fs::create_dir_all(dir.join(".git")).unwrap();
-        fs::write(dir.join("b/inner/z.rs"), "").unwrap();
-        fs::write(dir.join("a.rs"), "").unwrap();
-        fs::write(dir.join(".git/ignored"), "").unwrap();
-        let files = walk(&dir).unwrap();
-        assert_eq!(files, vec!["a.rs".to_owned(), "b/inner/z.rs".to_owned()]);
+        for file in [
+            "Cargo.toml",
+            "src/lib.rs",
+            "src/bin/z.rs",
+            "src/notes.md",
+            "tests/t.rs",
+            "crates/b/Cargo.toml",
+            "crates/b/benches/x.rs",
+            "crates/b/scratch.rs",
+            "crates/unlisted/src/y.rs",
+            "perf/src/p.rs",
+            ".bench_build/parent/src/lib.rs",
+            ".git/ignored.rs",
+        ] {
+            let path = dir.join(file);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, "").unwrap();
+        }
+        assert_eq!(
+            walk(&dir).unwrap(),
+            [
+                "Cargo.toml",
+                "crates/b/Cargo.toml",
+                "crates/b/benches/x.rs",
+                "src/bin/z.rs",
+                "src/lib.rs",
+                "tests/t.rs",
+            ]
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

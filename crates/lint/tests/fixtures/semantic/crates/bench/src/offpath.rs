@@ -1,11 +1,10 @@
-//! Fixture: `bench` is off the deterministic path, so order-sensitivity
-//! and swallowed-fallibility do not bind — but unit-escape binds every
-//! non-test crate that can see the newtype, including this one.
+//! Fixture: `bench` is off the deterministic path, so swallowed-fallibility
+//! does not bind — but unit-escape binds every non-test crate that can see
+//! the newtype, including this one.
 
 use std::io::Write;
 
 pub fn plot(mv: u32) -> String {
-    std::thread::spawn(move || mv);
     let _ = std::io::stdout().flush();
     format!("{mv}")
 }

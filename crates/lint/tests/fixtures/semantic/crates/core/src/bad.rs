@@ -1,9 +1,7 @@
-//! Fixture: one positive case per semantic rule L7–L10. `core` depends on
-//! both `sim` (newtypes) and `trace` (schema), and sits on the
-//! deterministic path, so every semantic rule binds here.
+//! Fixture: the positive cases of L7 and L10. `core` depends on `sim`
+//! (newtypes) and sits on the deterministic path, so both rules bind here.
 
 use margins_sim::{CoreId, Millivolts};
-use margins_trace::TraceEvent;
 use std::sync::mpsc::Sender;
 
 pub fn probe(mv: u32) -> bool {
@@ -16,25 +14,6 @@ pub fn vmin_mv(program: &str) -> u32 {
 
 pub fn pin(core: u8) {
     let _ = core;
-}
-
-pub fn emit_unknown_variant(out: &mut Vec<TraceEvent>) {
-    out.push(TraceEvent::Typo);
-}
-
-pub fn emit_unknown_field(out: &mut Vec<TraceEvent>) {
-    out.push(TraceEvent::SweepStarted { program: String::new(), speed: 9 });
-    out.push(TraceEvent::SweepFinished { program: String::new(), runs: 1 });
-}
-
-pub fn open_without_close(out: &mut Vec<TraceEvent>) {
-    out.push(TraceEvent::CampaignStarted { chip: String::new(), runs: 0 });
-}
-
-pub fn scatter(items: Vec<u32>) {
-    for item in items {
-        std::thread::spawn(move || item + 1);
-    }
 }
 
 pub fn swallow(out: &mut impl std::io::Write, tx: &Sender<u32>) {

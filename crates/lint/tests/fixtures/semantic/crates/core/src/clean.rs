@@ -2,8 +2,6 @@
 //! rules must stay silent on all of them.
 
 use margins_sim::{CoreId, Millivolts};
-use margins_trace::TraceEvent;
-use std::collections::BTreeMap;
 
 pub fn probe(mv: Millivolts) -> bool {
     mv.mv() > 0
@@ -23,30 +21,6 @@ fn internal_mv(mv: u32) -> u32 {
 
 pub fn count(widgets: u32) -> u32 {
     widgets + internal_mv(0)
-}
-
-pub fn balanced(out: &mut Vec<TraceEvent>) {
-    out.push(TraceEvent::SweepStarted { program: String::new(), core: 0 });
-    out.push(TraceEvent::SweepFinished { program: String::new(), runs: 1 });
-}
-
-pub fn patterns(e: &TraceEvent) -> bool {
-    matches!(e, TraceEvent::SweepStarted { .. })
-}
-
-pub fn shorthand(e: &TraceEvent) -> u32 {
-    match e {
-        TraceEvent::CampaignFinished { runs } => *runs,
-        _ => 0,
-    }
-}
-
-pub fn scatter_reordered(items: Vec<u32>) {
-    let mut done: BTreeMap<u32, u32> = BTreeMap::new();
-    for item in items {
-        std::thread::spawn(move || item);
-    }
-    done.insert(0, 0);
 }
 
 pub fn handled(out: &mut impl std::io::Write) -> Result<(), std::io::Error> {

@@ -2,21 +2,9 @@
 //! accounted waiver — plus one deliberately unused waiver that must be
 //! reported as such rather than dropped.
 
-use margins_trace::TraceEvent;
-
 // lint: allow(unit-escape) — FFI shim mirrors the MSR register layout
 pub fn poke(mv: u32) -> u32 {
     mv
-}
-
-pub fn fire_and_forget(out: &mut Vec<TraceEvent>) {
-    // lint: allow(span-balance) — the close event is emitted by the stream finalizer
-    out.push(TraceEvent::CampaignStarted { chip: String::new(), runs: 0 });
-}
-
-pub fn detached(items: Vec<u32>) {
-    // lint: allow(order-sensitivity) — workers are side-effect free probes
-    std::thread::spawn(move || items.len());
 }
 
 pub fn best_effort(out: &mut impl std::io::Write) {

@@ -1,7 +1,6 @@
 //! Fixture: integration-test files are exempt from every code rule,
 //! including the semantic ones — the same sins as `bad.rs` produce nothing.
 
-use margins_trace::TraceEvent;
 use std::io::Write;
 
 pub fn probe(mv: u32) -> u32 {
@@ -10,9 +9,5 @@ pub fn probe(mv: u32) -> u32 {
 
 #[test]
 fn test_helpers_may_sin() {
-    let mut out: Vec<TraceEvent> = Vec::new();
-    out.push(TraceEvent::Typo);
-    out.push(TraceEvent::CampaignStarted { chip: String::new(), runs: 0 });
-    std::thread::spawn(|| 1);
     let _ = std::io::stdout().flush();
 }

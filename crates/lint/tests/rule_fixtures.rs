@@ -1,27 +1,24 @@
-//! Exercises every rule against the fixture trees — positive hits, waived
-//! hits and clean files — asserting on both the structured report and its
-//! JSON form. The `seedlike` tree carries the stale file for L6 (its
-//! `bad.rs` is the clippy probe CI mounts into `margins-sim`); the
-//! `semantic` tree carries manifests, newtypes and a trace schema so the
-//! cross-file rules L7–L10 resolve against a real symbol table.
+//! Exercises both rules against the `semantic` fixture tree — positive
+//! hits, waived hits and clean files — which carries manifests and
+//! newtypes so L7 and L10 resolve against a real symbol table. (The
+//! `seedlike` tree holds only `bad.rs`, the clippy probe CI mounts into
+//! `margins-sim`.)
 
 use margins_lint::rules::Rule;
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 
-fn fixture_root() -> PathBuf {
-    let manifest = option_env!("CARGO_MANIFEST_DIR")
-        .map_or_else(|| std::env::current_dir().expect("cwd"), PathBuf::from);
-    manifest.join("tests/fixtures/seedlike")
-}
+const SEM_BAD: &str = "crates/core/src/bad.rs";
+const SEM_CLEAN: &str = "crates/core/src/clean.rs";
+const SEM_WAIVED: &str = "crates/core/src/waived.rs";
+const SEM_OFFPATH: &str = "crates/bench/src/offpath.rs";
+const SEM_TRACE_RAW: &str = "crates/trace/src/raw.rs";
+const SEM_EXEMPT: &str = "crates/core/tests/exempt_semantic.rs";
 
 fn semantic_root() -> PathBuf {
     let manifest = option_env!("CARGO_MANIFEST_DIR")
         .map_or_else(|| std::env::current_dir().expect("cwd"), PathBuf::from);
     manifest.join("tests/fixtures/semantic")
-}
-
-fn lint_fixture() -> margins_lint::report::Report {
-    margins_lint::lint_workspace(&fixture_root()).expect("fixture tree lints")
 }
 
 fn lint_semantic() -> margins_lint::report::Report {
@@ -36,65 +33,6 @@ fn count(report: &margins_lint::report::Report, rule: Rule, file: &str) -> usize
         .count()
 }
 
-const CLEAN: &str = "crates/sim/src/clean.rs";
-const EXEMPT: &str = "crates/sim/tests/exempt_integration.rs";
-
-#[test]
-fn stale_file_fires_on_the_seedlike_tree() {
-    let report = lint_fixture();
-    assert_eq!(
-        count(&report, Rule::StaleFile, "crates/sim/src/stale.rs.bak"),
-        1
-    );
-    // Everything else in the tree is clippy's to judge: the semantic
-    // rules find nothing in it.
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-}
-
-#[test]
-fn clean_and_exempt_files_produce_nothing() {
-    let report = lint_fixture();
-    assert_eq!(
-        report.findings.iter().filter(|f| f.file == CLEAN).count(),
-        0
-    );
-    assert_eq!(
-        report.findings.iter().filter(|f| f.file == EXEMPT).count(),
-        0,
-        "integration-test files are exempt from code rules"
-    );
-}
-
-#[test]
-fn json_report_carries_findings_waivers_and_counts() {
-    let json = lint_semantic().to_json();
-    assert!(json.contains("\"tool\": \"margins-lint\""));
-    assert!(json.contains("\"rule\": \"unit-escape\""));
-    assert!(json.contains("\"label\": \"L7\""));
-    assert!(json.contains("\"file\": \"crates/core/src/bad.rs\""));
-    assert!(json.contains("\"used\": false"));
-    assert!(lint_fixture()
-        .to_json()
-        .contains("\"rule\": \"stale-file\""));
-    // Counts block names every rule, including clean ones, with totals.
-    for rule in margins_lint::rules::RULE_NAMES {
-        assert!(
-            json.contains(&format!("\"{rule}\"")),
-            "counts must mention {rule}"
-        );
-    }
-}
-
-#[test]
-fn json_report_is_byte_deterministic() {
-    let a = lint_semantic().to_json();
-    let b = lint_semantic().to_json();
-    assert_eq!(
-        a, b,
-        "two runs over the same tree must emit identical bytes"
-    );
-}
-
 #[test]
 fn human_diagnostics_use_file_line_col() {
     let human = lint_semantic().render_human();
@@ -102,28 +40,15 @@ fn human_diagnostics_use_file_line_col() {
         human.contains("crates/core/src/bad.rs:"),
         "diagnostics carry file:line"
     );
-    assert!(human.contains("[L7/unit-escape]"));
+    assert!(human.contains("[unit-escape]"));
     assert!(human.contains("unused waivers"));
 }
-
-// ---- the `semantic` tree: L7–L10 against a real symbol table ----
-
-const SEM_BAD: &str = "crates/core/src/bad.rs";
-const SEM_CLEAN: &str = "crates/core/src/clean.rs";
-const SEM_WAIVED: &str = "crates/core/src/waived.rs";
-const SEM_OFFPATH: &str = "crates/bench/src/offpath.rs";
-const SEM_TRACE_RAW: &str = "crates/trace/src/raw.rs";
-const SEM_EXEMPT: &str = "crates/core/tests/exempt_semantic.rs";
 
 #[test]
 fn semantic_rules_fire_on_the_bad_file() {
     let report = lint_semantic();
     // L7: raw `mv: u32` param, raw `-> u32` on `vmin_mv`, raw `core: u8`.
     assert_eq!(count(&report, Rule::UnitEscape, SEM_BAD), 3);
-    // L8: unknown variant + unknown field + unclosed span open.
-    assert_eq!(count(&report, Rule::SpanBalance, SEM_BAD), 3);
-    // L9: spawn with no reorder/finalizer path.
-    assert_eq!(count(&report, Rule::OrderSensitivity, SEM_BAD), 1);
     // L10: .flush(), drop(.send()), always-Result workspace fn, writeln!
     // to a path target.
     assert_eq!(count(&report, Rule::SwallowedFallibility, SEM_BAD), 4);
@@ -140,22 +65,6 @@ fn unit_escape_messages_name_the_newtype_and_its_crate() {
         .expect("at least one L7 finding");
     assert!(msg.contains("Millivolts"), "{msg}");
     assert!(msg.contains("`sim`"), "{msg}");
-}
-
-#[test]
-fn span_balance_distinguishes_its_three_failure_modes() {
-    let report = lint_semantic();
-    let messages: Vec<&str> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::SpanBalance && f.file == SEM_BAD)
-        .map(|f| f.message.as_str())
-        .collect();
-    assert!(messages.iter().any(|m| m.contains("`TraceEvent::Typo`")));
-    assert!(messages.iter().any(|m| m.contains("field `speed`")));
-    assert!(messages
-        .iter()
-        .any(|m| m.contains("no matching `CampaignFinished`")));
 }
 
 #[test]
@@ -194,8 +103,8 @@ fn semantic_waivers_suppress_and_are_reported() {
         .iter()
         .filter(|w| w.file == SEM_WAIVED)
         .collect();
-    assert_eq!(waivers.len(), 5, "{waivers:?}");
-    assert_eq!(waivers.iter().filter(|w| w.used).count(), 4);
+    assert_eq!(waivers.len(), 3, "{waivers:?}");
+    assert_eq!(waivers.iter().filter(|w| w.used).count(), 2);
     let unused: Vec<_> = waivers.iter().filter(|w| !w.used).collect();
     assert_eq!(unused.len(), 1);
     assert_eq!(unused[0].rule, Rule::UnitEscape);
@@ -213,7 +122,6 @@ fn unit_escape_respects_the_dependency_graph() {
 #[test]
 fn concurrency_rules_do_not_bind_off_path_crates() {
     let report = lint_semantic();
-    assert_eq!(count(&report, Rule::OrderSensitivity, SEM_OFFPATH), 0);
     assert_eq!(count(&report, Rule::SwallowedFallibility, SEM_OFFPATH), 0);
 }
 
@@ -232,13 +140,47 @@ fn semantic_rules_skip_test_context_files() {
 }
 
 #[test]
-fn newtype_and_schema_declarations_do_not_self_flag() {
+fn newtype_declarations_do_not_self_flag() {
     let report = lint_semantic();
-    for file in ["crates/sim/src/units.rs", "crates/trace/src/event.rs"] {
-        assert_eq!(
-            report.findings.iter().filter(|f| f.file == file).count(),
-            0,
-            "declaration files must lint clean"
-        );
+    assert_eq!(
+        report
+            .findings
+            .iter()
+            .filter(|f| f.file == "crates/sim/src/units.rs")
+            .count(),
+        0,
+        "the newtype's own impl speaks raw units"
+    );
+}
+
+fn copy_tree(from: &Path, to: &Path) {
+    fs::create_dir_all(to).expect("create copy dir");
+    for entry in fs::read_dir(from).expect("list fixture dir") {
+        let path = entry.expect("fixture entry").path();
+        let dest = to.join(path.file_name().expect("entry name"));
+        if path.is_dir() {
+            copy_tree(&path, &dest);
+        } else {
+            fs::copy(&path, &dest).expect("copy fixture file");
+        }
     }
+}
+
+#[test]
+fn an_untracked_copy_of_the_sources_changes_nothing() {
+    // A benchmark checkout under the git-ignored `.bench_build/` is not
+    // part of any package: it must neither be linted nor claim the
+    // newtypes (a copy declaring `Millivolts` first would make L7 stop
+    // binding `core`).
+    let root = std::env::temp_dir().join(format!("margins-lint-untracked-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    copy_tree(&semantic_root(), &root);
+    let alone = margins_lint::lint_workspace(&root).expect("copy lints");
+    copy_tree(&semantic_root(), &root.join(".bench_build/parent"));
+    let shadowed = margins_lint::lint_workspace(&root).expect("copy lints");
+    fs::remove_dir_all(&root).expect("remove copy");
+
+    assert_eq!(count(&alone, Rule::UnitEscape, SEM_BAD), 3);
+    assert_eq!(shadowed.findings, alone.findings);
+    assert_eq!(shadowed.waivers, alone.waivers);
 }

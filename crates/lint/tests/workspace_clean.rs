@@ -1,21 +1,15 @@
 //! Tier-1 gate: the real workspace must lint clean.
 //!
-//! This is the `#[test]` form of `cargo run -p margins-lint -- --workspace
-//! --deny`: zero unwaived findings of the rules clippy cannot check
-//! (L6–L10), and no dead waivers rotting in the tree either. The former
+//! This is margins-lint's one entry point: zero unwaived findings of L7
+//! and L10, and no dead waivers rotting in the tree either. The former
 //! rules L1–L5 are clippy lints configured in `clippy.toml` and the crate
 //! manifests; the last test here keeps the crate set those manifests deny
-//! `disallowed_types` for in step with the set L9/L10 bind.
+//! `disallowed_types` for in step with the set L10 binds.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 fn workspace_root() -> PathBuf {
-    // MARGINS_WORKSPACE_ROOT lets hermetic sandboxes point this gate at a
-    // checkout that lives elsewhere than the test binary's manifest.
-    if let Ok(root) = std::env::var("MARGINS_WORKSPACE_ROOT") {
-        return PathBuf::from(root);
-    }
     let manifest = option_env!("CARGO_MANIFEST_DIR")
         .map_or_else(|| std::env::current_dir().expect("cwd"), PathBuf::from);
     // crates/lint -> workspace root.
@@ -55,7 +49,7 @@ fn workspace_has_no_unused_waivers() {
 fn workspace_semantic_rules_see_the_symbol_table() {
     // The semantic pass must actually resolve workspace symbols: the sim
     // crate declares Millivolts, so the quantity registry must activate.
-    // (An empty table would silently disable L7/L8 everywhere.)
+    // (An empty table would silently disable L7 everywhere.)
     let root = workspace_root();
     let files = margins_lint::walk::walk(&root).expect("walk");
     let mut per_file = std::collections::BTreeMap::new();
@@ -77,10 +71,6 @@ fn workspace_semantic_rules_see_the_symbol_table() {
     assert!(
         symbols.newtypes.contains_key("Millivolts"),
         "sim's Millivolts newtype must be in the workspace symbol table"
-    );
-    assert!(
-        !symbols.trace_schema.is_empty(),
-        "the TraceEvent schema must be in the workspace symbol table"
     );
     assert!(
         symbols
@@ -115,7 +105,7 @@ fn denies_disallowed_types(manifest: &str) -> bool {
 
 #[test]
 fn deterministic_crates_are_the_crates_denying_disallowed_types() {
-    // DETERMINISTIC_CRATES scopes L9/L10; the manifests scope clippy's
+    // DETERMINISTIC_CRATES scopes L10; the manifests scope clippy's
     // determinism lints. One set, written down twice, must not drift.
     let crates_dir = workspace_root().join("crates");
     let mut denying = BTreeSet::new();

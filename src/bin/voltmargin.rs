@@ -78,8 +78,9 @@ rejects every other flag):
                             930 → 840)
   --rail pmd|soc            (characterize) which rail to sweep (default pmd)
   --threads N               (characterize, govern) worker threads (default 8)
-  --out-dir DIR             (characterize) also write runs/regions/severity
-                            CSV files
+  --out-dir DIR             (characterize, serve) characterize also writes
+                            runs/regions/severity CSV files there; serve
+                            writes per-client job artifacts
   --tasks a,b,c             (govern) workloads to schedule
   --max-loss F              (govern) performance-loss budget, e.g. 0.25
   --seed N                  (characterize, govern) campaign seed
@@ -87,9 +88,11 @@ rejects every other flag):
   --search STRATEGY         (characterize) exhaustive|bisection|warm-start
                             (default exhaustive; adaptive strategies probe a
                             subset of the grid and report identical regions)
-  --cache FILE              (characterize) persistent campaign cache (JSONL);
-                            characterized points are replayed, fresh results
-                            are appended after the campaign
+  --cache FILE              (characterize, serve) persistent campaign cache
+                            (JSONL); characterize replays characterized
+                            points and appends fresh results after the
+                            campaign; serve shares it across jobs, loaded at
+                            start and saved at shutdown
   --trace FILE              (characterize, govern) write the deterministic
                             JSONL telemetry stream
   --metrics-out FILE        (characterize, govern) write the OpenMetrics text
@@ -103,13 +106,7 @@ rejects every other flag):
                             and dialled by watch (default 127.0.0.1:4750;
                             port 0 picks a free port — the chosen address is
                             printed as `listening on ADDR` on stdout)
-  --workers N               (serve) scheduler worker threads (default 4);
-                            serve also honours --cache (shared campaign
-                            cache, loaded at start, saved at shutdown) and
-                            --out-dir (per-client job artifacts)
-                            (default 1024); slow consumers overflowing it
-                            lose events (reported via a `lagged` frame)
-                            instead of blocking the scheduler
+  --workers N               (serve) scheduler worker threads (default 4)
   --client NAME             (watch) job owner, as given to the submitter
   --job N                   (watch) job id printed by the submitter
   --trace-out FILE          (watch) after the terminal event, reassemble
@@ -787,4 +784,39 @@ fn govern(opts: &mut Options) -> Result<(), String> {
         decision.energy_savings * 100.0
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    #[test]
+    fn usage_lists_exactly_the_commands_accepting_each_flag() {
+        let commands = ["characterize", "profile", "govern", "serve", "watch"];
+        let accepting = |flag: &str| -> BTreeSet<&str> {
+            commands
+                .into_iter()
+                .filter(|c| command_flags(c).is_some_and(|flags| flags.contains(&flag)))
+                .collect()
+        };
+        let mut documented = BTreeSet::new();
+        for line in USAGE.lines().filter(|l| l.starts_with("  --")) {
+            let (flags, rest) = line.split_once('(').expect("a command list");
+            let (listed, _) = rest.split_once(')').expect("a closed command list");
+            let listed: BTreeSet<&str> = listed.split(", ").collect();
+            for flag in flags
+                .split_whitespace()
+                .filter_map(|w| w.strip_prefix("--"))
+            {
+                assert_eq!(listed, accepting(flag), "--{flag}");
+                documented.insert(flag);
+            }
+        }
+        let accepted: BTreeSet<&str> = commands
+            .into_iter()
+            .flat_map(|c| command_flags(c).unwrap_or_default().iter().copied())
+            .collect();
+        assert_eq!(documented, accepted, "every accepted flag is documented");
+    }
 }
