@@ -19,11 +19,11 @@
 //! and a corrupted or truncated file is rejected with a typed
 //! [`CacheError`], never a panic.
 
-use crate::config::{CampaignConfig, SweptRail};
+use crate::config::{CampaignConfig, PARKED_FREQUENCY};
 use crate::effect::EffectSet;
 use crate::search::{ItemPrior, SearchPriors};
 use margins_sim::{CoreId, Enhancements};
-use margins_trace::json;
+use margins_trace::json::{self, Fields};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -177,15 +177,6 @@ pub(crate) fn encode_enhancements(e: Enhancements) -> u8 {
     u8::from(e.extended_ecc) | u8::from(e.residue_checks) << 1 | u8::from(e.adaptive_clocking) << 2
 }
 
-/// The label cache keys use for a swept rail.
-#[must_use]
-pub(crate) fn rail_label(rail: SweptRail) -> &'static str {
-    match rail {
-        SweptRail::Pmd => "pmd",
-        SweptRail::PcpSoc => "soc",
-    }
-}
-
 /// One chip's records. [`StepKey`] and [`GoldenKey`] both order by chip
 /// first, so walking the shards in chip order walks each record kind in
 /// key order.
@@ -286,7 +277,7 @@ impl CampaignCache {
     /// monotonicity the region model assumes, that is the boundary.
     #[must_use]
     pub(crate) fn derive_priors(&self, chip: &str, config: &CampaignConfig) -> SearchPriors {
-        let rail = rail_label(config.rail);
+        let rail = config.rail.label();
         let enh = encode_enhancements(config.enhancements);
         let mut priors = SearchPriors::new();
         let Some(shard) = self.chips.get(chip) else {
@@ -296,7 +287,7 @@ impl CampaignCache {
         for (key, entry) in &shard.steps {
             if key.rail != rail
                 || key.target_mhz != config.target_frequency.get()
-                || key.parked_mhz != config.parked_frequency.get()
+                || key.parked_mhz != PARKED_FREQUENCY.get()
                 || key.enhancements != enh
             {
                 continue;
@@ -385,76 +376,80 @@ impl CampaignCache {
     pub fn from_jsonl(input: &str) -> Result<CampaignCache, CacheError> {
         let mut cache = CampaignCache::new();
         for (idx, line) in input.lines().enumerate() {
-            let lineno = idx + 1;
-            let corrupt = |message: String| CacheError::Corrupt {
-                line: lineno,
-                message,
-            };
-            if line.trim().is_empty() {
-                return Err(corrupt("blank line (the writer never emits one)".into()));
-            }
-            let value = json::parse(line).map_err(&corrupt)?;
-            let obj = Fields::of(&value).map_err(&corrupt)?;
-            match obj.str("kind").map_err(&corrupt)? {
-                "golden" => {
-                    let key = GoldenKey {
-                        chip: obj.str("chip").map_err(&corrupt)?.to_owned(),
-                        target_mhz: obj.u32("target_mhz").map_err(&corrupt)?,
-                        parked_mhz: obj.u32("parked_mhz").map_err(&corrupt)?,
-                        enhancements: obj.u8("enh").map_err(&corrupt)?,
-                        seed: obj.u64("seed").map_err(&corrupt)?,
-                        program: obj.str("program").map_err(&corrupt)?.to_owned(),
-                        dataset: obj.str("dataset").map_err(&corrupt)?.to_owned(),
-                        core: obj.u8("core").map_err(&corrupt)?,
-                    };
-                    let digest = u64::from_str_radix(obj.str("digest").map_err(&corrupt)?, 16)
-                        .map_err(|e| corrupt(format!("digest: {e}")))?;
-                    let entry = GoldenEntry {
-                        digest,
-                        runtime_s: obj.f64("runtime_s").map_err(&corrupt)?,
-                    };
-                    cache.insert_golden(key, entry);
-                }
-                "step" => {
-                    let key = StepKey {
-                        chip: obj.str("chip").map_err(&corrupt)?.to_owned(),
-                        rail: obj.str("rail").map_err(&corrupt)?.to_owned(),
-                        target_mhz: obj.u32("target_mhz").map_err(&corrupt)?,
-                        parked_mhz: obj.u32("parked_mhz").map_err(&corrupt)?,
-                        enhancements: obj.u8("enh").map_err(&corrupt)?,
-                        seed: obj.u64("seed").map_err(&corrupt)?,
-                        iterations: obj.u32("iterations").map_err(&corrupt)?,
-                        program: obj.str("program").map_err(&corrupt)?.to_owned(),
-                        dataset: obj.str("dataset").map_err(&corrupt)?.to_owned(),
-                        core: obj.u8("core").map_err(&corrupt)?,
-                        mv: obj.u32("mv").map_err(&corrupt)?,
-                    };
-                    let mut runs = Vec::new();
-                    for item in obj.arr("runs").map_err(&corrupt)? {
-                        let run = Fields::of(item).map_err(&corrupt)?;
-                        let effects: EffectSet = run
-                            .str("effects")
-                            .map_err(&corrupt)?
-                            .parse()
-                            .map_err(|e| corrupt(format!("effects: {e}")))?;
-                        runs.push(CachedRun {
-                            effects,
-                            corrected_errors: run.u64("ce").map_err(&corrupt)?,
-                            uncorrected_errors: run.u64("ue").map_err(&corrupt)?,
-                            runtime_s: run.f64("runtime_s").map_err(&corrupt)?,
-                            energy_j: run.f64("energy_j").map_err(&corrupt)?,
-                        });
-                    }
-                    let entry = StepEntry {
-                        runs,
-                        power_cycles: obj.u32("power_cycles").map_err(&corrupt)?,
-                    };
-                    cache.insert_step(key, entry);
-                }
-                kind => return Err(corrupt(format!("unknown record kind '{kind}'"))),
-            }
+            cache
+                .insert_line(line)
+                .map_err(|message| CacheError::Corrupt {
+                    line: idx + 1,
+                    message,
+                })?;
         }
         Ok(cache)
+    }
+
+    /// Decodes one line of the JSONL form and inserts its record. Fields
+    /// no record kind reads are ignored.
+    fn insert_line(&mut self, line: &str) -> Result<(), String> {
+        if line.trim().is_empty() {
+            return Err("blank line (the writer never emits one)".into());
+        }
+        let value = json::parse(line)?;
+        let mut obj = Fields::of(&value).ok_or("expected a JSON object")?;
+        match obj.get("kind")? {
+            "golden" => {
+                let key = GoldenKey {
+                    chip: obj.get("chip")?,
+                    target_mhz: obj.get("target_mhz")?,
+                    parked_mhz: obj.get("parked_mhz")?,
+                    enhancements: obj.get("enh")?,
+                    seed: obj.get("seed")?,
+                    program: obj.get("program")?,
+                    dataset: obj.get("dataset")?,
+                    core: obj.get("core")?,
+                };
+                let digest = u64::from_str_radix(obj.get("digest")?, 16)
+                    .map_err(|e| format!("digest: {e}"))?;
+                let entry = GoldenEntry {
+                    digest,
+                    runtime_s: obj.get("runtime_s")?,
+                };
+                self.insert_golden(key, entry);
+            }
+            "step" => {
+                let key = StepKey {
+                    chip: obj.get("chip")?,
+                    rail: obj.get("rail")?,
+                    target_mhz: obj.get("target_mhz")?,
+                    parked_mhz: obj.get("parked_mhz")?,
+                    enhancements: obj.get("enh")?,
+                    seed: obj.get("seed")?,
+                    iterations: obj.get("iterations")?,
+                    program: obj.get("program")?,
+                    dataset: obj.get("dataset")?,
+                    core: obj.get("core")?,
+                    mv: obj.get("mv")?,
+                };
+                let items: &[json::Value] = obj.get("runs")?;
+                let mut runs = Vec::with_capacity(items.len());
+                for item in items {
+                    let mut run = Fields::of(item).ok_or("a run is not a JSON object")?;
+                    let effects: &str = run.get("effects")?;
+                    runs.push(CachedRun {
+                        effects: effects.parse().map_err(|e| format!("effects: {e}"))?,
+                        corrected_errors: run.get("ce")?,
+                        uncorrected_errors: run.get("ue")?,
+                        runtime_s: run.get("runtime_s")?,
+                        energy_j: run.get("energy_j")?,
+                    });
+                }
+                let entry = StepEntry {
+                    runs,
+                    power_cycles: obj.get("power_cycles")?,
+                };
+                self.insert_step(key, entry);
+            }
+            kind => return Err(format!("unknown record kind '{kind}'")),
+        }
+        Ok(())
     }
 
     /// Loads a cache file. A missing file is an empty cache (the first
@@ -724,79 +719,6 @@ fn push_raw_field(out: &mut String, name: &str, raw: &str) {
     out.push_str(name);
     out.push_str("\":");
     out.push_str(raw);
-}
-
-/// Typed access to the fields of a parsed JSON object.
-struct Fields<'a> {
-    map: &'a BTreeMap<String, json::Value>,
-}
-
-impl<'a> Fields<'a> {
-    fn of(value: &'a json::Value) -> Result<Fields<'a>, String> {
-        match value {
-            json::Value::Object(map) => Ok(Fields { map }),
-            _ => Err("expected a JSON object".to_owned()),
-        }
-    }
-
-    fn get(&self, name: &str) -> Result<&'a json::Value, String> {
-        self.map
-            .get(name)
-            .ok_or_else(|| format!("missing field '{name}'"))
-    }
-
-    fn str(&self, name: &str) -> Result<&'a str, String> {
-        match self.get(name)? {
-            json::Value::String(s) => Ok(s),
-            _ => Err(format!("field '{name}' is not a string")),
-        }
-    }
-
-    fn number(&self, name: &str) -> Result<&'a str, String> {
-        match self.get(name)? {
-            json::Value::Number(raw) => Ok(raw),
-            _ => Err(format!("field '{name}' is not a number")),
-        }
-    }
-
-    fn u64(&self, name: &str) -> Result<u64, String> {
-        self.number(name)?
-            .parse()
-            .map_err(|e| format!("field '{name}': {e}"))
-    }
-
-    fn u32(&self, name: &str) -> Result<u32, String> {
-        self.number(name)?
-            .parse()
-            .map_err(|e| format!("field '{name}': {e}"))
-    }
-
-    fn u8(&self, name: &str) -> Result<u8, String> {
-        self.number(name)?
-            .parse()
-            .map_err(|e| format!("field '{name}': {e}"))
-    }
-
-    /// A finite number: `to_jsonl` writes a non-finite one as `null`, so
-    /// accepting `1e999` here would save a file that cannot be loaded.
-    fn f64(&self, name: &str) -> Result<f64, String> {
-        let value: f64 = self
-            .number(name)?
-            .parse()
-            .map_err(|e| format!("field '{name}': {e}"))?;
-        if value.is_finite() {
-            Ok(value)
-        } else {
-            Err(format!("field '{name}' is not a finite number"))
-        }
-    }
-
-    fn arr(&self, name: &str) -> Result<&'a [json::Value], String> {
-        match self.get(name)? {
-            json::Value::Array(items) => Ok(items),
-            _ => Err(format!("field '{name}' is not an array")),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -25,6 +25,30 @@ pub enum SweptRail {
     PcpSoc,
 }
 
+impl SweptRail {
+    /// The rail's label in trace events, cache keys and `--rail`.
+    #[must_use]
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            SweptRail::Pmd => "pmd",
+            SweptRail::PcpSoc => "soc",
+        }
+    }
+
+    /// The rail a [`label`](SweptRail::label) names.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<SweptRail> {
+        [SweptRail::Pmd, SweptRail::PcpSoc]
+            .into_iter()
+            .find(|rail| rail.label() == label)
+    }
+}
+
+/// Clock of every PMD but the one hosting the core under characterization
+/// ("the framework sets the lowest frequency to all cores (300 MHz) but
+/// keeps the frequency high to the cores under characterization", §2.2.1).
+pub(crate) const PARKED_FREQUENCY: Megahertz = Megahertz::new(300);
+
 /// A benchmark selection: name plus input dataset.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BenchmarkRef {
@@ -50,10 +74,6 @@ pub struct CampaignConfig {
     pub floor_voltage: Millivolts,
     /// Clock of the PMD hosting the core under characterization.
     pub target_frequency: Megahertz,
-    /// Clock of every other PMD ("the framework sets the lowest frequency
-    /// to all cores (300 MHz) but keeps the frequency high to the cores
-    /// under characterization", §2.2.1).
-    pub parked_frequency: Megahertz,
     /// Stop descending after this many consecutive all-SC voltage steps
     /// (0 = always sweep to the floor).
     pub crash_stop_steps: u32,
@@ -107,7 +127,6 @@ pub struct CampaignConfigBuilder {
     start_voltage: Millivolts,
     floor_voltage: Millivolts,
     target_frequency: Megahertz,
-    parked_frequency: Megahertz,
     crash_stop_steps: u32,
     seed: u64,
     rail: SweptRail,
@@ -128,7 +147,6 @@ impl Default for CampaignConfigBuilder {
             start_voltage: Millivolts::new(930),
             floor_voltage: Millivolts::new(820),
             target_frequency: MAX_FREQ,
-            parked_frequency: Megahertz::new(300),
             crash_stop_steps: 2,
             seed: 0xC0FF_EE00,
             rail: SweptRail::Pmd,
@@ -283,10 +301,8 @@ impl CampaignConfigBuilder {
                 nominal: SOC_NOMINAL,
             });
         }
-        for f in [self.target_frequency, self.parked_frequency] {
-            if !f.is_valid_pmd_frequency() {
-                return Err(ConfigError::InvalidFrequency(f));
-            }
+        if !self.target_frequency.is_valid_pmd_frequency() {
+            return Err(ConfigError::InvalidFrequency(self.target_frequency));
         }
         for b in &self.benchmarks {
             if margins_workloads::suite::by_name(&b.name, b.dataset).is_none() {
@@ -300,7 +316,6 @@ impl CampaignConfigBuilder {
             start_voltage: self.start_voltage,
             floor_voltage: self.floor_voltage,
             target_frequency: self.target_frequency,
-            parked_frequency: self.parked_frequency,
             crash_stop_steps: self.crash_stop_steps,
             seed: self.seed,
             rail: self.rail,
@@ -381,8 +396,17 @@ mod tests {
         assert_eq!(c.iterations, 10);
         assert_eq!(c.cores.len(), 8);
         assert_eq!(c.target_frequency, MAX_FREQ);
-        assert_eq!(c.parked_frequency.get(), 300);
+        assert_eq!(PARKED_FREQUENCY.get(), 300);
+        assert!(PARKED_FREQUENCY.is_valid_pmd_frequency());
         assert_eq!(c.step_count(), 23);
+    }
+
+    #[test]
+    fn rail_labels_name_their_rail() {
+        for rail in [SweptRail::Pmd, SweptRail::PcpSoc] {
+            assert_eq!(SweptRail::from_label(rail.label()), Some(rail));
+        }
+        assert_eq!(SweptRail::from_label("PMD"), None);
     }
 
     #[test]

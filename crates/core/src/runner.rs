@@ -20,12 +20,10 @@
 //! [`CampaignCache`]: crate::cache::CampaignCache
 
 use crate::cache::{
-    encode_enhancements, rail_label, CachedRun, CampaignCache, GoldenEntry, GoldenKey, StepEntry,
-    StepKey,
+    encode_enhancements, CachedRun, CampaignCache, GoldenEntry, GoldenKey, StepEntry, StepKey,
 };
 use crate::classify::{classify_run, ClassifiedRun};
-use crate::config::SweptRail;
-use crate::config::{BenchmarkRef, CampaignConfig};
+use crate::config::{BenchmarkRef, CampaignConfig, SweptRail, PARKED_FREQUENCY};
 use crate::exec::{CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTask, WorkItem};
 use crate::profile::{Phase, PhaseTallies};
 use crate::search::{SearchPlan, SearchPriors, StepVerdict};
@@ -103,11 +101,9 @@ impl Campaign {
     /// owned cache, or appended and published to a shared one. Because
     /// every probe runs on a board in its power-on state (each work item's
     /// one board, reinitialized before the probe), a cached rerun's
-    /// outcome is identical to a cold one. Campaigns that collect
-    /// performance counters bypass the cache (entries do not retain
-    /// counter files). With a cache and no `ctx.priors`, warm-start priors
-    /// are derived from the cache before the first probe, so searches stay
-    /// schedule-independent.
+    /// outcome is identical to a cold one. With a cache and no
+    /// `ctx.priors`, warm-start priors are derived from the cache before
+    /// the first probe, so searches stay schedule-independent.
     ///
     /// # Errors
     ///
@@ -178,7 +174,7 @@ impl Campaign {
                 sinks,
                 TraceEvent::CampaignStarted {
                     chip: self.spec.to_string(),
-                    rail: self.rail_name().to_owned(),
+                    rail: self.config.rail.label().to_owned(),
                     benchmarks: self.config.benchmarks.len() as u32,
                     cores: self.config.cores.len() as u32,
                     steps: self.config.step_count(),
@@ -321,14 +317,6 @@ impl Campaign {
         })
     }
 
-    /// The serialized name of the swept rail in trace events.
-    fn rail_name(&self) -> &'static str {
-        match self.config.rail {
-            SweptRail::Pmd => "pmd",
-            SweptRail::PcpSoc => "soc",
-        }
-    }
-
     /// The item's board in its power-on state — the §2.2.1 initialization
     /// phase, applied before every probe that runs on the machine. The
     /// item's first such probe builds the board; each later one
@@ -468,7 +456,7 @@ impl Campaign {
         let golden_key = GoldenKey {
             chip: chip.clone(),
             target_mhz: self.config.target_frequency.get(),
-            parked_mhz: self.config.parked_frequency.get(),
+            parked_mhz: PARKED_FREQUENCY.get(),
             enhancements,
             seed: self.config.seed,
             program: bench.name.clone(),
@@ -568,9 +556,9 @@ impl Campaign {
             };
             let step_key = StepKey {
                 chip: chip.clone(),
-                rail: rail_label(self.config.rail).to_owned(),
+                rail: self.config.rail.label().to_owned(),
                 target_mhz: self.config.target_frequency.get(),
-                parked_mhz: self.config.parked_frequency.get(),
+                parked_mhz: PARKED_FREQUENCY.get(),
                 enhancements,
                 seed: self.config.seed,
                 iterations: self.config.iterations,
@@ -658,7 +646,7 @@ impl Campaign {
                 let system = self.fresh_board(&mut board, traced, buffer);
                 self.apply_reliable_cores_setup(system, core);
                 note(traced, buffer, || TraceEvent::VoltageStepped {
-                    rail: self.rail_name().to_owned(),
+                    rail: self.config.rail.label().to_owned(),
                     mv: voltage.get(),
                     step,
                 });
@@ -849,7 +837,7 @@ impl Campaign {
             let f = if pmd == target_pmd {
                 self.config.target_frequency
             } else {
-                self.config.parked_frequency
+                PARKED_FREQUENCY
             };
             #[expect(
                 clippy::expect_used,
@@ -892,7 +880,6 @@ impl CampaignOutcome {
             if a.start_voltage != b.start_voltage
                 || a.floor_voltage != b.floor_voltage
                 || a.target_frequency != b.target_frequency
-                || a.parked_frequency != b.parked_frequency
                 || a.rail != b.rail
                 || a.enhancements != b.enhancements
             {

@@ -6,6 +6,8 @@
 //! codeword position 0 holds the overall parity bit, positions that are
 //! powers of two (1, 2, 4, 8, 16, 32, 64) hold the Hamming check bits, and
 //! the remaining 64 positions (in increasing order) hold the data bits.
+//! [`ExtendedHamming`] is that construction at any width; the (39,32) code
+//! of [`crate::secded32`] is the same construction at 32 data bits.
 //!
 //! * single flipped bit  → detected *and corrected* (a **CE**),
 //! * double flipped bits → detected, not corrected (a **UE**),
@@ -18,32 +20,119 @@ use crate::CheckOutcome;
 pub const CODEWORD_BITS: u32 = 72;
 /// Number of protected data bits per codeword.
 pub const DATA_BITS: u32 = 64;
-/// Number of Hamming check bits (excluding the overall parity bit).
-const CHECK_BITS: u32 = 7;
 
-/// Returns `true` if codeword position `pos` holds a check bit
-/// (position 0 = overall parity, powers of two = Hamming bits).
-#[must_use]
-fn is_check_position(pos: u32) -> bool {
-    pos == 0 || pos.is_power_of_two()
+/// The (72,64) code.
+const SECDED_72_64: ExtendedHamming = ExtendedHamming {
+    data_bits: DATA_BITS,
+    codeword_bits: CODEWORD_BITS,
+};
+
+/// The extended Hamming construction at one width: position 0 holds the
+/// overall parity bit, the powers of two hold the Hamming check bits, and
+/// the data bits fill the other positions in increasing order. A codeword
+/// is held in the low bits of a `u128`; bit `i` is codeword position `i`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExtendedHamming {
+    /// Protected data bits.
+    pub(crate) data_bits: u32,
+    /// Data bits, check bits and the overall parity bit.
+    pub(crate) codeword_bits: u32,
 }
 
-/// Maps data bit index (0–63) to its codeword position (one of the 64
-/// non-check positions in 1..72, in increasing order).
-#[must_use]
-fn data_position(data_bit: u32) -> u32 {
-    debug_assert!(data_bit < DATA_BITS);
-    // Precomputed at first use: positions 3,5,6,7,9,..,71 skipping powers of 2.
-    let mut seen = 0;
-    for pos in 1..CODEWORD_BITS {
-        if !is_check_position(pos) {
-            if seen == data_bit {
-                return pos;
-            }
-            seen += 1;
+impl ExtendedHamming {
+    /// The data bits' codeword positions, in data-bit order.
+    fn data_positions(self) -> impl Iterator<Item = u32> {
+        (1..self.codeword_bits).filter(|&pos| !pos.is_power_of_two())
+    }
+
+    /// The codeword position of data bit `bit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is not a data bit of this code.
+    pub(crate) fn data_position(self, bit: u32) -> u32 {
+        assert!(bit < self.data_bits, "data bit index out of range: {bit}");
+        self.data_positions()
+            .nth(bit as usize)
+            .expect("every data bit has a position")
+    }
+
+    /// Encodes the low `data_bits` bits of `data`.
+    pub(crate) fn encode(self, data: u64) -> u128 {
+        let mut bits = self
+            .data_positions()
+            .enumerate()
+            .fold(0u128, |bits, (bit, pos)| {
+                bits | u128::from(data >> bit & 1) << pos
+            });
+        // Each check bit at position 2^k covers the positions whose index
+        // has bit k set, so the data's own syndrome is the check bits that
+        // make every covered XOR zero.
+        let syndrome = self.syndrome(bits);
+        let mut check = 1;
+        while check < self.codeword_bits {
+            bits |= u128::from(syndrome & check != 0) << check;
+            check <<= 1;
+        }
+        // The overall parity bit makes the whole codeword even.
+        bits | u128::from(bits.count_ones() % 2 == 1)
+    }
+
+    /// `bits` with codeword position `pos` flipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` is outside the codeword.
+    pub(crate) fn flip(self, bits: u128, pos: u32) -> u128 {
+        assert!(
+            pos < self.codeword_bits,
+            "codeword position out of range: {pos}"
+        );
+        bits ^ 1 << pos
+    }
+
+    /// The data bits, without any checking (the raw array view).
+    pub(crate) fn data(self, bits: u128) -> u64 {
+        self.data_positions()
+            .enumerate()
+            .fold(0, |data, (bit, pos)| {
+                data | u64::from(bits >> pos & 1 == 1) << bit
+            })
+    }
+
+    /// The Hamming syndrome: the XOR of the positions of all set bits past
+    /// position 0. Zero means "no Hamming-visible error".
+    fn syndrome(self, bits: u128) -> u32 {
+        (1..self.codeword_bits)
+            .filter(|&pos| bits >> pos & 1 == 1)
+            .fold(0, |syndrome, pos| syndrome ^ pos)
+    }
+
+    /// Decodes a codeword, correcting a single-bit error if present.
+    ///
+    /// | syndrome | overall parity | verdict |
+    /// |----------|----------------|---------|
+    /// | 0        | ok             | clean   |
+    /// | 0        | bad            | parity-bit error (corrected) |
+    /// | ≠0       | bad            | single-bit error at `syndrome` (corrected) |
+    /// | ≠0       | ok             | double-bit error (uncorrectable) |
+    pub(crate) fn decode(self, bits: u128) -> Decoded {
+        let parity_ok = bits.count_ones().is_multiple_of(2);
+        match (self.syndrome(bits), parity_ok) {
+            (0, true) => Decoded::Clean(self.data(bits)),
+            (0, false) => Decoded::Corrected {
+                data: self.data(bits),
+                position: 0,
+            },
+            (s, false) if s < self.codeword_bits => Decoded::Corrected {
+                data: self.data(bits ^ 1 << s),
+                position: s,
+            },
+            // Syndrome pointing outside the codeword (possible for ≥2 flips)
+            // or nonzero syndrome with good parity: uncorrectable.
+            _ => Decoded::DoubleError,
         }
     }
-    unreachable!("fewer than 64 data positions in a 72-bit codeword")
 }
 
 /// A stored 72-bit SECDED codeword.
@@ -62,7 +151,8 @@ pub struct Codeword {
     bits: u128,
 }
 
-/// Result of decoding a [`Codeword`].
+/// Result of decoding a [`Codeword`] (or one way of an
+/// [`InterleavedWord`](crate::secded32::InterleavedWord)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decoded {
     /// The codeword was clean; contains the data.
@@ -72,47 +162,30 @@ pub enum Decoded {
     Corrected {
         /// The repaired 64-bit data value.
         data: u64,
-        /// Codeword position (0–71) of the corrected bit.
+        /// Codeword position of the corrected bit.
         position: u32,
     },
     /// A double-bit error was detected; the data cannot be trusted.
     DoubleError,
 }
 
-impl Decoded {}
+impl Decoded {
+    /// The usable data, if any.
+    pub(crate) fn data(self) -> Option<u64> {
+        match self {
+            Decoded::Clean(data) | Decoded::Corrected { data, .. } => Some(data),
+            Decoded::DoubleError => None,
+        }
+    }
+}
 
 impl Codeword {
     /// Encodes 64 data bits into a 72-bit SECDED codeword.
     #[must_use]
     pub fn encode(data: u64) -> Self {
-        let mut bits: u128 = 0;
-        // Scatter the data bits into the non-check positions.
-        for b in 0..DATA_BITS {
-            if data >> b & 1 == 1 {
-                bits |= 1u128 << data_position(b);
-            }
+        Codeword {
+            bits: SECDED_72_64.encode(data),
         }
-        // Each Hamming check bit at position 2^k covers the positions whose
-        // index has bit k set; choose it to make the covered XOR zero.
-        for k in 0..CHECK_BITS {
-            let check_pos = 1u32 << k;
-            let mut xor = 0u32;
-            for pos in 1..CODEWORD_BITS {
-                if pos != check_pos && pos & check_pos != 0 && bits >> pos & 1 == 1 {
-                    xor ^= 1;
-                }
-            }
-            if xor == 1 {
-                bits |= 1u128 << check_pos;
-            }
-        }
-        // Overall parity over positions 1..72 goes into position 0, making
-        // the whole codeword have even parity.
-        let ones = (bits >> 1).count_ones();
-        if ones % 2 == 1 {
-            bits |= 1;
-        }
-        Codeword { bits }
     }
 
     /// Returns a copy with codeword position `pos` (0–71) flipped.
@@ -122,9 +195,8 @@ impl Codeword {
     /// Panics if `pos >= 72`.
     #[must_use]
     pub fn with_flipped_position(&self, pos: u32) -> Self {
-        assert!(pos < CODEWORD_BITS, "codeword position out of range: {pos}");
         Codeword {
-            bits: self.bits ^ (1u128 << pos),
+            bits: SECDED_72_64.flip(self.bits, pos),
         }
     }
 
@@ -135,79 +207,20 @@ impl Codeword {
     /// Panics if `bit >= 64`.
     #[must_use]
     pub fn with_flipped_data_bit(&self, bit: u32) -> Self {
-        assert!(bit < DATA_BITS, "data bit index out of range: {bit}");
-        self.with_flipped_position(data_position(bit))
+        self.with_flipped_position(SECDED_72_64.data_position(bit))
     }
 
     /// Extracts the 64 data bits without any checking (the raw array view).
     #[must_use]
     pub fn data_unchecked(&self) -> u64 {
-        let mut data = 0u64;
-        for b in 0..DATA_BITS {
-            if self.bits >> data_position(b) & 1 == 1 {
-                data |= 1u64 << b;
-            }
-        }
-        data
+        SECDED_72_64.data(self.bits)
     }
 
-    /// Computes the Hamming syndrome: XOR of the positions of all bits that
-    /// disagree with the check bits. Zero means "no Hamming-visible error".
-    #[must_use]
-    fn syndrome(&self) -> u32 {
-        let mut syndrome = 0u32;
-        for k in 0..CHECK_BITS {
-            let check_pos = 1u32 << k;
-            let mut xor = 0u32;
-            for pos in 1..CODEWORD_BITS {
-                if pos & check_pos != 0 && self.bits >> pos & 1 == 1 {
-                    xor ^= 1;
-                }
-            }
-            if xor == 1 {
-                syndrome |= check_pos;
-            }
-        }
-        syndrome
-    }
-
-    /// `true` when the whole 72-bit word has even parity (as encoded).
-    #[must_use]
-    fn overall_parity_ok(&self) -> bool {
-        self.bits.count_ones().is_multiple_of(2)
-    }
-
-    /// Decodes the stored codeword, correcting a single-bit error if present.
-    ///
-    /// Decode logic of the extended Hamming code:
-    ///
-    /// | syndrome | overall parity | verdict |
-    /// |----------|----------------|---------|
-    /// | 0        | ok             | clean   |
-    /// | 0        | bad            | parity-bit error (corrected) |
-    /// | ≠0       | bad            | single-bit error at `syndrome` (corrected) |
-    /// | ≠0       | ok             | double-bit error (uncorrectable) |
+    /// Decodes the stored codeword, correcting a single-bit error if
+    /// present (the verdict table is [`ExtendedHamming::decode`]'s).
     #[must_use]
     pub fn decode(&self) -> Decoded {
-        let syndrome = self.syndrome();
-        let parity_ok = self.overall_parity_ok();
-        match (syndrome, parity_ok) {
-            (0, true) => Decoded::Clean(self.data_unchecked()),
-            (0, false) => Decoded::Corrected {
-                data: self.data_unchecked(),
-                position: 0,
-            },
-            (s, false) if s < CODEWORD_BITS => {
-                let repaired = self.with_flipped_position(s);
-                Decoded::Corrected {
-                    data: repaired.data_unchecked(),
-                    position: s,
-                }
-            }
-            // Syndrome pointing outside the codeword (possible for ≥2 flips)
-            // or nonzero syndrome with good parity: uncorrectable.
-            _ => Decoded::DoubleError,
-        }
+        SECDED_72_64.decode(self.bits)
     }
 
     /// The outcome of reading a codeword whose data bits `flips` (a mask)
@@ -257,9 +270,9 @@ mod tests {
     fn data_positions_are_distinct_and_nonshared() {
         let mut seen = std::collections::HashSet::new();
         for b in 0..DATA_BITS {
-            let pos = data_position(b);
+            let pos = SECDED_72_64.data_position(b);
             assert!(
-                !is_check_position(pos),
+                pos != 0 && !pos.is_power_of_two(),
                 "data bit {b} landed on a check position"
             );
             assert!(seen.insert(pos), "duplicate codeword position {pos}");
@@ -272,7 +285,7 @@ mod tests {
         for &v in &SAMPLES {
             let cw = Codeword::encode(v);
             assert_eq!(cw.decode(), Decoded::Clean(v));
-            assert_eq!(cw.syndrome(), 0);
+            assert_eq!(SECDED_72_64.syndrome(cw.bits), 0);
         }
     }
 

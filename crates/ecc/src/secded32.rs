@@ -10,156 +10,15 @@
 //! errors, and adjacent-bit doubles (the dominant multi-cell failure mode)
 //! always split across ways.
 
-use crate::secded::Codeword;
+use crate::secded::{Codeword, Decoded, ExtendedHamming};
 use crate::CheckOutcome;
 
-/// Codeword bits of the (39,32) code.
-const CODEWORD_BITS_32: u32 = 39;
-/// Data bits per codeword.
-const DATA_BITS_32: u32 = 32;
-/// Hamming check bits (excluding overall parity).
-const CHECK_BITS_32: u32 = 6;
-
-fn is_check_position(pos: u32) -> bool {
-    pos == 0 || pos.is_power_of_two()
-}
-
-fn data_position(data_bit: u32) -> u32 {
-    debug_assert!(data_bit < DATA_BITS_32);
-    let mut seen = 0;
-    for pos in 1..CODEWORD_BITS_32 {
-        if !is_check_position(pos) {
-            if seen == data_bit {
-                return pos;
-            }
-            seen += 1;
-        }
-    }
-    unreachable!("fewer than 32 data positions in a 39-bit codeword")
-}
-
-/// A 39-bit SECDED codeword protecting 32 data bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Codeword32 {
-    bits: u64,
-}
-
-/// Decode result of a [`Codeword32`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Decoded32 {
-    /// Clean; contains the data.
-    Clean(u32),
-    /// Single-bit error corrected; contains the repaired data.
-    Corrected(u32),
-    /// Double-bit error detected.
-    DoubleError,
-}
-
-impl Decoded32 {
-    /// The usable data, if any.
-    #[must_use]
-    fn data(&self) -> Option<u32> {
-        match *self {
-            Decoded32::Clean(d) | Decoded32::Corrected(d) => Some(d),
-            Decoded32::DoubleError => None,
-        }
-    }
-}
-
-impl Codeword32 {
-    /// Encodes 32 data bits.
-    #[must_use]
-    fn encode(data: u32) -> Self {
-        let mut bits: u64 = 0;
-        for b in 0..DATA_BITS_32 {
-            if data >> b & 1 == 1 {
-                bits |= 1u64 << data_position(b);
-            }
-        }
-        for k in 0..CHECK_BITS_32 {
-            let check_pos = 1u32 << k;
-            let mut xor = 0u32;
-            for pos in 1..CODEWORD_BITS_32 {
-                if pos != check_pos && pos & check_pos != 0 && bits >> pos & 1 == 1 {
-                    xor ^= 1;
-                }
-            }
-            if xor == 1 {
-                bits |= 1u64 << check_pos;
-            }
-        }
-        if (bits >> 1).count_ones() % 2 == 1 {
-            bits |= 1;
-        }
-        Codeword32 { bits }
-    }
-
-    /// Returns a copy with codeword position `pos` (0–38) flipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= 39`.
-    #[must_use]
-    fn with_flipped_position(&self, pos: u32) -> Self {
-        assert!(pos < CODEWORD_BITS_32, "position out of range: {pos}");
-        Codeword32 {
-            bits: self.bits ^ (1u64 << pos),
-        }
-    }
-
-    /// Returns a copy with *data* bit `bit` (0–31) flipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= 32`.
-    #[must_use]
-    fn with_flipped_data_bit(&self, bit: u32) -> Self {
-        assert!(bit < DATA_BITS_32, "data bit out of range: {bit}");
-        self.with_flipped_position(data_position(bit))
-    }
-
-    fn data_unchecked(&self) -> u32 {
-        let mut data = 0u32;
-        for b in 0..DATA_BITS_32 {
-            if self.bits >> data_position(b) & 1 == 1 {
-                data |= 1u32 << b;
-            }
-        }
-        data
-    }
-
-    fn syndrome(&self) -> u32 {
-        let mut syndrome = 0u32;
-        for k in 0..CHECK_BITS_32 {
-            let check_pos = 1u32 << k;
-            let mut xor = 0u32;
-            for pos in 1..CODEWORD_BITS_32 {
-                if pos & check_pos != 0 && self.bits >> pos & 1 == 1 {
-                    xor ^= 1;
-                }
-            }
-            if xor == 1 {
-                syndrome |= check_pos;
-            }
-        }
-        syndrome
-    }
-
-    /// Decodes, correcting a single-bit error.
-    #[must_use]
-    fn decode(&self) -> Decoded32 {
-        let syndrome = self.syndrome();
-        let parity_ok = self.bits.count_ones().is_multiple_of(2);
-        match (syndrome, parity_ok) {
-            (0, true) => Decoded32::Clean(self.data_unchecked()),
-            (0, false) => Decoded32::Corrected(self.data_unchecked()),
-            (s, false) if s < CODEWORD_BITS_32 => {
-                Decoded32::Corrected(self.with_flipped_position(s).data_unchecked())
-            }
-            _ => Decoded32::DoubleError,
-        }
-    }
-}
+/// The (39,32) code: the extended Hamming construction of SECDED(72,64)
+/// at 32 data bits, with six check bits.
+const SECDED_39_32: ExtendedHamming = ExtendedHamming {
+    data_bits: 32,
+    codeword_bits: 39,
+};
 
 /// A 64-bit word protected as two interleaved SECDED(39,32) codewords:
 /// even data bits in way 0, odd data bits in way 1.
@@ -176,20 +35,21 @@ impl Codeword32 {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InterleavedWord {
-    ways: [Codeword32; 2],
+    /// The even and the odd way's codewords.
+    ways: [u128; 2],
 }
 
 impl InterleavedWord {
     /// Encodes a 64-bit word into the two interleave ways.
     #[must_use]
     pub fn encode(data: u64) -> Self {
-        let (mut even, mut odd) = (0u32, 0u32);
+        let (mut even, mut odd) = (0u64, 0u64);
         for i in 0..32 {
-            even |= (((data >> (2 * i)) & 1) as u32) << i;
-            odd |= (((data >> (2 * i + 1)) & 1) as u32) << i;
+            even |= (data >> (2 * i) & 1) << i;
+            odd |= (data >> (2 * i + 1) & 1) << i;
         }
         InterleavedWord {
-            ways: [Codeword32::encode(even), Codeword32::encode(odd)],
+            ways: [SECDED_39_32.encode(even), SECDED_39_32.encode(odd)],
         }
     }
 
@@ -204,7 +64,7 @@ impl InterleavedWord {
         assert!(bit < 64, "data bit out of range: {bit}");
         let way = (bit % 2) as usize;
         let mut ways = self.ways;
-        ways[way] = ways[way].with_flipped_data_bit(bit / 2);
+        ways[way] = SECDED_39_32.flip(ways[way], SECDED_39_32.data_position(bit / 2));
         InterleavedWord { ways }
     }
 
@@ -213,18 +73,18 @@ impl InterleavedWord {
     /// are labelled [`CheckOutcome::Undetected`].
     #[must_use]
     pub fn check_against(&self, reference: u64) -> CheckOutcome {
-        let (a, b) = (self.ways[0].decode(), self.ways[1].decode());
+        let [a, b] = self.ways.map(|way| SECDED_39_32.decode(way));
         let (Some(even), Some(odd)) = (a.data(), b.data()) else {
             return CheckOutcome::Uncorrected;
         };
         let mut data = 0u64;
         for i in 0..32 {
-            data |= u64::from(even >> i & 1) << (2 * i);
-            data |= u64::from(odd >> i & 1) << (2 * i + 1);
+            data |= (even >> i & 1) << (2 * i);
+            data |= (odd >> i & 1) << (2 * i + 1);
         }
         match (a, b) {
             _ if data != reference => CheckOutcome::Undetected,
-            (Decoded32::Clean(_), Decoded32::Clean(_)) => CheckOutcome::Clean,
+            (Decoded::Clean(_), Decoded::Clean(_)) => CheckOutcome::Clean,
             _ => CheckOutcome::Corrected,
         }
     }
@@ -258,36 +118,41 @@ mod tests {
 
     const SAMPLES: [u32; 6] = [0, 1, u32::MAX, 0xDEAD_BEEF, 0xAAAA_AAAA, 0x5555_5555];
 
+    const CODE: ExtendedHamming = SECDED_39_32;
+
     #[test]
     fn roundtrip_is_clean() {
         for &v in &SAMPLES {
-            assert_eq!(Codeword32::encode(v).decode(), Decoded32::Clean(v));
+            let v = u64::from(v);
+            assert_eq!(CODE.decode(CODE.encode(v)), Decoded::Clean(v));
         }
     }
 
     #[test]
     fn every_single_flip_corrected() {
         for &v in &SAMPLES {
-            let cw = Codeword32::encode(v);
-            for pos in 0..CODEWORD_BITS_32 {
-                match cw.with_flipped_position(pos).decode() {
-                    Decoded32::Corrected(d) => assert_eq!(d, v, "pos {pos}"),
-                    other => panic!("pos {pos}: {other:?}"),
-                }
+            let cw = CODE.encode(u64::from(v));
+            for pos in 0..CODE.codeword_bits {
+                assert_eq!(
+                    CODE.decode(CODE.flip(cw, pos)),
+                    Decoded::Corrected {
+                        data: u64::from(v),
+                        position: pos
+                    },
+                    "pos {pos}"
+                );
             }
         }
     }
 
     #[test]
     fn exhaustive_double_flips_detected() {
-        let cw = Codeword32::encode(0x1357_9BDF);
-        for p1 in 0..CODEWORD_BITS_32 {
-            for p2 in (p1 + 1)..CODEWORD_BITS_32 {
+        let cw = CODE.encode(0x1357_9BDF);
+        for p1 in 0..CODE.codeword_bits {
+            for p2 in (p1 + 1)..CODE.codeword_bits {
                 assert_eq!(
-                    cw.with_flipped_position(p1)
-                        .with_flipped_position(p2)
-                        .decode(),
-                    Decoded32::DoubleError,
+                    CODE.decode(CODE.flip(CODE.flip(cw, p1), p2)),
+                    Decoded::DoubleError,
                     "({p1},{p2})"
                 );
             }

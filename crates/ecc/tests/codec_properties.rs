@@ -155,3 +155,46 @@ fn flip_count_rules_match_the_codecs_up_to_two_flips() {
         }
     });
 }
+
+/// Every weight-3 data-flip pattern (41 664 of them), counted by the
+/// outcome each codec reports: `[clean, corrected, uncorrected,
+/// undetected]`. A linear code decodes a flip pattern the same way on any
+/// data word, so one word covers them all. The flip-count rules call every
+/// such pattern of SECDED(72,64) silent; the codecs detect the
+/// `uncorrected` share. Weight 3 is where a change to the construction
+/// (check positions, syndrome, correction) shows first.
+#[test]
+fn weight_three_outcome_counts_are_pinned() {
+    let data = 0x0123_4567_89AB_CDEF;
+    let secded = Codeword::encode(data);
+    let interleaved = InterleavedWord::encode(data);
+    let slot = |outcome| match outcome {
+        CheckOutcome::Clean => 0,
+        CheckOutcome::Corrected => 1,
+        CheckOutcome::Uncorrected => 2,
+        CheckOutcome::Undetected => 3,
+    };
+    let (mut secded_counts, mut interleaved_counts) = ([0u32; 4], [0u32; 4]);
+    for a in 0..DATA_BITS {
+        for b in a + 1..DATA_BITS {
+            for c in b + 1..DATA_BITS {
+                let bad = secded
+                    .with_flipped_data_bit(a)
+                    .with_flipped_data_bit(b)
+                    .with_flipped_data_bit(c);
+                secded_counts[slot(bad.check_against(data))] += 1;
+                let bad = interleaved
+                    .with_flipped_data_bit(a)
+                    .with_flipped_data_bit(b)
+                    .with_flipped_data_bit(c);
+                interleaved_counts[slot(bad.check_against(data))] += 1;
+            }
+        }
+    }
+    assert_eq!(secded_counts, [0, 0, 9_905, 31_759], "SECDED(72,64)");
+    assert_eq!(
+        interleaved_counts,
+        [0, 0, 34_872, 6_792],
+        "interleaved SECDED(39,32)"
+    );
+}

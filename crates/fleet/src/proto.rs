@@ -15,7 +15,7 @@ use margins_core::config::{CampaignConfig, ConfigError};
 use margins_core::search::SearchStrategy;
 use margins_sim::topology::NUM_CORES;
 use margins_sim::{ChipSpec, CoreId, Corner, Millivolts};
-use margins_trace::json::{self, Value};
+use margins_trace::json::{self, FieldError, Fields, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -561,27 +561,6 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// The lowercase wire token of a corner.
-#[must_use]
-fn corner_token(corner: Corner) -> &'static str {
-    match corner {
-        Corner::Ttt => "ttt",
-        Corner::Tff => "tff",
-        Corner::Tss => "tss",
-    }
-}
-
-/// Parses a corner wire token.
-#[must_use]
-fn parse_corner(token: &str) -> Option<Corner> {
-    match token {
-        "ttt" => Some(Corner::Ttt),
-        "tff" => Some(Corner::Tff),
-        "tss" => Some(Corner::Tss),
-        _ => None,
-    }
-}
-
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
@@ -597,7 +576,7 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 fn spec_value(spec: &FleetSpec) -> Value {
     obj(vec![
-        ("corner", Value::from_str_val(corner_token(spec.corner))),
+        ("corner", Value::from_str_val(spec.corner.token())),
         ("first_serial", Value::from_u64(spec.first_serial)),
         ("chips", Value::from_u64(u64::from(spec.chips))),
         (
@@ -675,31 +654,32 @@ impl Request {
     /// A typed [`ProtoError`] for anything other than a well-formed frame
     /// of a known kind; never panics on untrusted bytes.
     pub fn parse_line(line: &str) -> Result<Request, ProtoError> {
-        let fields = parse_frame(line)?;
-        match str_field(&fields, "kind")? {
+        let frame = parse_frame(line)?;
+        let mut fields = Fields::of(&frame).ok_or(ProtoError::NotAnObject)?;
+        match fields.get("kind")? {
             "submit" => Ok(Request::Submit {
-                client: str_field(&fields, "client")?.to_owned(),
-                spec: spec_of(object_field(&fields, "spec")?)?,
+                client: fields.get("client")?,
+                spec: spec_of(fields.get("spec")?)?,
             }),
             "status" => Ok(Request::Status {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
+                client: fields.get("client")?,
+                job: fields.get("job")?,
             }),
             "cancel" => Ok(Request::Cancel {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
+                client: fields.get("client")?,
+                job: fields.get("job")?,
             }),
             "results" => Ok(Request::Results {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
+                client: fields.get("client")?,
+                job: fields.get("job")?,
             }),
             "subscribe" => Ok(Request::Subscribe {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
+                client: fields.get("client")?,
+                job: fields.get("job")?,
             }),
             "unsubscribe" => Ok(Request::Unsubscribe {
-                client: str_field(&fields, "client")?.to_owned(),
-                job: u64_field(&fields, "job")?,
+                client: fields.get("client")?,
+                job: fields.get("job")?,
             }),
             "health" => Ok(Request::Health),
             "metrics" => Ok(Request::Metrics),
@@ -814,60 +794,61 @@ impl Response {
     ///
     /// A typed [`ProtoError`]; never panics on untrusted bytes.
     pub fn parse_line(line: &str) -> Result<Response, ProtoError> {
-        let fields = parse_frame(line)?;
-        match str_field(&fields, "kind")? {
+        let frame = parse_frame(line)?;
+        let mut fields = Fields::of(&frame).ok_or(ProtoError::NotAnObject)?;
+        match fields.get("kind")? {
             "submitted" => Ok(Response::Submitted {
-                job: u64_field(&fields, "job")?,
-                chips: u32_field(&fields, "chips")?,
+                job: fields.get("job")?,
+                chips: fields.get("chips")?,
             }),
             "status" => Ok(Response::Status {
-                job: u64_field(&fields, "job")?,
-                state: str_field(&fields, "state")?.to_owned(),
-                done: u32_field(&fields, "done")?,
-                total: u32_field(&fields, "total")?,
-                queue_position: u32_field(&fields, "queue_position")?,
-                progress: f64_field(&fields, "progress")?,
+                job: fields.get("job")?,
+                state: fields.get("state")?,
+                done: fields.get("done")?,
+                total: fields.get("total")?,
+                queue_position: fields.get("queue_position")?,
+                progress: fields.get("progress")?,
             }),
             "cancelled" => Ok(Response::Cancelled {
-                job: u64_field(&fields, "job")?,
-                done: u32_field(&fields, "done")?,
-                total: u32_field(&fields, "total")?,
+                job: fields.get("job")?,
+                done: fields.get("done")?,
+                total: fields.get("total")?,
             }),
             "subscribed" => Ok(Response::Subscribed {
-                job: u64_field(&fields, "job")?,
+                job: fields.get("job")?,
             }),
             "unsubscribed" => Ok(Response::Unsubscribed {
-                job: u64_field(&fields, "job")?,
+                job: fields.get("job")?,
             }),
             "health" => Ok(Response::Health(HealthSnapshot {
-                workers: u32_field(&fields, "workers")?,
-                busy: u32_field(&fields, "busy")?,
-                queued_units: u64_field(&fields, "queued_units")?,
-                jobs_queued: u32_field(&fields, "jobs_queued")?,
-                jobs_running: u32_field(&fields, "jobs_running")?,
-                jobs_done: u32_field(&fields, "jobs_done")?,
-                jobs_cancelled: u32_field(&fields, "jobs_cancelled")?,
-                jobs_failed: u32_field(&fields, "jobs_failed")?,
-                subscribers: u32_field(&fields, "subscribers")?,
+                workers: fields.get("workers")?,
+                busy: fields.get("busy")?,
+                queued_units: fields.get("queued_units")?,
+                jobs_queued: fields.get("jobs_queued")?,
+                jobs_running: fields.get("jobs_running")?,
+                jobs_done: fields.get("jobs_done")?,
+                jobs_cancelled: fields.get("jobs_cancelled")?,
+                jobs_failed: fields.get("jobs_failed")?,
+                subscribers: fields.get("subscribers")?,
             })),
             "metrics" => Ok(Response::Metrics {
-                body: str_field(&fields, "body")?.to_owned(),
+                body: fields.get("body")?,
             }),
-            "event" => Ok(Response::Event(event_of(&fields)?)),
+            "event" => Ok(Response::Event(event_of(&mut fields)?)),
             "results" => Ok(Response::Results {
-                job: u64_field(&fields, "job")?,
-                chips: u32_field(&fields, "chips")?,
-                runs: u64_field(&fields, "runs")?,
-                power_cycles: u64_field(&fields, "power_cycles")?,
-                executed_ops: u64_field(&fields, "executed_ops")?,
-                trace: str_field(&fields, "trace")?.to_owned(),
-                metrics: str_field(&fields, "metrics")?.to_owned(),
+                job: fields.get("job")?,
+                chips: fields.get("chips")?,
+                runs: fields.get("runs")?,
+                power_cycles: fields.get("power_cycles")?,
+                executed_ops: fields.get("executed_ops")?,
+                trace: fields.get("trace")?,
+                metrics: fields.get("metrics")?,
             }),
             "bye" => Ok(Response::Bye),
             "error" => Ok(Response::Error {
-                proto: u32_field(&fields, "proto")?,
-                code: str_field(&fields, "code")?.to_owned(),
-                message: str_field(&fields, "message")?.to_owned(),
+                proto: fields.get("proto")?,
+                code: fields.get("code")?,
+                message: fields.get("message")?,
             }),
             other => Err(ProtoError::UnknownKind {
                 kind: other.to_owned(),
@@ -969,59 +950,62 @@ fn event_value(event: &FleetEvent) -> Value {
 /// Decodes the payload of a `"kind":"event"` frame. Unknown `what` tokens
 /// decode to [`FleetEvent::Unknown`] so version-aware clients can skip
 /// event kinds newer than their protocol.
-fn event_of(fields: &BTreeMap<String, Value>) -> Result<FleetEvent, ProtoError> {
-    match str_field(fields, "what")? {
+fn event_of(fields: &mut Fields<'_>) -> Result<FleetEvent, ProtoError> {
+    match fields.get("what")? {
         "job-queued" => Ok(FleetEvent::JobQueued {
-            job: u64_field(fields, "job")?,
-            client: str_field(fields, "client")?.to_owned(),
-            chips: u32_field(fields, "chips")?,
+            job: fields.get("job")?,
+            client: fields.get("client")?,
+            chips: fields.get("chips")?,
         }),
         "job-started" => Ok(FleetEvent::JobStarted {
-            job: u64_field(fields, "job")?,
+            job: fields.get("job")?,
         }),
         "chip-started" => Ok(FleetEvent::ChipStarted {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            chip_id: str_field(fields, "chip_id")?.to_owned(),
+            job: fields.get("job")?,
+            chip: fields.get("chip")?,
+            chip_id: fields.get("chip_id")?,
         }),
         "sweep-progress" => Ok(FleetEvent::SweepProgress {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            program: str_field(fields, "program")?.to_owned(),
-            dataset: str_field(fields, "dataset")?.to_owned(),
-            core: u8_field(fields, "core")?,
-            runs: u64_field(fields, "runs")?,
+            job: fields.get("job")?,
+            chip: fields.get("chip")?,
+            program: fields.get("program")?,
+            dataset: fields.get("dataset")?,
+            core: fields.get("core")?,
+            runs: fields.get("runs")?,
         }),
         "chip-finished" => Ok(FleetEvent::ChipFinished {
-            job: u64_field(fields, "job")?,
-            chip: u32_field(fields, "chip")?,
-            chip_id: str_field(fields, "chip_id")?.to_owned(),
-            runs: u64_field(fields, "runs")?,
-            power_cycles: u64_field(fields, "power_cycles")?,
-            vmin_mv: opt_u32_field(fields, "vmin_mv")?,
-            severity_sum: f64_field(fields, "severity_sum")?,
-            cache_hits: u64_field(fields, "cache_hits")?,
-            cache_lookups: u64_field(fields, "cache_lookups")?,
-            trace: str_field(fields, "trace")?.to_owned(),
+            job: fields.get("job")?,
+            chip: fields.get("chip")?,
+            chip_id: fields.get("chip_id")?,
+            runs: fields.get("runs")?,
+            power_cycles: fields.get("power_cycles")?,
+            vmin_mv: fields
+                .contains("vmin_mv")
+                .then(|| fields.get("vmin_mv"))
+                .transpose()?,
+            severity_sum: fields.get("severity_sum")?,
+            cache_hits: fields.get("cache_hits")?,
+            cache_lookups: fields.get("cache_lookups")?,
+            trace: fields.get("trace")?,
         }),
         "job-finished" => Ok(FleetEvent::JobFinished {
-            job: u64_field(fields, "job")?,
-            chips: u32_field(fields, "chips")?,
-            runs: u64_field(fields, "runs")?,
-            power_cycles: u64_field(fields, "power_cycles")?,
+            job: fields.get("job")?,
+            chips: fields.get("chips")?,
+            runs: fields.get("runs")?,
+            power_cycles: fields.get("power_cycles")?,
         }),
         "job-cancelled" => Ok(FleetEvent::JobCancelled {
-            job: u64_field(fields, "job")?,
-            done: u32_field(fields, "done")?,
-            total: u32_field(fields, "total")?,
+            job: fields.get("job")?,
+            done: fields.get("done")?,
+            total: fields.get("total")?,
         }),
         "job-failed" => Ok(FleetEvent::JobFailed {
-            job: u64_field(fields, "job")?,
-            message: str_field(fields, "message")?.to_owned(),
+            job: fields.get("job")?,
+            message: fields.get("message")?,
         }),
         "lagged" => Ok(FleetEvent::Lagged {
-            job: u64_field(fields, "job")?,
-            dropped: u64_field(fields, "dropped")?,
+            job: fields.get("job")?,
+            dropped: fields.get("dropped")?,
         }),
         other => Ok(FleetEvent::Unknown {
             what: other.to_owned(),
@@ -1033,158 +1017,52 @@ fn event_of(fields: &BTreeMap<String, Value>) -> Result<FleetEvent, ProtoError> 
 // Decoding helpers
 // ---------------------------------------------------------------------
 
-fn parse_frame(line: &str) -> Result<BTreeMap<String, Value>, ProtoError> {
-    let value = json::parse(line.trim_end_matches(['\r', '\n']))
-        .map_err(|message| ProtoError::Malformed { message })?;
-    match value {
-        Value::Object(map) => Ok(map),
-        _ => Err(ProtoError::NotAnObject),
+fn parse_frame(line: &str) -> Result<Value, ProtoError> {
+    json::parse(line.trim_end_matches(['\r', '\n']))
+        .map_err(|message| ProtoError::Malformed { message })
+}
+
+/// A field read's failure, worded as [`FieldError`]'s Display words it:
+/// a mistyped value is echoed back, as an unknown corner or strategy is.
+impl From<FieldError<'_>> for ProtoError {
+    fn from(e: FieldError<'_>) -> ProtoError {
+        match e {
+            FieldError::Missing(field) => ProtoError::MissingField {
+                field: field.to_owned(),
+            },
+            FieldError::Mistyped {
+                field,
+                expected,
+                got,
+            } => ProtoError::BadField {
+                field: field.to_owned(),
+                message: format!("expected {expected}, got {}", json::render(got)),
+            },
+        }
     }
 }
 
-fn field<'a>(fields: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a Value, ProtoError> {
-    fields.get(name).ok_or_else(|| ProtoError::MissingField {
-        field: name.to_owned(),
-    })
-}
-
-fn str_field<'a>(fields: &'a BTreeMap<String, Value>, name: &str) -> Result<&'a str, ProtoError> {
-    field(fields, name)?
-        .as_str()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected a string".to_owned(),
-        })
-}
-
-fn object_field<'a>(
-    fields: &'a BTreeMap<String, Value>,
-    name: &str,
-) -> Result<&'a BTreeMap<String, Value>, ProtoError> {
-    field(fields, name)?
-        .as_object()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected an object".to_owned(),
-        })
-}
-
-fn u64_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u64, ProtoError> {
-    let raw = field(fields, name)?
-        .as_number()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected an unsigned integer".to_owned(),
-        })?;
-    raw.parse::<u64>().map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("'{raw}' is not an unsigned 64-bit integer"),
-    })
-}
-
-fn u32_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u32, ProtoError> {
-    let wide = u64_field(fields, name)?;
-    u32::try_from(wide).map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("{wide} exceeds the unsigned 32-bit range"),
-    })
-}
-
-fn u8_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<u8, ProtoError> {
-    let wide = u64_field(fields, name)?;
-    u8::try_from(wide).map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("{wide} exceeds the unsigned 8-bit range"),
-    })
-}
-
-/// A `u32` field that may be legitimately absent (e.g. a censored Vmin).
-fn opt_u32_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<Option<u32>, ProtoError> {
-    if fields.contains_key(name) {
-        u32_field(fields, name).map(Some)
-    } else {
-        Ok(None)
-    }
-}
-
-fn f64_field(fields: &BTreeMap<String, Value>, name: &str) -> Result<f64, ProtoError> {
-    let raw = field(fields, name)?
-        .as_number()
-        .ok_or_else(|| ProtoError::BadField {
-            field: name.to_owned(),
-            message: "expected a number".to_owned(),
-        })?;
-    let value = raw.parse::<f64>().map_err(|_| ProtoError::BadField {
-        field: name.to_owned(),
-        message: format!("'{raw}' is not a number"),
-    })?;
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(ProtoError::BadField {
-            field: name.to_owned(),
-            message: format!("'{raw}' is not finite"),
-        })
-    }
-}
-
-fn spec_of(fields: &BTreeMap<String, Value>) -> Result<FleetSpec, ProtoError> {
-    let corner_token = str_field(fields, "corner")?;
-    let corner = parse_corner(corner_token).ok_or_else(|| ProtoError::BadField {
+fn spec_of(mut fields: Fields<'_>) -> Result<FleetSpec, ProtoError> {
+    let corner_token = fields.get("corner")?;
+    let corner = Corner::from_token(corner_token).ok_or_else(|| ProtoError::BadField {
         field: "corner".to_owned(),
         message: format!("unknown corner '{corner_token}' (ttt|tff|tss)"),
     })?;
-    let search_token = str_field(fields, "search")?;
+    let search_token = fields.get("search")?;
     let search = SearchStrategy::parse(search_token).ok_or_else(|| ProtoError::BadField {
         field: "search".to_owned(),
         message: format!("unknown strategy '{search_token}'"),
     })?;
-    let benchmarks = match field(fields, "benchmarks")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|v| {
-                v.as_str().map(str::to_owned).ok_or(ProtoError::BadField {
-                    field: "benchmarks".to_owned(),
-                    message: "expected an array of strings".to_owned(),
-                })
-            })
-            .collect::<Result<Vec<String>, ProtoError>>()?,
-        _ => {
-            return Err(ProtoError::BadField {
-                field: "benchmarks".to_owned(),
-                message: "expected an array of strings".to_owned(),
-            })
-        }
-    };
-    let cores = match field(fields, "cores")? {
-        Value::Array(items) => items
-            .iter()
-            .map(|v| {
-                v.as_number()
-                    .and_then(|raw| raw.parse::<u8>().ok())
-                    .ok_or(ProtoError::BadField {
-                        field: "cores".to_owned(),
-                        message: "expected an array of core indices".to_owned(),
-                    })
-            })
-            .collect::<Result<Vec<u8>, ProtoError>>()?,
-        _ => {
-            return Err(ProtoError::BadField {
-                field: "cores".to_owned(),
-                message: "expected an array of core indices".to_owned(),
-            })
-        }
-    };
     Ok(FleetSpec {
         corner,
-        first_serial: u64_field(fields, "first_serial")?,
-        chips: u32_field(fields, "chips")?,
-        benchmarks,
-        cores,
-        iterations: u32_field(fields, "iterations")?,
-        start_mv: u32_field(fields, "start_mv")?,
-        floor_mv: u32_field(fields, "floor_mv")?,
-        seed: u64_field(fields, "seed")?,
+        first_serial: fields.get("first_serial")?,
+        chips: fields.get("chips")?,
+        benchmarks: fields.list("benchmarks")?,
+        cores: fields.list("cores")?,
+        iterations: fields.get("iterations")?,
+        start_mv: fields.get("start_mv")?,
+        floor_mv: fields.get("floor_mv")?,
+        seed: fields.get("seed")?,
         search,
     })
 }
@@ -1352,6 +1230,17 @@ mod tests {
         );
         let err = Request::parse_line("{\"kind\":7}").expect_err("numeric kind");
         assert_eq!(err.code(), "bad-field");
+        // Worded as the shared field reader words it, value echoed.
+        assert_eq!(
+            err.to_string(),
+            "bad field 'kind': expected a string, got 7"
+        );
+        let err = Request::parse_line("{\"kind\":\"status\",\"client\":\"c\",\"job\":-1}")
+            .expect_err("negative job");
+        assert_eq!(
+            err.to_string(),
+            "bad field 'job': expected an unsigned 64-bit integer, got -1"
+        );
     }
 
     #[test]

@@ -28,6 +28,7 @@ use margins_core::exec::{CacheHandle, ExecContext, ExecError, ThreadPoolExecutor
 use margins_core::profile::PhaseTallies;
 use margins_core::runner::Campaign;
 use margins_sim::ChipSpec;
+use margins_trace::vmin::{binding_vmin, SweepSteps};
 use margins_trace::{merge_streams, MemorySink, MetricsRegistry, Sink, TraceEvent, TraceRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -926,9 +927,7 @@ impl ChipStats {
         let mut severity_sum = 0.0;
         let mut cache_hits = 0u64;
         let mut cache_lookups = 0u64;
-        // Per (program, dataset, core) sweep: was *every* run at each
-        // probed step normal?
-        let mut sweeps: BTreeMap<(String, String, u8), BTreeMap<u32, bool>> = BTreeMap::new();
+        let mut sweeps: BTreeMap<(String, String, u8), SweepSteps> = BTreeMap::new();
         for record in records {
             match &record.event {
                 TraceEvent::RunCompleted {
@@ -941,11 +940,10 @@ impl ChipStats {
                     ..
                 } => {
                     severity_sum += severity;
-                    let key = (program.clone(), dataset.clone(), *core);
-                    let all_normal = sweeps.entry(key).or_default().entry(*mv).or_insert(true);
-                    if effects != "NO" {
-                        *all_normal = false;
-                    }
+                    sweeps
+                        .entry((program.clone(), dataset.clone(), *core))
+                        .or_default()
+                        .record(*mv, effects);
                 }
                 TraceEvent::CacheLookup { hit, .. } => {
                     cache_lookups += 1;
@@ -957,34 +955,12 @@ impl ChipStats {
             }
         }
         ChipStats {
-            vmin_mv: binding_vmin(&sweeps),
+            vmin_mv: binding_vmin(sweeps.values()),
             severity_sum,
             cache_hits,
             cache_lookups,
         }
     }
-}
-
-/// The chip's binding Vmin: per sweep, the lowest step of the unbroken
-/// all-normal prefix walking down from the highest probed step; over the
-/// chip, the *maximum* of the sweep Vmins (the sweep that gives up
-/// first binds the chip). `None` when any sweep misbehaves at its
-/// highest step (censored — no safe undervolt was observed).
-fn binding_vmin(sweeps: &BTreeMap<(String, String, u8), BTreeMap<u32, bool>>) -> Option<u32> {
-    let mut binding: Option<u32> = None;
-    for steps in sweeps.values() {
-        let mut sweep_vmin: Option<u32> = None;
-        for (&mv, &all_normal) in steps.iter().rev() {
-            if all_normal {
-                sweep_vmin = Some(mv);
-            } else {
-                break;
-            }
-        }
-        let mv = sweep_vmin?;
-        binding = Some(binding.map_or(mv, |b| b.max(mv)));
-    }
-    binding
 }
 
 /// The `chip-finished` event for a completed chip, also used to catch up

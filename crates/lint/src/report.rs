@@ -4,7 +4,7 @@
 //! same tree render byte-identical text — the linter holds itself to the
 //! invariant it enforces.
 
-use crate::rules::{Finding, Waiver};
+use crate::rules::{Finding, Rule, Waiver};
 use std::fmt::Write as _;
 
 /// Everything a lint run produced.
@@ -25,7 +25,7 @@ impl Report {
             (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
         });
         self.waivers
-            .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+            .sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     }
 
     /// `file:line:col: [rule] message` diagnostics plus a summary block.
@@ -54,7 +54,12 @@ impl Report {
         if !unused.is_empty() {
             let _ = writeln!(s, "unused waivers ({}):", unused.len());
             for w in unused {
-                let _ = writeln!(s, "  {}:{}: allow({})", w.file, w.line, w.rule.name());
+                let unknown = if Rule::from_name(&w.rule).is_some() {
+                    ""
+                } else {
+                    " (no such rule)"
+                };
+                let _ = writeln!(s, "  {}:{}: allow({}){unknown}", w.file, w.line, w.rule);
             }
         }
         s
@@ -64,7 +69,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Rule;
 
     #[test]
     fn human_render_names_each_finding_and_unused_waiver() {
@@ -86,12 +90,20 @@ mod tests {
                     message: "m".into(),
                 },
             ],
-            waivers: vec![Waiver {
-                file: "crates/sim/src/a.rs".into(),
-                line: 5,
-                rule: Rule::UnitEscape,
-                used: false,
-            }],
+            waivers: vec![
+                Waiver {
+                    file: "crates/sim/src/a.rs".into(),
+                    line: 5,
+                    rule: "unit-escape".into(),
+                    used: false,
+                },
+                Waiver {
+                    file: "crates/sim/src/a.rs".into(),
+                    line: 6,
+                    rule: "span-balance".into(),
+                    used: false,
+                },
+            ],
         };
         r.sort();
         let text = r.render_human();
@@ -102,7 +114,10 @@ mod tests {
             .find("crates/sim/src/b.rs:9:4: [swallowed-fallibility] flush()")
             .unwrap();
         assert!(a < b, "findings are sorted by file");
-        assert!(text.contains("2 file(s) scanned, 2 finding(s), 1 waiver(s)"));
-        assert!(text.contains("unused waivers (1):\n  crates/sim/src/a.rs:5: allow(unit-escape)"));
+        assert!(text.contains("2 file(s) scanned, 2 finding(s), 2 waiver(s)"));
+        assert!(text.contains(
+            "unused waivers (2):\n  crates/sim/src/a.rs:5: allow(unit-escape)\n  \
+             crates/sim/src/a.rs:6: allow(span-balance) (no such rule)\n"
+        ));
     }
 }

@@ -71,15 +71,16 @@ pub struct Finding {
     pub message: String,
 }
 
-/// One waiver comment found in a file.
+/// One waiver comment found in a file, one per rule name it lists.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Waiver {
     /// Workspace-relative path, `/`-separated.
     pub file: String,
     /// Line of the waiver comment.
     pub line: u32,
-    /// Waived rule.
-    pub rule: Rule,
+    /// The waived rule's name as written. A name no [`Rule`] has (a
+    /// retired rule, a typo) waives nothing, so it is never used.
+    pub rule: String,
     /// Whether a finding was actually suppressed by this waiver.
     pub used: bool,
 }
@@ -162,14 +163,14 @@ pub fn lint_rust_file(rel: &str, src: &str, scope: FileScope, symbols: &Symbols)
 
 /// Resolves waivers against raw findings: a finding is suppressed when a
 /// waiver for its rule targets its line.
-fn apply_waivers(rel: &str, raw: Vec<Finding>, waivers: Vec<(Rule, u32, u32)>) -> FileOutcome {
-    // (rule, comment line, target line)
+fn apply_waivers(rel: &str, raw: Vec<Finding>, waivers: Vec<(String, u32, u32)>) -> FileOutcome {
+    // (rule name, comment line, target line)
     let mut used = vec![false; waivers.len()];
     let mut findings = Vec::new();
     for f in raw {
         let mut waived = false;
         for (i, (rule, _, target)) in waivers.iter().enumerate() {
-            if *rule == f.rule && *target == f.line {
+            if rule == f.rule.name() && *target == f.line {
                 used[i] = true;
                 waived = true;
             }
@@ -194,7 +195,7 @@ fn apply_waivers(rel: &str, raw: Vec<Finding>, waivers: Vec<(Rule, u32, u32)>) -
 /// Extracts `lint: allow(rule[, rule])` waivers from comments and computes
 /// each waiver's target line: the comment's own line when code shares it,
 /// otherwise the next line that carries code.
-fn collect_waivers(lexed: &Lexed, src: &str) -> Vec<(Rule, u32, u32)> {
+fn collect_waivers(lexed: &Lexed, src: &str) -> Vec<(String, u32, u32)> {
     let code_lines: BTreeSet<u32> = lexed.tokens.iter().map(|t| t.line).collect();
     let last_line = src.lines().count() as u32;
     let mut out = Vec::new();
@@ -218,8 +219,9 @@ fn collect_waivers(lexed: &Lexed, src: &str) -> Vec<(Rule, u32, u32)> {
     out
 }
 
-/// Parses the rule list out of a `lint: allow(a, b)` comment.
-fn parse_waiver_rules(comment: &str) -> Vec<Rule> {
+/// Parses the rule names out of a `lint: allow(a, b)` comment, known or
+/// not: a name that is no rule must be reported, not dropped.
+fn parse_waiver_rules(comment: &str) -> Vec<String> {
     let Some(pos) = comment.find("lint:") else {
         return Vec::new();
     };
@@ -232,7 +234,9 @@ fn parse_waiver_rules(comment: &str) -> Vec<Rule> {
     };
     rest[..end]
         .split(',')
-        .filter_map(|name| Rule::from_name(name.trim()))
+        .map(str::trim)
+        .filter(|name| !name.is_empty())
+        .map(str::to_owned)
         .collect()
 }
 
@@ -700,6 +704,23 @@ mod tests {
         let src = "fn f(w: &mut W) { let _ = w.flush(); } // lint: allow(unit-escape)";
         let out = lint_sem(src);
         assert_eq!(rules_of(&out), vec![Rule::SwallowedFallibility]);
+    }
+
+    #[test]
+    fn waivers_naming_no_rule_are_kept_and_never_used() {
+        let src = "fn f(w: &mut W) { let _ = w.flush(); } \
+                   // lint: allow(span-balance, swallowed-fallibilty)";
+        let out = lint_sem(src);
+        assert_eq!(rules_of(&out), vec![Rule::SwallowedFallibility]);
+        let waivers: Vec<_> = out
+            .waivers
+            .iter()
+            .map(|w| (w.rule.as_str(), w.used))
+            .collect();
+        assert_eq!(
+            waivers,
+            [("span-balance", false), ("swallowed-fallibilty", false)]
+        );
     }
 
     #[test]

@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 const SEM_BAD: &str = "crates/core/src/bad.rs";
 const SEM_CLEAN: &str = "crates/core/src/clean.rs";
 const SEM_WAIVED: &str = "crates/core/src/waived.rs";
+const SEM_UNKNOWN: &str = "crates/core/src/unknown_waivers.rs";
 const SEM_OFFPATH: &str = "crates/bench/src/offpath.rs";
 const SEM_TRACE_RAW: &str = "crates/trace/src/raw.rs";
 const SEM_EXEMPT: &str = "crates/core/tests/exempt_semantic.rs";
@@ -107,7 +108,30 @@ fn semantic_waivers_suppress_and_are_reported() {
     assert_eq!(waivers.iter().filter(|w| w.used).count(), 2);
     let unused: Vec<_> = waivers.iter().filter(|w| !w.used).collect();
     assert_eq!(unused.len(), 1);
-    assert_eq!(unused[0].rule, Rule::UnitEscape);
+    assert_eq!(unused[0].rule, Rule::UnitEscape.name());
+}
+
+#[test]
+fn waivers_naming_no_rule_are_reported_and_waive_nothing() {
+    let report = lint_semantic();
+    let waivers: Vec<_> = report
+        .waivers
+        .iter()
+        .filter(|w| w.file == SEM_UNKNOWN)
+        .map(|w| (w.line, w.rule.as_str(), w.used))
+        .collect();
+    assert_eq!(
+        waivers,
+        [(7, "span-balance", false), (11, "unit-escpae", false)]
+    );
+    assert_eq!(count(&report, Rule::UnitEscape, SEM_UNKNOWN), 1);
+    let human = report.render_human();
+    assert!(
+        human.contains(&format!(
+            "{SEM_UNKNOWN}:11: allow(unit-escpae) (no such rule)"
+        )),
+        "{human}"
+    );
 }
 
 #[test]

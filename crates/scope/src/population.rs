@@ -9,18 +9,20 @@
 //! abnormal tail looks like.
 //!
 //! Semantics match the fleet daemon's streamed `chip-finished` events
-//! exactly: a sweep's Vmin is the lowest step of the unbroken all-normal
-//! prefix walking down from the highest probed step; a chip's binding
-//! Vmin is the *maximum* over its sweeps (the sweep that gives up first
-//! binds the chip); a chip is *censored* when any sweep misbehaves at
-//! its highest probed step. Margins are measured against the corner's
-//! nominal (highest probed) voltage.
+//! exactly, since both apply [`margins_trace::vmin`]: a sweep's Vmin is
+//! the lowest step of the unbroken all-normal prefix walking down from
+//! the highest probed step; a chip's binding Vmin is the *maximum* over
+//! its sweeps (the sweep that gives up first binds the chip); a chip is
+//! *censored* when any sweep misbehaves at its highest probed step.
+//! Margins are measured against the corner's nominal (highest probed)
+//! voltage.
 //!
 //! Like every other report in this crate, the fold is a pure function of
 //! the record sequence: reruns, thread counts and subscriber presence
 //! never change a byte of the output.
 
 use margins_trace::json::{self, Value};
+use margins_trace::vmin::{binding_vmin, SweepSteps};
 use margins_trace::{reconstruct, CampaignSpan, SpanError, TraceEvent, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -144,8 +146,8 @@ pub struct PopulationReport {
 struct ChipFold {
     corner: String,
     nominal_mv: u32,
-    /// Per sweep label: probed step → all runs normal.
-    sweeps: BTreeMap<String, BTreeMap<u32, bool>>,
+    /// Per sweep label, its probed steps.
+    sweeps: BTreeMap<String, SweepSteps>,
     runs: u64,
     outcomes: BTreeMap<String, u64>,
     severity_sum: f64,
@@ -178,8 +180,7 @@ fn fold_chip(campaign: &CampaignSpan) -> ChipFold {
             } = &leaf.event
             {
                 fold.nominal_mv = fold.nominal_mv.max(*mv);
-                let all_normal = steps.entry(*mv).or_insert(true);
-                *all_normal &= effects == "NO";
+                steps.record(*mv, effects);
                 fold.runs += 1;
                 *fold.outcomes.entry(effects.clone()).or_insert(0) += 1;
                 fold.severity_sum += severity;
@@ -188,20 +189,6 @@ fn fold_chip(campaign: &CampaignSpan) -> ChipFold {
         }
     }
     fold
-}
-
-/// A sweep's Vmin: the lowest step of the unbroken all-normal prefix
-/// walking down from the highest probed step; `None` (censored) when the
-/// highest step already misbehaved.
-fn sweep_vmin(steps: &BTreeMap<u32, bool>) -> Option<u32> {
-    let mut vmin = None;
-    for (&mv, &all_normal) in steps.iter().rev() {
-        if !all_normal {
-            break;
-        }
-        vmin = Some(mv);
-    }
-    vmin
 }
 
 /// Folds a merged fleet stream into per-corner population analytics.
@@ -232,27 +219,20 @@ pub fn population_report(records: &[TraceRecord]) -> Result<PopulationReport, Sp
             let mut severity_max = 0.0f64;
             let mut sweep_vmins: BTreeMap<String, (Vec<u32>, u64)> = BTreeMap::new();
             for chip in &chips {
-                let mut binding: Option<u32> = Some(0);
                 for (label, steps) in &chip.sweeps {
                     let (population, sweep_censored) =
                         sweep_vmins.entry(label.clone()).or_default();
-                    match sweep_vmin(steps) {
-                        Some(mv) => {
-                            population.push(mv);
-                            binding = binding.map(|b| b.max(mv));
-                        }
-                        None => {
-                            *sweep_censored += 1;
-                            binding = None;
-                        }
+                    match steps.vmin() {
+                        Some(mv) => population.push(mv),
+                        None => *sweep_censored += 1,
                     }
                 }
-                match binding {
-                    Some(mv) if !chip.sweeps.is_empty() => {
+                match binding_vmin(chip.sweeps.values()) {
+                    Some(mv) => {
                         vmins.push(mv);
                         margins.push(nominal_mv - mv);
                     }
-                    _ => censored += 1,
+                    None => censored += 1,
                 }
                 runs += chip.runs;
                 for (effects, count) in &chip.outcomes {
@@ -548,16 +528,23 @@ mod tests {
 
     #[test]
     fn sweep_vmin_walks_the_all_normal_prefix_down() {
-        let steps: BTreeMap<u32, bool> =
-            [(870, false), (875, false), (880, true), (885, true)].into();
-        assert_eq!(sweep_vmin(&steps), Some(880));
+        let sweep = |runs: &[(u32, &str)]| {
+            let mut steps = SweepSteps::default();
+            for &(mv, effects) in runs {
+                steps.record(mv, effects);
+            }
+            steps
+        };
+        let steps = sweep(&[(870, "SC"), (875, "SDC"), (880, "NO"), (885, "NO")]);
+        assert_eq!(steps.vmin(), Some(880));
         // Misbehaviour at the top censors the sweep even when lower
         // steps happened to pass.
-        let censored: BTreeMap<u32, bool> = [(880, true), (885, false)].into();
-        assert_eq!(sweep_vmin(&censored), None);
-        // A hole in the prefix binds at the hole, not below it.
-        let holed: BTreeMap<u32, bool> = [(875, true), (880, false), (885, true)].into();
-        assert_eq!(sweep_vmin(&holed), Some(885));
+        let censored = sweep(&[(880, "NO"), (885, "CE")]);
+        assert_eq!(censored.vmin(), None);
+        // A hole in the prefix binds at the hole, not below it; one
+        // abnormal run makes its step abnormal.
+        let holed = sweep(&[(875, "NO"), (880, "NO"), (880, "UE"), (885, "NO")]);
+        assert_eq!(holed.vmin(), Some(885));
     }
 
     #[test]

@@ -43,6 +43,25 @@ impl Corner {
     pub(crate) fn leakage_multiplier(self) -> f64 {
         calib::leakage_multiplier(self)
     }
+
+    /// The lowercase token naming the corner on command lines and in
+    /// fleet frames.
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Corner::Ttt => "ttt",
+            Corner::Tff => "tff",
+            Corner::Tss => "tss",
+        }
+    }
+
+    /// The corner a lowercase [`token`](Corner::token) names.
+    #[must_use]
+    pub fn from_token(token: &str) -> Option<Corner> {
+        [Corner::Ttt, Corner::Tff, Corner::Tss]
+            .into_iter()
+            .find(|corner| corner.token() == token)
+    }
 }
 
 impl fmt::Display for Corner {

@@ -14,12 +14,16 @@
 //! * [`render`] writes compact JSON with object keys in sorted order (a
 //!   [`BTreeMap`] by construction), `\n`-free, locale-independent —
 //!   byte-identical output for equal values on every platform.
+//! * [`Fields`] reads a parsed object's fields by name and type: the one
+//!   decoder behind the trace reader, the campaign cache and the fleet
+//!   protocol. Each keeps its own error type and decides what to do with
+//!   the fields it did not read.
 //!
 //! The trace event codec ([`crate::event`], [`crate::reader`]) and the
 //! campaign cache build on this module.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,6 +93,226 @@ impl Value {
             Value::Number(raw) => Some(raw),
             _ => None,
         }
+    }
+}
+
+/// Typed access to the fields of one parsed JSON object. Every read
+/// returns `Result` (never panics on adversarial input) and records the
+/// field it found, so a caller whose writer never emits extra fields can
+/// reject the ones no read asked for ([`Fields::unread`]).
+#[derive(Debug)]
+pub struct Fields<'a> {
+    map: &'a BTreeMap<String, Value>,
+    /// The fields reads found, in read order.
+    read: Vec<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `value`; `None` when it is not an object.
+    #[must_use]
+    pub fn of(value: &'a Value) -> Option<Fields<'a>> {
+        value.as_object().map(|map| Fields {
+            map,
+            read: Vec::with_capacity(map.len()),
+        })
+    }
+
+    /// Reads field `name` as a `T`.
+    ///
+    /// # Errors
+    ///
+    /// [`FieldError::Missing`] when the object has no such field,
+    /// [`FieldError::Mistyped`] when its value is not a `T`.
+    pub fn get<T: FromValue<'a>>(&mut self, name: &'static str) -> Result<T, FieldError<'a>> {
+        let value = self.map.get(name).ok_or(FieldError::Missing(name))?;
+        self.read.push(name);
+        T::from_value(value).ok_or(FieldError::Mistyped {
+            field: name,
+            expected: T::EXPECTED,
+            got: value,
+        })
+    }
+
+    /// Reads field `name` as an array of `T`s.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::get`]; an element that is not a `T` is reported as
+    /// the field's mistyped value.
+    pub fn list<T: FromValue<'a>>(&mut self, name: &'static str) -> Result<Vec<T>, FieldError<'a>> {
+        let items: &'a [Value] = self.get(name)?;
+        items
+            .iter()
+            .map(|item| {
+                T::from_value(item).ok_or(FieldError::Mistyped {
+                    field: name,
+                    expected: T::EXPECTED,
+                    got: item,
+                })
+            })
+            .collect()
+    }
+
+    /// Whether the object has field `name`, for fields a writer omits.
+    #[must_use]
+    pub fn contains(&self, name: &str) -> bool {
+        self.map.contains_key(name)
+    }
+
+    /// The first field, in key order, that no read found. Reads are
+    /// counted first, so a decoder reads each field at most once.
+    #[must_use]
+    pub fn unread(&self) -> Option<&'a str> {
+        if self.read.len() == self.map.len() {
+            return None;
+        }
+        self.map
+            .keys()
+            .map(String::as_str)
+            .find(|key| !self.read.contains(key))
+    }
+}
+
+/// A type [`Fields`] reads a JSON value as. Integers are parsed from the
+/// raw number token, so a 64-bit value never passes through `f64`.
+pub trait FromValue<'a>: Sized {
+    /// The type as a decode error names it.
+    const EXPECTED: &'static str;
+
+    /// `value` as this type; `None` for another type or an out-of-range
+    /// number.
+    fn from_value(value: &'a Value) -> Option<Self>;
+}
+
+impl<'a> FromValue<'a> for &'a str {
+    const EXPECTED: &'static str = "a string";
+
+    fn from_value(value: &'a Value) -> Option<Self> {
+        value.as_str()
+    }
+}
+
+impl FromValue<'_> for String {
+    const EXPECTED: &'static str = "a string";
+
+    fn from_value(value: &Value) -> Option<Self> {
+        value.as_str().map(str::to_owned)
+    }
+}
+
+impl FromValue<'_> for bool {
+    const EXPECTED: &'static str = "a boolean";
+
+    fn from_value(value: &Value) -> Option<Self> {
+        match value {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+impl FromValue<'_> for u8 {
+    const EXPECTED: &'static str = "an unsigned integer ≤ 255";
+
+    fn from_value(value: &Value) -> Option<Self> {
+        value.as_number()?.parse().ok()
+    }
+}
+
+impl FromValue<'_> for u32 {
+    const EXPECTED: &'static str = "an unsigned 32-bit integer";
+
+    fn from_value(value: &Value) -> Option<Self> {
+        value.as_number()?.parse().ok()
+    }
+}
+
+impl FromValue<'_> for u64 {
+    const EXPECTED: &'static str = "an unsigned 64-bit integer";
+
+    fn from_value(value: &Value) -> Option<Self> {
+        value.as_number()?.parse().ok()
+    }
+}
+
+impl FromValue<'_> for f64 {
+    const EXPECTED: &'static str = "a finite number";
+
+    /// A token like `1e999` parses to infinity, which no writer of this
+    /// workspace can write back, so it is rejected with the other types.
+    fn from_value(value: &Value) -> Option<Self> {
+        let v: f64 = value.as_number()?.parse().ok()?;
+        v.is_finite().then_some(v)
+    }
+}
+
+impl<'a> FromValue<'a> for &'a [Value] {
+    const EXPECTED: &'static str = "an array";
+
+    fn from_value(value: &'a Value) -> Option<Self> {
+        match value {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> FromValue<'a> for Fields<'a> {
+    const EXPECTED: &'static str = "an object";
+
+    fn from_value(value: &'a Value) -> Option<Self> {
+        Fields::of(value)
+    }
+}
+
+/// Why [`Fields`] could not read a field.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldError<'a> {
+    /// The object has no such field.
+    Missing(&'static str),
+    /// The field's value (or, for [`Fields::list`], one of its elements)
+    /// has another type or is out of range.
+    Mistyped {
+        /// The field read.
+        field: &'static str,
+        /// The type the read wanted ([`FromValue::EXPECTED`]).
+        expected: &'static str,
+        /// The value found.
+        got: &'a Value,
+    },
+}
+
+impl FieldError<'_> {
+    /// The field the failed read named.
+    #[must_use]
+    pub fn field(&self) -> &'static str {
+        match self {
+            FieldError::Missing(field) | FieldError::Mistyped { field, .. } => field,
+        }
+    }
+}
+
+impl fmt::Display for FieldError<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FieldError::Missing(field) => write!(f, "missing field '{field}'"),
+            FieldError::Mistyped {
+                field,
+                expected,
+                got,
+            } => write!(
+                f,
+                "bad field '{field}': expected {expected}, got {}",
+                render(got)
+            ),
+        }
+    }
+}
+
+/// A field error as the message a decoder that reports strings returns.
+impl From<FieldError<'_>> for String {
+    fn from(e: FieldError<'_>) -> String {
+        e.to_string()
     }
 }
 
@@ -459,6 +683,128 @@ mod tests {
 
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(parse(&ok).is_ok(), "{MAX_DEPTH} levels still parse");
+    }
+
+    /// One row per way a field read fails: the object, the read, and the
+    /// error it reports.
+    #[test]
+    fn field_reads_report_missing_and_mistyped_fields() {
+        type Read = fn(&mut Fields<'_>) -> Result<(), String>;
+        let cases: [(&str, Read, &str); 14] = [
+            (
+                r#"{"y":1}"#,
+                |f| Ok(f.get::<u32>("x").map(drop)?),
+                "missing field 'x'",
+            ),
+            (
+                r#"{"x":"often"}"#,
+                |f| Ok(f.get::<u32>("x").map(drop)?),
+                r#"bad field 'x': expected an unsigned 32-bit integer, got "often""#,
+            ),
+            (
+                r#"{"x":7}"#,
+                |f| Ok(f.get::<&str>("x").map(drop)?),
+                "bad field 'x': expected a string, got 7",
+            ),
+            (
+                r#"{"x":"true"}"#,
+                |f| Ok(f.get::<bool>("x").map(drop)?),
+                r#"bad field 'x': expected a boolean, got "true""#,
+            ),
+            (
+                r#"{"x":256}"#,
+                |f| Ok(f.get::<u8>("x").map(drop)?),
+                "bad field 'x': expected an unsigned integer ≤ 255, got 256",
+            ),
+            (
+                r#"{"x":4294967296}"#,
+                |f| Ok(f.get::<u32>("x").map(drop)?),
+                "bad field 'x': expected an unsigned 32-bit integer, got 4294967296",
+            ),
+            (
+                r#"{"x":18446744073709551616}"#,
+                |f| Ok(f.get::<u64>("x").map(drop)?),
+                "bad field 'x': expected an unsigned 64-bit integer, got 18446744073709551616",
+            ),
+            (
+                r#"{"x":-1}"#,
+                |f| Ok(f.get::<u64>("x").map(drop)?),
+                "bad field 'x': expected an unsigned 64-bit integer, got -1",
+            ),
+            (
+                r#"{"x":1.5}"#,
+                |f| Ok(f.get::<u32>("x").map(drop)?),
+                "bad field 'x': expected an unsigned 32-bit integer, got 1.5",
+            ),
+            // An integer is its plain digits: the writers never use an exponent.
+            (
+                r#"{"x":1e2}"#,
+                |f| Ok(f.get::<u8>("x").map(drop)?),
+                "bad field 'x': expected an unsigned integer ≤ 255, got 1e2",
+            ),
+            (
+                r#"{"x":1e999}"#,
+                |f| Ok(f.get::<f64>("x").map(drop)?),
+                "bad field 'x': expected a finite number, got 1e999",
+            ),
+            (
+                r#"{"x":null}"#,
+                |f| Ok(f.get::<f64>("x").map(drop)?),
+                "bad field 'x': expected a finite number, got null",
+            ),
+            (
+                r#"{"x":[]}"#,
+                |f| Ok(f.get::<Fields<'_>>("x").map(drop)?),
+                "bad field 'x': expected an object, got []",
+            ),
+            (
+                r#"{"x":[1,300]}"#,
+                |f| Ok(f.list::<u8>("x").map(drop)?),
+                "bad field 'x': expected an unsigned integer ≤ 255, got 300",
+            ),
+        ];
+        for (text, read, message) in cases {
+            let value = parse(text).expect("valid JSON");
+            let mut fields = Fields::of(&value).expect("an object");
+            assert_eq!(read(&mut fields).expect_err(text), message, "{text}");
+        }
+        let value = parse(r#"{"x":{"y":1}}"#).expect("valid JSON");
+        let err = Fields::of(&value)
+            .expect("an object")
+            .list::<u8>("x")
+            .expect_err("not an array");
+        assert_eq!(
+            err.to_string(),
+            r#"bad field 'x': expected an array, got {"y":1}"#
+        );
+    }
+
+    #[test]
+    fn field_reads_return_typed_values_and_track_unread_fields() {
+        let text = r#"{"b":true,"f":-0.0,"l":["a","b"],"n":18446744073709551615,"o":{"c":255},"s":"x\"y","z":0}"#;
+        let value = parse(text).expect("valid JSON");
+        let mut fields = Fields::of(&value).expect("an object");
+        assert_eq!(fields.get::<bool>("b"), Ok(true));
+        assert_eq!(
+            fields.get::<f64>("f").map(f64::to_bits),
+            Ok((-0.0f64).to_bits())
+        );
+        assert_eq!(
+            fields.list::<String>("l"),
+            Ok(vec!["a".to_owned(), "b".to_owned()])
+        );
+        assert_eq!(fields.get::<u64>("n"), Ok(u64::MAX));
+        assert_eq!(fields.get::<&str>("s"), Ok("x\"y"));
+        assert!(fields.contains("z") && !fields.contains("q"));
+        let mut inner: Fields<'_> = fields.get("o").expect("an object");
+        assert_eq!(inner.get::<u8>("c"), Ok(255));
+        assert_eq!(inner.unread(), None);
+        // A missing read records nothing; `z` is the first key no read found.
+        assert_eq!(fields.get::<u32>("q"), Err(FieldError::Missing("q")));
+        assert_eq!(fields.unread(), Some("z"));
+        assert_eq!(fields.get::<u32>("z"), Ok(0));
+        assert_eq!(fields.unread(), None);
+        assert!(Fields::of(&Value::Array(Vec::new())).is_none());
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod reader;
 pub mod sink;
 pub mod span;
 pub mod validate;
+pub mod vmin;
 
 pub use event::{EncodeError, TraceEvent, TraceRecord};
 pub use files::{collect_jsonl, write_atomic};

@@ -9,17 +9,16 @@
 //! can point at the exact byte range a producer corrupted.
 //!
 //! Decoding is deliberately strict: each event's decoder is its schema.
-//! It reads every payload field by name and type, and a field no decoder
-//! read is rejected afterwards, since the writer never emits one. Numeric
-//! ranges are enforced (a `core` of 300 is corruption, not data), and
-//! integer tokens are parsed from their raw text so 64-bit values never
-//! round-trip through `f64`.
+//! It reads every payload field by name and type through the shared
+//! [`Fields`] reader, and a field no decoder read is rejected afterwards,
+//! since the writer never emits one. Numeric ranges are enforced (a
+//! `core` of 300 is corruption, not data), and integer tokens are parsed
+//! from their raw text so 64-bit values never round-trip through `f64`.
 //!
 //! [`JsonlSink`]: crate::sink::JsonlSink
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::json::{self, Value};
-use std::collections::BTreeMap;
+use crate::json::{self, FieldError, Fields};
 use std::fmt;
 
 /// A typed failure parsing one line of a JSONL trace stream.
@@ -78,120 +77,30 @@ pub fn read_jsonl(input: &str) -> Result<Vec<TraceRecord>, ParseFailure> {
     Ok(records)
 }
 
-/// Typed access to the fields of one line's JSON object. Every accessor
-/// returns `Result` (never panics on adversarial input) and counts the
-/// field it read, so [`Obj::finish`] can reject the fields no decoder
-/// asked for.
-struct Obj<'a> {
-    map: &'a BTreeMap<String, Value>,
-    /// The event whose payload is being decoded; `None` while the
-    /// envelope is read.
-    event: Option<&'a str>,
-    read: Vec<&'static str>,
-}
-
-impl<'a> Obj<'a> {
-    fn raw(&mut self, name: &'static str) -> Result<&'a Value, Fail> {
-        self.read.push(name);
-        self.map.get(name).ok_or_else(|| {
-            let message = match self.event {
-                Some(event) => format!("missing (required by {event})"),
-                None => "missing".to_owned(),
-            };
-            (Some(name.to_owned()), message)
-        })
-    }
-
-    fn str(&mut self, name: &'static str) -> Result<String, Fail> {
-        let value = self.raw(name)?;
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| type_fail(name, "a string", value))
-    }
-
-    fn int<T: std::str::FromStr>(&mut self, name: &'static str, expected: &str) -> Result<T, Fail> {
-        let value = self.raw(name)?;
-        value
-            .as_number()
-            .and_then(|raw| raw.parse::<T>().ok())
-            .ok_or_else(|| type_fail(name, expected, value))
-    }
-
-    fn u8(&mut self, name: &'static str) -> Result<u8, Fail> {
-        self.int(name, "an unsigned integer ≤ 255")
-    }
-
-    fn u32(&mut self, name: &'static str) -> Result<u32, Fail> {
-        self.int(name, "an unsigned 32-bit integer")
-    }
-
-    fn u64(&mut self, name: &'static str) -> Result<u64, Fail> {
-        self.int(name, "an unsigned 64-bit integer")
-    }
-
-    fn f64(&mut self, name: &'static str) -> Result<f64, Fail> {
-        let value = self.raw(name)?;
-        value
-            .as_number()
-            .and_then(|raw| raw.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .ok_or_else(|| type_fail(name, "a finite number", value))
-    }
-
-    fn bool(&mut self, name: &'static str) -> Result<bool, Fail> {
-        match self.raw(name)? {
-            Value::Bool(b) => Ok(*b),
-            other => Err(type_fail(name, "a boolean", other)),
-        }
-    }
-
-    /// Rejects the first field, in key order, that no accessor read.
-    fn finish(&self, event: &str) -> Result<(), Fail> {
-        if self.read.len() == self.map.len() {
-            return Ok(());
-        }
-        match self
-            .map
-            .keys()
-            .find(|key| !self.read.contains(&key.as_str()))
-        {
-            Some(key) => Err((Some(key.clone()), format!("unexpected field for {event}"))),
-            None => Ok(()),
-        }
-    }
-}
-
-fn type_fail(name: &str, expected: &str, got: &Value) -> Fail {
-    (
-        Some(name.to_owned()),
-        format!("expected {expected}, got {}", json::render(got)),
-    )
-}
-
 /// Parses one line, reporting `(offending field, message)` on failure.
 fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
     let value = json::parse(line).map_err(|e| (None, format!("not valid JSON: {e}")))?;
-    let Some(map) = value.as_object() else {
+    let Some(mut fields) = Fields::of(&value) else {
         return Err((None, "line is not a JSON object".to_owned()));
     };
-    let mut obj = Obj {
-        map,
-        event: None,
-        read: Vec::new(),
-    };
-    let seq = obj.u64("seq")?;
-    let t_model_s = obj.f64("t_model_s")?;
-    let event = obj.raw("event")?;
-    let Some(event_name) = event.as_str() else {
+    let envelope = |e| field_fail(e, None);
+    let seq = fields.get("seq").map_err(envelope)?;
+    let t_model_s = fields.get("t_model_s").map_err(envelope)?;
+    let event_name: &str = fields.get("event").map_err(envelope)?;
+    let event = decode_event(event_name, &mut fields)
+        .map_err(|e| field_fail(e, Some(event_name)))?
+        .ok_or_else(|| {
+            (
+                Some("event".to_owned()),
+                format!("unknown event '{event_name}'"),
+            )
+        })?;
+    if let Some(key) = fields.unread() {
         return Err((
-            Some("event".to_owned()),
-            format!("expected a string event tag, got {}", json::render(event)),
+            Some(key.to_owned()),
+            format!("unexpected field for {event_name}"),
         ));
-    };
-    obj.event = Some(event_name);
-    let event = decode_event(event_name, &mut obj)?;
-    obj.finish(event_name)?;
+    }
     Ok(TraceRecord {
         seq,
         t_model_s,
@@ -199,139 +108,153 @@ fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
     })
 }
 
-/// Builds the typed event from the object's payload fields. The inverse of
-/// [`TraceEvent`]'s payload encoder; the round-trip and pinned-bytes tests
-/// below keep the two in sync.
-fn decode_event(name: &str, obj: &mut Obj<'_>) -> Result<TraceEvent, Fail> {
-    Ok(match name {
+/// A field read's failure; a missing payload field names the event that
+/// requires it.
+fn field_fail(e: FieldError<'_>, event: Option<&str>) -> Fail {
+    let message = match (e, event) {
+        (FieldError::Missing(_), Some(event)) => format!("missing (required by {event})"),
+        (FieldError::Missing(_), None) => "missing".to_owned(),
+        (FieldError::Mistyped { expected, got, .. }, _) => {
+            format!("expected {expected}, got {}", json::render(got))
+        }
+    };
+    (Some(e.field().to_owned()), message)
+}
+
+/// Builds the typed event from the object's payload fields; `None` for an
+/// unknown event. The inverse of [`TraceEvent`]'s payload encoder; the
+/// round-trip and pinned-bytes tests below keep the two in sync.
+fn decode_event<'a>(
+    name: &str,
+    obj: &mut Fields<'a>,
+) -> Result<Option<TraceEvent>, FieldError<'a>> {
+    Ok(Some(match name {
         "CampaignStarted" => TraceEvent::CampaignStarted {
-            chip: obj.str("chip")?,
-            rail: obj.str("rail")?,
-            benchmarks: obj.u32("benchmarks")?,
-            cores: obj.u32("cores")?,
-            steps: obj.u32("steps")?,
-            iterations: obj.u32("iterations")?,
-            shards: obj.u32("shards")?,
-            seed: obj.u64("seed")?,
+            chip: obj.get("chip")?,
+            rail: obj.get("rail")?,
+            benchmarks: obj.get("benchmarks")?,
+            cores: obj.get("cores")?,
+            steps: obj.get("steps")?,
+            iterations: obj.get("iterations")?,
+            shards: obj.get("shards")?,
+            seed: obj.get("seed")?,
         },
         "ShardScheduled" => TraceEvent::ShardScheduled {
-            shard: obj.u32("shard")?,
-            items: obj.u32("items")?,
+            shard: obj.get("shard")?,
+            items: obj.get("items")?,
         },
         "SweepStarted" => TraceEvent::SweepStarted {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            shard: obj.u32("shard")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            shard: obj.get("shard")?,
         },
         "GoldenCaptured" => TraceEvent::GoldenCaptured {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            digest: obj.str("digest")?,
-            runtime_s: obj.f64("runtime_s")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            digest: obj.get("digest")?,
+            runtime_s: obj.get("runtime_s")?,
         },
         "VoltageStepped" => TraceEvent::VoltageStepped {
-            rail: obj.str("rail")?,
-            mv: obj.u32("mv")?,
-            step: obj.u32("step")?,
+            rail: obj.get("rail")?,
+            mv: obj.get("mv")?,
+            step: obj.get("step")?,
         },
         "RailSet" => TraceEvent::RailSet {
-            rail: obj.str("rail")?,
-            mv: obj.u32("mv")?,
+            rail: obj.get("rail")?,
+            mv: obj.get("mv")?,
         },
         "WatchdogPowerCycle" => TraceEvent::WatchdogPowerCycle {
-            recovery: obj.u32("recovery")?,
+            recovery: obj.get("recovery")?,
         },
         "CacheErrorReported" => TraceEvent::CacheErrorReported {
-            level: obj.str("level")?,
-            instance: obj.u8("instance")?,
-            corrected: obj.bool("corrected")?,
+            level: obj.get("level")?,
+            instance: obj.get("instance")?,
+            corrected: obj.get("corrected")?,
         },
         "RunCompleted" => TraceEvent::RunCompleted {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            mv: obj.u32("mv")?,
-            iteration: obj.u32("iteration")?,
-            effects: obj.str("effects")?,
-            severity: obj.f64("severity")?,
-            runtime_s: obj.f64("runtime_s")?,
-            energy_j: obj.f64("energy_j")?,
-            corrected_errors: obj.u64("corrected_errors")?,
-            uncorrected_errors: obj.u64("uncorrected_errors")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            mv: obj.get("mv")?,
+            iteration: obj.get("iteration")?,
+            effects: obj.get("effects")?,
+            severity: obj.get("severity")?,
+            runtime_s: obj.get("runtime_s")?,
+            energy_j: obj.get("energy_j")?,
+            corrected_errors: obj.get("corrected_errors")?,
+            uncorrected_errors: obj.get("uncorrected_errors")?,
         },
         "SearchStep" => TraceEvent::SearchStep {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            strategy: obj.str("strategy")?,
-            phase: obj.str("phase")?,
-            step: obj.u32("step")?,
-            mv: obj.u32("mv")?,
+            program: obj.get("program")?,
+            core: obj.get("core")?,
+            strategy: obj.get("strategy")?,
+            phase: obj.get("phase")?,
+            step: obj.get("step")?,
+            mv: obj.get("mv")?,
         },
         "CacheLookup" => TraceEvent::CacheLookup {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            probe: obj.str("probe")?,
-            mv: obj.u32("mv")?,
-            hit: obj.bool("hit")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            probe: obj.get("probe")?,
+            mv: obj.get("mv")?,
+            hit: obj.get("hit")?,
         },
         "SearchConcluded" => TraceEvent::SearchConcluded {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            strategy: obj.str("strategy")?,
-            probed_steps: obj.u32("probed_steps")?,
-            grid_steps: obj.u32("grid_steps")?,
-            cache_hits: obj.u32("cache_hits")?,
+            program: obj.get("program")?,
+            core: obj.get("core")?,
+            strategy: obj.get("strategy")?,
+            probed_steps: obj.get("probed_steps")?,
+            grid_steps: obj.get("grid_steps")?,
+            cache_hits: obj.get("cache_hits")?,
         },
         "EarlyStop" => TraceEvent::EarlyStop {
-            program: obj.str("program")?,
-            core: obj.u8("core")?,
-            mv: obj.u32("mv")?,
-            consecutive_all_sc: obj.u32("consecutive_all_sc")?,
+            program: obj.get("program")?,
+            core: obj.get("core")?,
+            mv: obj.get("mv")?,
+            consecutive_all_sc: obj.get("consecutive_all_sc")?,
         },
         "ProfileSample" => TraceEvent::ProfileSample {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            phase: obj.str("phase")?,
-            ops: obj.u64("ops")?,
-            fault_samples: obj.u64("fault_samples")?,
-            sram_events: obj.u64("sram_events")?,
-            cache_probes: obj.u64("cache_probes")?,
-            recoveries: obj.u64("recoveries")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            phase: obj.get("phase")?,
+            ops: obj.get("ops")?,
+            fault_samples: obj.get("fault_samples")?,
+            sram_events: obj.get("sram_events")?,
+            cache_probes: obj.get("cache_probes")?,
+            recoveries: obj.get("recoveries")?,
         },
         "SweepFinished" => TraceEvent::SweepFinished {
-            program: obj.str("program")?,
-            dataset: obj.str("dataset")?,
-            core: obj.u8("core")?,
-            runs: obj.u32("runs")?,
+            program: obj.get("program")?,
+            dataset: obj.get("dataset")?,
+            core: obj.get("core")?,
+            runs: obj.get("runs")?,
         },
         "ProfilePhase" => TraceEvent::ProfilePhase {
-            phase: obj.str("phase")?,
-            sweeps: obj.u64("sweeps")?,
-            ops: obj.u64("ops")?,
-            fault_samples: obj.u64("fault_samples")?,
-            sram_events: obj.u64("sram_events")?,
-            cache_probes: obj.u64("cache_probes")?,
-            recoveries: obj.u64("recoveries")?,
+            phase: obj.get("phase")?,
+            sweeps: obj.get("sweeps")?,
+            ops: obj.get("ops")?,
+            fault_samples: obj.get("fault_samples")?,
+            sram_events: obj.get("sram_events")?,
+            cache_probes: obj.get("cache_probes")?,
+            recoveries: obj.get("recoveries")?,
         },
         "CampaignFinished" => TraceEvent::CampaignFinished {
-            runs: obj.u64("runs")?,
-            power_cycles: obj.u32("power_cycles")?,
+            runs: obj.get("runs")?,
+            power_cycles: obj.get("power_cycles")?,
         },
         "VoltageDecision" => TraceEvent::VoltageDecision {
-            voltage_mv: obj.u32("voltage_mv")?,
-            guardband_steps: obj.u32("guardband_steps")?,
-            relative_power: obj.f64("relative_power")?,
-            relative_performance: obj.f64("relative_performance")?,
-            energy_savings: obj.f64("energy_savings")?,
+            voltage_mv: obj.get("voltage_mv")?,
+            guardband_steps: obj.get("guardband_steps")?,
+            relative_power: obj.get("relative_power")?,
+            relative_performance: obj.get("relative_performance")?,
+            energy_savings: obj.get("energy_savings")?,
         },
-        other => {
-            return Err((Some("event".to_owned()), format!("unknown event '{other}'")));
-        }
-    })
+        _ => return Ok(None),
+    }))
 }
 
 #[cfg(test)]

@@ -63,12 +63,9 @@ fn run(args: &[String]) -> Result<(), String> {
 
     let addr = get("addr", "127.0.0.1:4750");
     let client = get("client", "fleet-client");
-    let corner = match get("corner", "ttt").as_str() {
-        "ttt" => Corner::Ttt,
-        "tff" => Corner::Tff,
-        "tss" => Corner::Tss,
-        other => return Err(format!("unknown corner '{other}' (ttt|tff|tss)")),
-    };
+    let corner_token = get("corner", "ttt");
+    let corner = Corner::from_token(&corner_token)
+        .ok_or_else(|| format!("unknown corner '{corner_token}' (ttt|tff|tss)"))?;
     let search_token = get("search", "exhaustive");
     let search = SearchStrategy::parse(&search_token)
         .ok_or_else(|| format!("unknown search strategy '{search_token}'"))?;

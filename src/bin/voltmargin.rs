@@ -35,12 +35,37 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
             ExitCode::from(2)
         }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// Why a command line failed; both exit with 2.
+enum Failure {
+    /// An unknown command or flag, or a missing required flag: printed
+    /// with the usage text.
+    Usage(String),
+    /// A data, I/O or value error: one line.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Failure {
+        Failure::Run(msg.to_owned())
     }
 }
 
@@ -62,14 +87,14 @@ commands:
   list-benchmarks      list characterizable workloads
   help                 print this usage text
 
-options (in parentheses: the commands that accept each; a command
-rejects every other flag):
+options (in parentheses: the commands that accept each, and those that
+require it; a command rejects every other flag):
   --chip ttt|tff|tss        (characterize, profile, govern) chip corner
                             (default ttt)
   --serial N                (characterize, profile, govern) chip serial
                             (default by corner: 0/1/2)
-  --benchmarks a,b,c        (characterize, profile) benchmark names (see
-                            list-benchmarks)
+  --benchmarks a,b,c        (characterize, profile; required) benchmark
+                            names (see list-benchmarks)
   --cores 0,4               (characterize, profile) target cores (default:
                             all eight)
   --iterations N            (characterize, govern) runs per voltage step
@@ -81,7 +106,7 @@ rejects every other flag):
   --out-dir DIR             (characterize, serve) characterize also writes
                             runs/regions/severity CSV files there; serve
                             writes per-client job artifacts
-  --tasks a,b,c             (govern) workloads to schedule
+  --tasks a,b,c             (govern; required) workloads to schedule
   --max-loss F              (govern) performance-loss budget, e.g. 0.25
   --seed N                  (characterize, govern) campaign seed
                             (default 3405691582)
@@ -107,24 +132,26 @@ rejects every other flag):
                             port 0 picks a free port — the chosen address is
                             printed as `listening on ADDR` on stdout)
   --workers N               (serve) scheduler worker threads (default 4)
-  --client NAME             (watch) job owner, as given to the submitter
-  --job N                   (watch) job id printed by the submitter
+  --client NAME             (watch; required) job owner, as given to the
+                            submitter
+  --job N                   (watch; required) job id printed by the
+                            submitter
   --trace-out FILE          (watch) after the terminal event, reassemble
                             the job trace from the streamed per-chip
                             payloads and write it as JSONL";
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     // `cache` takes a positional subcommand, not --flags; dispatch it
     // before the flag parser sees the arguments.
     if args.first().map(String::as_str) == Some("cache") {
         return cache_cmd(&args[1..]);
     }
-    let mut opts = Options::parse(args)?;
+    let mut opts = Options::parse(args).map_err(Failure::Usage)?;
     match opts.command.as_str() {
         "characterize" => characterize(&mut opts),
         "profile" => profile_cmd(&mut opts),
         "govern" => govern(&mut opts),
-        "serve" => serve_cmd(&opts),
+        "serve" => Ok(serve_cmd(&opts)?),
         "watch" => watch_cmd(&opts),
         "help" => {
             println!("{USAGE}");
@@ -138,18 +165,22 @@ fn run(args: &[String]) -> Result<(), String> {
             println!("selftest-alu  selftest-fpu  selftest-l1d  selftest-l2  selftest-l3");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        _ => unreachable!("Options::parse accepts only the commands command_flags names"),
     }
 }
 
 /// `voltmargin cache <subcommand>`: maintenance operations on persistent
 /// campaign-cache files.
-fn cache_cmd(args: &[String]) -> Result<(), String> {
+fn cache_cmd(args: &[String]) -> Result<(), Failure> {
     match args.first().map(String::as_str) {
         Some("compact") => {
-            let path = args.get(1).ok_or("cache compact needs a cache file path")?;
+            let path = args
+                .get(1)
+                .ok_or_else(|| Failure::Usage("cache compact needs a cache file path".into()))?;
             if args.len() > 2 {
-                return Err("cache compact takes exactly one file path".into());
+                return Err(Failure::Usage(
+                    "cache compact takes exactly one file path".into(),
+                ));
             }
             let stats = CampaignCache::compact_file(path).map_err(|e| e.to_string())?;
             if stats.rewritten {
@@ -164,8 +195,10 @@ fn cache_cmd(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        Some(other) => Err(format!("unknown cache subcommand '{other}' (compact)")),
-        None => Err("cache needs a subcommand (compact)".into()),
+        Some(other) => Err(Failure::Usage(format!(
+            "unknown cache subcommand '{other}' (compact)"
+        ))),
+        None => Err(Failure::Usage("cache needs a subcommand (compact)".into())),
     }
 }
 
@@ -192,7 +225,7 @@ fn serve_cmd(opts: &Options) -> Result<(), String> {
 /// reassembles the job's canonical trace from the streamed per-chip
 /// payloads once the terminal event arrives. Exits non-zero when the
 /// watched job failed.
-fn watch_cmd(opts: &Options) -> Result<(), String> {
+fn watch_cmd(opts: &Options) -> Result<(), Failure> {
     use std::io::{BufRead, BufReader, Write};
     use voltmargin::fleet::{FleetEvent, Request, Response};
 
@@ -201,17 +234,8 @@ fn watch_cmd(opts: &Options) -> Result<(), String> {
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:4750".to_owned());
-    let client = opts
-        .flags
-        .get("client")
-        .cloned()
-        .ok_or("watch: --client is required")?;
-    let job: u64 = opts
-        .flags
-        .get("job")
-        .ok_or("watch: --job is required")?
-        .parse()
-        .map_err(|_| "watch: --job: bad value".to_owned())?;
+    let client = opts.required("client")?.to_owned();
+    let job: u64 = parse_value("job", opts.required("job")?)?;
     let trace_out = opts.flags.get("trace-out").cloned();
 
     let stream = std::net::TcpStream::connect(&addr).map_err(|e| format!("watch: {addr}: {e}"))?;
@@ -245,7 +269,7 @@ fn watch_cmd(opts: &Options) -> Result<(), String> {
         match response {
             Response::Subscribed { job } => eprintln!("watching job {job} on {addr}"),
             Response::Error { code, message, .. } => {
-                return Err(format!("watch: daemon error [{code}]: {message}"));
+                return Err(format!("watch: daemon error [{code}]: {message}").into());
             }
             Response::Event(event) => {
                 if let Some(line) = narrate(&event) {
@@ -270,7 +294,7 @@ fn watch_cmd(opts: &Options) -> Result<(), String> {
                     break;
                 }
             }
-            other => return Err(format!("watch: unexpected frame {other:?}")),
+            other => return Err(format!("watch: unexpected frame {other:?}").into()),
         }
     }
     if !terminal {
@@ -434,12 +458,9 @@ impl Options {
     }
 
     fn chip(&self) -> Result<ChipSpec, String> {
-        let corner = match self.flags.get("chip").map(String::as_str).unwrap_or("ttt") {
-            "ttt" => Corner::Ttt,
-            "tff" => Corner::Tff,
-            "tss" => Corner::Tss,
-            other => return Err(format!("unknown chip '{other}' (ttt|tff|tss)")),
-        };
+        let token = self.flags.get("chip").map_or("ttt", String::as_str);
+        let corner = Corner::from_token(token)
+            .ok_or_else(|| format!("unknown chip '{token}' (ttt|tff|tss)"))?;
         let default_serial = match corner {
             Corner::Ttt => 0,
             Corner::Tff => 1,
@@ -452,20 +473,28 @@ impl Options {
     fn parse_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.flags.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key}: bad value '{v}'")),
+            Some(v) => parse_value(key, v),
         }
     }
 
-    fn list(&self, key: &str) -> Option<Vec<String>> {
+    /// The value of a flag the command cannot run without (marked
+    /// `required` in `USAGE`); its absence is a usage error.
+    fn required(&self, key: &str) -> Result<&str, Failure> {
         self.flags
             .get(key)
-            .map(|v| v.split(',').map(str::trim).map(str::to_owned).collect())
+            .map(String::as_str)
+            .ok_or_else(|| Failure::Usage(format!("{}: --{key} is required", self.command)))
+    }
+
+    /// A required comma-separated list.
+    fn list(&self, key: &str) -> Result<Vec<String>, Failure> {
+        Ok(split_list(self.required(key)?))
     }
 
     fn cores(&self) -> Result<Vec<CoreId>, String> {
-        match self.list("cores") {
+        match self.flags.get("cores") {
             None => Ok(CoreId::all().collect()),
-            Some(ids) => ids
+            Some(ids) => split_list(ids)
                 .iter()
                 .map(|s| {
                     s.parse::<u8>()
@@ -481,18 +510,23 @@ impl Options {
                 .collect(),
         }
     }
-
-    fn benchmarks(&self) -> Result<Vec<String>, String> {
-        self.list("benchmarks")
-            .ok_or_else(|| "--benchmarks is required".to_owned())
-    }
 }
 
-fn build_config(opts: &Options) -> Result<CampaignConfig, String> {
-    let rail = match opts.flags.get("rail").map(String::as_str).unwrap_or("pmd") {
-        "pmd" => SweptRail::Pmd,
-        "soc" => SweptRail::PcpSoc,
-        other => return Err(format!("unknown rail '{other}' (pmd|soc)")),
+fn parse_value<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{key}: bad value '{value}'"))
+}
+
+fn split_list(value: &str) -> Vec<String> {
+    value.split(',').map(str::trim).map(str::to_owned).collect()
+}
+
+fn build_config(opts: &Options) -> Result<CampaignConfig, Failure> {
+    let rail = match opts.flags.get("rail") {
+        None => SweptRail::Pmd,
+        Some(label) => SweptRail::from_label(label)
+            .ok_or_else(|| format!("unknown rail '{label}' (pmd|soc)"))?,
     };
     let default_start = if rail == SweptRail::Pmd { 930 } else { 900 };
     let default_floor = if rail == SweptRail::Pmd { 840 } else { 710 };
@@ -503,7 +537,7 @@ fn build_config(opts: &Options) -> Result<CampaignConfig, String> {
         })?,
     };
     CampaignConfig::builder()
-        .benchmarks(opts.benchmarks()?)
+        .benchmarks(opts.list("benchmarks")?)
         .cores(opts.cores()?)
         .iterations(opts.parse_num("iterations", 10u32)?)
         .start_voltage(Millivolts::new(opts.parse_num("start", default_start)?))
@@ -513,10 +547,10 @@ fn build_config(opts: &Options) -> Result<CampaignConfig, String> {
         .search(search)
         .profile(opts.flags.contains_key("profile"))
         .build()
-        .map_err(|e| e.to_string())
+        .map_err(|e| Failure::Run(e.to_string()))
 }
 
-fn characterize(opts: &mut Options) -> Result<(), String> {
+fn characterize(opts: &mut Options) -> Result<(), Failure> {
     let spec = opts.chip()?;
     let config = build_config(opts)?;
     let pool =
@@ -635,7 +669,7 @@ fn characterize(opts: &mut Options) -> Result<(), String> {
     Ok(())
 }
 
-fn profile_cmd(opts: &mut Options) -> Result<(), String> {
+fn profile_cmd(opts: &mut Options) -> Result<(), Failure> {
     let spec = opts.chip()?;
     let core = opts
         .cores()?
@@ -643,7 +677,7 @@ fn profile_cmd(opts: &mut Options) -> Result<(), String> {
         .copied()
         .ok_or("--cores must name at least one core")?;
     let benchmarks: Vec<_> = opts
-        .benchmarks()?
+        .list("benchmarks")?
         .into_iter()
         .map(|name| voltmargin::characterize::config::BenchmarkRef {
             name,
@@ -677,11 +711,9 @@ fn profile_cmd(opts: &mut Options) -> Result<(), String> {
     Ok(())
 }
 
-fn govern(opts: &mut Options) -> Result<(), String> {
+fn govern(opts: &mut Options) -> Result<(), Failure> {
     let spec = opts.chip()?;
-    let tasks = opts
-        .list("tasks")
-        .ok_or_else(|| "--tasks is required".to_owned())?;
+    let tasks = opts.list("tasks")?;
     let max_loss: f64 = opts.parse_num("max-loss", 0.0)?;
     let pool =
         ThreadPoolExecutor::new(opts.parse_num("threads", 8usize)?).map_err(|e| e.to_string())?;
@@ -804,6 +836,7 @@ mod tests {
         for line in USAGE.lines().filter(|l| l.starts_with("  --")) {
             let (flags, rest) = line.split_once('(').expect("a command list");
             let (listed, _) = rest.split_once(')').expect("a closed command list");
+            let listed = listed.strip_suffix("; required").unwrap_or(listed);
             let listed: BTreeSet<&str> = listed.split(", ").collect();
             for flag in flags
                 .split_whitespace()
@@ -818,5 +851,41 @@ mod tests {
             .flat_map(|c| command_flags(c).unwrap_or_default().iter().copied())
             .collect();
         assert_eq!(documented, accepted, "every accepted flag is documented");
+    }
+
+    /// Each flag `USAGE` marks `(a, b; required)` fails each listed
+    /// command with a usage error when it alone is missing. Every command
+    /// reads its required flags before any work or I/O.
+    #[test]
+    fn usage_required_marks_are_enforced_as_usage_errors() {
+        let value = |flag: &str| if flag == "job" { "0" } else { "bwaves" };
+        let marked: Vec<(&str, &str)> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  --"))
+            .filter_map(|l| {
+                let (flag, rest) = l.split_once(' ')?;
+                let (listed, _) = rest.split_once("; required)")?;
+                Some((flag, listed.rsplit_once('(')?.1))
+            })
+            .collect();
+        assert_eq!(marked.len(), 4, "{marked:?}");
+        for &(flag, listed) in &marked {
+            for command in listed.split(", ") {
+                // The command's other required flags are present.
+                let mut args = vec![command.to_owned()];
+                for (other, _) in marked.iter().filter(|(other, commands)| {
+                    *other != flag && commands.split(", ").any(|c| c == command)
+                }) {
+                    args.push(format!("--{other}"));
+                    args.push(value(other).to_owned());
+                }
+                match run(&args) {
+                    Err(Failure::Usage(msg)) => {
+                        assert_eq!(msg, format!("{command}: --{flag} is required"));
+                    }
+                    _ => panic!("{command} without --{flag} is not a usage error"),
+                }
+            }
+        }
     }
 }

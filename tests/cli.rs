@@ -503,6 +503,44 @@ fn cache_compact_reports_clean_errors() {
 }
 
 #[test]
+fn data_errors_print_one_line_and_usage_errors_the_usage_text() {
+    let dir = std::env::temp_dir().join(format!("voltmargin-dataerr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("corrupt.jsonl");
+    // A well-formed golden record whose runtime overflows to infinity.
+    let line = "{\"kind\":\"golden\",\"chip\":\"TTT#0\",\"target_mhz\":2400,\
+                \"parked_mhz\":300,\"enh\":0,\"seed\":1,\"program\":\"bwaves\",\
+                \"dataset\":\"ref\",\"core\":0,\"digest\":\"00ff\",\"runtime_s\":1e999}\n";
+    std::fs::write(&path, line).unwrap();
+    let out = voltmargin(&["cache", "compact", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("corrupt cache record on line 1"),
+        "stderr: {stderr}"
+    );
+    assert_eq!(stderr.lines().count(), 1, "one line, no usage: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    for args in [
+        &["characterize", "--benchmarks"][..],
+        &["characterize", "--iterations", "2"],
+        &["cache"],
+    ] {
+        let out = voltmargin(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("usage: voltmargin"), "{args:?}: {stderr}");
+    }
+    let out = voltmargin(&["watch", "--client", "lab"]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.starts_with("error: watch: --job is required\n"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn help_names_every_subcommand() {
     let out = voltmargin(&["help"]);
     assert!(out.status.success(), "help exits 0");
