@@ -54,8 +54,8 @@ fn characterize_chip_traced(
     }
 }
 
-/// Like [`characterize_all_traced`], but with the full observability
-/// surface: alongside each chip's JSONL stream a per-chip analytics
+/// Characterizes every chip like [`characterize_chip`], with the full
+/// observability surface: alongside each chip's JSONL stream a per-chip analytics
 /// summary (`fig34-<chip>-summary.md`, via `margins-scope`) is written,
 /// and when a `metrics` registry is supplied every chip's record stream
 /// is accumulated into it for OpenMetrics exposition.

@@ -40,7 +40,8 @@ pub struct StepKey {
     pub target_mhz: u32,
     /// Parked-PMD clock, MHz.
     pub parked_mhz: u32,
-    /// Enhancement flags, encoded by [`encode_enhancements`].
+    /// Enhancement flags: bit 0 extended ECC, bit 1 residue checks, bit 2
+    /// adaptive clocking.
     pub enhancements: u8,
     /// Campaign seed.
     pub seed: u64,
@@ -68,7 +69,8 @@ pub struct GoldenKey {
     pub target_mhz: u32,
     /// Parked-PMD clock, MHz.
     pub parked_mhz: u32,
-    /// Enhancement flags, encoded by [`encode_enhancements`].
+    /// Enhancement flags: bit 0 extended ECC, bit 1 residue checks, bit 2
+    /// adaptive clocking.
     pub enhancements: u8,
     /// Campaign seed.
     pub seed: u64,
@@ -566,13 +568,13 @@ impl CacheLog {
 /// The store is a published immutable snapshot (`Arc<CampaignCache>`)
 /// plus an append log of fresh results:
 ///
-/// * **Reads never block on writes.** [`SharedCampaignCache::snapshot`]
-///   clones the `Arc` — campaigns then probe their snapshot lock-free for
-///   their entire run. A campaign's lookups are fixed at its start, so
-///   its results are independent of what sibling campaigns publish
-///   mid-run (the same schedule-independence the single-campaign path
+/// * **Reads never block on writes.** Taking a snapshot clones the
+///   `Arc` — campaigns then probe their snapshot lock-free for their
+///   entire run. A campaign's lookups are fixed at its start, so its
+///   results are independent of what sibling campaigns publish mid-run
+///   (the same schedule-independence the single-campaign path
 ///   guarantees).
-/// * **Writes append.** [`SharedCampaignCache::append_golden`] /
+/// * **Writes append.** Golden captures and
 ///   [`SharedCampaignCache::append_step`] push onto the log;
 ///   [`SharedCampaignCache::publish`] folds the log into a new snapshot.
 ///   The new snapshot shares every chip shard the log does not touch
@@ -634,8 +636,7 @@ impl SharedCampaignCache {
 
     /// Folds every logged append into a new published snapshot. A no-op
     /// when the log is empty. Readers holding older snapshots are
-    /// unaffected; new [`SharedCampaignCache::snapshot`] calls see the
-    /// fold.
+    /// unaffected; snapshots taken afterwards see the fold.
     pub fn publish(&self) {
         // Lock order everywhere in this type: log, then snapshot.
         let mut log = lock(&self.log);

@@ -35,7 +35,7 @@ impl SweptRail {
         }
     }
 
-    /// The rail a [`label`](SweptRail::label) names.
+    /// The rail a label names: `"pmd"` or `"soc"`.
     #[must_use]
     pub fn from_label(label: &str) -> Option<SweptRail> {
         [SweptRail::Pmd, SweptRail::PcpSoc]

@@ -10,17 +10,15 @@
 //! of a linear scan, and a good prior turns the bisection into a couple of
 //! confirmation probes.
 //!
-//! A [`SearchPlan`] is an iterative driver: the runner asks [`next_step`]
+//! A `SearchPlan` is an iterative driver: the runner asks `next_step`
 //! which grid step to probe, executes the probe (every probe runs on a
 //! pristine board, so its outcome is independent of visit order), and
-//! feeds the [`StepVerdict`] back via [`record`]. The plan guarantees that
+//! feeds the `StepVerdict` back via `record`. The plan guarantees that
 //! when it concludes, the steps it probed are sufficient for
 //! [`regions::analyze`] to report the *same* safe Vmin and highest crash
 //! step the exhaustive sweep would: the boundary step is probed abnormal
 //! and the step directly above it is probed normal.
 //!
-//! [`next_step`]: SearchPlan::next_step
-//! [`record`]: SearchPlan::record
 //! [`regions::analyze`]: crate::regions::analyze
 
 use margins_sim::{CoreId, Millivolts};

@@ -141,7 +141,7 @@ impl SeverityWeights {
     /// The severity function S_v over the N runs executed at one voltage
     /// step: each effect contributes `W_e · (runs manifesting e) / N`.
     ///
-    /// Returns [`Severity::ZERO`] for an empty slice.
+    /// Returns a zero severity for an empty slice.
     #[must_use]
     pub fn severity<'a, I>(&self, runs: I) -> Severity
     where

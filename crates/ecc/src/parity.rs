@@ -71,18 +71,6 @@ impl ParityWord {
         }
     }
 
-    /// The outcome of reading a word whose data bits `flips` (a mask) were
-    /// flipped: parity detects an odd number of flips and misses an even
-    /// one.
-    #[must_use]
-    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
-        match flips.count_ones() {
-            0 => CheckOutcome::Clean,
-            n if n % 2 == 1 => CheckOutcome::Uncorrected,
-            _ => CheckOutcome::Undetected,
-        }
-    }
-
     /// Checks against a known-good reference value, classifying undetectable
     /// corruption (even numbers of bit flips) as [`CheckOutcome::Undetected`].
     #[must_use]

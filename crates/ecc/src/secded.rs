@@ -6,13 +6,16 @@
 //! codeword position 0 holds the overall parity bit, positions that are
 //! powers of two (1, 2, 4, 8, 16, 32, 64) hold the Hamming check bits, and
 //! the remaining 64 positions (in increasing order) hold the data bits.
-//! [`ExtendedHamming`] is that construction at any width; the (39,32) code
-//! of [`crate::secded32`] is the same construction at 32 data bits.
+//! One private construction, `ExtendedHamming`, builds it at any width; the
+//! (39,32) code of [`crate::secded32`] is the same construction at 32 data
+//! bits.
 //!
 //! * single flipped bit  → detected *and corrected* (a **CE**),
 //! * double flipped bits → detected, not corrected (a **UE**),
-//! * ≥3 flipped bits     → may alias; the codec reports its best guess and
-//!   the fault model treats aliased patterns as silent corruption.
+//! * ≥3 flipped bits     → decoded like any other pattern: a syndrome
+//!   the decoder flags is a **UE**, and one it takes for a clean word or a
+//!   single-bit error yields wrong data, which
+//!   [`Codeword::check_against`] reports as undetected (an SDC).
 
 use crate::CheckOutcome;
 
@@ -217,24 +220,11 @@ impl Codeword {
     }
 
     /// Decodes the stored codeword, correcting a single-bit error if
-    /// present (the verdict table is [`ExtendedHamming::decode`]'s).
+    /// present: a nonzero syndrome with even overall parity, or one that
+    /// points outside the codeword, is a [`Decoded::DoubleError`].
     #[must_use]
     pub fn decode(&self) -> Decoded {
         SECDED_72_64.decode(self.bits)
-    }
-
-    /// The outcome of reading a codeword whose data bits `flips` (a mask)
-    /// were flipped, by flip count alone: one flip is corrected, two are
-    /// detected, and three or more are treated as undetected because they
-    /// may alias to a clean or single-error syndrome.
-    #[must_use]
-    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
-        match flips.count_ones() {
-            0 => CheckOutcome::Clean,
-            1 => CheckOutcome::Corrected,
-            2 => CheckOutcome::Uncorrected,
-            _ => CheckOutcome::Undetected,
-        }
     }
 
     /// Decodes and classifies against a known-good reference, so that alias

@@ -10,7 +10,7 @@
 //! errors, and adjacent-bit doubles (the dominant multi-cell failure mode)
 //! always split across ways.
 
-use crate::secded::{Codeword, Decoded, ExtendedHamming};
+use crate::secded::{Decoded, ExtendedHamming};
 use crate::CheckOutcome;
 
 /// The (39,32) code: the extended Hamming construction of SECDED(72,64)
@@ -85,28 +85,6 @@ impl InterleavedWord {
         match (a, b) {
             _ if data != reference => CheckOutcome::Undetected,
             (Decoded::Clean(_), Decoded::Clean(_)) => CheckOutcome::Clean,
-            _ => CheckOutcome::Corrected,
-        }
-    }
-
-    /// The outcome of reading a word whose data bits `flips` (a mask) were
-    /// flipped, without constructing the codewords: each way follows
-    /// [`Codeword::outcome_for_flips`] on its own bits, and the worse way
-    /// decides.
-    ///
-    /// [`Codeword::outcome_for_flips`]: crate::secded::Codeword::outcome_for_flips
-    #[must_use]
-    pub fn outcome_for_flips(flips: u64) -> CheckOutcome {
-        let even = Codeword::outcome_for_flips(flips & 0x5555_5555_5555_5555);
-        let odd = Codeword::outcome_for_flips(flips & 0xAAAA_AAAA_AAAA_AAAA);
-        match (even, odd) {
-            (CheckOutcome::Undetected, _) | (_, CheckOutcome::Undetected) => {
-                CheckOutcome::Undetected
-            }
-            (CheckOutcome::Uncorrected, _) | (_, CheckOutcome::Uncorrected) => {
-                CheckOutcome::Uncorrected
-            }
-            (CheckOutcome::Clean, CheckOutcome::Clean) => CheckOutcome::Clean,
             _ => CheckOutcome::Corrected,
         }
     }
@@ -202,17 +180,5 @@ mod tests {
             .with_flipped_data_bit(10)
             .with_flipped_data_bit(11);
         assert_eq!(inter.check_against(v), CheckOutcome::Corrected);
-    }
-
-    #[test]
-    fn outcome_for_flips_matrix() {
-        use CheckOutcome::*;
-        // Bit 2k lands in the even way, bit 2k+1 in the odd way.
-        assert_eq!(InterleavedWord::outcome_for_flips(0), Clean);
-        assert_eq!(InterleavedWord::outcome_for_flips(0b1), Corrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(0b11), Corrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(0b101), Uncorrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(0b111), Uncorrected);
-        assert_eq!(InterleavedWord::outcome_for_flips(0b10101), Undetected);
     }
 }

@@ -6,7 +6,7 @@
 //! Every inbound line is decoded with the total [`Request`] parser;
 //! undecodable frames are answered with a typed [`Response::Error`] and
 //! the connection stays up — a hostile peer can never panic the daemon.
-//! A line longer than [`MAX_FRAME_BYTES`] is never buffered whole: it is
+//! A line longer than the 1 MiB frame cap is never buffered whole: it is
 //! answered with one `frame-too-large` error and the connection closes,
 //! since the rest of the stream cannot be split into frames again. At
 //! most [`MAX_CONNECTIONS`] connections are served at once; one more gets

@@ -9,10 +9,10 @@
 //! * [`proto`] — the line-delimited JSON wire protocol
 //!   (submit / status / cancel / results / shutdown, plus the
 //!   observability kinds: subscribe / unsubscribe / health / metrics and
-//!   server-pushed [`FleetEvent`](proto::FleetEvent) frames), encoded on
+//!   server-pushed [`FleetEvent`] frames), encoded on
 //!   the deterministic `margins-trace` JSON layer and decoded totally:
 //!   corrupt or truncated frames and unknown kinds become typed
-//!   [`ProtoError`](proto::ProtoError)s, never panics.
+//!   [`ProtoError`]s, never panics.
 //! * [`service`] — the scheduler: a bounded worker pool fed by fair
 //!   FIFO-per-client queues, every chip running the stock
 //!   `Campaign::run` pipeline against one shared campaign cache, and

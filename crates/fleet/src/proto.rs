@@ -129,7 +129,7 @@ impl FleetSpec {
 pub enum SpecError {
     /// The fleet has zero chips.
     NoChips,
-    /// The fleet exceeds [`MAX_CHIPS`].
+    /// The fleet exceeds 65 536 chips.
     TooManyChips {
         /// Chips requested.
         requested: u32,
@@ -479,8 +479,8 @@ pub enum Response {
     Error {
         /// Protocol version of the daemon ([`PROTO_VERSION`]).
         proto: u32,
-        /// Stable machine-readable code (see [`ProtoError::code`] and the
-        /// daemon's own codes).
+        /// Stable machine-readable code (a decode failure's from
+        /// [`ProtoError::to_response`], or one of the daemon's own).
         code: String,
         /// Human-readable detail.
         message: String,

@@ -4,7 +4,8 @@
 //! means*. It consumes the byte-deterministic JSONL streams the framework
 //! emits and produces three artifacts, all themselves byte-deterministic:
 //!
-//! * [`summary`] — the span tree folded into a typed [`StreamSummary`]:
+//! * [`summary`] — the span tree folded into a typed
+//!   [`StreamSummary`](summary::StreamSummary):
 //!   per-sweep probe counts, outcome and severity tallies, recovery-storm
 //!   detection, campaign-cache hit rates, energy totals and
 //!   search-strategy savings.
@@ -12,7 +13,7 @@
 //!   depend only on the record sequence, never on scheduling, paths or
 //!   wall-clock state, so two renders of the same stream are identical
 //!   byte for byte.
-//! * [`diff`] — a semantic differ for two streams of the *same intended
+//! * [`diff`](mod@diff) — a semantic differ for two streams of the *same intended
 //!   experiment*: it classifies the divergence (identical / schedule-only
 //!   reordering / metrics drift / outcome divergence) and pinpoints the
 //!   first diverging record with its enclosing span path, with a distinct

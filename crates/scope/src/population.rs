@@ -54,7 +54,7 @@ pub struct Distribution {
     pub p95_mv: u32,
     /// Largest sample.
     pub max_mv: u32,
-    /// Contiguous [`BUCKET_WIDTH_MV`]-wide buckets from `min` to `max`,
+    /// Contiguous 5 mV-wide buckets from `min` to `max`,
     /// empty buckets included.
     pub buckets: Vec<Bucket>,
 }

@@ -61,9 +61,9 @@ impl FaultObservation {
 pub struct SetAssocCache {
     level: CacheLevel,
     instance: u8,
-    /// §6a enhancement: interleaved SECDED(39,32) replaces the stock
-    /// protection of this array.
-    extended_ecc: bool,
+    /// The code guarding every word: the level's Table 2 code, or
+    /// interleaved SECDED(39,32) under §6a.
+    protection: Protection,
     /// Always a power of two, so a set index is a mask, not a divide.
     sets: u32,
     /// The line address each way holds, one array per set; meaningful
@@ -90,16 +90,17 @@ impl SetAssocCache {
     /// Builds the array for `level` instance `instance` on chip `spec`.
     #[must_use]
     pub fn new(spec: ChipSpec, level: CacheLevel, instance: u8) -> Self {
-        Self::with_protection(spec, level, instance, false)
+        Self::with_protection(spec, level, instance, level.protection())
     }
 
-    /// Builds the array with the §6a interleaved-SECDED upgrade toggled.
+    /// Builds the array guarded by `protection` instead of its level's
+    /// Table 2 code.
     #[must_use]
     fn with_protection(
         spec: ChipSpec,
         level: CacheLevel,
         instance: u8,
-        extended_ecc: bool,
+        protection: Protection,
     ) -> Self {
         let sets = (level.capacity_bytes() / (LINE_BYTES * WAYS as usize)) as u32;
         assert!(
@@ -110,7 +111,7 @@ impl SetAssocCache {
         SetAssocCache {
             level,
             instance,
-            extended_ecc,
+            protection,
             sets,
             tags: vec![[0; WAYS as usize]; n],
             valid: vec![0; n],
@@ -252,20 +253,12 @@ impl SetAssocCache {
             }
             let word = word as u8;
             let newly = self.reported.insert((set, way, word));
-            // §6a replaces every array's code with two-way interleaved
-            // SECDED(39,32).
-            let (outcome, detect_only) = if self.extended_ecc {
-                (InterleavedWord::outcome_for_flips(*mask), false)
-            } else {
-                match self.level.protection() {
-                    Protection::Parity => (ParityWord::outcome_for_flips(*mask), true),
-                    Protection::Secded => (Codeword::outcome_for_flips(*mask), false),
+            // A parity hit refetches a clean line (corrected at the system
+            // level); a dirty line is lost.
+            let outcome = match check_flips(self.protection, *mask) {
+                CheckOutcome::Uncorrected if self.protection == Protection::Parity && !dirty => {
+                    CheckOutcome::Corrected
                 }
-            };
-            // A detect-only hit refetches a clean line (corrected at the
-            // system level); a dirty line is lost.
-            let outcome = match outcome {
-                CheckOutcome::Uncorrected if detect_only && !dirty => CheckOutcome::Corrected,
                 other => other,
             };
             match outcome {
@@ -305,6 +298,31 @@ impl SetAssocCache {
             }
         }
         obs
+    }
+}
+
+/// How `protection` reports a stored word whose data bits `flips` (a mask)
+/// read back flipped: the code's own decoder decides. Each code is linear,
+/// so an error pattern decodes the same way on every data word, and the
+/// zero word stands for all of them.
+fn check_flips(protection: Protection, flips: u64) -> CheckOutcome {
+    let bits = (0..64).filter(|bit| flips >> bit & 1 == 1);
+    match protection {
+        Protection::Parity => {
+            let mut word = ParityWord::store(0);
+            bits.for_each(|bit| word.flip_data_bit(bit));
+            word.check_against(0)
+        }
+        Protection::Secded => bits
+            .fold(Codeword::encode(0), |word, bit| {
+                word.with_flipped_data_bit(bit)
+            })
+            .check_against(0),
+        Protection::InterleavedSecded => bits
+            .fold(InterleavedWord::encode(0), |word, bit| {
+                word.with_flipped_data_bit(bit)
+            })
+            .check_against(0),
     }
 }
 
@@ -355,7 +373,14 @@ impl CacheHierarchy {
     /// Builds the hierarchy with the §6a interleaved-SECDED upgrade toggled.
     #[must_use]
     pub(crate) fn with_protection(spec: ChipSpec, extended_ecc: bool) -> Self {
-        let build = |level, i| SetAssocCache::with_protection(spec, level, i, extended_ecc);
+        let build = |level: CacheLevel, i| {
+            let protection = if extended_ecc {
+                Protection::InterleavedSecded
+            } else {
+                level.protection()
+            };
+            SetAssocCache::with_protection(spec, level, i, protection)
+        };
         CacheHierarchy {
             l1d: (0..NUM_CORES as u8)
                 .map(|i| build(CacheLevel::L1D, i))
@@ -626,7 +651,8 @@ mod tests {
         // SECDED. Drive the exact same physical cell through both designs.
         let spec = spec();
         let mut stock = SetAssocCache::new(spec, CacheLevel::L1D, 0);
-        let mut enhanced = SetAssocCache::with_protection(spec, CacheLevel::L1D, 0, true);
+        let mut enhanced =
+            SetAssocCache::with_protection(spec, CacheLevel::L1D, 0, Protection::InterleavedSecded);
         // Pick a weak cell that is alone in its 64-bit word.
         let cells = stock.weak_cells().cells().to_vec();
         let lone = cells
@@ -656,6 +682,51 @@ mod tests {
         assert_eq!(obs.corrected, 1, "interleaved SECDED corrects it");
         assert_eq!(obs.uncorrected, 0);
         assert_eq!(obs.silent_corruption_mask, 0);
+    }
+
+    /// `check_flips` decodes a flip pattern on the zero word. Each codec,
+    /// run on a nonzero word, must report the same outcome for every
+    /// data-flip pattern of weight 1 to 3.
+    #[test]
+    fn flips_classify_as_each_codec_decodes_them() {
+        let data = 0x0123_4567_89AB_CDEF;
+        let mut patterns = 0;
+        let mut check = |bits: &[u32]| {
+            let mut parity = ParityWord::store(data);
+            let mut secded = Codeword::encode(data);
+            let mut interleaved = InterleavedWord::encode(data);
+            for &bit in bits {
+                parity.flip_data_bit(bit);
+                secded = secded.with_flipped_data_bit(bit);
+                interleaved = interleaved.with_flipped_data_bit(bit);
+            }
+            let mask = bits.iter().fold(0u64, |mask, bit| mask | 1 << bit);
+            for (protection, codec) in [
+                (Protection::Parity, parity.check_against(data)),
+                (Protection::Secded, secded.check_against(data)),
+                (
+                    Protection::InterleavedSecded,
+                    interleaved.check_against(data),
+                ),
+            ] {
+                assert_eq!(
+                    check_flips(protection, mask),
+                    codec,
+                    "{protection:?}, flips {mask:#018x}"
+                );
+            }
+            patterns += 1;
+        };
+        for a in 0..64 {
+            check(&[a]);
+            for b in a + 1..64 {
+                check(&[a, b]);
+                for c in b + 1..64 {
+                    check(&[a, b, c]);
+                }
+            }
+        }
+        assert_eq!(patterns, 64 + 2_016 + 41_664);
     }
 
     #[test]

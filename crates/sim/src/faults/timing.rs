@@ -16,14 +16,14 @@
 //!
 //! In the divided clock regime (≤ 1.2 GHz, §3.2) the slack is so large that
 //! no gradual path failures occur; instead the whole chip collapses at a
-//! uniform threshold — exposed here as [`TimingFaultModel::collapse_probability`].
+//! uniform threshold — exposed here as the model's collapse probability.
 //!
 //! Because the accumulator only grows, a run fires no fault exactly when its
 //! final accumulator stays below the budget. The model records, at the
 //! droop refreshes it already performs, the two numbers that accumulator
 //! factors into ([`FaultFreeIntensity`]), so the same op stream can later be
 //! shown fault-free at another supply and thermal shift without executing
-//! it ([`FaultFreeIntensity::bound`]).
+//! it (the intensity's bound at that supply).
 
 use crate::calib;
 use crate::freq::TimingRegime;
@@ -194,7 +194,7 @@ pub(crate) struct TimingFaultModel {
 ///
 /// A run's segments are the op spans between the droop refreshes. The
 /// first one is sampled at droop 0 and thermal shift 0 (the intensity
-/// [`TimingFaultModel::with_budget`] sets); every later segment `j` at droop `d_j`
+/// the model starts a run with); every later segment `j` at droop `d_j`
 /// and the run's thermal shift `T`. The run's accumulated intensity is
 /// therefore
 ///

@@ -6,7 +6,7 @@
 //! and below are implemented by *clock division* (relaxed edges). The paper
 //! therefore characterizes only 2.4 GHz and 1.2 GHz: every frequency above
 //! 1.2 GHz behaves like 2.4 GHz and every frequency at or below behaves like
-//! 1.2 GHz. [`Megahertz::timing_regime`] encodes exactly that rule.
+//! 1.2 GHz. [`TimingRegime`] names the two, and each clock maps to one.
 
 use std::fmt;
 

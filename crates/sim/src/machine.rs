@@ -111,7 +111,7 @@ pub struct MachineReport {
 /// from: voltage, thermal shift and seed only feed the fault samplers. This
 /// summary is what those samplers need to decide, without executing the
 /// run, whether it would fire a fault at other supplies, thermal shift and
-/// seed ([`FaultFree::fires_no_fault`]).
+/// seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultFree {
     /// The timing sampler's factored intensity.

@@ -164,13 +164,16 @@ impl fmt::Display for CacheLevel {
     }
 }
 
-/// SRAM array protection scheme (Table 2).
+/// SRAM array protection scheme: Table 2's two codes, and the §6a upgrade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protection {
     /// Parity: detects odd bit flips; correction requires a clean refetch.
     Parity,
     /// SECDED ECC: corrects single-bit, detects double-bit errors.
     Secded,
+    /// §6a: two interleaved SECDED(39,32) codewords per 64-bit word, so
+    /// adjacent double-bit errors are corrected too.
+    InterleavedSecded,
 }
 
 /// A static description of the whole chip, as the paper's Table 2 gives it.

@@ -3,6 +3,10 @@
 
 #![allow(clippy::unwrap_used)]
 
+use margins_ecc::parity::ParityWord;
+use margins_ecc::secded::Codeword;
+use margins_ecc::secded32::InterleavedWord;
+use margins_ecc::CheckOutcome;
 use margins_rng::splitmix64 as mix;
 use margins_sim::cache::{CacheHierarchy, FaultObservation, LevelAccess, SetAssocCache, WAYS};
 use margins_sim::calib::SRAM_REPAIR_CLAMP_MV;
@@ -179,9 +183,33 @@ fn tag_array_matches_the_reference_model_at_every_level() {
     }
 }
 
+/// What `protection` reports for a word stored as `data` whose data bits
+/// `flips` read back flipped, by running the codec itself.
+fn codec_outcome(protection: Protection, data: u64, flips: u64) -> CheckOutcome {
+    let bits = (0..64).filter(|bit| flips >> bit & 1 == 1);
+    match protection {
+        Protection::Parity => {
+            let mut word = ParityWord::store(data);
+            bits.for_each(|bit| word.flip_data_bit(bit));
+            word.check_against(data)
+        }
+        Protection::Secded => bits
+            .fold(Codeword::encode(data), |w, bit| {
+                w.with_flipped_data_bit(bit)
+            })
+            .check_against(data),
+        Protection::InterleavedSecded => bits
+            .fold(InterleavedWord::encode(data), |w, bit| {
+                w.with_flipped_data_bit(bit)
+            })
+            .check_against(data),
+    }
+}
+
 /// What `probe_faults` must observe at `(set, way)` on a clean, never
 /// probed array under stock protection, built from the weak-cell list:
-/// a cell fails only when its fail voltage exceeds the supply.
+/// a cell fails only when its fail voltage exceeds the supply, and each
+/// faulty word is decoded by its level's codec.
 fn reference_probe(
     cache: &SetAssocCache,
     instance: u8,
@@ -197,15 +225,20 @@ fn reference_probe(
     let mut obs = FaultObservation::default();
     let mut records = Vec::new();
     let level = cache.level();
+    let protection = level.protection();
     for (word, mask) in flips.into_iter().enumerate() {
-        let n = mask.count_ones();
-        let kind = match (level.protection(), n) {
-            (_, 0) => continue,
+        if mask == 0 {
+            continue;
+        }
+        let kind = match codec_outcome(protection, 0x0123_4567_89AB_CDEF, mask) {
+            CheckOutcome::Clean => continue,
             // A clean line refetches on a parity hit.
-            (Protection::Parity, n) if n % 2 == 1 => Some(EdacKind::Corrected),
-            (Protection::Secded, 1) => Some(EdacKind::Corrected),
-            (Protection::Secded, 2) => Some(EdacKind::Uncorrected),
-            _ => None,
+            CheckOutcome::Uncorrected if protection == Protection::Parity => {
+                Some(EdacKind::Corrected)
+            }
+            CheckOutcome::Corrected => Some(EdacKind::Corrected),
+            CheckOutcome::Uncorrected => Some(EdacKind::Uncorrected),
+            CheckOutcome::Undetected => None,
         };
         let accessed = word == usize::from(word_in_line);
         match kind {

@@ -22,6 +22,7 @@
 //! The trace event codec ([`crate::event`], [`crate::reader`]) and the
 //! campaign cache build on this module.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -406,8 +407,9 @@ const MAX_DEPTH: usize = 64;
 ///
 /// # Errors
 ///
-/// Returns a message describing the first syntax error, or naming the
-/// offset where nesting exceeds [`MAX_DEPTH`].
+/// Returns a message describing the first syntax error: a number token
+/// outside JSON's grammar, a key repeated within one object, or nesting
+/// deeper than 64 levels, each with its offset.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -501,12 +503,22 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
             self.skip_ws();
             self.require(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            // One lookup, which hands the key back for the message when it
+            // is already there.
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
+                Entry::Occupied(slot) => {
+                    return Err(format!("duplicate key '{}' at offset {key_at}", slot.key()));
+                }
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -596,11 +608,11 @@ impl Parser<'_> {
         }
     }
 
+    /// Reads the longest run of number bytes and accepts it only if it is
+    /// one token of JSON's grammar,
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
@@ -612,11 +624,37 @@ impl Parser<'_> {
             reason = "the scanned range is ASCII by construction"
         )]
         let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("number token is ASCII");
-        // Validate the token parses as a number at all.
-        raw.parse::<f64>()
-            .map_err(|e| format!("bad number '{raw}': {e}"))?;
+        if !is_json_number(raw.as_bytes()) {
+            return Err(format!("bad number '{raw}' at offset {start}"));
+        }
         Ok(Value::Number(raw.to_owned()))
     }
+}
+
+/// Whether `token` is exactly one JSON number.
+fn is_json_number(token: &[u8]) -> bool {
+    /// `bytes` past its leading digits, if it has any.
+    fn digits(bytes: &[u8]) -> Option<&[u8]> {
+        let n = bytes.iter().take_while(|b| b.is_ascii_digit()).count();
+        (n > 0).then(|| &bytes[n..])
+    }
+    let unsigned = token.strip_prefix(b"-").unwrap_or(token);
+    // The integer part is a lone zero or has no leading zero.
+    let rest = match unsigned {
+        [b'0', rest @ ..] => Some(rest),
+        _ => digits(unsigned),
+    };
+    let rest = rest.and_then(|rest| match rest {
+        [b'.', fraction @ ..] => digits(fraction),
+        _ => Some(rest),
+    });
+    let rest = rest.and_then(|rest| match rest {
+        [b'e' | b'E', b'+' | b'-', exponent @ ..] | [b'e' | b'E', exponent @ ..] => {
+            digits(exponent)
+        }
+        _ => Some(rest),
+    });
+    rest.is_some_and(<[u8]>::is_empty)
 }
 
 #[cfg(test)]
@@ -668,6 +706,40 @@ mod tests {
         for bad in ["", "{", "[1,", "\"open", "{\"a\":}", "1 2", "nul", "+5"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01", "-01", "0.", ".5", "-", "1e", "1e+", "+1", "1.e5", "1-2", "--1",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+        for good in [
+            "-0",
+            "0.5",
+            "1e-7",
+            "1E+300",
+            "-2.5e10",
+            "18446744073709551615",
+        ] {
+            assert_eq!(parse(good), Ok(Value::Number(good.to_owned())), "{good:?}");
+        }
+        assert_eq!(
+            parse("[1,01]"),
+            Err("bad number '01' at offset 3".to_owned())
+        );
+    }
+
+    #[test]
+    fn a_repeated_key_is_rejected_with_its_name() {
+        assert_eq!(
+            parse(r#"{"seed":99,"seed":3}"#),
+            Err("duplicate key 'seed' at offset 11".to_owned())
+        );
+        // Keys compare unescaped, and each object has its own keys.
+        assert!(parse(r#"{"a":1,"\u0061":2}"#).is_err());
+        assert!(parse(r#"[{"a":1},{"a":2}]"#).is_ok());
     }
 
     #[test]

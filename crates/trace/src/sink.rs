@@ -46,8 +46,8 @@ impl Sink for MemorySink {
 /// never on scheduling or wall-clock state.
 ///
 /// IO errors are sticky: the first failure is retained and subsequent
-/// emissions are dropped; callers inspect [`JsonlSink::io_error`] (or
-/// [`JsonlSink::into_inner`]) after the campaign.
+/// emissions are dropped; [`JsonlSink::into_inner`] returns it after the
+/// campaign.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     writer: W,
