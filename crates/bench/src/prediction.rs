@@ -47,20 +47,12 @@ pub struct PredictionOutcome {
 #[must_use]
 fn prediction_benchmarks(scale: &Scale) -> Vec<BenchmarkRef> {
     if scale.full_prediction_suite {
-        let mut refs = Vec::new();
-        for name in margins_workloads::suite::ALL_NAMES {
-            refs.push(BenchmarkRef {
+        margins_workloads::suite::prediction_pairs()
+            .map(|(name, dataset)| BenchmarkRef {
                 name: name.to_owned(),
-                dataset: Dataset::Ref,
-            });
-            if margins_workloads::suite::TRAIN_DATASET_NAMES.contains(&name) {
-                refs.push(BenchmarkRef {
-                    name: name.to_owned(),
-                    dataset: Dataset::Train,
-                });
-            }
-        }
-        refs
+                dataset,
+            })
+            .collect()
     } else {
         scale
             .fig4_benchmarks

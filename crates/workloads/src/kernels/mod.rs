@@ -22,9 +22,9 @@ mod integer;
 mod linear;
 mod md;
 
-pub(crate) use fp_stencil::{Bwaves, CactusAdm, GemsFdtd, Lbm, Leslie3d, Zeusmp};
+pub(crate) use fp_stencil::{bwaves, cactus_adm, gems_fdtd, lbm, leslie3d, zeusmp};
 pub(crate) use integer::{
-    Astar, Bzip2, Gcc, Gobmk, H264Ref, Hmmer, Libquantum, Mcf, Omnetpp, Perlbench, Sjeng, Xalancbmk,
+    astar, bzip2, gcc, gobmk, h264ref, hmmer, libquantum, mcf, omnetpp, perlbench, sjeng, xalancbmk,
 };
-pub(crate) use linear::{Calculix, DealII, Gamess, Milc, Soplex, Tonto};
-pub(crate) use md::{Gromacs, Namd};
+pub(crate) use linear::{calculix, deal_ii, gamess, milc, soplex, tonto};
+pub(crate) use md::{gromacs, namd};

@@ -1,9 +1,12 @@
-//! The workload registry: kernel construction by name, the ten-benchmark
+//! The workload registry: one table row per program (the 26 kernels, then
+//! the five §3.4 self-tests), construction by name, the ten-benchmark
 //! characterization suite of Figures 3–5 and the 26-program / 40-pair
 //! prediction suite of §4.1.
 
 use crate::kernels::*;
-use margins_sim::Program;
+use crate::selftest;
+use margins_sim::topology::CacheLevel::{L1D, L2, L3};
+use margins_sim::{Machine, OutputDigest, Program};
 use std::fmt;
 
 /// An input dataset for a kernel (the paper runs each SPEC program "with
@@ -49,35 +52,66 @@ impl fmt::Display for Dataset {
     }
 }
 
-/// All 26 kernel names, in suite order.
-pub const ALL_NAMES: [&str; 26] = [
-    "bwaves",
-    "cactusADM",
-    "dealII",
-    "gromacs",
-    "leslie3d",
-    "mcf",
-    "milc",
-    "namd",
-    "soplex",
-    "zeusmp",
-    "lbm",
-    "GemsFDTD",
-    "calculix",
-    "tonto",
-    "gamess",
-    "gcc",
-    "gobmk",
-    "sjeng",
-    "hmmer",
-    "libquantum",
-    "h264ref",
-    "omnetpp",
-    "astar",
-    "bzip2",
-    "xalancbmk",
-    "perlbench",
+/// A program's body: runs it on the machine with the given dataset.
+type Body = fn(&mut Machine<'_>, Dataset) -> OutputDigest;
+
+/// The registry, one row per program: its name, whether it ships a `train`
+/// dataset besides `ref`, and its body. The 26 kernels come first, in suite
+/// order; the §3.4 component self-tests follow, so campaigns can
+/// characterize them like any benchmark.
+const PROGRAMS: [(&str, bool, Body); 31] = [
+    ("bwaves", true, bwaves),
+    ("cactusADM", true, cactus_adm),
+    ("dealII", true, deal_ii),
+    ("gromacs", true, gromacs),
+    ("leslie3d", true, leslie3d),
+    ("mcf", true, mcf),
+    ("milc", true, milc),
+    ("namd", true, namd),
+    ("soplex", true, soplex),
+    ("zeusmp", true, zeusmp),
+    ("lbm", false, lbm),
+    ("GemsFDTD", false, gems_fdtd),
+    ("calculix", false, calculix),
+    ("tonto", false, tonto),
+    ("gamess", false, gamess),
+    ("gcc", true, gcc),
+    ("gobmk", false, gobmk),
+    ("sjeng", false, sjeng),
+    ("hmmer", true, hmmer),
+    ("libquantum", false, libquantum),
+    ("h264ref", true, h264ref),
+    ("omnetpp", false, omnetpp),
+    ("astar", false, astar),
+    ("bzip2", true, bzip2),
+    ("xalancbmk", false, xalancbmk),
+    ("perlbench", false, perlbench),
+    ("selftest-alu", false, |m, _| selftest::alu(m)),
+    ("selftest-fpu", false, |m, _| selftest::fpu(m)),
+    ("selftest-l1d", false, |m, _| selftest::cache(m, L1D)),
+    ("selftest-l2", false, |m, _| selftest::cache(m, L2)),
+    ("selftest-l3", false, |m, _| selftest::cache(m, L3)),
 ];
+
+/// All 26 kernel names, in suite order.
+pub const ALL_NAMES: [&str; 26] = names(0);
+
+/// The names of the §3.4 component self-tests, in registry order.
+pub const SELFTEST_NAMES: [&str; 5] = names(ALL_NAMES.len());
+
+// Every row is a kernel or a self-test.
+const _: () = assert!(ALL_NAMES.len() + SELFTEST_NAMES.len() == PROGRAMS.len());
+
+/// The names of the `N` registry rows from `first` on.
+const fn names<const N: usize>(first: usize) -> [&'static str; N] {
+    let mut out = [""; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = PROGRAMS[first + i].0;
+        i += 1;
+    }
+    out
+}
 
 /// The ten benchmarks of the Figure 3/4/5 characterization study.
 pub const FIGURE4_NAMES: [&str; 10] = [
@@ -93,91 +127,78 @@ pub const FIGURE4_NAMES: [&str; 10] = [
     "zeusmp",
 ];
 
-/// Kernels that ship a second (`train`) input dataset; 26 programs + these
-/// 14 extra pairs = the paper's 40 samples (§4.3.1).
-pub const TRAIN_DATASET_NAMES: [&str; 14] = [
-    "bwaves",
-    "cactusADM",
-    "dealII",
-    "gromacs",
-    "leslie3d",
-    "mcf",
-    "milc",
-    "namd",
-    "gcc",
-    "hmmer",
-    "bzip2",
-    "h264ref",
-    "soplex",
-    "zeusmp",
-];
+/// Kernels that ship a second (`train`) input dataset, in suite order; 26
+/// programs + these 14 extra pairs = the paper's 40 samples (§4.3.1).
+pub const TRAIN_DATASET_NAMES: [&str; 14] = {
+    let mut out = [""; 14];
+    let (mut row, mut n) = (0, 0);
+    while row < PROGRAMS.len() {
+        if PROGRAMS[row].1 {
+            out[n] = PROGRAMS[row].0;
+            n += 1;
+        }
+        row += 1;
+    }
+    assert!(n == out.len(), "the length counts the rows that ship train");
+    out
+};
 
-/// Builds a kernel by benchmark name.
+/// A registry row bound to one of its datasets.
+struct Bound {
+    name: &'static str,
+    dataset: Dataset,
+    body: Body,
+}
+
+impl Program for Bound {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn dataset(&self) -> &str {
+        self.dataset.label()
+    }
+
+    fn run(&self, m: &mut Machine<'_>) -> OutputDigest {
+        (self.body)(m, self.dataset)
+    }
+}
+
+/// Builds a program by name.
 ///
-/// Returns `None` for unknown names or a `train` request on a kernel that
+/// Returns `None` for unknown names or a `train` request on a program that
 /// only ships a `ref` dataset.
 #[must_use]
 pub fn by_name(name: &str, dataset: Dataset) -> Option<Box<dyn Program>> {
-    if dataset == Dataset::Train && !TRAIN_DATASET_NAMES.contains(&name) {
+    let &(name, train, body) = PROGRAMS.iter().find(|row| row.0 == name)?;
+    if dataset == Dataset::Train && !train {
         return None;
     }
-    let program: Box<dyn Program> = match name {
-        "bwaves" => Box::new(Bwaves::new(dataset)),
-        "cactusADM" => Box::new(CactusAdm::new(dataset)),
-        "dealII" => Box::new(DealII::new(dataset)),
-        "gromacs" => Box::new(Gromacs::new(dataset)),
-        "leslie3d" => Box::new(Leslie3d::new(dataset)),
-        "mcf" => Box::new(Mcf::new(dataset)),
-        "milc" => Box::new(Milc::new(dataset)),
-        "namd" => Box::new(Namd::new(dataset)),
-        "soplex" => Box::new(Soplex::new(dataset)),
-        "zeusmp" => Box::new(Zeusmp::new(dataset)),
-        "lbm" => Box::new(Lbm::new(dataset)),
-        "GemsFDTD" => Box::new(GemsFdtd::new(dataset)),
-        "calculix" => Box::new(Calculix::new(dataset)),
-        "tonto" => Box::new(Tonto::new(dataset)),
-        "gamess" => Box::new(Gamess::new(dataset)),
-        "gcc" => Box::new(Gcc::new(dataset)),
-        "gobmk" => Box::new(Gobmk::new(dataset)),
-        "sjeng" => Box::new(Sjeng::new(dataset)),
-        "hmmer" => Box::new(Hmmer::new(dataset)),
-        "libquantum" => Box::new(Libquantum::new(dataset)),
-        "h264ref" => Box::new(H264Ref::new(dataset)),
-        "omnetpp" => Box::new(Omnetpp::new(dataset)),
-        "astar" => Box::new(Astar::new(dataset)),
-        "bzip2" => Box::new(Bzip2::new(dataset)),
-        "xalancbmk" => Box::new(Xalancbmk::new(dataset)),
-        "perlbench" => Box::new(Perlbench::new(dataset)),
-        // The §3.4 component self-tests are addressable too, so campaigns
-        // can characterize them like any benchmark.
-        "selftest-alu" => Box::new(crate::selftest::AluTest::new()),
-        "selftest-fpu" => Box::new(crate::selftest::FpuTest::new()),
-        "selftest-l1d" => Box::new(crate::selftest::CacheTest::new(
-            margins_sim::topology::CacheLevel::L1D,
-        )),
-        "selftest-l2" => Box::new(crate::selftest::CacheTest::new(
-            margins_sim::topology::CacheLevel::L2,
-        )),
-        "selftest-l3" => Box::new(crate::selftest::CacheTest::new(
-            margins_sim::topology::CacheLevel::L3,
-        )),
-        _ => return None,
-    };
-    Some(program)
+    Some(Box::new(Bound {
+        name,
+        dataset,
+        body,
+    }))
+}
+
+/// The prediction suite's 40 program-input pairs (§4.3.1), in suite order:
+/// each kernel's `ref`, then its `train` when it ships one.
+pub fn prediction_pairs() -> impl Iterator<Item = (&'static str, Dataset)> {
+    PROGRAMS[..ALL_NAMES.len()]
+        .iter()
+        .flat_map(|&(name, train, _)| {
+            let train = train.then_some((name, Dataset::Train));
+            std::iter::once((name, Dataset::Ref)).chain(train)
+        })
 }
 
 /// The full prediction suite: all 26 programs with every available input
 /// dataset — 40 program-input pairs, as in §4.3.1.
 #[must_use]
 pub fn prediction_suite() -> Vec<Box<dyn Program>> {
-    let mut out: Vec<Box<dyn Program>> = Vec::with_capacity(40);
-    for name in ALL_NAMES {
-        out.push(by_name(name, Dataset::Ref).expect("all kernels exist"));
-        if TRAIN_DATASET_NAMES.contains(&name) {
-            out.push(by_name(name, Dataset::Train).expect("train dataset exists"));
-        }
-    }
-    out
+    prediction_pairs()
+        .map(|(name, dataset)| by_name(name, dataset).expect("every pair is a registry row"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -204,7 +225,7 @@ mod tests {
 
     #[test]
     fn every_name_constructs() {
-        for n in ALL_NAMES {
+        for n in ALL_NAMES.into_iter().chain(SELFTEST_NAMES) {
             let p = by_name(n, Dataset::Ref).unwrap_or_else(|| panic!("{n} missing"));
             assert_eq!(p.name(), n);
             assert_eq!(p.dataset(), "ref");
@@ -213,9 +234,12 @@ mod tests {
 
     #[test]
     fn train_datasets_construct_only_where_declared() {
-        for n in ALL_NAMES {
-            let built = by_name(n, Dataset::Train).is_some();
-            assert_eq!(built, TRAIN_DATASET_NAMES.contains(&n), "{n}");
+        for n in ALL_NAMES.into_iter().chain(SELFTEST_NAMES) {
+            let built = by_name(n, Dataset::Train);
+            assert_eq!(built.is_some(), TRAIN_DATASET_NAMES.contains(&n), "{n}");
+            if let Some(p) = built {
+                assert_eq!((p.name(), p.dataset()), (n, "train"));
+            }
         }
     }
 

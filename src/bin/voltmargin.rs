@@ -30,6 +30,7 @@ use voltmargin::sim::{ChipSpec, CoreId, Corner, Millivolts, PmuEvent};
 use voltmargin::trace::{
     EventBuffer, JsonlSink, MetricsRegistry, ProgressSink, Sink, StreamFinalizer,
 };
+use voltmargin::workloads::suite;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,11 +159,11 @@ fn run(args: &[String]) -> Result<(), Failure> {
             Ok(())
         }
         "list-benchmarks" => {
-            for name in voltmargin::workloads::suite::ALL_NAMES {
-                let train = voltmargin::workloads::suite::TRAIN_DATASET_NAMES.contains(&name);
+            for name in suite::ALL_NAMES {
+                let train = suite::TRAIN_DATASET_NAMES.contains(&name);
                 println!("{name}{}", if train { "  (ref, train)" } else { "  (ref)" });
             }
-            println!("selftest-alu  selftest-fpu  selftest-l1d  selftest-l2  selftest-l3");
+            println!("{}", suite::SELFTEST_NAMES.join("  "));
             Ok(())
         }
         _ => unreachable!("Options::parse accepts only the commands command_flags names"),

@@ -13,13 +13,24 @@ fn voltmargin(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn list_benchmarks_names_the_whole_suite() {
+    use voltmargin::workloads::{suite, Dataset};
     let out = voltmargin(&["list-benchmarks"]);
     assert!(out.status.success());
     let stdout = String::from_utf8(out.stdout).unwrap();
-    for name in voltmargin::workloads::suite::ALL_NAMES {
+    for name in suite::ALL_NAMES {
         assert!(stdout.contains(name), "missing {name}");
     }
     assert!(stdout.contains("selftest-fpu"));
+    // Every listed name is one `by_name` builds.
+    let listed: Vec<&str> = stdout
+        .lines()
+        .flat_map(|line| line.split("  ").take_while(|w| !w.starts_with('(')))
+        .collect();
+    assert_eq!(listed.len(), 31, "{listed:?}");
+    for name in listed {
+        let program = suite::by_name(name, Dataset::Ref);
+        assert!(program.is_some(), "{name} is listed but not buildable");
+    }
 }
 
 #[test]
