@@ -267,23 +267,7 @@ impl Campaign {
             None => {}
         }
 
-        let rail = self.config.rail;
-        runs.sort_by(|a, b| {
-            (
-                &a.program,
-                &a.dataset,
-                a.core,
-                std::cmp::Reverse(a.swept_mv(rail)),
-                a.iteration,
-            )
-                .cmp(&(
-                    &b.program,
-                    &b.dataset,
-                    b.core,
-                    std::cmp::Reverse(b.swept_mv(rail)),
-                    b.iteration,
-                ))
-        });
+        sort_canonically(&mut runs, self.config.rail);
         if traced {
             // Campaign epilogue: the per-phase work rollups precede the
             // closing summary, aggregated in canonical item order.
@@ -371,7 +355,7 @@ impl Campaign {
             core: core.index() as u8,
             shard: item.index as u32,
         });
-        let result = self.characterize_item(bench, core, traced, &buffer, cache, priors);
+        let mut result = self.characterize_item(bench, core, traced, &buffer, cache, priors);
         if self.config.profile {
             for event in result
                 .profile
@@ -386,16 +370,8 @@ impl Campaign {
             core: core.index() as u8,
             runs: result.runs.len() as u32,
         });
-        TracedItem {
-            events: buffer.drain(),
-            golden_key: (bench.name.clone(), bench.dataset.label().to_owned()),
-            golden: result.golden,
-            runs: result.runs,
-            power_cycles: result.power_cycles,
-            fresh_golden: result.fresh_golden,
-            fresh_steps: result.fresh_steps,
-            profile: result.profile,
-        }
+        result.events = buffer.drain();
+        result
     }
 
     /// Characterizes one (benchmark, core) item: golden capture plus the
@@ -414,6 +390,9 @@ impl Campaign {
     /// [`System::replay`]; otherwise every iteration executes. A replay
     /// leaves the board's cache contents behind, and nothing reads them:
     /// the next probe, if any, reinitializes the board.
+    ///
+    /// The item comes back without its events, which `run_work_item`
+    /// drains from `buffer` once it has closed the sweep.
     fn characterize_item(
         &self,
         bench: &BenchmarkRef,
@@ -422,7 +401,7 @@ impl Campaign {
         buffer: &Arc<EventBuffer>,
         cache: Option<&CampaignCache>,
         priors: Option<&SearchPriors>,
-    ) -> ItemResult {
+    ) -> TracedItem {
         #[expect(
             clippy::expect_used,
             reason = "benchmark names validated at config build time"
@@ -789,7 +768,9 @@ impl Campaign {
         // power cycles, so board-init work matches between cold and warm
         // runs of the same campaign.
         tallies.record_recoveries(u64::from(recoveries));
-        ItemResult {
+        TracedItem {
+            events: Vec::new(),
+            golden_key: (bench.name.clone(), dataset.to_owned()),
             golden,
             runs,
             power_cycles: watchdog.power_cycles() + cached_cycles,
@@ -894,23 +875,7 @@ impl CampaignOutcome {
             merged.goldens.extend(outcome.goldens);
             merged.watchdog_power_cycles += outcome.watchdog_power_cycles;
         }
-        let rail = merged.config.rail;
-        merged.runs.sort_by(|a, b| {
-            (
-                &a.program,
-                &a.dataset,
-                a.core,
-                std::cmp::Reverse(a.swept_mv(rail)),
-                a.iteration,
-            )
-                .cmp(&(
-                    &b.program,
-                    &b.dataset,
-                    b.core,
-                    std::cmp::Reverse(b.swept_mv(rail)),
-                    b.iteration,
-                ))
-        });
+        sort_canonically(&mut merged.runs, merged.config.rail);
         Ok(merged)
     }
 }
@@ -951,22 +916,33 @@ pub(crate) struct TracedItem {
     fresh_golden: Option<(GoldenKey, GoldenEntry)>,
     fresh_steps: Vec<(StepKey, StepEntry)>,
     profile: PhaseTallies,
-}
-
-/// What one (benchmark, core) item produced, before trace packaging.
-struct ItemResult {
-    golden: OutputDigest,
-    runs: Vec<ClassifiedRun>,
-    power_cycles: u32,
-    fresh_golden: Option<(GoldenKey, GoldenEntry)>,
-    fresh_steps: Vec<(StepKey, StepEntry)>,
-    profile: PhaseTallies,
     /// Probes answered by [`System::replay`]; reaches no output.
     #[cfg_attr(
         not(test),
         expect(dead_code, reason = "read only by this module's tests")
     )]
     replayed_steps: u32,
+}
+
+/// Sorts runs into the outcome's canonical order: program, dataset, core,
+/// swept voltage descending, iteration.
+fn sort_canonically(runs: &mut [ClassifiedRun], rail: SweptRail) {
+    runs.sort_by(|a, b| {
+        (
+            &a.program,
+            &a.dataset,
+            a.core,
+            std::cmp::Reverse(a.swept_mv(rail)),
+            a.iteration,
+        )
+            .cmp(&(
+                &b.program,
+                &b.dataset,
+                b.core,
+                std::cmp::Reverse(b.swept_mv(rail)),
+                b.iteration,
+            ))
+    });
 }
 
 /// Seals `event` into the canonical stream and fans it out to every sink.
@@ -1483,6 +1459,14 @@ mod tests {
         assert_eq!(stats.sweeps, 4);
         assert_eq!(stats.profile_samples, 5 * 4, "five phases per sweep");
         assert_eq!(stats.profile_phases, 5, "five campaign rollups");
+
+        // Decoding the stream and encoding it again reproduces its bytes.
+        let mut reencoded = String::new();
+        for record in margins_trace::read_jsonl(&serial).expect("the stream decodes") {
+            record.write_json_line(&mut reencoded).unwrap();
+            reencoded.push('\n');
+        }
+        assert_eq!(reencoded, serial);
     }
 
     #[test]

@@ -9,298 +9,352 @@
 //! Every payload field is a primitive (strings, integers, modelled-time
 //! floats) so the crate stays a leaf of the workspace graph and the JSONL
 //! schema is self-describing.
+//!
+//! The declaration of [`TraceEvent`] below is the schema, written once:
+//! from it the `trace_events!` macro derives each event's `event` tag
+//! ([`TraceEvent::name`]), the payload encoder behind
+//! [`TraceRecord::write_json_line`] and the decoder behind
+//! [`read_jsonl`](crate::reader::read_jsonl). A variant's fields are its
+//! payload, listed and read in declaration order.
 
 use crate::json;
 use std::fmt::{self, Write as _};
 
-/// One telemetry event, before sequence/clock assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A campaign began (the initialization phase completed).
-    CampaignStarted {
-        /// Chip identity, e.g. `TTT#0`.
-        chip: String,
-        /// Swept rail (`pmd` or `soc`).
-        rail: String,
-        /// Number of benchmarks in the campaign.
-        benchmarks: u32,
-        /// Number of target cores.
-        cores: u32,
-        /// Voltage steps in the sweep grid.
-        steps: u32,
-        /// Iterations per (benchmark, core, voltage) configuration.
-        iterations: u32,
-        /// Logical work shards: one per (benchmark, core) sweep item.
-        /// Which worker thread executes a shard — and, more generally,
-        /// which `CampaignExecutor` ran the campaign (serial, thread
-        /// pool, anything conformant) — is an execution detail
-        /// deliberately excluded from the schema, so streams are
-        /// identical across executors and thread counts. Executor
-        /// identity must never be added to any event.
-        shards: u32,
-        /// Campaign seed.
-        seed: u64,
-    },
-    /// One logical shard of the campaign schedule: a single (benchmark,
-    /// core) sweep item, announced in canonical order in the preamble.
-    ShardScheduled {
-        /// Canonical shard index (the item's position in benchmarks-major
-        /// order).
-        shard: u32,
-        /// Planned runs in this shard (steps × iterations; early stops may
-        /// execute fewer).
-        items: u32,
-    },
-    /// A (benchmark, core) sweep began.
-    SweepStarted {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Logical shard index of this sweep (its canonical item order),
-        /// never the executing worker thread.
-        shard: u32,
-    },
-    /// The golden output digest was captured at nominal conditions.
-    GoldenCaptured {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// The golden digest, hex-rendered.
-        digest: String,
-        /// Modelled runtime of the golden run, seconds.
-        runtime_s: f64,
-    },
-    /// The sweep descended to a new voltage step.
-    VoltageStepped {
-        /// Swept rail (`pmd` or `soc`).
-        rail: String,
-        /// Step voltage, millivolts.
-        mv: u32,
-        /// 0-based step index within the sweep.
-        step: u32,
-    },
-    /// A supply rail was programmed through the SLIMpro (raw regulation
-    /// command — includes the per-run nominal restores of safe data
-    /// collection, §2.2.1).
-    RailSet {
-        /// Regulated rail (`pmd` or `soc`).
-        rail: String,
-        /// Programmed voltage, millivolts.
-        mv: u32,
-    },
-    /// The watchdog found the board hung and pressed the power button.
-    WatchdogPowerCycle {
-        /// 1-based ordinal of this recovery within the enclosing sweep.
-        /// (Deliberately *not* the board's boot count: that accumulates per
-        /// worker board and would differ between serial and sharded
-        /// executions of the same campaign.)
-        recovery: u32,
-    },
-    /// The EDAC driver reported a cache error (drained after a run).
-    CacheErrorReported {
-        /// Reporting array (`L1I`, `L1D`, `L2`, `L3`).
-        level: String,
-        /// Array instance (core index for L1, PMD index for L2, 0 for L3).
-        instance: u8,
-        /// Whether the error was corrected (CE) or only detected (UE).
-        corrected: bool,
-    },
-    /// One characterization run finished and was classified.
-    RunCompleted {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Swept-rail voltage of the run, millivolts.
-        mv: u32,
-        /// Iteration index within the campaign.
-        iteration: u32,
-        /// Observed Table 3 effect set, e.g. `NO` or `SDC+CE`.
-        effects: String,
-        /// The run's severity contribution (Σ Table 4 weights).
-        severity: f64,
-        /// Modelled runtime, seconds.
-        runtime_s: f64,
-        /// Modelled energy, joules. Deterministic because every voltage
-        /// step runs on a pristine board (the §2.2.1 initialization
-        /// phase), so the thermal history feeding the power model never
-        /// depends on which probes executed before.
-        energy_j: f64,
-        /// Corrected-error reports during the run.
-        corrected_errors: u64,
-        /// Uncorrected-error reports during the run.
-        uncorrected_errors: u64,
-    },
-    /// An adaptive search strategy selected the next voltage step to probe
-    /// (emitted only for machine-executed probes, never for cache replays).
-    SearchStep {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Search strategy name (`bisection` or `warm-start`).
-        strategy: String,
-        /// Search phase: `vmin` (first-abnormal boundary) or `crash`
-        /// (first-all-system-crash boundary).
-        phase: String,
-        /// 0-based grid step index chosen.
-        step: u32,
-        /// Step voltage, millivolts.
-        mv: u32,
-    },
-    /// The campaign result cache was consulted for a probe.
-    CacheLookup {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// What was looked up: `golden` or `step`.
-        probe: String,
-        /// Step voltage, millivolts (0 for golden lookups).
-        mv: u32,
-        /// Whether the cache held the result (hit ⇒ no machine work).
-        hit: bool,
-    },
-    /// An adaptive search finished a (benchmark, core) item.
-    SearchConcluded {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Search strategy name.
-        strategy: String,
-        /// Voltage steps actually probed on the machine.
-        probed_steps: u32,
-        /// Voltage steps the exhaustive grid would have visited.
-        grid_steps: u32,
-        /// Steps answered from the campaign cache instead of execution.
-        cache_hits: u32,
-    },
-    /// The crash-stop policy ended a sweep early.
-    EarlyStop {
-        /// Benchmark name.
-        program: String,
-        /// Target core index.
-        core: u8,
-        /// Deepest voltage reached, millivolts.
-        mv: u32,
-        /// Consecutive all-system-crash steps that triggered the stop.
-        consecutive_all_sc: u32,
-    },
-    /// Deterministic work-accounting sample for one pipeline phase of a
-    /// sweep (profile plane 1). Counts *modelled* units of work — never
-    /// wall-clock time, which is measured outside the stream so it stays
-    /// byte-deterministic.
-    ProfileSample {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Pipeline phase: `board_init`, `golden_run`, `probe`,
-        /// `search_step` or `cache_lookup`.
-        phase: String,
-        /// Kernel ops retired by the simulator in this phase.
-        ops: u64,
-        /// Fault-model samples drawn while executing this phase.
-        fault_samples: u64,
-        /// SRAM/ECC error events observed in this phase.
-        sram_events: u64,
-        /// Campaign-cache probes attributed to this phase.
-        cache_probes: u64,
-        /// Watchdog recoveries attributed to this phase.
-        recoveries: u64,
-    },
-    /// A (benchmark, core) sweep finished.
-    SweepFinished {
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Classified runs the sweep produced.
-        runs: u32,
-    },
-    /// Campaign-level rollup of one pipeline phase's deterministic work
-    /// counts, aggregated over every sweep in canonical item order
-    /// (profile plane 1).
-    ProfilePhase {
-        /// Pipeline phase: `board_init`, `golden_run`, `probe`,
-        /// `search_step` or `cache_lookup`.
-        phase: String,
-        /// Sweeps that contributed any work to the phase.
-        sweeps: u64,
-        /// Kernel ops retired by the simulator in this phase.
-        ops: u64,
-        /// Fault-model samples drawn while executing this phase.
-        fault_samples: u64,
-        /// SRAM/ECC error events observed in this phase.
-        sram_events: u64,
-        /// Campaign-cache probes attributed to this phase.
-        cache_probes: u64,
-        /// Watchdog recoveries attributed to this phase.
-        recoveries: u64,
-    },
-    /// The campaign finished.
-    CampaignFinished {
-        /// Total classified runs.
-        runs: u64,
-        /// Watchdog power cycles performed.
-        power_cycles: u32,
-    },
-    /// The undervolting governor chose an operating point (§5).
-    VoltageDecision {
-        /// The shared-rail voltage to program, millivolts.
-        voltage_mv: u32,
-        /// Guardband steps applied above the binding Vmin.
-        guardband_steps: u32,
-        /// Expected power relative to nominal.
-        relative_power: f64,
-        /// Expected throughput relative to all-full-speed.
-        relative_performance: f64,
-        /// Expected energy savings.
-        energy_savings: f64,
-    },
+/// Declares the event enum and derives from its one variant list the
+/// event name, the payload encoder and the decoder.
+macro_rules! trace_events {
+    (
+        $(#[$enum_meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident {
+                    $($(#[$field_meta:meta])* $field:ident: $ty:ty,)+
+                },
+            )+
+        }
+    ) => {
+        $(#[$enum_meta])*
+        $vis enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant {
+                    $($(#[$field_meta])* $field: $ty,)+
+                },
+            )+
+        }
+
+        // Every record's pairs fit the encoder's stack array.
+        const _: () = {
+            $(assert!([$(stringify!($field)),+].len() + 3 <= MAX_FIELDS);)+
+        };
+
+        impl $name {
+            /// The event's name (the JSON `event` tag).
+            #[must_use]
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => stringify!($variant),)+
+                }
+            }
+
+            /// Lists the event's payload fields (the JSON object minus the
+            /// `event` tag and envelope) in declaration order.
+            fn encode_payload<'a>(&'a self, f: &mut Fields<'a>) {
+                match self {
+                    $($name::$variant { $($field),+ } => {
+                        $(f.push(stringify!($field), $field.field());)+
+                    })+
+                }
+            }
+
+            /// Decodes the event tagged `name`, reading its payload fields
+            /// from `obj` by name and type in declaration order; `None` for
+            /// an unknown tag.
+            pub(crate) fn decode<'a>(
+                name: &str,
+                obj: &mut json::Fields<'a>,
+            ) -> Result<Option<$name>, json::FieldError<'a>> {
+                Ok(Some(match name {
+                    $(stringify!($variant) => $name::$variant {
+                        $($field: obj.get(stringify!($field))?,)+
+                    },)+
+                    _ => return Ok(None),
+                }))
+            }
+
+            /// Every event name, in declaration order.
+            #[cfg(test)]
+            pub(crate) const NAMES: &'static [&'static str] = &[$(stringify!($variant)),+];
+        }
+    };
+}
+
+trace_events! {
+    /// One telemetry event, before sequence/clock assignment.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum TraceEvent {
+        /// A campaign began (the initialization phase completed).
+        CampaignStarted {
+            /// Chip identity, e.g. `TTT#0`.
+            chip: String,
+            /// Swept rail (`pmd` or `soc`).
+            rail: String,
+            /// Number of benchmarks in the campaign.
+            benchmarks: u32,
+            /// Number of target cores.
+            cores: u32,
+            /// Voltage steps in the sweep grid.
+            steps: u32,
+            /// Iterations per (benchmark, core, voltage) configuration.
+            iterations: u32,
+            /// Logical work shards: one per (benchmark, core) sweep item.
+            /// Which worker thread executes a shard — and, more generally,
+            /// which `CampaignExecutor` ran the campaign (serial, thread
+            /// pool, anything conformant) — is an execution detail
+            /// deliberately excluded from the schema, so streams are
+            /// identical across executors and thread counts. Executor
+            /// identity must never be added to any event.
+            shards: u32,
+            /// Campaign seed.
+            seed: u64,
+        },
+        /// One logical shard of the campaign schedule: a single (benchmark,
+        /// core) sweep item, announced in canonical order in the preamble.
+        ShardScheduled {
+            /// Canonical shard index (the item's position in benchmarks-major
+            /// order).
+            shard: u32,
+            /// Planned runs in this shard (steps × iterations; early stops may
+            /// execute fewer).
+            items: u32,
+        },
+        /// A (benchmark, core) sweep began.
+        SweepStarted {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Logical shard index of this sweep (its canonical item order),
+            /// never the executing worker thread.
+            shard: u32,
+        },
+        /// The golden output digest was captured at nominal conditions.
+        GoldenCaptured {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// The golden digest, hex-rendered.
+            digest: String,
+            /// Modelled runtime of the golden run, seconds.
+            runtime_s: f64,
+        },
+        /// The sweep descended to a new voltage step.
+        VoltageStepped {
+            /// Swept rail (`pmd` or `soc`).
+            rail: String,
+            /// Step voltage, millivolts.
+            mv: u32,
+            /// 0-based step index within the sweep.
+            step: u32,
+        },
+        /// A supply rail was programmed through the SLIMpro (raw regulation
+        /// command — includes the per-run nominal restores of safe data
+        /// collection, §2.2.1).
+        RailSet {
+            /// Regulated rail (`pmd` or `soc`).
+            rail: String,
+            /// Programmed voltage, millivolts.
+            mv: u32,
+        },
+        /// The watchdog found the board hung and pressed the power button.
+        WatchdogPowerCycle {
+            /// 1-based ordinal of this recovery within the enclosing sweep.
+            /// (Deliberately *not* the board's boot count: that accumulates per
+            /// worker board and would differ between serial and sharded
+            /// executions of the same campaign.)
+            recovery: u32,
+        },
+        /// The EDAC driver reported a cache error (drained after a run).
+        CacheErrorReported {
+            /// Reporting array (`L1I`, `L1D`, `L2`, `L3`).
+            level: String,
+            /// Array instance (core index for L1, PMD index for L2, 0 for L3).
+            instance: u8,
+            /// Whether the error was corrected (CE) or only detected (UE).
+            corrected: bool,
+        },
+        /// One characterization run finished and was classified.
+        RunCompleted {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Swept-rail voltage of the run, millivolts.
+            mv: u32,
+            /// Iteration index within the campaign.
+            iteration: u32,
+            /// Observed Table 3 effect set, e.g. `NO` or `SDC+CE`.
+            effects: String,
+            /// The run's severity contribution (Σ Table 4 weights).
+            severity: f64,
+            /// Modelled runtime, seconds.
+            runtime_s: f64,
+            /// Modelled energy, joules. Deterministic because every voltage
+            /// step runs on a pristine board (the §2.2.1 initialization
+            /// phase), so the thermal history feeding the power model never
+            /// depends on which probes executed before.
+            energy_j: f64,
+            /// Corrected-error reports during the run.
+            corrected_errors: u64,
+            /// Uncorrected-error reports during the run.
+            uncorrected_errors: u64,
+        },
+        /// An adaptive search strategy selected the next voltage step to probe
+        /// (emitted only for machine-executed probes, never for cache replays).
+        SearchStep {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Search strategy name (`bisection` or `warm-start`).
+            strategy: String,
+            /// Search phase: `vmin` (first-abnormal boundary) or `crash`
+            /// (first-all-system-crash boundary).
+            phase: String,
+            /// 0-based grid step index chosen.
+            step: u32,
+            /// Step voltage, millivolts.
+            mv: u32,
+        },
+        /// The campaign result cache was consulted for a probe.
+        CacheLookup {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// What was looked up: `golden` or `step`.
+            probe: String,
+            /// Step voltage, millivolts (0 for golden lookups).
+            mv: u32,
+            /// Whether the cache held the result (hit ⇒ no machine work).
+            hit: bool,
+        },
+        /// An adaptive search finished a (benchmark, core) item.
+        SearchConcluded {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Search strategy name.
+            strategy: String,
+            /// Voltage steps actually probed on the machine.
+            probed_steps: u32,
+            /// Voltage steps the exhaustive grid would have visited.
+            grid_steps: u32,
+            /// Steps answered from the campaign cache instead of execution.
+            cache_hits: u32,
+        },
+        /// The crash-stop policy ended a sweep early.
+        EarlyStop {
+            /// Benchmark name.
+            program: String,
+            /// Target core index.
+            core: u8,
+            /// Deepest voltage reached, millivolts.
+            mv: u32,
+            /// Consecutive all-system-crash steps that triggered the stop.
+            consecutive_all_sc: u32,
+        },
+        /// A (benchmark, core) sweep finished.
+        SweepFinished {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Classified runs the sweep produced.
+            runs: u32,
+        },
+        /// The campaign finished.
+        CampaignFinished {
+            /// Total classified runs.
+            runs: u64,
+            /// Watchdog power cycles performed.
+            power_cycles: u32,
+        },
+        /// The undervolting governor chose an operating point (§5).
+        VoltageDecision {
+            /// The shared-rail voltage to program, millivolts.
+            voltage_mv: u32,
+            /// Guardband steps applied above the binding Vmin.
+            guardband_steps: u32,
+            /// Expected power relative to nominal.
+            relative_power: f64,
+            /// Expected throughput relative to all-full-speed.
+            relative_performance: f64,
+            /// Expected energy savings.
+            energy_savings: f64,
+        },
+        /// Deterministic work-accounting sample for one pipeline phase of a
+        /// sweep (profile plane 1). Counts *modelled* units of work — never
+        /// wall-clock time, which is measured outside the stream so it stays
+        /// byte-deterministic.
+        ProfileSample {
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Pipeline phase: `board_init`, `golden_run`, `probe`,
+            /// `search_step` or `cache_lookup`.
+            phase: String,
+            /// Kernel ops retired by the simulator in this phase.
+            ops: u64,
+            /// Fault-model samples drawn while executing this phase.
+            fault_samples: u64,
+            /// SRAM/ECC error events observed in this phase.
+            sram_events: u64,
+            /// Campaign-cache probes attributed to this phase.
+            cache_probes: u64,
+            /// Watchdog recoveries attributed to this phase.
+            recoveries: u64,
+        },
+        /// Campaign-level rollup of one pipeline phase's deterministic work
+        /// counts, aggregated over every sweep in canonical item order
+        /// (profile plane 1).
+        ProfilePhase {
+            /// Pipeline phase: `board_init`, `golden_run`, `probe`,
+            /// `search_step` or `cache_lookup`.
+            phase: String,
+            /// Sweeps that contributed any work to the phase.
+            sweeps: u64,
+            /// Kernel ops retired by the simulator in this phase.
+            ops: u64,
+            /// Fault-model samples drawn while executing this phase.
+            fault_samples: u64,
+            /// SRAM/ECC error events observed in this phase.
+            sram_events: u64,
+            /// Campaign-cache probes attributed to this phase.
+            cache_probes: u64,
+            /// Watchdog recoveries attributed to this phase.
+            recoveries: u64,
+        },
+    }
 }
 
 impl TraceEvent {
-    /// The event's name (the JSON `event` tag).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::CampaignStarted { .. } => "CampaignStarted",
-            TraceEvent::ShardScheduled { .. } => "ShardScheduled",
-            TraceEvent::SweepStarted { .. } => "SweepStarted",
-            TraceEvent::GoldenCaptured { .. } => "GoldenCaptured",
-            TraceEvent::VoltageStepped { .. } => "VoltageStepped",
-            TraceEvent::RailSet { .. } => "RailSet",
-            TraceEvent::WatchdogPowerCycle { .. } => "WatchdogPowerCycle",
-            TraceEvent::CacheErrorReported { .. } => "CacheErrorReported",
-            TraceEvent::RunCompleted { .. } => "RunCompleted",
-            TraceEvent::SearchStep { .. } => "SearchStep",
-            TraceEvent::CacheLookup { .. } => "CacheLookup",
-            TraceEvent::SearchConcluded { .. } => "SearchConcluded",
-            TraceEvent::EarlyStop { .. } => "EarlyStop",
-            TraceEvent::ProfileSample { .. } => "ProfileSample",
-            TraceEvent::SweepFinished { .. } => "SweepFinished",
-            TraceEvent::ProfilePhase { .. } => "ProfilePhase",
-            TraceEvent::CampaignFinished { .. } => "CampaignFinished",
-            TraceEvent::VoltageDecision { .. } => "VoltageDecision",
-        }
-    }
-
     /// Modelled time the event consumes on the campaign clock: the run
     /// duration for executed work, zero for markers.
     #[must_use]
@@ -309,229 +363,6 @@ impl TraceEvent {
             TraceEvent::GoldenCaptured { runtime_s, .. }
             | TraceEvent::RunCompleted { runtime_s, .. } => *runtime_s,
             _ => 0.0,
-        }
-    }
-
-    /// Lists the event's payload fields (the JSON object minus the
-    /// `event` tag and envelope), each exactly once. The inverse lives in
-    /// [`crate::reader`]; a round-trip test there keeps the two in sync.
-    fn encode_payload<'a>(&'a self, f: &mut Fields<'a>) {
-        match self {
-            TraceEvent::CampaignStarted {
-                chip,
-                rail,
-                benchmarks,
-                cores,
-                steps,
-                iterations,
-                shards,
-                seed,
-            } => {
-                f.str("chip", chip);
-                f.str("rail", rail);
-                f.u64("benchmarks", *benchmarks);
-                f.u64("cores", *cores);
-                f.u64("steps", *steps);
-                f.u64("iterations", *iterations);
-                f.u64("shards", *shards);
-                f.u64("seed", *seed);
-            }
-            TraceEvent::ShardScheduled { shard, items } => {
-                f.u64("shard", *shard);
-                f.u64("items", *items);
-            }
-            TraceEvent::SweepStarted {
-                program,
-                dataset,
-                core,
-                shard,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.u64("shard", *shard);
-            }
-            TraceEvent::GoldenCaptured {
-                program,
-                dataset,
-                core,
-                digest,
-                runtime_s,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.str("digest", digest);
-                f.f64("runtime_s", *runtime_s);
-            }
-            TraceEvent::VoltageStepped { rail, mv, step } => {
-                f.str("rail", rail);
-                f.u64("mv", *mv);
-                f.u64("step", *step);
-            }
-            TraceEvent::RailSet { rail, mv } => {
-                f.str("rail", rail);
-                f.u64("mv", *mv);
-            }
-            TraceEvent::WatchdogPowerCycle { recovery } => {
-                f.u64("recovery", *recovery);
-            }
-            TraceEvent::CacheErrorReported {
-                level,
-                instance,
-                corrected,
-            } => {
-                f.str("level", level);
-                f.u64("instance", *instance);
-                f.bool("corrected", *corrected);
-            }
-            TraceEvent::RunCompleted {
-                program,
-                dataset,
-                core,
-                mv,
-                iteration,
-                effects,
-                severity,
-                runtime_s,
-                energy_j,
-                corrected_errors,
-                uncorrected_errors,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.u64("mv", *mv);
-                f.u64("iteration", *iteration);
-                f.str("effects", effects);
-                f.f64("severity", *severity);
-                f.f64("runtime_s", *runtime_s);
-                f.f64("energy_j", *energy_j);
-                f.u64("corrected_errors", *corrected_errors);
-                f.u64("uncorrected_errors", *uncorrected_errors);
-            }
-            TraceEvent::SearchStep {
-                program,
-                core,
-                strategy,
-                phase,
-                step,
-                mv,
-            } => {
-                f.str("program", program);
-                f.u64("core", *core);
-                f.str("strategy", strategy);
-                f.str("phase", phase);
-                f.u64("step", *step);
-                f.u64("mv", *mv);
-            }
-            TraceEvent::CacheLookup {
-                program,
-                dataset,
-                core,
-                probe,
-                mv,
-                hit,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.str("probe", probe);
-                f.u64("mv", *mv);
-                f.bool("hit", *hit);
-            }
-            TraceEvent::SearchConcluded {
-                program,
-                core,
-                strategy,
-                probed_steps,
-                grid_steps,
-                cache_hits,
-            } => {
-                f.str("program", program);
-                f.u64("core", *core);
-                f.str("strategy", strategy);
-                f.u64("probed_steps", *probed_steps);
-                f.u64("grid_steps", *grid_steps);
-                f.u64("cache_hits", *cache_hits);
-            }
-            TraceEvent::EarlyStop {
-                program,
-                core,
-                mv,
-                consecutive_all_sc,
-            } => {
-                f.str("program", program);
-                f.u64("core", *core);
-                f.u64("mv", *mv);
-                f.u64("consecutive_all_sc", *consecutive_all_sc);
-            }
-            TraceEvent::ProfileSample {
-                program,
-                dataset,
-                core,
-                phase,
-                ops,
-                fault_samples,
-                sram_events,
-                cache_probes,
-                recoveries,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.str("phase", phase);
-                f.u64("ops", *ops);
-                f.u64("fault_samples", *fault_samples);
-                f.u64("sram_events", *sram_events);
-                f.u64("cache_probes", *cache_probes);
-                f.u64("recoveries", *recoveries);
-            }
-            TraceEvent::ProfilePhase {
-                phase,
-                sweeps,
-                ops,
-                fault_samples,
-                sram_events,
-                cache_probes,
-                recoveries,
-            } => {
-                f.str("phase", phase);
-                f.u64("sweeps", *sweeps);
-                f.u64("ops", *ops);
-                f.u64("fault_samples", *fault_samples);
-                f.u64("sram_events", *sram_events);
-                f.u64("cache_probes", *cache_probes);
-                f.u64("recoveries", *recoveries);
-            }
-            TraceEvent::SweepFinished {
-                program,
-                dataset,
-                core,
-                runs,
-            } => {
-                f.str("program", program);
-                f.str("dataset", dataset);
-                f.u64("core", *core);
-                f.u64("runs", *runs);
-            }
-            TraceEvent::CampaignFinished { runs, power_cycles } => {
-                f.u64("runs", *runs);
-                f.u64("power_cycles", *power_cycles);
-            }
-            TraceEvent::VoltageDecision {
-                voltage_mv,
-                guardband_steps,
-                relative_power,
-                relative_performance,
-                energy_savings,
-            } => {
-                f.u64("voltage_mv", *voltage_mv);
-                f.u64("guardband_steps", *guardband_steps);
-                f.f64("relative_power", *relative_power);
-                f.f64("relative_performance", *relative_performance);
-                f.f64("energy_savings", *energy_savings);
-            }
         }
     }
 }
@@ -568,21 +399,46 @@ impl<'a> Fields<'a> {
         self.pairs[self.len] = (key, value);
         self.len += 1;
     }
+}
 
-    fn str(&mut self, key: &'static str, value: &'a str) {
-        self.push(key, Field::Str(value));
+/// A payload field's type, as the encoder writes its value.
+trait Encode {
+    fn field(&self) -> Field<'_>;
+}
+
+impl Encode for String {
+    fn field(&self) -> Field<'_> {
+        Field::Str(self)
     }
+}
 
-    fn u64(&mut self, key: &'static str, value: impl Into<u64>) {
-        self.push(key, Field::U64(value.into()));
+impl Encode for u8 {
+    fn field(&self) -> Field<'_> {
+        Field::U64(u64::from(*self))
     }
+}
 
-    fn f64(&mut self, key: &'static str, value: f64) {
-        self.push(key, Field::F64(value));
+impl Encode for u32 {
+    fn field(&self) -> Field<'_> {
+        Field::U64(u64::from(*self))
     }
+}
 
-    fn bool(&mut self, key: &'static str, value: bool) {
-        self.push(key, Field::Bool(value));
+impl Encode for u64 {
+    fn field(&self) -> Field<'_> {
+        Field::U64(*self)
+    }
+}
+
+impl Encode for f64 {
+    fn field(&self) -> Field<'_> {
+        Field::F64(*self)
+    }
+}
+
+impl Encode for bool {
+    fn field(&self) -> Field<'_> {
+        Field::Bool(*self)
     }
 }
 
@@ -632,10 +488,10 @@ impl TraceRecord {
     /// lists them. `out` is then left as it was.
     pub fn write_json_line(&self, out: &mut String) -> Result<(), EncodeError> {
         let mut fields = Fields::new();
-        fields.str("event", self.event.name());
+        fields.push("event", Field::Str(self.event.name()));
         self.event.encode_payload(&mut fields);
-        fields.u64("seq", self.seq);
-        fields.f64("t_model_s", self.t_model_s);
+        fields.push("seq", self.seq.field());
+        fields.push("t_model_s", self.t_model_s.field());
         let pairs = &mut fields.pairs[..fields.len];
         if let Some(&(field, _)) = pairs
             .iter()

@@ -8,12 +8,13 @@
 //! pin it down — the offending field, so `trace-check` and `trace-scope`
 //! can point at the exact byte range a producer corrupted.
 //!
-//! Decoding is deliberately strict: each event's decoder is its schema.
-//! It reads every payload field by name and type through the shared
-//! [`Fields`] reader, and a field no decoder read is rejected afterwards,
-//! since the writer never emits one. Numeric ranges are enforced (a
-//! `core` of 300 is corruption, not data), and integer tokens are parsed
-//! from their raw text so 64-bit values never round-trip through `f64`.
+//! Decoding is deliberately strict. [`TraceEvent`]'s declaration is the
+//! schema: the event named by the `event` tag reads every payload field by
+//! name and type, in declaration order, through the shared [`Fields`]
+//! reader, and a field no read asked for is rejected afterwards, since the
+//! writer never emits one. Numeric ranges are enforced (a `core` of 300 is
+//! corruption, not data), and integer tokens are parsed from their raw
+//! text so 64-bit values never round-trip through `f64`.
 //!
 //! [`JsonlSink`]: crate::sink::JsonlSink
 
@@ -87,7 +88,7 @@ fn parse_line(line: &str) -> Result<TraceRecord, Fail> {
     let seq = fields.get("seq").map_err(envelope)?;
     let t_model_s = fields.get("t_model_s").map_err(envelope)?;
     let event_name: &str = fields.get("event").map_err(envelope)?;
-    let event = decode_event(event_name, &mut fields)
+    let event = TraceEvent::decode(event_name, &mut fields)
         .map_err(|e| field_fail(e, Some(event_name)))?
         .ok_or_else(|| {
             (
@@ -121,148 +122,13 @@ fn field_fail(e: FieldError<'_>, event: Option<&str>) -> Fail {
     (Some(e.field().to_owned()), message)
 }
 
-/// Builds the typed event from the object's payload fields; `None` for an
-/// unknown event. The inverse of [`TraceEvent`]'s payload encoder; the
-/// round-trip and pinned-bytes tests below keep the two in sync.
-fn decode_event<'a>(
-    name: &str,
-    obj: &mut Fields<'a>,
-) -> Result<Option<TraceEvent>, FieldError<'a>> {
-    Ok(Some(match name {
-        "CampaignStarted" => TraceEvent::CampaignStarted {
-            chip: obj.get("chip")?,
-            rail: obj.get("rail")?,
-            benchmarks: obj.get("benchmarks")?,
-            cores: obj.get("cores")?,
-            steps: obj.get("steps")?,
-            iterations: obj.get("iterations")?,
-            shards: obj.get("shards")?,
-            seed: obj.get("seed")?,
-        },
-        "ShardScheduled" => TraceEvent::ShardScheduled {
-            shard: obj.get("shard")?,
-            items: obj.get("items")?,
-        },
-        "SweepStarted" => TraceEvent::SweepStarted {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            shard: obj.get("shard")?,
-        },
-        "GoldenCaptured" => TraceEvent::GoldenCaptured {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            digest: obj.get("digest")?,
-            runtime_s: obj.get("runtime_s")?,
-        },
-        "VoltageStepped" => TraceEvent::VoltageStepped {
-            rail: obj.get("rail")?,
-            mv: obj.get("mv")?,
-            step: obj.get("step")?,
-        },
-        "RailSet" => TraceEvent::RailSet {
-            rail: obj.get("rail")?,
-            mv: obj.get("mv")?,
-        },
-        "WatchdogPowerCycle" => TraceEvent::WatchdogPowerCycle {
-            recovery: obj.get("recovery")?,
-        },
-        "CacheErrorReported" => TraceEvent::CacheErrorReported {
-            level: obj.get("level")?,
-            instance: obj.get("instance")?,
-            corrected: obj.get("corrected")?,
-        },
-        "RunCompleted" => TraceEvent::RunCompleted {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            mv: obj.get("mv")?,
-            iteration: obj.get("iteration")?,
-            effects: obj.get("effects")?,
-            severity: obj.get("severity")?,
-            runtime_s: obj.get("runtime_s")?,
-            energy_j: obj.get("energy_j")?,
-            corrected_errors: obj.get("corrected_errors")?,
-            uncorrected_errors: obj.get("uncorrected_errors")?,
-        },
-        "SearchStep" => TraceEvent::SearchStep {
-            program: obj.get("program")?,
-            core: obj.get("core")?,
-            strategy: obj.get("strategy")?,
-            phase: obj.get("phase")?,
-            step: obj.get("step")?,
-            mv: obj.get("mv")?,
-        },
-        "CacheLookup" => TraceEvent::CacheLookup {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            probe: obj.get("probe")?,
-            mv: obj.get("mv")?,
-            hit: obj.get("hit")?,
-        },
-        "SearchConcluded" => TraceEvent::SearchConcluded {
-            program: obj.get("program")?,
-            core: obj.get("core")?,
-            strategy: obj.get("strategy")?,
-            probed_steps: obj.get("probed_steps")?,
-            grid_steps: obj.get("grid_steps")?,
-            cache_hits: obj.get("cache_hits")?,
-        },
-        "EarlyStop" => TraceEvent::EarlyStop {
-            program: obj.get("program")?,
-            core: obj.get("core")?,
-            mv: obj.get("mv")?,
-            consecutive_all_sc: obj.get("consecutive_all_sc")?,
-        },
-        "ProfileSample" => TraceEvent::ProfileSample {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            phase: obj.get("phase")?,
-            ops: obj.get("ops")?,
-            fault_samples: obj.get("fault_samples")?,
-            sram_events: obj.get("sram_events")?,
-            cache_probes: obj.get("cache_probes")?,
-            recoveries: obj.get("recoveries")?,
-        },
-        "SweepFinished" => TraceEvent::SweepFinished {
-            program: obj.get("program")?,
-            dataset: obj.get("dataset")?,
-            core: obj.get("core")?,
-            runs: obj.get("runs")?,
-        },
-        "ProfilePhase" => TraceEvent::ProfilePhase {
-            phase: obj.get("phase")?,
-            sweeps: obj.get("sweeps")?,
-            ops: obj.get("ops")?,
-            fault_samples: obj.get("fault_samples")?,
-            sram_events: obj.get("sram_events")?,
-            cache_probes: obj.get("cache_probes")?,
-            recoveries: obj.get("recoveries")?,
-        },
-        "CampaignFinished" => TraceEvent::CampaignFinished {
-            runs: obj.get("runs")?,
-            power_cycles: obj.get("power_cycles")?,
-        },
-        "VoltageDecision" => TraceEvent::VoltageDecision {
-            voltage_mv: obj.get("voltage_mv")?,
-            guardband_steps: obj.get("guardband_steps")?,
-            relative_power: obj.get("relative_power")?,
-            relative_performance: obj.get("relative_performance")?,
-            energy_savings: obj.get("energy_savings")?,
-        },
-        _ => return Ok(None),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::StreamFinalizer;
 
-    /// One sample per variant — keep in sync with [`TraceEvent`].
+    /// One sample per variant, in declaration order; a test holds it to
+    /// [`TraceEvent`]'s declaration, so a new event needs a pinned line.
     pub(crate) fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::CampaignStarted {
@@ -450,6 +316,12 @@ mod tests {
     }
 
     #[test]
+    fn samples_name_each_event_once_in_declaration_order() {
+        let names: Vec<&str> = sample_events().iter().map(TraceEvent::name).collect();
+        assert_eq!(names, TraceEvent::NAMES);
+    }
+
+    #[test]
     fn every_variant_encodes_to_its_pinned_bytes() {
         let text = render(sample_events());
         assert_eq!(text.lines().collect::<Vec<_>>(), SAMPLE_LINES);
@@ -534,6 +406,13 @@ mod tests {
         assert_eq!(err.field.as_deref(), Some("recovery"));
         assert!(err.message.contains("missing"), "{err}");
         assert!(err.to_string().contains("field 'recovery'"), "{err}");
+
+        // Fields are read in declaration order, so of two missing fields
+        // the earlier declared one is named.
+        let line = r#"{"core":0,"corrected_errors":0,"effects":"NO","event":"RunCompleted","iteration":0,"mv":900,"program":"namd","runtime_s":0.001,"seq":0,"severity":0.0,"t_model_s":0.0,"uncorrected_errors":0}"#;
+        let err = read_jsonl(line).expect_err("dataset and energy_j missing");
+        assert_eq!(err.field.as_deref(), Some("dataset"));
+        assert_eq!(err.message, "missing (required by RunCompleted)");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use voltmargin::characterize::runner::{Campaign, CampaignOutcome};
 use voltmargin::characterize::search::{ItemPrior, SearchPriors, SearchStrategy};
 use voltmargin::characterize::severity::SeverityWeights;
 use voltmargin::sim::{ChipSpec, CoreId, Corner, Millivolts};
-use voltmargin::trace::{MemorySink, MetricsRegistry, Sink};
+use voltmargin::trace::{read_jsonl, MemorySink, MetricsRegistry, Sink, TraceRecord};
 
 /// Golden fixture set: one sensitive and one robust core on the typical
 /// chip, plus one core each on the fast and slow corners.
@@ -222,16 +222,33 @@ fn serial_and_sharded_adaptive_campaigns_are_identical() {
         serial_records, sharded_records,
         "adaptive trace streams must not depend on sharding"
     );
-    // When the serializer is available, the JSONL rendering is
-    // byte-identical too (the stream carries its own seq/clock stamps).
-    let render = |records: &[voltmargin::trace::TraceRecord]| {
-        records
-            .iter()
-            .map(voltmargin::trace::TraceRecord::to_json_line)
-            .collect::<Result<Vec<String>, _>>()
+    // The JSONL rendering is byte-identical too (the stream carries its own
+    // seq/clock stamps), and it decodes back to the records.
+    let render = |records: &[TraceRecord]| {
+        let mut text = String::new();
+        for record in records {
+            record
+                .write_json_line(&mut text)
+                .expect("finite records encode");
+            text.push('\n');
+        }
+        text
     };
-    if let (Ok(a), Ok(b)) = (render(&serial_records), render(&sharded_records)) {
-        assert_eq!(a, b, "JSONL streams must be byte-identical");
+    let serial_text = render(&serial_records);
+    assert_eq!(
+        serial_text,
+        render(&sharded_records),
+        "JSONL streams must be byte-identical"
+    );
+    assert_eq!(
+        read_jsonl(&serial_text).expect("the stream decodes"),
+        serial_records
+    );
+    for name in ["SearchStep", "SearchConcluded"] {
+        assert!(
+            serial_records.iter().any(|r| r.event.name() == name),
+            "the adaptive stream carries {name}"
+        );
     }
 }
 
