@@ -34,7 +34,7 @@ use margins_sim::volt::{Millivolts, PMD_NOMINAL, SOC_NOMINAL};
 use margins_sim::{
     ChipSpec, CoreId, CounterFile, OutputDigest, PmdId, RunRecord, System, SystemConfig,
 };
-use margins_trace::{EventBuffer, Observer, Sink, StreamFinalizer, TraceEvent};
+use margins_trace::{EventBuffer, Sink, StreamFinalizer, TraceEvent};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -956,7 +956,7 @@ fn emit_record(finalizer: &mut StreamFinalizer, sinks: &mut [&mut dyn Sink], eve
 /// Stages a runner-level event into the item's buffer when tracing.
 fn note(traced: bool, buffer: &EventBuffer, event: impl FnOnce() -> TraceEvent) {
     if traced {
-        buffer.record(&event());
+        buffer.record(event());
     }
 }
 

@@ -38,9 +38,9 @@ impl Watchdog {
         }
     }
 
-    /// Like [`Watchdog::ensure_responsive`], additionally reporting a
-    /// [`margins_trace::TraceEvent::WatchdogPowerCycle`] through the
-    /// system's attached observer when a recovery is performed.
+    /// Like [`Watchdog::ensure_responsive`], additionally recording a
+    /// [`margins_trace::TraceEvent::WatchdogPowerCycle`] into the system's
+    /// attached event buffer when a recovery is performed.
     ///
     /// `sweep_recoveries` is the caller's per-sweep recovery counter; it is
     /// incremented on recovery and its new value becomes the event's

@@ -98,26 +98,24 @@ impl Governor {
         Some(decision)
     }
 
-    /// Like [`Governor::decide`], but reports any decision made to
-    /// `observer` as a [`TraceEvent::VoltageDecision`] — the governor's
+    /// Like [`Governor::decide`], but records any decision made into
+    /// `buffer` as a [`TraceEvent::VoltageDecision`] — the governor's
     /// contribution to a campaign telemetry stream.
     ///
     /// [`TraceEvent::VoltageDecision`]: margins_trace::TraceEvent::VoltageDecision
     pub fn decide_observed(
         &self,
         assignments: &[Assignment],
-        observer: &dyn margins_trace::Observer,
+        buffer: &margins_trace::EventBuffer,
     ) -> Option<GovernorDecision> {
         let decision = self.decide(assignments)?;
-        if observer.enabled() {
-            observer.record(&margins_trace::TraceEvent::VoltageDecision {
-                voltage_mv: decision.voltage.get(),
-                guardband_steps: self.policy.guardband_steps,
-                relative_power: decision.relative_power,
-                relative_performance: decision.relative_performance,
-                energy_savings: decision.energy_savings,
-            });
-        }
+        buffer.record(margins_trace::TraceEvent::VoltageDecision {
+            voltage_mv: decision.voltage.get(),
+            guardband_steps: self.policy.guardband_steps,
+            relative_power: decision.relative_power,
+            relative_performance: decision.relative_performance,
+            energy_savings: decision.energy_savings,
+        });
         Some(decision)
     }
 }
@@ -216,7 +214,7 @@ mod tests {
 
     #[test]
     fn observed_decision_matches_decide_and_reports_one_event() {
-        use margins_trace::{EventBuffer, NullObserver, TraceEvent};
+        use margins_trace::{EventBuffer, TraceEvent};
         let (a, t) = table();
         let g = Governor::new(
             t,
@@ -244,8 +242,6 @@ mod tests {
             }
             other => panic!("unexpected event {}", other.name()),
         }
-        // A disabled observer sees nothing and changes nothing.
-        assert_eq!(g.decide_observed(&a, &NullObserver).unwrap(), plain);
     }
 
     #[test]

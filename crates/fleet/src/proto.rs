@@ -6,6 +6,16 @@
 //! no whitespace — so a [`Request`]/[`Response`] value has exactly one
 //! wire representation and round-trips losslessly.
 //!
+//! The declarations of [`Request`], [`Response`], [`FleetEvent`] and
+//! [`HealthSnapshot`] below are the schema, written once: each variant
+//! names its wire token there, and the private `frames!` macro derives
+//! from them the encoder behind `to_line` and the decoder behind
+//! `parse_line`. A variant's fields are written under their own names and
+//! read in declaration order. The fields of a `health` frame's snapshot
+//! and of an `event` frame's [`FleetEvent`] sit beside `kind` in the frame
+//! object, the event's own token under `what`. Only the nested
+//! [`FleetSpec`] object has a codec written out by hand.
+//!
 //! Decoding is total: malformed JSON, wrong shapes, missing or mistyped
 //! fields, and unknown `kind`s all map to a typed [`ProtoError`] — the
 //! daemon never panics on untrusted bytes, and unknown kinds are rejected
@@ -43,6 +53,125 @@ pub(crate) const MAX_FRAME_BYTES: usize = 1 << 20;
 /// thread. A connection past the cap is answered on the accept thread
 /// with one `too-many-connections` error frame and then EOF.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// Declares a frame type and derives from that one declaration its wire
+/// codec: a private `put_fields`, which puts the value's fields into a
+/// frame object under their own names, and `take_fields`, which reads them
+/// back by name and type in declaration order.
+///
+/// An enum names the key its tag is written under (`by "kind"`) and gives
+/// each variant its wire token. A variant is a unit, has named fields, or
+/// wraps one payload whose fields share the frame object (`Health =
+/// "health" (health: HealthSnapshot)`). A trailing `.. Unknown { what:
+/// String }` variant takes any other token; without one, an unknown token
+/// is a [`ProtoError::UnknownKind`]. A struct's fields are read and
+/// written as a variant's are.
+macro_rules! frames {
+    (@unknown $token:ident) => {
+        return Err(ProtoError::UnknownKind {
+            kind: $token.to_owned(),
+            proto: PROTO_VERSION,
+        })
+    };
+    (@unknown $token:ident $name:ident $unknown:ident $what:ident) => {
+        $name::$unknown {
+            $what: $token.to_owned(),
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident by $key:literal {
+            $(
+                $(#[$variant_meta:meta])*
+                $variant:ident = $tag:literal
+                $({ $($(#[$field_meta:meta])* $field:ident: $ty:ty,)+ })?
+                $(($payload:ident: $payload_ty:ty))?,
+            )+
+            $(
+                ..
+                $(#[$unknown_meta:meta])*
+                $unknown:ident { $(#[$what_meta:meta])* $what:ident: String, },
+            )?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $(
+                $(#[$variant_meta])*
+                $variant $({ $($(#[$field_meta])* $field: $ty,)+ })? $(($payload_ty))?,
+            )+
+            $(
+                $(#[$unknown_meta])*
+                $unknown { $(#[$what_meta])* $what: String },
+            )?
+        }
+
+        impl $name {
+            /// The variant's wire token.
+            fn tag(&self) -> &str {
+                match self {
+                    $($name::$variant { .. } => $tag,)+
+                    $($name::$unknown { $what } => $what,)?
+                }
+            }
+
+            /// Puts the tag and the variant's fields into `frame`.
+            fn put_fields(&self, frame: &mut BTreeMap<String, Value>) {
+                frame.insert($key.to_owned(), Value::from_str_val(self.tag()));
+                match self {
+                    $(
+                        $name::$variant $({ $($field),+ })? $(($payload))? => {
+                            $($($field.put(frame, stringify!($field));)+)?
+                            $($payload.put_fields(frame);)?
+                        }
+                    )+
+                    $($name::$unknown { .. } => {})?
+                }
+            }
+
+            /// Reads the tag, then the fields of the variant it names.
+            fn take_fields(fields: &mut Fields<'_>) -> Result<$name, ProtoError> {
+                Ok(match fields.get($key)? {
+                    $(
+                        $tag => $name::$variant
+                            $({ $($field: <$ty as Wire>::take(fields, stringify!($field))?,)+ })?
+                            $((<$payload_ty>::take_fields(fields)?))?,
+                    )+
+                    other => frames!(@unknown other $($name $unknown $what)?),
+                })
+            }
+
+            /// Every wire token, in declaration order.
+            #[cfg(test)]
+            const TAGS: &'static [&'static str] = &[$($tag),+];
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_meta:meta])* $field_vis:vis $field:ident: $ty:ty,)+
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$field_meta])* $field_vis $field: $ty,)+
+        }
+
+        impl $name {
+            /// Puts the fields into `frame`.
+            fn put_fields(&self, frame: &mut BTreeMap<String, Value>) {
+                $(self.$field.put(frame, stringify!($field));)+
+            }
+
+            /// Reads the fields in declaration order.
+            fn take_fields(fields: &mut Fields<'_>) -> Result<$name, ProtoError> {
+                Ok($name {
+                    $($field: <$ty as Wire>::take(fields, stringify!($field))?,)+
+                })
+            }
+        }
+    };
+}
 
 /// What one fleet characterization request sweeps: a contiguous serial
 /// range of chips at one process corner, all running the same campaign
@@ -162,223 +291,213 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// One client→daemon frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Submit a fleet for characterization.
-    Submit {
-        /// Client name owning the resulting job and its streams.
-        client: String,
-        /// What to characterize.
-        spec: FleetSpec,
-    },
-    /// Ask for a job's progress.
-    Status {
-        /// Owning client.
-        client: String,
-        /// Job id from [`Response::Submitted`].
-        job: u64,
-    },
-    /// Cancel a job's queued chips.
-    Cancel {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Block until a job completes and fetch its merged streams.
-    Results {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Start streaming a job's live event frames over this connection.
-    Subscribe {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Stop streaming a job's event frames over this connection.
-    Unsubscribe {
-        /// Owning client.
-        client: String,
-        /// Job id.
-        job: u64,
-    },
-    /// Ask for a daemon liveness snapshot (runtime gauges).
-    Health,
-    /// Ask for the daemon's OpenMetrics text exposition.
-    Metrics,
-    /// Stop the daemon after in-flight chips finish.
-    Shutdown,
+frames! {
+    /// One client→daemon frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request by "kind" {
+        /// Submit a fleet for characterization.
+        Submit = "submit" {
+            /// Client name owning the resulting job and its streams.
+            client: String,
+            /// What to characterize.
+            spec: FleetSpec,
+        },
+        /// Ask for a job's progress.
+        Status = "status" {
+            /// Owning client.
+            client: String,
+            /// Job id from [`Response::Submitted`].
+            job: u64,
+        },
+        /// Cancel a job's queued chips.
+        Cancel = "cancel" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Block until a job completes and fetch its merged streams.
+        Results = "results" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Start streaming a job's live event frames over this connection.
+        Subscribe = "subscribe" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Stop streaming a job's event frames over this connection.
+        Unsubscribe = "unsubscribe" {
+            /// Owning client.
+            client: String,
+            /// Job id.
+            job: u64,
+        },
+        /// Ask for a daemon liveness snapshot (runtime gauges).
+        Health = "health",
+        /// Ask for the daemon's OpenMetrics text exposition.
+        Metrics = "metrics",
+        /// Stop the daemon after in-flight chips finish.
+        Shutdown = "shutdown",
+    }
 }
 
-/// A point-in-time snapshot of the daemon's runtime gauges, answered to
-/// [`Request::Health`]. Every field is a *gauge* — it reflects scheduling
-/// luck at the instant of the request and is deliberately kept out of the
-/// deterministic counter section of the metrics exposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HealthSnapshot {
-    /// Configured scheduler worker threads.
-    pub workers: u32,
-    /// Workers currently characterizing a chip.
-    pub busy: u32,
-    /// Chip units waiting in per-client queues.
-    pub queued_units: u64,
-    /// Jobs admitted but not yet dispatched.
-    pub jobs_queued: u32,
-    /// Jobs with at least one dispatched chip and work remaining.
-    pub jobs_running: u32,
-    /// Jobs whose every chip completed.
-    pub jobs_done: u32,
-    /// Jobs cancelled before completing.
-    pub jobs_cancelled: u32,
-    /// Jobs that failed with an executor error.
-    pub jobs_failed: u32,
-    /// Live event subscriptions.
-    pub subscribers: u32,
+frames! {
+    /// A point-in-time snapshot of the daemon's runtime gauges, answered to
+    /// [`Request::Health`]. Every field is a *gauge* — it reflects scheduling
+    /// luck at the instant of the request and is deliberately kept out of the
+    /// deterministic counter section of the metrics exposition.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct HealthSnapshot {
+        /// Configured scheduler worker threads.
+        pub workers: u32,
+        /// Workers currently characterizing a chip.
+        pub busy: u32,
+        /// Chip units waiting in per-client queues.
+        pub queued_units: u64,
+        /// Jobs admitted but not yet dispatched.
+        pub jobs_queued: u32,
+        /// Jobs with at least one dispatched chip and work remaining.
+        pub jobs_running: u32,
+        /// Jobs whose every chip completed.
+        pub jobs_done: u32,
+        /// Jobs cancelled before completing.
+        pub jobs_cancelled: u32,
+        /// Jobs that failed with an executor error.
+        pub jobs_failed: u32,
+        /// Live event subscriptions.
+        pub subscribers: u32,
+    }
 }
 
-/// One server-pushed telemetry frame (`"kind":"event"` on the wire, with
-/// a `"what"` sub-discriminator).
-///
-/// Event payloads are derived from the same deterministic `TraceEvent`
-/// stream the job's artifacts are built from: every
-/// [`FleetEvent::ChipFinished`] carries that chip's complete sealed JSONL
-/// stream, so a fully received subscription re-sealed through
-/// `merge_streams` in ascending chip order is byte-identical to the job's
-/// merged trace artifact.
-///
-/// Unknown `what` tokens decode to [`FleetEvent::Unknown`] rather than a
-/// [`ProtoError`]: a version-aware client skips event kinds it does not
-/// speak while still hard-rejecting unknown top-level frame kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetEvent {
-    /// A job was admitted to the scheduler.
-    JobQueued {
-        /// Job id.
-        job: u64,
-        /// Owning client.
-        client: String,
-        /// Chips the job will characterize.
-        chips: u32,
-    },
-    /// The first chip of a job was dispatched to a worker.
-    JobStarted {
-        /// Job id.
-        job: u64,
-    },
-    /// A chip was dispatched to a worker.
-    ChipStarted {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Chip identity, e.g. `TTT#40`.
-        chip_id: String,
-    },
-    /// A (benchmark, core) sweep of a chip finished.
-    SweepProgress {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Benchmark name.
-        program: String,
-        /// Input dataset label.
-        dataset: String,
-        /// Target core index.
-        core: u8,
-        /// Classified runs the sweep produced.
-        runs: u64,
-    },
-    /// A chip completed; carries the chip's sealed per-chip trace.
-    ChipFinished {
-        /// Job id.
-        job: u64,
-        /// Canonical chip index within the job.
-        chip: u32,
-        /// Chip identity, e.g. `TTT#40`.
-        chip_id: String,
-        /// Classified runs on this chip.
-        runs: u64,
-        /// Watchdog power cycles on this chip.
-        power_cycles: u64,
-        /// The chip's binding Vmin (max over its sweeps), absent when
-        /// even the highest probed step misbehaved (censored).
-        vmin_mv: Option<u32>,
-        /// Sum of per-run severity contributions on this chip.
-        severity_sum: f64,
-        /// Campaign-cache lookups that hit.
-        cache_hits: u64,
-        /// Campaign-cache lookups issued.
-        cache_lookups: u64,
-        /// The chip's own sealed margins-trace JSONL stream.
-        trace: String,
-    },
-    /// Every chip of a job completed.
-    JobFinished {
-        /// Job id.
-        job: u64,
-        /// Chips characterized.
-        chips: u32,
-        /// Classified runs over the whole job.
-        runs: u64,
-        /// Watchdog power cycles over the whole job.
-        power_cycles: u64,
-    },
-    /// A job was cancelled; `done` of `total` chips had completed.
-    JobCancelled {
-        /// Job id.
-        job: u64,
-        /// Chips that completed before the cancel.
-        done: u32,
-        /// Chips total.
-        total: u32,
-    },
-    /// A job failed with an executor error.
-    JobFailed {
-        /// Job id.
-        job: u64,
-        /// The error rendered for operators.
-        message: String,
-    },
-    /// The subscriber's bounded queue overflowed; `dropped` events were
-    /// discarded since the last delivered frame.
-    Lagged {
-        /// Job id.
-        job: u64,
-        /// Exact count of dropped events.
-        dropped: u64,
-    },
-    /// An event kind this protocol version does not speak; skipped by
-    /// version-aware clients.
-    Unknown {
-        /// The unrecognized `what` token.
-        what: String,
-    },
+frames! {
+    /// One server-pushed telemetry frame (`"kind":"event"` on the wire, with
+    /// a `"what"` sub-discriminator).
+    ///
+    /// Event payloads are derived from the same deterministic `TraceEvent`
+    /// stream the job's artifacts are built from: every
+    /// [`FleetEvent::ChipFinished`] carries that chip's complete sealed JSONL
+    /// stream, so a fully received subscription re-sealed through
+    /// `merge_streams` in ascending chip order is byte-identical to the job's
+    /// merged trace artifact.
+    ///
+    /// Unknown `what` tokens decode to [`FleetEvent::Unknown`] rather than a
+    /// [`ProtoError`]: a version-aware client skips event kinds it does not
+    /// speak while still hard-rejecting unknown top-level frame kinds.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum FleetEvent by "what" {
+        /// A job was admitted to the scheduler.
+        JobQueued = "job-queued" {
+            /// Job id.
+            job: u64,
+            /// Owning client.
+            client: String,
+            /// Chips the job will characterize.
+            chips: u32,
+        },
+        /// The first chip of a job was dispatched to a worker.
+        JobStarted = "job-started" {
+            /// Job id.
+            job: u64,
+        },
+        /// A chip was dispatched to a worker.
+        ChipStarted = "chip-started" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Chip identity, e.g. `TTT#40`.
+            chip_id: String,
+        },
+        /// A (benchmark, core) sweep of a chip finished.
+        SweepProgress = "sweep-progress" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Benchmark name.
+            program: String,
+            /// Input dataset label.
+            dataset: String,
+            /// Target core index.
+            core: u8,
+            /// Classified runs the sweep produced.
+            runs: u64,
+        },
+        /// A chip completed; carries the chip's sealed per-chip trace.
+        ChipFinished = "chip-finished" {
+            /// Job id.
+            job: u64,
+            /// Canonical chip index within the job.
+            chip: u32,
+            /// Chip identity, e.g. `TTT#40`.
+            chip_id: String,
+            /// Classified runs on this chip.
+            runs: u64,
+            /// Watchdog power cycles on this chip.
+            power_cycles: u64,
+            /// The chip's binding Vmin (max over its sweeps), absent when
+            /// even the highest probed step misbehaved (censored).
+            vmin_mv: Option<u32>,
+            /// Sum of per-run severity contributions on this chip.
+            severity_sum: f64,
+            /// Campaign-cache lookups that hit.
+            cache_hits: u64,
+            /// Campaign-cache lookups issued.
+            cache_lookups: u64,
+            /// The chip's own sealed margins-trace JSONL stream.
+            trace: String,
+        },
+        /// Every chip of a job completed.
+        JobFinished = "job-finished" {
+            /// Job id.
+            job: u64,
+            /// Chips characterized.
+            chips: u32,
+            /// Classified runs over the whole job.
+            runs: u64,
+            /// Watchdog power cycles over the whole job.
+            power_cycles: u64,
+        },
+        /// A job was cancelled; `done` of `total` chips had completed.
+        JobCancelled = "job-cancelled" {
+            /// Job id.
+            job: u64,
+            /// Chips that completed before the cancel.
+            done: u32,
+            /// Chips total.
+            total: u32,
+        },
+        /// A job failed with an executor error.
+        JobFailed = "job-failed" {
+            /// Job id.
+            job: u64,
+            /// The error rendered for operators.
+            message: String,
+        },
+        /// The subscriber's bounded queue overflowed; `dropped` events were
+        /// discarded since the last delivered frame.
+        Lagged = "lagged" {
+            /// Job id.
+            job: u64,
+            /// Exact count of dropped events.
+            dropped: u64,
+        },
+        ..
+        /// An event kind this protocol version does not speak; skipped by
+        /// version-aware clients.
+        Unknown {
+            /// The unrecognized `what` token.
+            what: String,
+        },
+    }
 }
 
 impl FleetEvent {
-    /// The `what` sub-discriminator token on the wire.
-    #[must_use]
-    fn what(&self) -> &str {
-        match self {
-            FleetEvent::JobQueued { .. } => "job-queued",
-            FleetEvent::JobStarted { .. } => "job-started",
-            FleetEvent::ChipStarted { .. } => "chip-started",
-            FleetEvent::SweepProgress { .. } => "sweep-progress",
-            FleetEvent::ChipFinished { .. } => "chip-finished",
-            FleetEvent::JobFinished { .. } => "job-finished",
-            FleetEvent::JobCancelled { .. } => "job-cancelled",
-            FleetEvent::JobFailed { .. } => "job-failed",
-            FleetEvent::Lagged { .. } => "lagged",
-            FleetEvent::Unknown { what } => what,
-        }
-    }
-
     /// The job the event belongs to; `None` for [`FleetEvent::Unknown`].
     #[must_use]
     pub fn job(&self) -> Option<u64> {
@@ -397,94 +516,96 @@ impl FleetEvent {
     }
 }
 
-/// One daemon→client frame.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// A submit was accepted.
-    Submitted {
-        /// The job id for follow-up requests.
-        job: u64,
-        /// Chips the job will characterize.
-        chips: u32,
-    },
-    /// A job's progress.
-    Status {
-        /// Job id.
-        job: u64,
-        /// `"queued"`, `"running"`, `"done"`, `"failed"` or
-        /// `"cancelled"`.
-        state: String,
-        /// Chips completed.
-        done: u32,
-        /// Chips total.
-        total: u32,
-        /// Chip units ahead of this job's first pending unit in its
-        /// client's FIFO queue (0 when nothing of the job is queued).
-        queue_position: u32,
-        /// Completion fraction, `done / total`.
-        progress: f64,
-    },
-    /// A cancel took effect; `done` of `total` chips had completed and
-    /// their partial results are retained with the job.
-    Cancelled {
-        /// Job id.
-        job: u64,
-        /// Chips that completed before the cancel.
-        done: u32,
-        /// Chips total.
-        total: u32,
-    },
-    /// A subscription started; `event` frames for the job follow on this
-    /// connection.
-    Subscribed {
-        /// Job id.
-        job: u64,
-    },
-    /// A subscription ended; no further `event` frames for the job will
-    /// be pushed on this connection.
-    Unsubscribed {
-        /// Job id.
-        job: u64,
-    },
-    /// The daemon's runtime gauges.
-    Health(HealthSnapshot),
-    /// The daemon's OpenMetrics text exposition.
-    Metrics {
-        /// The exposition body (ends with `# EOF`).
-        body: String,
-    },
-    /// A server-pushed telemetry frame for a subscribed job.
-    Event(FleetEvent),
-    /// A completed job's merged deterministic outputs.
-    Results {
-        /// Job id.
-        job: u64,
-        /// Chips characterized.
-        chips: u32,
-        /// Classified runs over the whole fleet.
-        runs: u64,
-        /// Watchdog power cycles over the whole fleet.
-        power_cycles: u64,
-        /// Kernel ops executed on simulated boards — 0 for a fully warm
-        /// cache replay.
-        executed_ops: u64,
-        /// The merged margins-trace JSONL stream (canonical chip order).
-        trace: String,
-        /// The OpenMetrics exposition of the merged stream.
-        metrics: String,
-    },
-    /// The daemon acknowledged a shutdown.
-    Bye,
-    /// A request was rejected.
-    Error {
-        /// Protocol version of the daemon ([`PROTO_VERSION`]).
-        proto: u32,
-        /// Stable machine-readable code (a decode failure's from
-        /// [`ProtoError::to_response`], or one of the daemon's own).
-        code: String,
-        /// Human-readable detail.
-        message: String,
-    },
+frames! {
+    /// One daemon→client frame.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response by "kind" {
+        /// A submit was accepted.
+        Submitted = "submitted" {
+            /// The job id for follow-up requests.
+            job: u64,
+            /// Chips the job will characterize.
+            chips: u32,
+        },
+        /// A job's progress.
+        Status = "status" {
+            /// Job id.
+            job: u64,
+            /// `"queued"`, `"running"`, `"done"`, `"failed"` or
+            /// `"cancelled"`.
+            state: String,
+            /// Chips completed.
+            done: u32,
+            /// Chips total.
+            total: u32,
+            /// Chip units ahead of this job's first pending unit in its
+            /// client's FIFO queue (0 when nothing of the job is queued).
+            queue_position: u32,
+            /// Completion fraction, `done / total`.
+            progress: f64,
+        },
+        /// A cancel took effect; `done` of `total` chips had completed and
+        /// their partial results are retained with the job.
+        Cancelled = "cancelled" {
+            /// Job id.
+            job: u64,
+            /// Chips that completed before the cancel.
+            done: u32,
+            /// Chips total.
+            total: u32,
+        },
+        /// A subscription started; `event` frames for the job follow on this
+        /// connection.
+        Subscribed = "subscribed" {
+            /// Job id.
+            job: u64,
+        },
+        /// A subscription ended; no further `event` frames for the job will
+        /// be pushed on this connection.
+        Unsubscribed = "unsubscribed" {
+            /// Job id.
+            job: u64,
+        },
+        /// The daemon's runtime gauges.
+        Health = "health" (health: HealthSnapshot),
+        /// The daemon's OpenMetrics text exposition.
+        Metrics = "metrics" {
+            /// The exposition body (ends with `# EOF`).
+            body: String,
+        },
+        /// A server-pushed telemetry frame for a subscribed job.
+        Event = "event" (event: FleetEvent),
+        /// A completed job's merged deterministic outputs.
+        Results = "results" {
+            /// Job id.
+            job: u64,
+            /// Chips characterized.
+            chips: u32,
+            /// Classified runs over the whole fleet.
+            runs: u64,
+            /// Watchdog power cycles over the whole fleet.
+            power_cycles: u64,
+            /// Kernel ops executed on simulated boards — 0 for a fully warm
+            /// cache replay.
+            executed_ops: u64,
+            /// The merged margins-trace JSONL stream (canonical chip order).
+            trace: String,
+            /// The OpenMetrics exposition of the merged stream.
+            metrics: String,
+        },
+        /// The daemon acknowledged a shutdown.
+        Bye = "bye",
+        /// A request was rejected.
+        Error = "error" {
+            /// Protocol version of the daemon ([`PROTO_VERSION`]).
+            proto: u32,
+            /// Stable machine-readable code (a decode failure's from
+            /// [`ProtoError::to_response`], or one of the daemon's own).
+            code: String,
+            /// Human-readable detail.
+            message: String,
+        },
+    }
 }
 
 /// A frame that failed to decode.
@@ -562,89 +683,16 @@ impl fmt::Display for ProtoError {
 impl std::error::Error for ProtoError {}
 
 // ---------------------------------------------------------------------
-// Encoding
+// The wire codec
 // ---------------------------------------------------------------------
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect::<BTreeMap<String, Value>>(),
-    )
-}
-
-fn spec_value(spec: &FleetSpec) -> Value {
-    obj(vec![
-        ("corner", Value::from_str_val(spec.corner.token())),
-        ("first_serial", Value::from_u64(spec.first_serial)),
-        ("chips", Value::from_u64(u64::from(spec.chips))),
-        (
-            "benchmarks",
-            Value::Array(
-                spec.benchmarks
-                    .iter()
-                    .map(|b| Value::from_str_val(b))
-                    .collect(),
-            ),
-        ),
-        (
-            "cores",
-            Value::Array(
-                spec.cores
-                    .iter()
-                    .map(|&c| Value::from_u64(u64::from(c)))
-                    .collect(),
-            ),
-        ),
-        ("iterations", Value::from_u64(u64::from(spec.iterations))),
-        ("start_mv", Value::from_u64(u64::from(spec.start_mv))),
-        ("floor_mv", Value::from_u64(u64::from(spec.floor_mv))),
-        ("seed", Value::from_u64(spec.seed)),
-        ("search", Value::from_str_val(spec.search.name())),
-    ])
-}
 
 impl Request {
     /// Encodes the request as its single wire line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let value = match self {
-            Request::Submit { client, spec } => obj(vec![
-                ("kind", Value::from_str_val("submit")),
-                ("client", Value::from_str_val(client)),
-                ("spec", spec_value(spec)),
-            ]),
-            Request::Status { client, job } => obj(vec![
-                ("kind", Value::from_str_val("status")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Cancel { client, job } => obj(vec![
-                ("kind", Value::from_str_val("cancel")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Results { client, job } => obj(vec![
-                ("kind", Value::from_str_val("results")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Subscribe { client, job } => obj(vec![
-                ("kind", Value::from_str_val("subscribe")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Unsubscribe { client, job } => obj(vec![
-                ("kind", Value::from_str_val("unsubscribe")),
-                ("client", Value::from_str_val(client)),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Request::Health => obj(vec![("kind", Value::from_str_val("health"))]),
-            Request::Metrics => obj(vec![("kind", Value::from_str_val("metrics"))]),
-            Request::Shutdown => obj(vec![("kind", Value::from_str_val("shutdown"))]),
-        };
-        json::render(&value)
+        let mut frame = BTreeMap::new();
+        self.put_fields(&mut frame);
+        json::render(&Value::Object(frame))
     }
 
     /// Decodes one wire line.
@@ -655,40 +703,7 @@ impl Request {
     /// of a known kind; never panics on untrusted bytes.
     pub fn parse_line(line: &str) -> Result<Request, ProtoError> {
         let frame = parse_frame(line)?;
-        let mut fields = Fields::of(&frame).ok_or(ProtoError::NotAnObject)?;
-        match fields.get("kind")? {
-            "submit" => Ok(Request::Submit {
-                client: fields.get("client")?,
-                spec: spec_of(fields.get("spec")?)?,
-            }),
-            "status" => Ok(Request::Status {
-                client: fields.get("client")?,
-                job: fields.get("job")?,
-            }),
-            "cancel" => Ok(Request::Cancel {
-                client: fields.get("client")?,
-                job: fields.get("job")?,
-            }),
-            "results" => Ok(Request::Results {
-                client: fields.get("client")?,
-                job: fields.get("job")?,
-            }),
-            "subscribe" => Ok(Request::Subscribe {
-                client: fields.get("client")?,
-                job: fields.get("job")?,
-            }),
-            "unsubscribe" => Ok(Request::Unsubscribe {
-                client: fields.get("client")?,
-                job: fields.get("job")?,
-            }),
-            "health" => Ok(Request::Health),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(ProtoError::UnknownKind {
-                kind: other.to_owned(),
-                proto: PROTO_VERSION,
-            }),
-        }
+        Request::take_fields(&mut Fields::of(&frame).ok_or(ProtoError::NotAnObject)?)
     }
 }
 
@@ -696,96 +711,9 @@ impl Response {
     /// Encodes the response as its single wire line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let value = match self {
-            Response::Submitted { job, chips } => obj(vec![
-                ("kind", Value::from_str_val("submitted")),
-                ("job", Value::from_u64(*job)),
-                ("chips", Value::from_u64(u64::from(*chips))),
-            ]),
-            Response::Status {
-                job,
-                state,
-                done,
-                total,
-                queue_position,
-                progress,
-            } => obj(vec![
-                ("kind", Value::from_str_val("status")),
-                ("job", Value::from_u64(*job)),
-                ("state", Value::from_str_val(state)),
-                ("done", Value::from_u64(u64::from(*done))),
-                ("total", Value::from_u64(u64::from(*total))),
-                (
-                    "queue_position",
-                    Value::from_u64(u64::from(*queue_position)),
-                ),
-                ("progress", Value::from_f64(*progress)),
-            ]),
-            Response::Cancelled { job, done, total } => obj(vec![
-                ("kind", Value::from_str_val("cancelled")),
-                ("job", Value::from_u64(*job)),
-                ("done", Value::from_u64(u64::from(*done))),
-                ("total", Value::from_u64(u64::from(*total))),
-            ]),
-            Response::Subscribed { job } => obj(vec![
-                ("kind", Value::from_str_val("subscribed")),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Response::Unsubscribed { job } => obj(vec![
-                ("kind", Value::from_str_val("unsubscribed")),
-                ("job", Value::from_u64(*job)),
-            ]),
-            Response::Health(h) => obj(vec![
-                ("kind", Value::from_str_val("health")),
-                ("workers", Value::from_u64(u64::from(h.workers))),
-                ("busy", Value::from_u64(u64::from(h.busy))),
-                ("queued_units", Value::from_u64(h.queued_units)),
-                ("jobs_queued", Value::from_u64(u64::from(h.jobs_queued))),
-                ("jobs_running", Value::from_u64(u64::from(h.jobs_running))),
-                ("jobs_done", Value::from_u64(u64::from(h.jobs_done))),
-                (
-                    "jobs_cancelled",
-                    Value::from_u64(u64::from(h.jobs_cancelled)),
-                ),
-                ("jobs_failed", Value::from_u64(u64::from(h.jobs_failed))),
-                ("subscribers", Value::from_u64(u64::from(h.subscribers))),
-            ]),
-            Response::Metrics { body } => obj(vec![
-                ("kind", Value::from_str_val("metrics")),
-                ("body", Value::from_str_val(body)),
-            ]),
-            Response::Event(event) => event_value(event),
-            Response::Results {
-                job,
-                chips,
-                runs,
-                power_cycles,
-                executed_ops,
-                trace,
-                metrics,
-            } => obj(vec![
-                ("kind", Value::from_str_val("results")),
-                ("job", Value::from_u64(*job)),
-                ("chips", Value::from_u64(u64::from(*chips))),
-                ("runs", Value::from_u64(*runs)),
-                ("power_cycles", Value::from_u64(*power_cycles)),
-                ("executed_ops", Value::from_u64(*executed_ops)),
-                ("trace", Value::from_str_val(trace)),
-                ("metrics", Value::from_str_val(metrics)),
-            ]),
-            Response::Bye => obj(vec![("kind", Value::from_str_val("bye"))]),
-            Response::Error {
-                proto,
-                code,
-                message,
-            } => obj(vec![
-                ("kind", Value::from_str_val("error")),
-                ("proto", Value::from_u64(u64::from(*proto))),
-                ("code", Value::from_str_val(code)),
-                ("message", Value::from_str_val(message)),
-            ]),
-        };
-        json::render(&value)
+        let mut frame = BTreeMap::new();
+        self.put_fields(&mut frame);
+        json::render(&Value::Object(frame))
     }
 
     /// Decodes one wire line.
@@ -795,227 +723,9 @@ impl Response {
     /// A typed [`ProtoError`]; never panics on untrusted bytes.
     pub fn parse_line(line: &str) -> Result<Response, ProtoError> {
         let frame = parse_frame(line)?;
-        let mut fields = Fields::of(&frame).ok_or(ProtoError::NotAnObject)?;
-        match fields.get("kind")? {
-            "submitted" => Ok(Response::Submitted {
-                job: fields.get("job")?,
-                chips: fields.get("chips")?,
-            }),
-            "status" => Ok(Response::Status {
-                job: fields.get("job")?,
-                state: fields.get("state")?,
-                done: fields.get("done")?,
-                total: fields.get("total")?,
-                queue_position: fields.get("queue_position")?,
-                progress: fields.get("progress")?,
-            }),
-            "cancelled" => Ok(Response::Cancelled {
-                job: fields.get("job")?,
-                done: fields.get("done")?,
-                total: fields.get("total")?,
-            }),
-            "subscribed" => Ok(Response::Subscribed {
-                job: fields.get("job")?,
-            }),
-            "unsubscribed" => Ok(Response::Unsubscribed {
-                job: fields.get("job")?,
-            }),
-            "health" => Ok(Response::Health(HealthSnapshot {
-                workers: fields.get("workers")?,
-                busy: fields.get("busy")?,
-                queued_units: fields.get("queued_units")?,
-                jobs_queued: fields.get("jobs_queued")?,
-                jobs_running: fields.get("jobs_running")?,
-                jobs_done: fields.get("jobs_done")?,
-                jobs_cancelled: fields.get("jobs_cancelled")?,
-                jobs_failed: fields.get("jobs_failed")?,
-                subscribers: fields.get("subscribers")?,
-            })),
-            "metrics" => Ok(Response::Metrics {
-                body: fields.get("body")?,
-            }),
-            "event" => Ok(Response::Event(event_of(&mut fields)?)),
-            "results" => Ok(Response::Results {
-                job: fields.get("job")?,
-                chips: fields.get("chips")?,
-                runs: fields.get("runs")?,
-                power_cycles: fields.get("power_cycles")?,
-                executed_ops: fields.get("executed_ops")?,
-                trace: fields.get("trace")?,
-                metrics: fields.get("metrics")?,
-            }),
-            "bye" => Ok(Response::Bye),
-            "error" => Ok(Response::Error {
-                proto: fields.get("proto")?,
-                code: fields.get("code")?,
-                message: fields.get("message")?,
-            }),
-            other => Err(ProtoError::UnknownKind {
-                kind: other.to_owned(),
-                proto: PROTO_VERSION,
-            }),
-        }
+        Response::take_fields(&mut Fields::of(&frame).ok_or(ProtoError::NotAnObject)?)
     }
 }
-
-/// Encodes a [`FleetEvent`] as its `"kind":"event"` wire object.
-fn event_value(event: &FleetEvent) -> Value {
-    let mut fields = vec![
-        ("kind", Value::from_str_val("event")),
-        ("what", Value::from_str_val(event.what())),
-    ];
-    match event {
-        FleetEvent::JobQueued { job, client, chips } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("client", Value::from_str_val(client)));
-            fields.push(("chips", Value::from_u64(u64::from(*chips))));
-        }
-        FleetEvent::JobStarted { job } => {
-            fields.push(("job", Value::from_u64(*job)));
-        }
-        FleetEvent::ChipStarted { job, chip, chip_id } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("chip_id", Value::from_str_val(chip_id)));
-        }
-        FleetEvent::SweepProgress {
-            job,
-            chip,
-            program,
-            dataset,
-            core,
-            runs,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("program", Value::from_str_val(program)));
-            fields.push(("dataset", Value::from_str_val(dataset)));
-            fields.push(("core", Value::from_u64(u64::from(*core))));
-            fields.push(("runs", Value::from_u64(*runs)));
-        }
-        FleetEvent::ChipFinished {
-            job,
-            chip,
-            chip_id,
-            runs,
-            power_cycles,
-            vmin_mv,
-            severity_sum,
-            cache_hits,
-            cache_lookups,
-            trace,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chip", Value::from_u64(u64::from(*chip))));
-            fields.push(("chip_id", Value::from_str_val(chip_id)));
-            fields.push(("runs", Value::from_u64(*runs)));
-            fields.push(("power_cycles", Value::from_u64(*power_cycles)));
-            if let Some(mv) = vmin_mv {
-                fields.push(("vmin_mv", Value::from_u64(u64::from(*mv))));
-            }
-            fields.push(("severity_sum", Value::from_f64(*severity_sum)));
-            fields.push(("cache_hits", Value::from_u64(*cache_hits)));
-            fields.push(("cache_lookups", Value::from_u64(*cache_lookups)));
-            fields.push(("trace", Value::from_str_val(trace)));
-        }
-        FleetEvent::JobFinished {
-            job,
-            chips,
-            runs,
-            power_cycles,
-        } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("chips", Value::from_u64(u64::from(*chips))));
-            fields.push(("runs", Value::from_u64(*runs)));
-            fields.push(("power_cycles", Value::from_u64(*power_cycles)));
-        }
-        FleetEvent::JobCancelled { job, done, total } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("done", Value::from_u64(u64::from(*done))));
-            fields.push(("total", Value::from_u64(u64::from(*total))));
-        }
-        FleetEvent::JobFailed { job, message } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("message", Value::from_str_val(message)));
-        }
-        FleetEvent::Lagged { job, dropped } => {
-            fields.push(("job", Value::from_u64(*job)));
-            fields.push(("dropped", Value::from_u64(*dropped)));
-        }
-        FleetEvent::Unknown { .. } => {}
-    }
-    obj(fields)
-}
-
-/// Decodes the payload of a `"kind":"event"` frame. Unknown `what` tokens
-/// decode to [`FleetEvent::Unknown`] so version-aware clients can skip
-/// event kinds newer than their protocol.
-fn event_of(fields: &mut Fields<'_>) -> Result<FleetEvent, ProtoError> {
-    match fields.get("what")? {
-        "job-queued" => Ok(FleetEvent::JobQueued {
-            job: fields.get("job")?,
-            client: fields.get("client")?,
-            chips: fields.get("chips")?,
-        }),
-        "job-started" => Ok(FleetEvent::JobStarted {
-            job: fields.get("job")?,
-        }),
-        "chip-started" => Ok(FleetEvent::ChipStarted {
-            job: fields.get("job")?,
-            chip: fields.get("chip")?,
-            chip_id: fields.get("chip_id")?,
-        }),
-        "sweep-progress" => Ok(FleetEvent::SweepProgress {
-            job: fields.get("job")?,
-            chip: fields.get("chip")?,
-            program: fields.get("program")?,
-            dataset: fields.get("dataset")?,
-            core: fields.get("core")?,
-            runs: fields.get("runs")?,
-        }),
-        "chip-finished" => Ok(FleetEvent::ChipFinished {
-            job: fields.get("job")?,
-            chip: fields.get("chip")?,
-            chip_id: fields.get("chip_id")?,
-            runs: fields.get("runs")?,
-            power_cycles: fields.get("power_cycles")?,
-            vmin_mv: fields
-                .contains("vmin_mv")
-                .then(|| fields.get("vmin_mv"))
-                .transpose()?,
-            severity_sum: fields.get("severity_sum")?,
-            cache_hits: fields.get("cache_hits")?,
-            cache_lookups: fields.get("cache_lookups")?,
-            trace: fields.get("trace")?,
-        }),
-        "job-finished" => Ok(FleetEvent::JobFinished {
-            job: fields.get("job")?,
-            chips: fields.get("chips")?,
-            runs: fields.get("runs")?,
-            power_cycles: fields.get("power_cycles")?,
-        }),
-        "job-cancelled" => Ok(FleetEvent::JobCancelled {
-            job: fields.get("job")?,
-            done: fields.get("done")?,
-            total: fields.get("total")?,
-        }),
-        "job-failed" => Ok(FleetEvent::JobFailed {
-            job: fields.get("job")?,
-            message: fields.get("message")?,
-        }),
-        "lagged" => Ok(FleetEvent::Lagged {
-            job: fields.get("job")?,
-            dropped: fields.get("dropped")?,
-        }),
-        other => Ok(FleetEvent::Unknown {
-            what: other.to_owned(),
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding helpers
-// ---------------------------------------------------------------------
 
 fn parse_frame(line: &str) -> Result<Value, ProtoError> {
     json::parse(line.trim_end_matches(['\r', '\n']))
@@ -1042,29 +752,133 @@ impl From<FieldError<'_>> for ProtoError {
     }
 }
 
-fn spec_of(mut fields: Fields<'_>) -> Result<FleetSpec, ProtoError> {
-    let corner_token = fields.get("corner")?;
-    let corner = Corner::from_token(corner_token).ok_or_else(|| ProtoError::BadField {
-        field: "corner".to_owned(),
-        message: format!("unknown corner '{corner_token}' (ttt|tff|tss)"),
-    })?;
-    let search_token = fields.get("search")?;
-    let search = SearchStrategy::parse(search_token).ok_or_else(|| ProtoError::BadField {
-        field: "search".to_owned(),
-        message: format!("unknown strategy '{search_token}'"),
-    })?;
-    Ok(FleetSpec {
-        corner,
-        first_serial: fields.get("first_serial")?,
-        chips: fields.get("chips")?,
-        benchmarks: fields.list("benchmarks")?,
-        cores: fields.list("cores")?,
-        iterations: fields.get("iterations")?,
-        start_mv: fields.get("start_mv")?,
-        floor_mv: fields.get("floor_mv")?,
-        seed: fields.get("seed")?,
-        search,
-    })
+/// A frame field's type: how `frames!` puts a value into a frame object
+/// and takes it back out.
+trait Wire: Sized {
+    /// Puts the value into `frame` under `key`.
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str);
+
+    /// Takes the value under `key` out of `fields`.
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError>;
+}
+
+impl Wire for String {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        frame.insert(key.to_owned(), Value::from_str_val(self));
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        Ok(fields.get(key)?)
+    }
+}
+
+impl Wire for u8 {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        u64::from(*self).put(frame, key);
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        Ok(fields.get(key)?)
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        u64::from(*self).put(frame, key);
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        Ok(fields.get(key)?)
+    }
+}
+
+impl Wire for u64 {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        frame.insert(key.to_owned(), Value::from_u64(*self));
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        Ok(fields.get(key)?)
+    }
+}
+
+impl Wire for f64 {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        frame.insert(key.to_owned(), Value::from_f64(*self));
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        Ok(fields.get(key)?)
+    }
+}
+
+/// `None` is written by leaving the key out, and an absent key reads as
+/// `None`.
+impl Wire for Option<u32> {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        if let Some(value) = self {
+            value.put(frame, key);
+        }
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        fields
+            .contains(key)
+            .then(|| u32::take(fields, key))
+            .transpose()
+    }
+}
+
+/// A spec is a nested object. Its codec is written out because it reads
+/// the corner and strategy tokens before the other fields, so a spec that
+/// is broken twice reports its token.
+impl Wire for FleetSpec {
+    fn put(&self, frame: &mut BTreeMap<String, Value>, key: &str) {
+        let benchmarks = self.benchmarks.iter().map(|b| Value::from_str_val(b));
+        let cores = self.cores.iter().map(|&c| Value::from_u64(u64::from(c)));
+        let mut spec = BTreeMap::from([
+            (
+                "corner".to_owned(),
+                Value::from_str_val(self.corner.token()),
+            ),
+            ("benchmarks".to_owned(), Value::Array(benchmarks.collect())),
+            ("cores".to_owned(), Value::Array(cores.collect())),
+            ("search".to_owned(), Value::from_str_val(self.search.name())),
+        ]);
+        self.first_serial.put(&mut spec, "first_serial");
+        self.chips.put(&mut spec, "chips");
+        self.iterations.put(&mut spec, "iterations");
+        self.start_mv.put(&mut spec, "start_mv");
+        self.floor_mv.put(&mut spec, "floor_mv");
+        self.seed.put(&mut spec, "seed");
+        frame.insert(key.to_owned(), Value::Object(spec));
+    }
+
+    fn take(fields: &mut Fields<'_>, key: &'static str) -> Result<Self, ProtoError> {
+        let mut fields: Fields<'_> = fields.get(key)?;
+        let corner_token = fields.get("corner")?;
+        let corner = Corner::from_token(corner_token).ok_or_else(|| ProtoError::BadField {
+            field: "corner".to_owned(),
+            message: format!("unknown corner '{corner_token}' (ttt|tff|tss)"),
+        })?;
+        let search_token = fields.get("search")?;
+        let search = SearchStrategy::parse(search_token).ok_or_else(|| ProtoError::BadField {
+            field: "search".to_owned(),
+            message: format!("unknown strategy '{search_token}'"),
+        })?;
+        Ok(FleetSpec {
+            corner,
+            first_serial: fields.get("first_serial")?,
+            chips: fields.get("chips")?,
+            benchmarks: fields.list("benchmarks")?,
+            cores: fields.list("cores")?,
+            iterations: fields.get("iterations")?,
+            start_mv: fields.get("start_mv")?,
+            floor_mv: fields.get("floor_mv")?,
+            seed: fields.get("seed")?,
+            search,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1088,120 +902,160 @@ mod tests {
 
     #[test]
     fn requests_round_trip_through_the_wire() {
-        let frames = [
-            Request::Submit {
-                client: "rack-a".into(),
-                spec: spec(),
-            },
-            Request::Status {
-                client: "rack-a".into(),
-                job: 3,
-            },
-            Request::Cancel {
-                client: "rack \"b\"\n".into(),
-                job: u64::MAX,
-            },
-            Request::Results {
-                client: String::new(),
-                job: 0,
-            },
-            Request::Subscribe {
-                client: "rack-a".into(),
-                job: 12,
-            },
-            Request::Unsubscribe {
-                client: "rack-a".into(),
-                job: 12,
-            },
-            Request::Health,
-            Request::Metrics,
-            Request::Shutdown,
+        // One sample per kind, in declaration order, each with the line the
+        // encoder writes for it.
+        let samples = [
+            (
+                Request::Submit {
+                    client: "rack-a".into(),
+                    spec: spec(),
+                },
+                r#"{"client":"rack-a","kind":"submit","spec":{"benchmarks":["namd","mcf"],"chips":3,"cores":[0,4],"corner":"tss","first_serial":40,"floor_mv":880,"iterations":2,"search":"bisection","seed":7,"start_mv":890}}"#,
+            ),
+            (
+                Request::Status {
+                    client: "rack-a".into(),
+                    job: 3,
+                },
+                r#"{"client":"rack-a","job":3,"kind":"status"}"#,
+            ),
+            (
+                Request::Cancel {
+                    client: "rack \"b\"\n".into(),
+                    job: u64::MAX,
+                },
+                r#"{"client":"rack \"b\"\n","job":18446744073709551615,"kind":"cancel"}"#,
+            ),
+            (
+                Request::Results {
+                    client: String::new(),
+                    job: 0,
+                },
+                r#"{"client":"","job":0,"kind":"results"}"#,
+            ),
+            (
+                Request::Subscribe {
+                    client: "rack-a".into(),
+                    job: 12,
+                },
+                r#"{"client":"rack-a","job":12,"kind":"subscribe"}"#,
+            ),
+            (
+                Request::Unsubscribe {
+                    client: "rack-a".into(),
+                    job: 12,
+                },
+                r#"{"client":"rack-a","job":12,"kind":"unsubscribe"}"#,
+            ),
+            (Request::Health, r#"{"kind":"health"}"#),
+            (Request::Metrics, r#"{"kind":"metrics"}"#),
+            (Request::Shutdown, r#"{"kind":"shutdown"}"#),
         ];
-        for frame in frames {
-            let line = frame.to_line();
-            assert!(!line.contains('\n'), "frames are single lines: {line}");
-            assert_eq!(Request::parse_line(&line).expect("round trip"), frame);
+        let tags: Vec<&str> = samples.iter().map(|(frame, _)| frame.tag()).collect();
+        assert_eq!(tags, Request::TAGS);
+        for (frame, line) in samples {
+            assert_eq!(frame.to_line(), line);
+            assert_eq!(Request::parse_line(line).expect("round trip"), frame);
         }
     }
 
     #[test]
     fn responses_round_trip_through_the_wire() {
-        let frames = [
-            Response::Submitted { job: 1, chips: 64 },
-            Response::Status {
-                job: 1,
-                state: "running".into(),
-                done: 3,
-                total: 64,
-                queue_position: 7,
-                progress: 3.0 / 64.0,
-            },
-            Response::Cancelled {
-                job: 9,
-                done: 2,
-                total: 5,
-            },
-            Response::Subscribed { job: 4 },
-            Response::Unsubscribed { job: 4 },
-            Response::Health(HealthSnapshot {
-                workers: 4,
-                busy: 2,
-                queued_units: 61,
-                jobs_queued: 1,
-                jobs_running: 1,
-                jobs_done: 3,
-                jobs_cancelled: 1,
-                jobs_failed: 0,
-                subscribers: 2,
-            }),
-            Response::Metrics {
-                body: "# TYPE voltmargin_runs counter\nvoltmargin_runs_total 3\n# EOF\n".into(),
-            },
-            Response::Event(FleetEvent::ChipFinished {
-                job: 1,
-                chip: 3,
-                chip_id: "TTT#103".into(),
-                runs: 3,
-                power_cycles: 1,
-                vmin_mv: Some(885),
-                severity_sum: 2.5,
-                cache_hits: 0,
-                cache_lookups: 4,
-                trace: "{\"seq\":0}\n".into(),
-            }),
-            Response::Event(FleetEvent::ChipFinished {
-                job: 1,
-                chip: 4,
-                chip_id: "TTT#104".into(),
-                runs: 3,
-                power_cycles: 0,
-                vmin_mv: None,
-                severity_sum: 0.0,
-                cache_hits: 4,
-                cache_lookups: 4,
-                trace: String::new(),
-            }),
-            Response::Event(FleetEvent::Lagged { job: 1, dropped: 9 }),
-            Response::Results {
-                job: 1,
-                chips: 2,
-                runs: 120,
-                power_cycles: 4,
-                executed_ops: 0,
-                trace: "{\"seq\":0}\n{\"seq\":1}\n".into(),
-                metrics: "# EOF\n".into(),
-            },
-            Response::Bye,
-            Response::Error {
-                proto: PROTO_VERSION,
-                code: "malformed".into(),
-                message: "truncated".into(),
-            },
+        let samples = [
+            (
+                Response::Submitted { job: 1, chips: 64 },
+                r#"{"chips":64,"job":1,"kind":"submitted"}"#,
+            ),
+            (
+                Response::Status {
+                    job: 1,
+                    state: "running".into(),
+                    done: 3,
+                    total: 64,
+                    queue_position: 7,
+                    progress: 3.0 / 64.0,
+                },
+                r#"{"done":3,"job":1,"kind":"status","progress":0.046875,"queue_position":7,"state":"running","total":64}"#,
+            ),
+            (
+                Response::Cancelled {
+                    job: 9,
+                    done: 2,
+                    total: 5,
+                },
+                r#"{"done":2,"job":9,"kind":"cancelled","total":5}"#,
+            ),
+            (
+                Response::Subscribed { job: 4 },
+                r#"{"job":4,"kind":"subscribed"}"#,
+            ),
+            (
+                Response::Unsubscribed { job: 4 },
+                r#"{"job":4,"kind":"unsubscribed"}"#,
+            ),
+            (
+                Response::Health(HealthSnapshot {
+                    workers: 4,
+                    busy: 2,
+                    queued_units: 61,
+                    jobs_queued: 1,
+                    jobs_running: 1,
+                    jobs_done: 3,
+                    jobs_cancelled: 1,
+                    jobs_failed: 0,
+                    subscribers: 2,
+                }),
+                r#"{"busy":2,"jobs_cancelled":1,"jobs_done":3,"jobs_failed":0,"jobs_queued":1,"jobs_running":1,"kind":"health","queued_units":61,"subscribers":2,"workers":4}"#,
+            ),
+            (
+                Response::Metrics {
+                    body: "# TYPE voltmargin_runs counter\nvoltmargin_runs_total 3\n# EOF\n".into(),
+                },
+                r##"{"body":"# TYPE voltmargin_runs counter\nvoltmargin_runs_total 3\n# EOF\n","kind":"metrics"}"##,
+            ),
+            // A censored chip: no `vmin_mv` key at all.
+            (
+                Response::Event(FleetEvent::ChipFinished {
+                    job: 1,
+                    chip: 4,
+                    chip_id: "TTT#104".into(),
+                    runs: 3,
+                    power_cycles: 0,
+                    vmin_mv: None,
+                    severity_sum: 0.1 + 0.2,
+                    cache_hits: 4,
+                    cache_lookups: 4,
+                    trace: String::new(),
+                }),
+                r#"{"cache_hits":4,"cache_lookups":4,"chip":4,"chip_id":"TTT#104","job":1,"kind":"event","power_cycles":0,"runs":3,"severity_sum":0.30000000000000004,"trace":"","what":"chip-finished"}"#,
+            ),
+            (
+                Response::Results {
+                    job: 1,
+                    chips: 2,
+                    runs: 120,
+                    power_cycles: 4,
+                    executed_ops: 0,
+                    trace: "{\"seq\":0}\n{\"seq\":1}\n".into(),
+                    metrics: "# EOF\n".into(),
+                },
+                r##"{"chips":2,"executed_ops":0,"job":1,"kind":"results","metrics":"# EOF\n","power_cycles":4,"runs":120,"trace":"{\"seq\":0}\n{\"seq\":1}\n"}"##,
+            ),
+            (Response::Bye, r#"{"kind":"bye"}"#),
+            (
+                Response::Error {
+                    proto: PROTO_VERSION,
+                    code: "malformed".into(),
+                    message: "truncated".into(),
+                },
+                r#"{"code":"malformed","kind":"error","message":"truncated","proto":2}"#,
+            ),
         ];
-        for frame in frames {
-            let line = frame.to_line();
-            assert!(!line.contains('\n'), "frames are single lines: {line}");
-            assert_eq!(Response::parse_line(&line).expect("round trip"), frame);
+        let tags: Vec<&str> = samples.iter().map(|(frame, _)| frame.tag()).collect();
+        assert_eq!(tags, Response::TAGS);
+        for (frame, line) in samples {
+            assert_eq!(frame.to_line(), line);
+            assert_eq!(Response::parse_line(line).expect("round trip"), frame);
         }
     }
 
@@ -1241,6 +1095,17 @@ mod tests {
             err.to_string(),
             "bad field 'job': expected an unsigned 64-bit integer, got -1"
         );
+        // Fields are read in declaration order, and a spec's tokens first.
+        let err = Request::parse_line(r#"{"kind":"status"}"#).expect_err("bare status");
+        assert_eq!(err.to_string(), "missing field 'client'");
+        let err = Request::parse_line(
+            r#"{"client":"c","kind":"submit","spec":{"corner":"ttt","search":"nope"}}"#,
+        )
+        .expect_err("unknown strategy");
+        assert_eq!(
+            err.to_string(),
+            "bad field 'search': unknown strategy 'nope'"
+        );
     }
 
     #[test]
@@ -1267,50 +1132,94 @@ mod tests {
 
     #[test]
     fn every_event_kind_round_trips() {
-        let events = [
-            FleetEvent::JobQueued {
-                job: 0,
-                client: "rack \"a\"".into(),
-                chips: 64,
-            },
-            FleetEvent::JobStarted { job: 0 },
-            FleetEvent::ChipStarted {
-                job: 0,
-                chip: 1,
-                chip_id: "TSS#501".into(),
-            },
-            FleetEvent::SweepProgress {
-                job: 0,
-                chip: 1,
-                program: "namd".into(),
-                dataset: "ref".into(),
-                core: 4,
-                runs: 3,
-            },
-            FleetEvent::JobFinished {
-                job: 0,
-                chips: 64,
-                runs: 192,
-                power_cycles: 4,
-            },
-            FleetEvent::JobCancelled {
-                job: 0,
-                done: 12,
-                total: 64,
-            },
-            FleetEvent::JobFailed {
-                job: 0,
-                message: "executor: too many threads".into(),
-            },
-            FleetEvent::Lagged { job: 0, dropped: 1 },
+        let samples = [
+            (
+                FleetEvent::JobQueued {
+                    job: 0,
+                    client: "rack \"a\"".into(),
+                    chips: 64,
+                },
+                r#"{"chips":64,"client":"rack \"a\"","job":0,"kind":"event","what":"job-queued"}"#,
+            ),
+            (
+                FleetEvent::JobStarted { job: 0 },
+                r#"{"job":0,"kind":"event","what":"job-started"}"#,
+            ),
+            (
+                FleetEvent::ChipStarted {
+                    job: 0,
+                    chip: 1,
+                    chip_id: "TSS#501".into(),
+                },
+                r#"{"chip":1,"chip_id":"TSS#501","job":0,"kind":"event","what":"chip-started"}"#,
+            ),
+            (
+                FleetEvent::SweepProgress {
+                    job: 0,
+                    chip: 1,
+                    program: "namd".into(),
+                    dataset: "ref".into(),
+                    core: 4,
+                    runs: 3,
+                },
+                r#"{"chip":1,"core":4,"dataset":"ref","job":0,"kind":"event","program":"namd","runs":3,"what":"sweep-progress"}"#,
+            ),
+            (
+                FleetEvent::ChipFinished {
+                    job: 1,
+                    chip: 3,
+                    chip_id: "TTT#103".into(),
+                    runs: 3,
+                    power_cycles: 1,
+                    vmin_mv: Some(885),
+                    severity_sum: 2.5,
+                    cache_hits: 0,
+                    cache_lookups: 4,
+                    trace: "{\"seq\":0}\n".into(),
+                },
+                r#"{"cache_hits":0,"cache_lookups":4,"chip":3,"chip_id":"TTT#103","job":1,"kind":"event","power_cycles":1,"runs":3,"severity_sum":2.5,"trace":"{\"seq\":0}\n","vmin_mv":885,"what":"chip-finished"}"#,
+            ),
+            (
+                FleetEvent::JobFinished {
+                    job: 0,
+                    chips: 64,
+                    runs: 192,
+                    power_cycles: 4,
+                },
+                r#"{"chips":64,"job":0,"kind":"event","power_cycles":4,"runs":192,"what":"job-finished"}"#,
+            ),
+            (
+                FleetEvent::JobCancelled {
+                    job: 0,
+                    done: 12,
+                    total: 64,
+                },
+                r#"{"done":12,"job":0,"kind":"event","total":64,"what":"job-cancelled"}"#,
+            ),
+            (
+                FleetEvent::JobFailed {
+                    job: 0,
+                    message: "executor: too many threads".into(),
+                },
+                r#"{"job":0,"kind":"event","message":"executor: too many threads","what":"job-failed"}"#,
+            ),
+            (
+                FleetEvent::Lagged { job: 0, dropped: 1 },
+                r#"{"dropped":1,"job":0,"kind":"event","what":"lagged"}"#,
+            ),
+            (
+                FleetEvent::Unknown {
+                    what: "chip-teleported".into(),
+                },
+                r#"{"kind":"event","what":"chip-teleported"}"#,
+            ),
         ];
-        for event in events {
-            let line = Response::Event(event.clone()).to_line();
-            assert!(!line.contains('\n'), "events are single lines: {line}");
-            assert_eq!(
-                Response::parse_line(&line).expect("round trip"),
-                Response::Event(event)
-            );
+        let tags: Vec<&str> = samples.iter().map(|(event, _)| event.tag()).collect();
+        assert_eq!(tags, [FleetEvent::TAGS, &["chip-teleported"]].concat());
+        for (event, line) in samples {
+            let frame = Response::Event(event);
+            assert_eq!(frame.to_line(), line);
+            assert_eq!(Response::parse_line(line).expect("round trip"), frame);
         }
     }
 
@@ -1330,7 +1239,7 @@ mod tests {
             }
         );
         assert_eq!(event.job(), None);
-        assert_eq!(event.what(), "chip-teleported");
+        assert_eq!(event.tag(), "chip-teleported");
         // …while an unknown *frame* kind stays a hard typed rejection.
         assert!(matches!(
             Response::parse_line("{\"kind\":\"telemetry\"}"),

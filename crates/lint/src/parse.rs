@@ -763,11 +763,11 @@ mod tests {
     #[test]
     fn trait_methods_are_marked() {
         let src =
-            "pub trait Observer { fn enabled(&self) -> bool { true } fn record(&self, e: &E); }";
+            "pub trait Recorder { fn enabled(&self) -> bool { true } fn record(&self, e: &E); }";
         let all = fns(src);
         assert_eq!(all.len(), 2);
         assert!(all.iter().all(|f| f.in_trait_impl));
-        assert_eq!(all[0].owner.as_deref(), Some("Observer"));
+        assert_eq!(all[0].owner.as_deref(), Some("Recorder"));
     }
 
     #[test]

@@ -55,7 +55,6 @@ impl<'a> SlimPro<'a> {
     /// Returns a [`SupplyError`] for off-step or above-nominal requests.
     pub fn set_pmd_voltage(&mut self, v: Millivolts) -> Result<(), SupplyError> {
         self.sys.supplies.set_pmd(v)?;
-        self.sys.log_console(&format!("slimpro: pmd rail -> {v}"));
         self.sys.observe(|| margins_trace::TraceEvent::RailSet {
             rail: "pmd".to_owned(),
             mv: v.get(),
@@ -70,7 +69,6 @@ impl<'a> SlimPro<'a> {
     /// Returns a [`SupplyError`] for off-step or above-nominal requests.
     pub fn set_soc_voltage(&mut self, v: Millivolts) -> Result<(), SupplyError> {
         self.sys.supplies.set_soc(v)?;
-        self.sys.log_console(&format!("slimpro: soc rail -> {v}"));
         self.sys.observe(|| margins_trace::TraceEvent::RailSet {
             rail: "soc".to_owned(),
             mv: v.get(),
@@ -89,8 +87,6 @@ impl<'a> SlimPro<'a> {
             return Err(FrequencyError { requested: f });
         }
         self.sys.pmd_freq[pmd.index()] = f;
-        self.sys
-            .log_console(&format!("slimpro: {pmd} clock -> {f}"));
         Ok(())
     }
 
@@ -115,8 +111,6 @@ impl<'a> PmPro<'a> {
     /// regulates to (the paper pins it to 43 °C during characterization).
     pub fn set_temperature_setpoint(&mut self, setpoint_c: f64) {
         self.sys.thermal = crate::thermal::ThermalModel::with_setpoint(setpoint_c);
-        self.sys
-            .log_console(&format!("pmpro: fan setpoint -> {setpoint_c:.1}C"));
     }
 }
 
@@ -178,6 +172,6 @@ mod tests {
             let mut pp = s.pmpro_mut();
             pp.set_temperature_setpoint(50.0);
         }
-        assert!(s.console().iter().any(|l| l.contains("pmpro")));
+        assert_eq!(s.slimpro_mut().read_die_temperature_c(), 50.0);
     }
 }

@@ -18,12 +18,9 @@ use crate::program::{OutputDigest, Program};
 use crate::thermal::ThermalModel;
 use crate::topology::{CoreId, PmdId, NUM_PMDS};
 use crate::volt::{Millivolts, SupplyState};
-use margins_trace::{Observer, TraceEvent};
+use margins_trace::{EventBuffer, TraceEvent};
 use std::fmt;
 use std::sync::Arc;
-
-/// Maximum serial-console lines a board retains.
-const CONSOLE_CAPACITY: usize = 256;
 
 /// Static configuration of the simulated board.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,9 +140,8 @@ pub struct System {
     pub(crate) energy: EnergyMeter,
     pub(crate) responsive: bool,
     pub(crate) boot_count: u32,
-    pub(crate) console: Vec<String>,
     pub(crate) config: SystemConfig,
-    pub(crate) observer: Option<Arc<dyn Observer>>,
+    pub(crate) observer: Option<Arc<EventBuffer>>,
 }
 
 impl System {
@@ -166,7 +162,6 @@ impl System {
             energy: EnergyMeter::new(),
             responsive: false,
             boot_count: 0,
-            console: Vec::new(),
             config,
             observer: None,
         };
@@ -177,15 +172,14 @@ impl System {
     /// Returns the board to the power-on state [`System::new`] leaves it
     /// in, as if it had just been built from the same spec and config:
     /// nominal supplies, every PMD at full clock, empty caches and EDAC
-    /// log, the thermal model and energy meter restarted, one boot and
-    /// only the boot line on the console.
+    /// log, the thermal model and energy meter restarted, and one boot.
     ///
     /// Unlike [`System::power_cycle`], nothing volatile survives: thermal
     /// history, the energy meter, a PMpro setpoint change and the boot
     /// count are all undone. What depends only on the spec is kept, so
     /// this costs a fraction of a rebuild: the variation map, the power
-    /// model, the cache arrays' storage and their weak-cell maps. The
-    /// attached observer stays attached, and nothing is reported through
+    /// model, the cache arrays' storage and their weak-cell maps. An
+    /// attached event buffer stays attached, and nothing is recorded into
     /// it.
     pub fn reinitialize(&mut self) {
         self.supplies = SupplyState::nominal();
@@ -196,8 +190,6 @@ impl System {
         self.energy = EnergyMeter::new();
         self.responsive = true;
         self.boot_count = 1;
-        self.console.clear();
-        self.log_console("boot: firmware handoff, supplies at nominal");
     }
 
     /// Current supply state.
@@ -231,28 +223,20 @@ impl System {
         self.energy
     }
 
-    /// The retained serial-console tail.
-    #[must_use]
-    pub fn console(&self) -> &[String] {
-        &self.console
-    }
-
-    /// Attaches a telemetry observer: subsequent rail programming and EDAC
-    /// drains report [`TraceEvent`]s through it. The simulator never emits
-    /// when no observer is attached (or the attached one is disabled), so
-    /// tracing has no effect on simulation results either way.
-    pub fn set_observer(&mut self, observer: Arc<dyn Observer>) {
+    /// Attaches a telemetry buffer: subsequent rail programming and EDAC
+    /// drains record [`TraceEvent`]s into it. The simulator never emits
+    /// when no buffer is attached, and tracing has no effect on simulation
+    /// results either way.
+    pub fn set_observer(&mut self, observer: Arc<EventBuffer>) {
         self.observer = Some(observer);
     }
 
-    /// Reports one event through the attached observer, constructing it
-    /// only when an enabled observer is attached — instrumented callers
-    /// (the characterization framework) pay nothing when tracing is off.
+    /// Records one event into the attached buffer, constructing it only
+    /// when a buffer is attached — instrumented callers (the
+    /// characterization framework) pay nothing when tracing is off.
     pub fn observe(&self, build: impl FnOnce() -> TraceEvent) {
         if let Some(obs) = &self.observer {
-            if obs.enabled() {
-                obs.record(&build());
-            }
+            obs.record(build());
         }
     }
 
@@ -280,14 +264,6 @@ impl System {
         self.edac = EdacLog::new();
         self.responsive = true;
         self.boot_count += 1;
-        self.log_console("watchdog: power cycle, supplies restored to nominal");
-    }
-
-    pub(crate) fn log_console(&mut self, line: &str) {
-        if self.console.len() >= CONSOLE_CAPACITY {
-            self.console.remove(0);
-        }
-        self.console.push(line.to_owned());
     }
 
     /// Executes `program` on `core` under the current V/F state.
@@ -467,7 +443,7 @@ impl System {
     }
 
     /// Everything after the machine, shared by [`System::run`] and
-    /// [`System::replay`]: the outcome and a hang's console line, runtime,
+    /// [`System::replay`]: the outcome and a hang's heartbeat, runtime,
     /// power, energy and the thermal step, and the EDAC drain with its
     /// trace events.
     fn complete_run(
@@ -485,7 +461,6 @@ impl System {
         };
         if outcome == RunOutcome::SystemCrashed {
             self.responsive = false;
-            self.log_console("console: <no further output — system hung>");
         }
 
         // Energy/thermal accounting over the modelled runtime.
@@ -689,13 +664,5 @@ mod tests {
             &events[0],
             margins_trace::TraceEvent::RailSet { rail, mv: 905 } if rail == "pmd"
         ));
-    }
-
-    #[test]
-    fn console_retains_boot_messages() {
-        let mut s = sys();
-        assert!(s.console().iter().any(|l| l.contains("boot")));
-        s.power_cycle();
-        assert!(s.console().iter().any(|l| l.contains("watchdog")));
     }
 }

@@ -460,7 +460,6 @@ impl Program for LineSweep {
 /// Everything observable about a board between runs; floats as bits.
 #[derive(Debug, PartialEq)]
 struct BoardState {
-    console: Vec<String>,
     boot_count: u32,
     energy_bits: (u64, u64),
     supplies: SupplyState,
@@ -472,7 +471,6 @@ struct BoardState {
 fn board_state(sys: &mut System) -> BoardState {
     let meter = sys.energy_meter();
     BoardState {
-        console: sys.console().to_vec(),
         boot_count: sys.boot_count(),
         energy_bits: (meter.joules().to_bits(), meter.seconds().to_bits()),
         supplies: sys.supplies(),
@@ -541,10 +539,10 @@ fn steps(mut state: u64, n: usize) -> Vec<Step> {
 
 /// Leaves `sys` with every kind of volatile state a campaign can leave
 /// behind: warm caches, thermal history under a changed setpoint, a
-/// running energy meter, power cycles and a long console, rails and
-/// clocks off nominal, and either a hung board or EDAC records that no
-/// run drained (a run can only start on a responsive board, so one
-/// history cannot end with both). Returns the EDAC levels it saw.
+/// running energy meter, power cycles, rails and clocks off nominal, and
+/// either a hung board or EDAC records that no run drained (a run can
+/// only start on a responsive board, so one history cannot end with
+/// both). Returns the EDAC levels it saw.
 fn live_through(sys: &mut System, state: &mut u64, end_hung: bool) -> Vec<String> {
     let events = Arc::new(EventBuffer::new());
     sys.set_observer(events.clone());
@@ -642,7 +640,6 @@ fn a_reinitialized_board_equals_a_new_board() {
             // `System::new` ends in `reinitialize` too, so the power-on
             // state is also spelled out here.
             let power_on = BoardState {
-                console: vec!["boot: firmware handoff, supplies at nominal".to_owned()],
                 boot_count: 1,
                 energy_bits: (0, 0),
                 supplies: SupplyState::nominal(),

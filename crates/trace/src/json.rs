@@ -39,7 +39,8 @@ pub enum Value {
     String(String),
     /// An array.
     Array(Vec<Value>),
-    /// An object. Duplicate keys keep the last occurrence.
+    /// An object, keys in sorted order. [`parse`] rejects a key repeated
+    /// within one object.
     Object(BTreeMap<String, Value>),
 }
 

@@ -15,11 +15,11 @@
 //! # Architecture
 //!
 //! Instrumented code (the simulator, the campaign runner, the watchdog, the
-//! governor) emits raw [`TraceEvent`]s through the [`Observer`] trait.
-//! Because sharded campaigns execute sweeps concurrently, raw events are
-//! buffered per work item (an [`EventBuffer`] per sweep) and merged in the
-//! canonical item order by the runner; the [`StreamFinalizer`] then assigns
-//! each event its sequence number and modelled-time stamp, producing
+//! governor) records raw [`TraceEvent`]s into an [`EventBuffer`]. Because
+//! sharded campaigns execute sweeps concurrently, raw events are buffered
+//! per work item (one buffer per sweep) and merged in the canonical item
+//! order by the runner; the [`StreamFinalizer`] then assigns each event
+//! its sequence number and modelled-time stamp, producing
 //! [`TraceRecord`]s that are forwarded to [`Sink`]s. Two executions of the
 //! same fixed-seed campaign therefore emit **byte-identical** JSONL
 //! streams, whether the work ran serially or sharded over worker threads.
@@ -62,7 +62,7 @@ pub mod vmin;
 pub use event::{EncodeError, TraceEvent, TraceRecord};
 pub use files::{collect_jsonl, write_atomic};
 pub use metrics::MetricsRegistry;
-pub use observer::{merge_streams, EventBuffer, NullObserver, Observer, StreamFinalizer};
+pub use observer::{merge_streams, EventBuffer, StreamFinalizer};
 pub use reader::{read_jsonl, ParseFailure};
 pub use sink::{JsonlSink, MemorySink, ProgressSink, Sink};
 pub use span::{reconstruct, span_path_at, CampaignSpan, SpanError};

@@ -1,9 +1,8 @@
 //! The instrumentation-facing side of the telemetry layer.
 //!
-//! Instrumented code (simulator, runner, watchdog, governor) holds a
-//! `&dyn Observer` (or an `Arc<dyn Observer>`) and reports raw
-//! [`TraceEvent`]s through it. Observers use interior mutability so the
-//! simulator can emit while the runner holds `&mut System`.
+//! Instrumented code (simulator, runner, governor) records raw
+//! [`TraceEvent`]s into an [`EventBuffer`]. The buffer locks internally,
+//! so the simulator can record while the runner holds `&mut System`.
 //!
 //! The [`StreamFinalizer`] sits between raw events and [`Sink`]s: once the
 //! runner has merged per-item buffers into the canonical order, the
@@ -13,34 +12,6 @@
 
 use crate::event::{TraceEvent, TraceRecord};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Receives raw telemetry events from instrumented code.
-///
-/// Implementations must be cheap when disabled: emission sites guard event
-/// construction with [`Observer::enabled`], so a disabled observer makes
-/// tracing free apart from one virtual call per site.
-pub trait Observer: Send + Sync {
-    /// Whether events should be constructed and reported at all.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Records one event.
-    fn record(&self, event: &TraceEvent);
-}
-
-/// The disabled observer: reports nothing, and tells emission sites not to
-/// build event payloads in the first place.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: &TraceEvent) {}
-}
 
 /// An ordered in-memory buffer of raw events — the per-work-item staging
 /// area that makes sharded tracing deterministic: each sweep's events are
@@ -58,6 +29,11 @@ impl EventBuffer {
         EventBuffer::default()
     }
 
+    /// Appends one event.
+    pub fn record(&self, event: TraceEvent) {
+        self.events().push(event);
+    }
+
     /// Removes and returns everything buffered so far, in emission order.
     #[must_use]
     pub fn drain(&self) -> Vec<TraceEvent> {
@@ -68,12 +44,6 @@ impl EventBuffer {
     /// push either happened or did not, so the events are consistent.
     fn events(&self) -> MutexGuard<'_, Vec<TraceEvent>> {
         self.events.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Observer for EventBuffer {
-    fn record(&self, event: &TraceEvent) {
-        self.events().push(event.clone());
     }
 }
 
@@ -159,8 +129,8 @@ mod tests {
     #[test]
     fn buffer_preserves_emission_order() {
         let buf = EventBuffer::new();
-        buf.record(&TraceEvent::WatchdogPowerCycle { recovery: 2 });
-        buf.record(&run(0.5));
+        buf.record(TraceEvent::WatchdogPowerCycle { recovery: 2 });
+        buf.record(run(0.5));
         let events = buf.drain();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].name(), "WatchdogPowerCycle");
@@ -171,7 +141,7 @@ mod tests {
     #[test]
     fn buffer_survives_a_panicking_recorder() {
         let buf = EventBuffer::new();
-        buf.record(&run(0.5));
+        buf.record(run(0.5));
         std::thread::scope(|scope| {
             let holder = scope.spawn(|| {
                 let _events = buf.events.lock();
@@ -181,7 +151,7 @@ mod tests {
         });
         assert!(buf.events.is_poisoned());
 
-        buf.record(&TraceEvent::WatchdogPowerCycle { recovery: 1 });
+        buf.record(TraceEvent::WatchdogPowerCycle { recovery: 1 });
         assert_eq!(buf.drain().len(), 2);
         assert!(buf.drain().is_empty());
     }
@@ -197,13 +167,6 @@ mod tests {
         assert!((b.t_model_s - 0.25).abs() < 1e-12);
         assert!((c.t_model_s - 0.25).abs() < 1e-12);
         assert_eq!(fin.seq, 3);
-    }
-
-    #[test]
-    fn null_observer_is_disabled() {
-        let obs = NullObserver;
-        assert!(!obs.enabled());
-        obs.record(&run(0.1)); // must be a no-op
     }
 
     #[test]
