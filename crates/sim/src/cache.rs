@@ -7,6 +7,7 @@
 //! (which array locations the program's data physically occupies, so that
 //! weak cells corrupt the right accesses at the right voltages).
 
+use crate::calib::SRAM_REPAIR_CLAMP_MV;
 use crate::corner::ChipSpec;
 use crate::edac::{EdacKind, EdacLog, EdacRecord};
 use crate::faults::sram::{WeakCellMap, WORDS_PER_LINE};
@@ -15,7 +16,10 @@ use margins_ecc::parity::ParityWord;
 use margins_ecc::secded::Codeword;
 use margins_ecc::secded32::InterleavedWord;
 use margins_ecc::CheckOutcome;
+use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::mem;
+use std::sync::OnceLock;
 
 /// Associativity used for every level (8-way, typical of the design).
 pub const WAYS: u8 = 8;
@@ -56,6 +60,70 @@ impl FaultObservation {
     }
 }
 
+/// The line storage of one array, one entry per set.
+///
+/// It holds no chip-dependent state, so a dropped array's storage serves
+/// the next array of its size on the same thread (`SPARE_LINES`). An empty
+/// way's tag and stamp are never read, so [`SetAssocCache::reset`] clears
+/// only the valid and dirty bytes, and that makes spare storage as good as
+/// new: a new per-set field must be cleared there too, or never be read
+/// for an empty way.
+#[derive(Debug, Clone, Default)]
+struct Lines {
+    /// The line address each way holds; meaningful only where the set's
+    /// `valid` byte has the way's bit, so any line address, zero and
+    /// `u64::MAX` included, can be cached, and neither a new nor a spare
+    /// array writes tag memory up front.
+    tags: Vec<[u64; WAYS as usize]>,
+    /// Per set, bit `w` is set while way `w` holds a line.
+    valid: Vec<u8>,
+    /// Per set, bit `w` is set while way `w` holds a dirty line (never
+    /// for an empty way).
+    dirty: Vec<u8>,
+    /// Per way, the stamp of its last access; read only once every way of
+    /// the set is valid, and each of those was stamped when it was filled.
+    lru: Vec<[u64; WAYS as usize]>,
+}
+
+thread_local! {
+    /// Line storage of this thread's dropped arrays, for its next board.
+    static SPARE_LINES: RefCell<Vec<Lines>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Lines {
+    /// Storage for `sets` sets: a spare of that size from this thread's
+    /// list, with whatever its last array left in it, else new storage.
+    fn take(sets: usize) -> Self {
+        SPARE_LINES
+            .try_with(|spare| {
+                let mut spare = spare.borrow_mut();
+                let i = spare.iter().position(|l| l.valid.len() == sets)?;
+                Some(spare.swap_remove(i))
+            })
+            .ok()
+            .flatten()
+            .unwrap_or_else(|| Lines {
+                tags: vec![[0; WAYS as usize]; sets],
+                valid: vec![0; sets],
+                dirty: vec![0; sets],
+                lru: vec![[0; WAYS as usize]; sets],
+            })
+    }
+
+    /// Puts the storage on this thread's spare list, unless the list
+    /// already holds `keep` of its size; then, or on a thread that is
+    /// exiting, it is freed.
+    fn give_back(self, keep: usize) {
+        let sets = self.valid.len();
+        let _ = SPARE_LINES.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.iter().filter(|l| l.valid.len() == sets).count() < keep {
+                spare.push(self);
+            }
+        });
+    }
+}
+
 /// One physical set-associative tag array plus its weak-cell overlay.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -66,24 +134,30 @@ pub struct SetAssocCache {
     protection: Protection,
     /// Always a power of two, so a set index is a mask, not a divide.
     sets: u32,
-    /// The line address each way holds, one array per set; meaningful
-    /// only where the set's `valid` byte has the way's bit. Zero-filled,
-    /// so building an array writes no tag memory up front, and any line
-    /// address, zero and `u64::MAX` included, can be cached.
-    tags: Vec<[u64; WAYS as usize]>,
-    /// Per set, bit `w` is set while way `w` holds a line.
-    valid: Vec<u8>,
-    /// Per set, bit `w` is set while way `w` holds a dirty line (never
-    /// for an empty way).
-    dirty: Vec<u8>,
-    /// Per way, the stamp of its last access; read only once every way of
-    /// the set is valid, and each of those was stamped when it was filled.
-    lru: Vec<[u64; WAYS as usize]>,
+    /// Taken from this thread's spare storage when it holds one of this
+    /// size, and given back on drop.
+    lines: Lines,
     stamp: u64,
-    weak: WeakCellMap,
+    /// The chip whose weak cells the array carries.
+    spec: ChipSpec,
+    /// The weak-cell overlay, drawn on first need (`weak_cells`): at or
+    /// above the repair clamp no access needs it.
+    weak: OnceLock<WeakCellMap>,
     /// Weak cells already reported this run (dedupe: EDAC logs a location
     /// once per scrub interval, not once per access).
     reported: BTreeSet<(u32, u8, u8)>,
+}
+
+impl Drop for SetAssocCache {
+    fn drop(&mut self) {
+        // One hierarchy's worth per size: 16 L1 arrays, 4 L2s and the L3.
+        let keep = match self.level {
+            CacheLevel::L1I | CacheLevel::L1D => 2 * NUM_CORES,
+            CacheLevel::L2 => NUM_PMDS,
+            CacheLevel::L3 => 1,
+        };
+        mem::take(&mut self.lines).give_back(keep);
+    }
 }
 
 impl SetAssocCache {
@@ -107,20 +181,20 @@ impl SetAssocCache {
             sets.is_power_of_two(),
             "{level} has {sets} sets; set indexing needs a power of two"
         );
-        let n = sets as usize;
-        SetAssocCache {
+        let mut array = SetAssocCache {
             level,
             instance,
             protection,
             sets,
-            tags: vec![[0; WAYS as usize]; n],
-            valid: vec![0; n],
-            dirty: vec![0; n],
-            lru: vec![[0; WAYS as usize]; n],
+            lines: Lines::take(sets as usize),
             stamp: 0,
-            weak: WeakCellMap::generate(spec, level, instance as usize, sets, WAYS),
+            spec,
+            weak: OnceLock::new(),
             reported: BTreeSet::new(),
-        }
+        };
+        // Spare storage holds its last array's lines.
+        array.reset();
+        array
     }
 
     /// The array's cache level.
@@ -135,18 +209,41 @@ impl SetAssocCache {
         self.sets
     }
 
-    /// The array's weak-cell overlay.
+    /// The array's weak-cell overlay, drawn from the chip spec on the
+    /// first call; the same chip always draws the same cells.
     #[must_use]
     pub fn weak_cells(&self) -> &WeakCellMap {
-        &self.weak
+        self.weak.get_or_init(|| {
+            WeakCellMap::generate(
+                self.spec,
+                self.level,
+                usize::from(self.instance),
+                self.sets,
+                WAYS,
+            )
+        })
+    }
+
+    /// Whether every weak cell of the array holds at `supply_mv`, so no
+    /// location can report anything. A cell fails only below its fail
+    /// voltage, and repair clamps every fail voltage at
+    /// [`SRAM_REPAIR_CLAMP_MV`], so at or above the clamp the answer needs
+    /// no map.
+    #[must_use]
+    pub(crate) fn holds_at(&self, supply_mv: f64) -> bool {
+        supply_mv >= SRAM_REPAIR_CLAMP_MV
+            || self
+                .weak_cells()
+                .weakest_cell_vfail_mv()
+                .is_none_or(|v| v <= supply_mv)
     }
 
     /// Invalidates all lines and clears run-scoped state (power cycle or
     /// new run).
     pub fn reset(&mut self) {
         // Tags and stamps stay as they are: an empty way's are never read.
-        self.valid.fill(0);
-        self.dirty.fill(0);
+        self.lines.valid.fill(0);
+        self.lines.dirty.fill(0);
         self.stamp = 0;
         self.reported.clear();
     }
@@ -165,17 +262,18 @@ impl SetAssocCache {
         let set = (line_addr & u64::from(self.sets - 1)) as u32;
         let s = set as usize;
         self.stamp += 1;
+        let lines = &mut self.lines;
         // Hit? Every way is compared, without a branch per way; the lowest
         // valid match is the way a linear scan would stop at.
         let mut matches = 0u8;
-        for (way, &tag) in self.tags[s].iter().enumerate() {
+        for (way, &tag) in lines.tags[s].iter().enumerate() {
             matches |= u8::from(tag == line_addr) << way;
         }
-        let hits = matches & self.valid[s];
+        let hits = matches & lines.valid[s];
         if hits != 0 {
             let way = hits.trailing_zeros() as u8;
-            self.lru[s][usize::from(way)] = self.stamp;
-            self.dirty[s] |= u8::from(write) << way;
+            lines.lru[s][usize::from(way)] = self.stamp;
+            lines.dirty[s] |= u8::from(write) << way;
             return LevelAccess {
                 hit: true,
                 writeback: false,
@@ -185,11 +283,11 @@ impl SetAssocCache {
         }
         // Miss: the first empty way, else the least recently used one
         // (the lowest way on ties).
-        let empty = !self.valid[s];
+        let empty = !lines.valid[s];
         let victim = if empty != 0 {
             empty.trailing_zeros() as u8
         } else {
-            let lru = &self.lru[s];
+            let lru = &lines.lru[s];
             (1..WAYS).fold(0u8, |best, way| {
                 if lru[usize::from(way)] < lru[usize::from(best)] {
                     way
@@ -199,11 +297,11 @@ impl SetAssocCache {
             })
         };
         let bit = 1u8 << victim;
-        let writeback = self.dirty[s] & bit != 0;
-        self.tags[s][usize::from(victim)] = line_addr;
-        self.lru[s][usize::from(victim)] = self.stamp;
-        self.valid[s] |= bit;
-        self.dirty[s] = (self.dirty[s] & !bit) | (u8::from(write) << victim);
+        let writeback = lines.dirty[s] & bit != 0;
+        lines.tags[s][usize::from(victim)] = line_addr;
+        lines.lru[s][usize::from(victim)] = self.stamp;
+        lines.valid[s] |= bit;
+        lines.dirty[s] = (lines.dirty[s] & !bit) | (u8::from(write) << victim);
         LevelAccess {
             hit: false,
             writeback,
@@ -228,25 +326,21 @@ impl SetAssocCache {
         // A cell fails only below its fail voltage. When even the array's
         // weakest cell holds at `supply_mv`, no location can report
         // anything, so the lookup is skipped.
-        if !self
-            .weak
-            .weakest_cell_vfail_mv()
-            .is_some_and(|v| v > supply_mv)
-        {
+        if self.holds_at(supply_mv) {
             return obs;
         }
         // Group failing cells at this location by word to evaluate the
         // per-word protection code.
         let mut per_word_flips: [u64; WORDS_PER_LINE as usize] = [0; WORDS_PER_LINE as usize];
         let mut any = false;
-        for cell in self.weak.failing_at(set, way, supply_mv) {
+        for cell in self.weak_cells().failing_at(set, way, supply_mv) {
             per_word_flips[cell.word as usize] |= 1u64 << cell.bit;
             any = true;
         }
         if !any {
             return obs;
         }
-        let dirty = self.dirty[set as usize] & (1u8 << way) != 0;
+        let dirty = self.lines.dirty[set as usize] & (1u8 << way) != 0;
         for (word, mask) in per_word_flips.iter().enumerate() {
             if *mask == 0 {
                 continue;
@@ -735,5 +829,63 @@ mod tests {
         let core = CoreId::new(2);
         assert!(!h.inst_access(core, 4096));
         assert!(h.inst_access(core, 4096));
+    }
+
+    /// Every array of `spec`'s stock hierarchy, none of them accessed.
+    fn arrays(spec: ChipSpec) -> Vec<SetAssocCache> {
+        let CacheHierarchy { l1d, l1i, l2, l3 } = CacheHierarchy::new(spec);
+        l1d.into_iter().chain(l1i).chain(l2).chain([l3]).collect()
+    }
+
+    /// The clamp test answers as the eagerly drawn map's weakest cell
+    /// would, at every grid step and at each cell's own fail voltage.
+    #[test]
+    fn holds_at_matches_the_weakest_cell_rule() {
+        for corner in [Corner::Ttt, Corner::Tff, Corner::Tss] {
+            for serial in 0..16 {
+                let spec = ChipSpec::new(corner, serial);
+                for (gated, eager) in arrays(spec).iter().zip(&arrays(spec)) {
+                    let map = eager.weak_cells();
+                    let weakest = map.weakest_cell_vfail_mv();
+                    let grid = (700..=980).step_by(5).map(f64::from);
+                    for supply_mv in grid.chain(map.cells().iter().map(|c| c.vfail_mv)) {
+                        assert_eq!(
+                            gated.holds_at(supply_mv),
+                            weakest.is_none_or(|w| w <= supply_mv),
+                            "{spec:?} {} {} at {supply_mv} mV",
+                            gated.level,
+                            gated.instance
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// At or above the repair clamp no probe needs the weak-cell map, so
+    /// none is drawn.
+    #[test]
+    fn probes_at_or_above_the_clamp_draw_no_map() {
+        for corner in [Corner::Ttt, Corner::Tff, Corner::Tss] {
+            let mut edac = EdacLog::new();
+            for mut array in arrays(ChipSpec::new(corner, 0)) {
+                for supply_mv in [SRAM_REPAIR_CLAMP_MV, 900.0, 950.0, 980.0] {
+                    for set in 0..array.sets {
+                        for way in 0..WAYS {
+                            let word = (set % u32::from(WORDS_PER_LINE)) as u8;
+                            let obs = array.probe_faults(set, way, word, supply_mv, &mut edac);
+                            assert_eq!(obs, FaultObservation::default());
+                        }
+                    }
+                }
+                assert!(
+                    array.weak.get().is_none(),
+                    "{corner:?} {} {} drew its map",
+                    array.level,
+                    array.instance
+                );
+            }
+            assert!(edac.records().is_empty());
+        }
     }
 }

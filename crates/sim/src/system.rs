@@ -7,7 +7,7 @@
 //! machine hangs — power-cycles it through the watchdog lines, exactly the
 //! loop of Figure 2 in the paper.
 
-use crate::cache::{CacheHierarchy, SetAssocCache};
+use crate::cache::CacheHierarchy;
 use crate::corner::{ChipSpec, VariationMap};
 use crate::counters::{CounterFile, PmuEvent};
 use crate::edac::{EdacKind, EdacLog};
@@ -176,11 +176,10 @@ impl System {
     ///
     /// Unlike [`System::power_cycle`], nothing volatile survives: thermal
     /// history, the energy meter, a PMpro setpoint change and the boot
-    /// count are all undone. What depends only on the spec is kept, so
-    /// this costs a fraction of a rebuild: the variation map, the power
-    /// model, the cache arrays' storage and their weak-cell maps. An
-    /// attached event buffer stays attached, and nothing is recorded into
-    /// it.
+    /// count are all undone. What depends only on the spec is kept: the
+    /// variation map, the power model, the cache arrays' storage and any
+    /// weak-cell maps they have drawn. An attached event buffer stays
+    /// attached, and nothing is recorded into it.
     pub fn reinitialize(&mut self) {
         self.supplies = SupplyState::nominal();
         self.pmd_freq = [MAX_FREQ; NUM_PMDS];
@@ -394,19 +393,13 @@ impl System {
         (pmd, soc): (Millivolts, Millivolts),
         thermal: &ThermalModel,
     ) -> Option<FaultFree> {
-        let inert = |array: &SetAssocCache, supply: Millivolts| {
-            array
-                .weak_cells()
-                .weakest_cell_vfail_mv()
-                .is_none_or(|v| v <= supply.as_f64())
-        };
         let summary = record.fault_free?;
         let regime = self.pmd_freq[core.pmd().index()].timing_regime();
         let certified = record.core == core
             && regime == TimingRegime::FullSpeed
-            && inert(self.caches.l1d(core), pmd)
-            && inert(self.caches.l2(core), pmd)
-            && inert(self.caches.l3(), soc)
+            && self.caches.l1d(core).holds_at(pmd.as_f64())
+            && self.caches.l2(core).holds_at(pmd.as_f64())
+            && self.caches.l3().holds_at(soc.as_f64())
             && summary.fires_no_fault(
                 self.variation.vcrit_mv(core, regime),
                 pmd.as_f64(),

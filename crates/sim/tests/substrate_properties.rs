@@ -13,7 +13,7 @@ use margins_sim::calib::SRAM_REPAIR_CLAMP_MV;
 use margins_sim::edac::{EdacKind, EdacLog, EdacRecord};
 use margins_sim::faults::sram::WORDS_PER_LINE;
 use margins_sim::freq::{Megahertz, TimingRegime, MAX_FREQ};
-use margins_sim::machine::{Machine, MachineParams};
+use margins_sim::machine::{Machine, MachineParams, MachineReport};
 use margins_sim::topology::{CacheLevel, Protection, NUM_PMDS};
 use margins_sim::volt::SupplyState;
 use margins_sim::{
@@ -665,5 +665,127 @@ fn a_reinitialized_board_equals_a_new_board() {
             assert!(!events.is_empty(), "{context}: the sequence reports events");
             assert_eq!(used_events.drain(), events, "{context}");
         }
+    }
+}
+
+/// Leaves this thread's spare list holding the line storage of a board of
+/// `spec` that lived through both of `live_through`'s histories.
+fn retire_used_board(spec: ChipSpec, config: SystemConfig) {
+    let mut state = spec.component_seed("recycle");
+    let mut used = System::new(spec, config);
+    for end_hung in [true, false] {
+        live_through(&mut used, &mut state, end_hung);
+    }
+}
+
+/// Runs `run` on this thread, then on a new thread, whose spare list is
+/// empty, so its arrays get new storage.
+fn here_and_on_a_new_thread<T: Send>(run: impl Fn() -> T + Sync) -> (T, T) {
+    let here = run();
+    let new = std::thread::scope(|s| s.spawn(&run).join()).unwrap();
+    (here, new)
+}
+
+/// Sweeps a bare machine over a new stock hierarchy of `spec`, which no
+/// board resets: at nominal, with the PMD rail below the repair clamp and
+/// with the SoC rail deep, timing faults off, each on a core of another
+/// PMD. Returns each sweep's digest, report and EDAC records.
+fn bare_sweeps(spec: ChipSpec) -> Vec<(OutputDigest, MachineReport, Vec<EdacRecord>)> {
+    let mut caches = CacheHierarchy::new(spec);
+    [(980.0, 950.0), (850.0, 950.0), (980.0, 760.0)]
+        .into_iter()
+        .enumerate()
+        .map(|(seed, (pmd_mv, soc_mv))| {
+            let mut edac = EdacLog::new();
+            let params = MachineParams {
+                core: CoreId::new(2 * seed as u8),
+                pmd_mv,
+                soc_mv,
+                vcrit_mv: 700.0,
+                ..params(seed as u64)
+            };
+            let mut machine = Machine::new(params, &mut caches, &mut edac);
+            let sweep = LineSweep {
+                lines: 4096,
+                abort: false,
+            };
+            let digest = sweep.run(&mut machine);
+            (digest, machine.finalize(), edac.records().to_vec())
+        })
+        .collect()
+}
+
+/// Runs a fixed seeded `steps` sequence (nominal, a deep SoC step, a PMD
+/// step below the repair clamp, the divided clock) on a new board of
+/// `spec`, and returns every run record, the board before and after each
+/// run, and the events the board recorded.
+fn fixed_sequence(
+    spec: ChipSpec,
+    config: SystemConfig,
+) -> (Vec<RunRecord>, Vec<BoardState>, Vec<TraceEvent>) {
+    let events = Arc::new(EventBuffer::new());
+    let mut sys = System::new(spec, config);
+    sys.set_observer(events.clone());
+    let mut records = Vec::new();
+    let mut boards = vec![board_state(&mut sys)];
+    for step in steps(0x5EED, 12) {
+        records.push(drive(&mut sys, step));
+        boards.push(board_state(&mut sys));
+    }
+    (records, boards, events.drain())
+}
+
+#[test]
+fn recycled_line_storage_runs_as_fresh_storage() {
+    let enhanced = SystemConfig {
+        enhancements: Enhancements::all(),
+        ..SystemConfig::default()
+    };
+    // Each used board is dropped before the arrays under test are built on
+    // the same thread, which then take its line storage.
+    let cases = [
+        (
+            (ChipSpec::new(Corner::Tss, 2), SystemConfig::default()),
+            (ChipSpec::new(Corner::Ttt, 5), enhanced),
+        ),
+        (
+            (ChipSpec::new(Corner::Tss, 6), enhanced),
+            (ChipSpec::new(Corner::Tff, 4), SystemConfig::default()),
+        ),
+    ];
+    for ((used_spec, used_config), (spec, config)) in cases {
+        let context = format!("{spec:?} {config:?} after {used_spec:?} {used_config:?}");
+        let logged = |levels: Vec<String>| {
+            for level in ["L2", "L3"] {
+                assert!(
+                    levels.iter().any(|l| l == level),
+                    "{context}: the sequence logged no {level} EDAC record"
+                );
+            }
+        };
+
+        // Bare arrays: nothing but their constructor clears the storage.
+        retire_used_board(used_spec, used_config);
+        let (recycled, new) = here_and_on_a_new_thread(|| bare_sweeps(spec));
+        logged(
+            new.iter()
+                .flat_map(|(_, _, records)| records.iter().map(|r| r.level.to_string()))
+                .collect(),
+        );
+        assert_eq!(recycled, new, "{context}: bare arrays");
+
+        // A board, whose protection comes from its own config.
+        retire_used_board(used_spec, used_config);
+        let (recycled, new) = here_and_on_a_new_thread(|| fixed_sequence(spec, config));
+        logged(
+            new.2
+                .iter()
+                .filter_map(|event| match event {
+                    TraceEvent::CacheErrorReported { level, .. } => Some(level.clone()),
+                    _ => None,
+                })
+                .collect(),
+        );
+        assert_eq!(recycled, new, "{context}: a board");
     }
 }
