@@ -21,7 +21,7 @@
 
 use crate::config::{CampaignConfig, PARKED_FREQUENCY};
 use crate::effect::EffectSet;
-use crate::search::{ItemPrior, SearchPriors};
+use crate::search::{ItemPrior, SearchPriors, StepVerdict};
 use margins_sim::{CoreId, Enhancements};
 use margins_trace::json::{self, Fields};
 use std::collections::BTreeMap;
@@ -110,22 +110,10 @@ pub struct StepEntry {
 }
 
 impl StepEntry {
-    /// Whether any iteration manifested an abnormal effect.
+    /// The search's verdict on the probe, read off its iterations.
     #[must_use]
-    pub(crate) fn any_abnormal(&self) -> bool {
-        self.runs.iter().any(|r| !r.effects.is_normal())
-    }
-
-    /// Whether any iteration crashed the whole system.
-    #[must_use]
-    pub(crate) fn any_system_crash(&self) -> bool {
-        self.runs.iter().any(|r| r.effects.is_system_crash())
-    }
-
-    /// Whether every iteration crashed the whole system.
-    #[must_use]
-    pub(crate) fn all_system_crash(&self) -> bool {
-        !self.runs.is_empty() && self.runs.iter().all(|r| r.effects.is_system_crash())
+    pub(crate) fn verdict(&self) -> StepVerdict {
+        StepVerdict::of(self.runs.iter().map(|r| r.effects))
     }
 }
 
@@ -297,10 +285,11 @@ impl CampaignCache {
             let slot = best
                 .entry((key.program.clone(), key.dataset.clone(), key.core))
                 .or_default();
-            if entry.any_abnormal() && slot.vmin_mv.is_none_or(|mv| key.mv > mv) {
+            let verdict = entry.verdict();
+            if verdict.abnormal && slot.vmin_mv.is_none_or(|mv| key.mv > mv) {
                 slot.vmin_mv = Some(key.mv);
             }
-            if entry.any_system_crash() && slot.crash_mv.is_none_or(|mv| key.mv > mv) {
+            if verdict.any_sc && slot.crash_mv.is_none_or(|mv| key.mv > mv) {
                 slot.crash_mv = Some(key.mv);
             }
         }
@@ -1288,13 +1277,13 @@ mod tests {
 
     #[test]
     fn step_entry_verdict_helpers() {
-        let normal = entry(&[EffectSet::new()]);
-        assert!(!normal.any_abnormal() && !normal.any_system_crash());
-        let mixed = entry(&[EffectSet::new(), EffectSet::of(Effect::Sc)]);
-        assert!(mixed.any_abnormal() && mixed.any_system_crash());
-        assert!(!mixed.all_system_crash());
-        let all = entry(&[EffectSet::of(Effect::Sc), EffectSet::of(Effect::Sc)]);
-        assert!(all.all_system_crash());
-        assert!(!StepEntry::default().all_system_crash());
+        let normal = entry(&[EffectSet::new()]).verdict();
+        assert!(!normal.abnormal && !normal.any_sc);
+        let mixed = entry(&[EffectSet::new(), EffectSet::of(Effect::Sc)]).verdict();
+        assert!(mixed.abnormal && mixed.any_sc);
+        assert!(!mixed.all_sc);
+        let all = entry(&[EffectSet::of(Effect::Sc), EffectSet::of(Effect::Sc)]).verdict();
+        assert!(all.all_sc);
+        assert!(!StepEntry::default().verdict().all_sc);
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::search::SearchStrategy;
 use margins_sim::freq::MAX_FREQ;
-use margins_sim::volt::{SOC_NOMINAL, VOLTAGE_STEP_MV};
+use margins_sim::volt::{PMD_NOMINAL, SOC_NOMINAL, VOLTAGE_STEP_MV};
 use margins_sim::{CoreId, Enhancements, Megahertz, Millivolts};
 use margins_workloads::Dataset;
 use std::fmt;
@@ -32,6 +32,16 @@ impl SweptRail {
         match self {
             SweptRail::Pmd => "pmd",
             SweptRail::PcpSoc => "soc",
+        }
+    }
+
+    /// The rail's nominal voltage, which safe data collection restores
+    /// after each run.
+    #[must_use]
+    pub(crate) fn nominal(self) -> Millivolts {
+        match self {
+            SweptRail::Pmd => PMD_NOMINAL,
+            SweptRail::PcpSoc => SOC_NOMINAL,
         }
     }
 

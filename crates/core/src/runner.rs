@@ -16,6 +16,11 @@
 //! data collection*), and the watchdog power-cycles the board whenever a
 //! run hangs it.
 //!
+//! A probe answered from the cache settles exactly as one the board
+//! answered: the same lookup tally and event, the same golden event, one
+//! row and one `RunCompleted` per run, a step verdict read off the step's
+//! rows, and one count of power cycles, fresh or replayed.
+//!
 //! [`SearchStrategy`]: crate::search::SearchStrategy
 //! [`CampaignCache`]: crate::cache::CampaignCache
 
@@ -28,7 +33,7 @@ use crate::exec::{CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTas
 use crate::profile::{Phase, PhaseTallies};
 use crate::search::{SearchPlan, SearchPriors, StepVerdict};
 use crate::severity::SeverityWeights;
-use crate::watchdog::Watchdog;
+use crate::watchdog;
 use margins_rng::splitmix64;
 use margins_sim::volt::{Millivolts, PMD_NOMINAL, SOC_NOMINAL};
 use margins_sim::{
@@ -306,12 +311,12 @@ impl Campaign {
     /// item's first such probe builds the board; each later one
     /// reinitializes it, which leaves it exactly as a new board (thermal
     /// history and energy meter included), so every step outcome is
-    /// independent of which probes ran before it.
+    /// independent of which probes ran before it. Such a board is
+    /// responsive, so the golden run needs no watchdog poll.
     fn fresh_board<'b>(
         &self,
         board: &'b mut Option<System>,
-        traced: bool,
-        buffer: &Arc<EventBuffer>,
+        buffer: Option<&Arc<EventBuffer>>,
     ) -> &'b mut System {
         match board {
             Some(system) => {
@@ -323,10 +328,9 @@ impl Campaign {
                     self.spec,
                     SystemConfig {
                         enhancements: self.config.enhancements,
-                        ..SystemConfig::default()
                     },
                 );
-                if traced {
+                if let Some(buffer) = buffer {
                     system.set_observer(buffer.clone());
                 }
                 board.insert(system)
@@ -338,7 +342,8 @@ impl Campaign {
     /// span events (opened and closed here), the characterization itself,
     /// and the optional per-sweep profile samples, all staged in a private
     /// per-item [`EventBuffer`] so executors can run items on any thread
-    /// in any order without perturbing the merged stream.
+    /// in any order without perturbing the merged stream. An untraced item
+    /// has no buffer, and builds no event.
     pub(crate) fn run_work_item(
         &self,
         item: &WorkItem,
@@ -348,29 +353,30 @@ impl Campaign {
     ) -> TracedItem {
         let bench = &self.config.benchmarks[item.bench];
         let core = item.core;
-        let buffer = Arc::new(EventBuffer::new());
-        note(traced, &buffer, || TraceEvent::SweepStarted {
+        let buffer = traced.then(|| Arc::new(EventBuffer::new()));
+        let buffer = buffer.as_ref();
+        note(buffer, || TraceEvent::SweepStarted {
             program: bench.name.clone(),
             dataset: bench.dataset.label().to_owned(),
             core: core.index() as u8,
             shard: item.index as u32,
         });
-        let mut result = self.characterize_item(bench, core, traced, &buffer, cache, priors);
+        let mut result = self.characterize_item(bench, core, buffer, cache, priors);
         if self.config.profile {
             for event in result
                 .profile
                 .sample_events(&bench.name, bench.dataset.label(), core)
             {
-                note(traced, &buffer, || event);
+                note(buffer, || event);
             }
         }
-        note(traced, &buffer, || TraceEvent::SweepFinished {
+        note(buffer, || TraceEvent::SweepFinished {
             program: bench.name.clone(),
             dataset: bench.dataset.label().to_owned(),
             core: core.index() as u8,
             runs: result.runs.len() as u32,
         });
-        result.events = buffer.drain();
+        result.events = buffer.map_or_else(Vec::new, |buffer| buffer.drain());
         result
     }
 
@@ -379,6 +385,14 @@ impl Campaign {
     /// the cache when possible and executed otherwise on the item's one
     /// board, reinitialized to its power-on state first. A fully cached
     /// item builds no board.
+    ///
+    /// A probe settles the same way whichever source answered it. Each
+    /// lookup is tallied and noted as one `CacheLookup`; the golden digest
+    /// comes from a [`GoldenEntry`] either way and is noted as one
+    /// `GoldenCaptured`. Each of a step's runs is pushed as a row and noted
+    /// as one `RunCompleted`, the step's verdict is read off the rows it
+    /// pushed, and its power cycles, fresh or replayed, advance
+    /// `recoveries`, the item's one count of them.
     ///
     /// A probe whose every run is provably fault-free is replayed instead
     /// of simulated: `chain[k]` is a simulated run that was the k-th after
@@ -397,8 +411,7 @@ impl Campaign {
         &self,
         bench: &BenchmarkRef,
         core: CoreId,
-        traced: bool,
-        buffer: &Arc<EventBuffer>,
+        buffer: Option<&Arc<EventBuffer>>,
         cache: Option<&CampaignCache>,
         priors: Option<&SearchPriors>,
     ) -> TracedItem {
@@ -415,9 +428,11 @@ impl Campaign {
 
         // One board per item, built by its first machine probe.
         let mut board: Option<System> = None;
-        let mut watchdog = Watchdog::new();
+        // Every power cycle of the item, performed by the watchdog or
+        // replayed from the cache: the trace's recovery ordinals, each
+        // fresh step entry's count, the board-init tally and the outcome
+        // all read it.
         let mut recoveries = 0u32;
-        let mut cached_cycles = 0u32;
         let mut cache_hits = 0u32;
         let mut machine_probes = 0u32;
         let mut fresh_golden: Option<(GoldenKey, GoldenEntry)> = None;
@@ -430,6 +445,21 @@ impl Campaign {
         // stands for; cached replays retain no ops/fault-sample counts, so
         // a warm rerun legitimately reports less executed work.
         let mut tallies = PhaseTallies::new();
+        // Tallies one campaign-cache probe and notes its `CacheLookup`;
+        // an uncached campaign probes nothing.
+        let look_up = |tallies: &mut PhaseTallies, probe: &str, mv: u32, hit: bool| {
+            if cache.is_some() {
+                tallies.record_cache_probe();
+                note(buffer, || TraceEvent::CacheLookup {
+                    program: bench.name.clone(),
+                    dataset: dataset.to_owned(),
+                    core: core_u8,
+                    probe: probe.to_owned(),
+                    mv,
+                    hit,
+                });
+            }
+        };
 
         // Golden run at nominal conditions.
         let golden_key = GoldenKey {
@@ -443,73 +473,53 @@ impl Campaign {
             core: core_u8,
         };
         let cached_golden = cache.and_then(|c| c.golden(&golden_key)).cloned();
-        if cache.is_some() {
-            tallies.record_cache_probe();
-            let hit = cached_golden.is_some();
-            note(traced, buffer, || TraceEvent::CacheLookup {
-                program: bench.name.clone(),
-                dataset: dataset.to_owned(),
-                core: core_u8,
-                probe: "golden".to_owned(),
-                mv: 0,
-                hit,
-            });
-        }
-        let golden = if let Some(entry) = cached_golden {
-            let golden = OutputDigest::from_value(entry.digest);
-            note(traced, buffer, || TraceEvent::GoldenCaptured {
-                program: bench.name.clone(),
-                dataset: dataset.to_owned(),
-                core: core_u8,
-                digest: golden.to_string(),
-                runtime_s: entry.runtime_s,
-            });
-            golden
-        } else {
-            let system = self.fresh_board(&mut board, traced, buffer);
-            watchdog.ensure_responsive_observed(system, &mut recoveries);
-            self.apply_reliable_cores_setup(system, core);
-            let golden_seed = run_seed(self.config.seed, &bench.name, dataset, core, 0, u32::MAX);
-            #[expect(
-                clippy::expect_used,
-                reason = "a board in its power-on state at nominal V/F is responsive"
-            )]
-            let record = system
-                .run(program.as_ref(), core, golden_seed)
-                .expect("system responsive after watchdog check");
-            assert_eq!(
-                record.outcome,
-                margins_sim::RunOutcome::Completed,
-                "golden run at nominal must complete"
-            );
-            tallies.record_run(
-                Phase::GoldenRun,
-                record.instructions,
-                record.fault_samples,
-                (record.corrected_errors + record.uncorrected_errors) as u64,
-            );
-            let golden = record.digest;
-            note(traced, buffer, || TraceEvent::GoldenCaptured {
-                program: bench.name.clone(),
-                dataset: dataset.to_owned(),
-                core: core_u8,
-                digest: golden.to_string(),
-                runtime_s: record.runtime_s,
-            });
-            if cache.is_some() {
-                fresh_golden = Some((
-                    golden_key,
-                    GoldenEntry {
-                        digest: golden.value(),
-                        runtime_s: record.runtime_s,
-                    },
-                ));
+        look_up(&mut tallies, "golden", 0, cached_golden.is_some());
+        let golden_entry = match cached_golden {
+            Some(entry) => entry,
+            None => {
+                let system = self.fresh_board(&mut board, buffer);
+                self.apply_reliable_cores_setup(system, core);
+                let golden_seed =
+                    run_seed(self.config.seed, &bench.name, dataset, core, 0, u32::MAX);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "a board in its power-on state at nominal V/F is responsive"
+                )]
+                let record = system
+                    .run(program.as_ref(), core, golden_seed)
+                    .expect("a board in its power-on state is responsive");
+                assert_eq!(
+                    record.outcome,
+                    margins_sim::RunOutcome::Completed,
+                    "golden run at nominal must complete"
+                );
+                tallies.record_run(
+                    Phase::GoldenRun,
+                    record.instructions,
+                    record.fault_samples,
+                    (record.corrected_errors + record.uncorrected_errors) as u64,
+                );
+                let entry = GoldenEntry {
+                    digest: record.digest.value(),
+                    runtime_s: record.runtime_s,
+                };
+                if cache.is_some() {
+                    fresh_golden = Some((golden_key, entry.clone()));
+                }
+                if record.fault_free.is_some() {
+                    chain.push(record);
+                }
+                entry
             }
-            if record.fault_free.is_some() {
-                chain.push(record);
-            }
-            golden
         };
+        let golden = OutputDigest::from_value(golden_entry.digest);
+        note(buffer, || TraceEvent::GoldenCaptured {
+            program: bench.name.clone(),
+            dataset: dataset.to_owned(),
+            core: core_u8,
+            digest: golden.to_string(),
+            runtime_s: golden_entry.runtime_s,
+        });
 
         let steps = self.config.step_count();
         let prior = priors
@@ -523,7 +533,6 @@ impl Campaign {
         );
         let adaptive = self.config.search.is_adaptive();
         let mut runs: Vec<ClassifiedRun> = Vec::new();
-        let weights = SeverityWeights::paper();
 
         while let Some(step) = plan.next_step() {
             let voltage = self.config.start_voltage.down_steps(step);
@@ -547,71 +556,41 @@ impl Campaign {
                 mv: voltage.get(),
             };
             let cached_step = cache.and_then(|c| c.step(&step_key)).cloned();
-            if cache.is_some() {
-                tallies.record_cache_probe();
-                let hit = cached_step.is_some();
-                note(traced, buffer, || TraceEvent::CacheLookup {
-                    program: bench.name.clone(),
-                    dataset: dataset.to_owned(),
-                    core: core_u8,
-                    probe: "step".to_owned(),
-                    mv: voltage.get(),
-                    hit,
-                });
-            }
-            let verdict = if let Some(entry) = cached_step {
+            look_up(&mut tallies, "step", voltage.get(), cached_step.is_some());
+            // The step's rows, whichever source answers it.
+            let first = runs.len();
+            if let Some(entry) = cached_step {
                 // Replay. The original probe ran on a board in its
                 // power-on state with seeds derived only from campaign
                 // coordinates, so its stored per-iteration outcomes are
                 // exactly what executing the probe now would produce.
                 cache_hits += 1;
-                for (iteration, run) in entry.runs.iter().enumerate() {
-                    let classified = ClassifiedRun {
+                for (iteration, run) in (0..).zip(entry.runs) {
+                    let row = ClassifiedRun {
                         program: bench.name.clone(),
                         dataset: dataset.to_owned(),
                         core,
                         pmd_mv,
                         soc_mv,
                         freq: self.config.target_frequency,
-                        iteration: iteration as u32,
+                        iteration,
                         effects: run.effects,
                         corrected_errors: run.corrected_errors as usize,
                         uncorrected_errors: run.uncorrected_errors as usize,
                         runtime_s: run.runtime_s,
                         energy_j: run.energy_j,
                     };
-                    note(traced, buffer, || TraceEvent::RunCompleted {
-                        program: classified.program.clone(),
-                        dataset: classified.dataset.clone(),
-                        core: core_u8,
-                        mv: voltage.get(),
-                        iteration: classified.iteration,
-                        effects: classified.effects.to_string(),
-                        severity: weights.run_severity(classified.effects),
-                        runtime_s: classified.runtime_s,
-                        energy_j: classified.energy_j,
-                        corrected_errors: classified.corrected_errors as u64,
-                        uncorrected_errors: classified.uncorrected_errors as u64,
-                    });
-                    runs.push(classified);
+                    push_run(&mut runs, row, voltage, buffer);
                 }
                 for _ in 0..entry.power_cycles {
                     recoveries += 1;
                     let recovery = recoveries;
-                    note(traced, buffer, || TraceEvent::WatchdogPowerCycle {
-                        recovery,
-                    });
-                }
-                cached_cycles += entry.power_cycles;
-                StepVerdict {
-                    abnormal: entry.any_abnormal(),
-                    any_sc: entry.any_system_crash(),
-                    all_sc: entry.all_system_crash(),
+                    note(buffer, || TraceEvent::WatchdogPowerCycle { recovery });
                 }
             } else {
                 if adaptive {
                     let phase = plan.phase();
-                    note(traced, buffer, || TraceEvent::SearchStep {
+                    note(buffer, || TraceEvent::SearchStep {
                         program: bench.name.clone(),
                         core: core_u8,
                         strategy: self.config.search.name().to_owned(),
@@ -621,10 +600,10 @@ impl Campaign {
                     });
                 }
                 machine_probes += 1;
-                let cycles_before = watchdog.power_cycles();
-                let system = self.fresh_board(&mut board, traced, buffer);
+                let recoveries_before = recoveries;
+                let system = self.fresh_board(&mut board, buffer);
                 self.apply_reliable_cores_setup(system, core);
-                note(traced, buffer, || TraceEvent::VoltageStepped {
+                note(buffer, || TraceEvent::VoltageStepped {
                     rail: self.config.rail.label().to_owned(),
                     mv: voltage.get(),
                     step,
@@ -647,20 +626,17 @@ impl Campaign {
                     system.replays_cleanly(&runs, core, pmd_mv, soc_mv)
                 };
                 replayed_steps += u32::from(replayed);
-                let mut step_runs: Vec<CachedRun> = Vec::new();
-                let mut sc_runs = 0u32;
-                let mut abnormal = false;
                 // Runs 0..iteration of this probe were all fault-free.
                 let mut clean_prefix = true;
                 for (iteration, &seed) in (0..).zip(&seeds) {
-                    if watchdog.ensure_responsive_observed(system, &mut recoveries) {
+                    if watchdog::recover(system, &mut recoveries) {
                         // Recovery wiped the V/F setup; reapply it.
                         self.apply_reliable_cores_setup(system, core);
                     }
                     self.set_swept_rail(system, voltage);
                     #[expect(
                         clippy::expect_used,
-                        reason = "watchdog.ensure_responsive_observed() ran this iteration, \
+                        reason = "watchdog::recover() ran this iteration, \
                                   and replays_cleanly() certified every replay of the probe"
                     )]
                     let record = if replayed {
@@ -676,7 +652,7 @@ impl Campaign {
                     // persisting the log (§2.2.1) — only possible if the
                     // board survived.
                     if system.is_responsive() {
-                        self.restore_swept_rail(system);
+                        self.set_swept_rail(system, self.config.rail.nominal());
                     }
                     tallies.record_run(
                         if adaptive {
@@ -688,36 +664,8 @@ impl Campaign {
                         record.fault_samples,
                         (record.corrected_errors + record.uncorrected_errors) as u64,
                     );
-                    let classified = classify_run(&record, Some(golden), iteration);
-                    if classified.effects.is_system_crash() {
-                        sc_runs += 1;
-                    }
-                    if !classified.effects.is_normal() {
-                        abnormal = true;
-                    }
-                    note(traced, buffer, || TraceEvent::RunCompleted {
-                        program: classified.program.clone(),
-                        dataset: classified.dataset.clone(),
-                        core: core_u8,
-                        mv: voltage.get(),
-                        iteration,
-                        effects: classified.effects.to_string(),
-                        severity: weights.run_severity(classified.effects),
-                        runtime_s: classified.runtime_s,
-                        energy_j: classified.energy_j,
-                        corrected_errors: classified.corrected_errors as u64,
-                        uncorrected_errors: classified.uncorrected_errors as u64,
-                    });
-                    if cache.is_some() {
-                        step_runs.push(CachedRun {
-                            effects: classified.effects,
-                            corrected_errors: classified.corrected_errors as u64,
-                            uncorrected_errors: classified.uncorrected_errors as u64,
-                            runtime_s: classified.runtime_s,
-                            energy_j: classified.energy_j,
-                        });
-                    }
-                    runs.push(classified);
+                    let row = classify_run(&record, Some(golden), iteration);
+                    push_run(&mut runs, row, voltage, buffer);
                     clean_prefix &= record.fault_free.is_some();
                     if clean_prefix && !replayed && chain.len() == iteration as usize {
                         chain.push(record);
@@ -726,28 +674,35 @@ impl Campaign {
                 // Recover a trailing hang inside the probe that caused it,
                 // so the probe's power-cycle count — and thus its cache
                 // entry and trace — never depends on what runs next.
-                watchdog.ensure_responsive_observed(system, &mut recoveries);
-                let step_cycles = watchdog.power_cycles() - cycles_before;
+                watchdog::recover(system, &mut recoveries);
                 if cache.is_some() {
+                    let runs = runs[first..]
+                        .iter()
+                        .map(|run| CachedRun {
+                            effects: run.effects,
+                            corrected_errors: run.corrected_errors as u64,
+                            uncorrected_errors: run.uncorrected_errors as u64,
+                            runtime_s: run.runtime_s,
+                            energy_j: run.energy_j,
+                        })
+                        .collect();
                     fresh_steps.push((
                         step_key,
                         StepEntry {
-                            runs: step_runs,
-                            power_cycles: step_cycles,
+                            runs,
+                            power_cycles: recoveries - recoveries_before,
                         },
                     ));
                 }
-                StepVerdict {
-                    abnormal,
-                    any_sc: sc_runs > 0,
-                    all_sc: self.config.iterations > 0 && sc_runs == self.config.iterations,
-                }
-            };
-            plan.record(step, verdict);
+            }
+            plan.record(
+                step,
+                StepVerdict::of(runs[first..].iter().map(|r| r.effects)),
+            );
         }
 
         if let Some((stop_step, consecutive_all_sc)) = plan.early_stop() {
-            note(traced, buffer, || TraceEvent::EarlyStop {
+            note(buffer, || TraceEvent::EarlyStop {
                 program: bench.name.clone(),
                 core: core_u8,
                 mv: self.config.start_voltage.down_steps(stop_step).get(),
@@ -755,7 +710,7 @@ impl Campaign {
             });
         }
         if adaptive {
-            note(traced, buffer, || TraceEvent::SearchConcluded {
+            note(buffer, || TraceEvent::SearchConcluded {
                 program: bench.name.clone(),
                 core: core_u8,
                 strategy: self.config.search.name().to_owned(),
@@ -764,16 +719,15 @@ impl Campaign {
                 cache_hits,
             });
         }
-        // `recoveries` counts fresh watchdog interventions plus replayed
-        // power cycles, so board-init work matches between cold and warm
-        // runs of the same campaign.
+        // `recoveries` counts replayed power cycles too, so board-init
+        // work matches between cold and warm runs of the same campaign.
         tallies.record_recoveries(u64::from(recoveries));
         TracedItem {
             events: Vec::new(),
             golden_key: (bench.name.clone(), dataset.to_owned()),
             golden,
             runs,
-            power_cycles: watchdog.power_cycles() + cached_cycles,
+            power_cycles: recoveries,
             fresh_golden,
             fresh_steps,
             profile: tallies,
@@ -781,32 +735,21 @@ impl Campaign {
         }
     }
 
+    /// Sets the swept rail to `voltage`: a step's voltage before each run,
+    /// the rail's nominal after it.
     #[expect(
         clippy::expect_used,
-        reason = "sweep grid validated at config build time"
+        reason = "sweep grid validated at config build time; nominal is always valid"
     )]
     fn set_swept_rail(&self, system: &mut System, voltage: Millivolts) {
         let mut slimpro = system.slimpro_mut();
         match self.config.rail {
             SweptRail::Pmd => slimpro
                 .set_pmd_voltage(voltage)
-                .expect("sweep voltages validated at config build time"),
+                .expect("sweep and nominal voltages are valid"),
             SweptRail::PcpSoc => slimpro
                 .set_soc_voltage(voltage)
-                .expect("sweep voltages validated at config build time"),
-        }
-    }
-
-    #[expect(clippy::expect_used, reason = "nominal is on-grid by construction")]
-    fn restore_swept_rail(&self, system: &mut System) {
-        let mut slimpro = system.slimpro_mut();
-        match self.config.rail {
-            SweptRail::Pmd => slimpro
-                .set_pmd_voltage(PMD_NOMINAL)
-                .expect("nominal is always valid"),
-            SweptRail::PcpSoc => slimpro
-                .set_soc_voltage(SOC_NOMINAL)
-                .expect("nominal is always valid"),
+                .expect("sweep and nominal voltages are valid"),
         }
     }
 
@@ -953,11 +896,36 @@ fn emit_record(finalizer: &mut StreamFinalizer, sinks: &mut [&mut dyn Sink], eve
     }
 }
 
-/// Stages a runner-level event into the item's buffer when tracing.
-fn note(traced: bool, buffer: &EventBuffer, event: impl FnOnce() -> TraceEvent) {
-    if traced {
+/// Stages a runner-level event into the item's buffer, building it only
+/// when the item is traced.
+fn note(buffer: Option<&Arc<EventBuffer>>, event: impl FnOnce() -> TraceEvent) {
+    if let Some(buffer) = buffer {
         buffer.record(event());
     }
+}
+
+/// Notes `run`'s `RunCompleted` at swept voltage `mv` and appends it to
+/// the item's rows, whether the cache or the board answered it.
+fn push_run(
+    runs: &mut Vec<ClassifiedRun>,
+    run: ClassifiedRun,
+    mv: Millivolts,
+    buffer: Option<&Arc<EventBuffer>>,
+) {
+    note(buffer, || TraceEvent::RunCompleted {
+        program: run.program.clone(),
+        dataset: run.dataset.clone(),
+        core: run.core.index() as u8,
+        mv: mv.get(),
+        iteration: run.iteration,
+        effects: run.effects.to_string(),
+        severity: SeverityWeights::paper().run_severity(run.effects),
+        runtime_s: run.runtime_s,
+        energy_j: run.energy_j,
+        corrected_errors: run.corrected_errors as u64,
+        uncorrected_errors: run.uncorrected_errors as u64,
+    });
+    runs.push(run);
 }
 
 /// A nominal-conditions workload profile (Figure 6, phase 2): the full PMU
@@ -1202,12 +1170,10 @@ mod tests {
             };
             let spec = ChipSpec::new(Corner::Ttt, 0);
             let sweep = Campaign::new(spec, config(start, floor));
-            let buffer = Arc::new(EventBuffer::new());
             let item = sweep.characterize_item(
                 &sweep.config.benchmarks[0],
                 CoreId::new(core),
-                false,
-                &buffer,
+                None,
                 None,
                 None,
             );
@@ -1262,6 +1228,78 @@ mod tests {
             assert_eq!(outcome.runs, plain.runs);
             assert_eq!(outcome.goldens, plain.goldens);
             assert_eq!(outcome.watchdog_power_cycles, plain.watchdog_power_cycles);
+        }
+    }
+
+    #[test]
+    fn power_cycles_agree_in_every_plane_cold_and_warm() {
+        // Deep enough to hang the board over and over: 39 power cycles at
+        // the CLI's default seed.
+        let cfg = CampaignConfig::builder()
+            .benchmarks(["bwaves"])
+            .cores([CoreId::new(0), CoreId::new(4)])
+            .iterations(4)
+            .start_voltage(Millivolts::new(900))
+            .floor_voltage(Millivolts::new(820))
+            .seed(0xCAFE_BABE)
+            .profile(true)
+            .build()
+            .unwrap();
+        let campaign = Campaign::new(ChipSpec::new(Corner::Ttt, 0), cfg);
+        let mut cache = CampaignCache::new();
+        let mut cold_entries = None;
+        for leg in ["cold", "warm"] {
+            let mut memory = margins_trace::MemorySink::new();
+            let mut tallies = PhaseTallies::new();
+            let outcome = {
+                let mut sinks: [&mut dyn Sink; 1] = [&mut memory];
+                let ctx = ExecContext {
+                    sinks: &mut sinks,
+                    cache: Some(CacheHandle::Owned(&mut cache)),
+                    profile_out: Some(&mut tallies),
+                    ..ExecContext::new()
+                };
+                campaign.run(&SerialExecutor, ctx).unwrap()
+            };
+            let cycles = outcome.watchdog_power_cycles;
+            assert!(cycles > 0, "{leg}: the sweeps must hang the board");
+            let machine_steps = memory
+                .records
+                .iter()
+                .filter(|r| matches!(r.event, TraceEvent::VoltageStepped { .. }))
+                .count();
+            assert_eq!(leg == "cold", machine_steps > 0, "{leg}: probe source");
+
+            // Each sweep numbers its power cycles 1..=n.
+            let mut ordinals: Vec<Vec<u32>> = Vec::new();
+            for record in &memory.records {
+                match &record.event {
+                    TraceEvent::SweepStarted { .. } => ordinals.push(Vec::new()),
+                    TraceEvent::WatchdogPowerCycle { recovery } => {
+                        ordinals.last_mut().expect("inside a sweep").push(*recovery);
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(ordinals.len(), 2, "{leg}: one sweep per core");
+            for sweep in &ordinals {
+                assert!(
+                    sweep.iter().copied().eq(1..=sweep.len() as u32),
+                    "{leg}: {sweep:?}"
+                );
+            }
+            let traced: usize = ordinals.iter().map(Vec::len).sum();
+            assert_eq!(traced, cycles as usize, "{leg}: trace");
+            assert_eq!(
+                tallies.get(Phase::BoardInit).recoveries,
+                u64::from(cycles),
+                "{leg}: profile"
+            );
+            // The cold leg stored every cycle in its step entries, which
+            // the warm leg replays.
+            let stored = *cold_entries
+                .get_or_insert_with(|| cache.steps().map(|(_, e)| e.power_cycles).sum::<u32>());
+            assert_eq!(stored, cycles, "{leg}: cache");
         }
     }
 

@@ -21,6 +21,7 @@
 //!
 //! [`regions::analyze`]: crate::regions::analyze
 
+use crate::effect::EffectSet;
 use margins_sim::{CoreId, Millivolts};
 use std::collections::BTreeMap;
 
@@ -95,6 +96,24 @@ pub(crate) struct StepVerdict {
     /// Every iteration crashed the whole system (feeds the exhaustive
     /// sweep's crash-stop rule).
     pub all_sc: bool,
+}
+
+impl StepVerdict {
+    /// The verdict on a step whose iterations manifested `effects`, in
+    /// any order. A step with no iterations is normal and crash-free.
+    pub(crate) fn of(effects: impl IntoIterator<Item = EffectSet>) -> StepVerdict {
+        let (mut runs, mut sc_runs, mut abnormal) = (0u32, 0u32, false);
+        for run in effects {
+            runs += 1;
+            sc_runs += u32::from(run.is_system_crash());
+            abnormal |= !run.is_normal();
+        }
+        StepVerdict {
+            abnormal,
+            any_sc: sc_runs > 0,
+            all_sc: runs > 0 && sc_runs == runs,
+        }
+    }
 }
 
 /// Boundary priors for one (benchmark, core) item, in millivolts on the

@@ -8,64 +8,29 @@
 //! and Reset buttons."
 //!
 //! The simulated equivalent polls the system's heartbeat and drives its
-//! power lines; it keeps statistics so campaigns can report how many
-//! recoveries they needed.
+//! power lines. It keeps no count of its own: each recovery advances the
+//! caller's count, which is the one count of power cycles a campaign
+//! reports.
 
 use margins_sim::System;
 
-/// The watchdog monitor attached to a system's power/reset lines.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Watchdog {
-    power_cycles: u32,
-}
-
-impl Watchdog {
-    /// A fresh watchdog.
-    #[must_use]
-    pub(crate) fn new() -> Self {
-        Watchdog::default()
+/// Polls the heartbeat; if the board is unresponsive, presses the power
+/// button. Returns `true` when a recovery was performed.
+///
+/// A recovery increments `recoveries`, the caller's per-sweep count, and
+/// records a [`margins_trace::TraceEvent::WatchdogPowerCycle`] carrying
+/// its new value into the system's attached event buffer. The ordinal is
+/// sweep-relative (never the board's boot count) so traced streams stay
+/// identical between serial and sharded executions.
+pub(crate) fn recover(system: &mut System, recoveries: &mut u32) -> bool {
+    if system.is_responsive() {
+        return false;
     }
-
-    /// Polls the heartbeat; if the board is unresponsive, presses the power
-    /// button. Returns `true` when a recovery was performed.
-    fn ensure_responsive(&mut self, system: &mut System) -> bool {
-        if system.is_responsive() {
-            false
-        } else {
-            system.power_cycle();
-            self.power_cycles += 1;
-            true
-        }
-    }
-
-    /// Like [`Watchdog::ensure_responsive`], additionally recording a
-    /// [`margins_trace::TraceEvent::WatchdogPowerCycle`] into the system's
-    /// attached event buffer when a recovery is performed.
-    ///
-    /// `sweep_recoveries` is the caller's per-sweep recovery counter; it is
-    /// incremented on recovery and its new value becomes the event's
-    /// ordinal. The ordinal is sweep-relative (never the board's boot
-    /// count) so traced streams stay identical between serial and sharded
-    /// executions.
-    pub(crate) fn ensure_responsive_observed(
-        &mut self,
-        system: &mut System,
-        sweep_recoveries: &mut u32,
-    ) -> bool {
-        let recovered = self.ensure_responsive(system);
-        if recovered {
-            *sweep_recoveries += 1;
-            let recovery = *sweep_recoveries;
-            system.observe(|| margins_trace::TraceEvent::WatchdogPowerCycle { recovery });
-        }
-        recovered
-    }
-
-    /// Number of power cycles performed so far.
-    #[must_use]
-    pub(crate) fn power_cycles(&self) -> u32 {
-        self.power_cycles
-    }
+    system.power_cycle();
+    *recoveries += 1;
+    let recovery = *recoveries;
+    system.observe(|| margins_trace::TraceEvent::WatchdogPowerCycle { recovery });
+    true
 }
 
 #[cfg(test)]
@@ -77,15 +42,15 @@ mod tests {
     #[test]
     fn responsive_system_needs_no_action() {
         let mut sys = System::new(ChipSpec::new(Corner::Ttt, 0), SystemConfig::default());
-        let mut dog = Watchdog::new();
-        assert!(!dog.ensure_responsive(&mut sys));
-        assert_eq!(dog.power_cycles(), 0);
+        let mut recoveries = 0;
+        assert!(!recover(&mut sys, &mut recoveries));
+        assert_eq!(recoveries, 0);
     }
 
     #[test]
     fn hung_system_gets_power_cycled() {
         let mut sys = System::new(ChipSpec::new(Corner::Ttt, 0), SystemConfig::default());
-        let mut dog = Watchdog::new();
+        let mut recoveries = 0;
         // Crash the machine by deep undervolting.
         sys.slimpro_mut()
             .set_pmd_voltage(Millivolts::new(820))
@@ -97,9 +62,9 @@ mod tests {
             }
         }
         assert!(!sys.is_responsive(), "820mV bwaves must hang the board");
-        assert!(dog.ensure_responsive(&mut sys));
+        assert!(recover(&mut sys, &mut recoveries));
         assert!(sys.is_responsive());
-        assert_eq!(dog.power_cycles(), 1);
+        assert_eq!(recoveries, 1);
         // Recovery restored nominal voltage (the boot firmware default).
         assert_eq!(sys.supplies().pmd(), margins_sim::volt::PMD_NOMINAL);
     }

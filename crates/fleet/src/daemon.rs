@@ -309,8 +309,9 @@ fn refuse(writer: &Mutex<TcpStream>, code: &str, message: String) {
     let _ = w.shutdown(Shutdown::Write);
 }
 
-/// Handles one inbound frame line; returns whether to keep the
-/// connection open.
+/// Decodes one inbound frame line and handles it; returns whether to keep
+/// the connection open. An undecodable line is answered with its typed
+/// error frame.
 #[allow(clippy::too_many_arguments)]
 fn handle_line<'scope, 'env>(
     line: &str,
@@ -322,8 +323,12 @@ fn handle_line<'scope, 'env>(
     subs: &Mutex<Vec<(u64, Subscription)>>,
     scope: &'scope std::thread::Scope<'scope, 'env>,
 ) -> bool {
-    match Request::parse_line(line) {
-        Ok(Request::Subscribe { client, job }) => {
+    let request = match Request::parse_line(line) {
+        Ok(request) => request,
+        Err(e) => return send_line(writer, e.to_response().to_line()),
+    };
+    match request {
+        Request::Subscribe { client, job } => {
             // Slow consumers overflowing the bound lose events (counted
             // exactly, reported via a `lagged` frame) instead of blocking
             // the scheduler.
@@ -344,7 +349,7 @@ fn handle_line<'scope, 'env>(
                 None => send_line(writer, unknown_job(job).to_line()),
             }
         }
-        Ok(Request::Unsubscribe { client: _, job }) => {
+        Request::Unsubscribe { client: _, job } => {
             let found = {
                 let mut subs = subs
                     .lock()
@@ -361,8 +366,8 @@ fn handle_line<'scope, 'env>(
                 None => send_line(writer, unknown_job(job).to_line()),
             }
         }
-        _ => {
-            let (response, shutdown) = respond(line, service, out_dir);
+        request => {
+            let (response, shutdown) = respond(request, service, out_dir);
             if !send_line(writer, response.to_line()) {
                 return false;
             }
@@ -389,13 +394,9 @@ fn error_frame(code: &str, message: String) -> Response {
     }
 }
 
-/// Dispatches one decoded line; returns the response and whether the
-/// daemon should shut down.
-fn respond(line: &str, service: &FleetService, out_dir: Option<&str>) -> (Response, bool) {
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(e) => return (e.to_response(), false),
-    };
+/// Answers one decoded non-streaming request; returns the response and
+/// whether the daemon should shut down.
+fn respond(request: Request, service: &FleetService, out_dir: Option<&str>) -> (Response, bool) {
     match request {
         Request::Submit { client, spec } => match service.submit(&client, &spec) {
             Ok((job, chips)) => (Response::Submitted { job, chips }, false),
@@ -415,14 +416,10 @@ fn respond(line: &str, service: &FleetService, out_dir: Option<&str>) -> (Respon
             ),
             None => (unknown_job(job), false),
         },
-        Request::Cancel { client, job } => {
-            if service.cancel(&client, job) {
-                let (done, total) = service.accounting(&client, job).unwrap_or((0, 0));
-                (Response::Cancelled { job, done, total }, false)
-            } else {
-                (unknown_job(job), false)
-            }
-        }
+        Request::Cancel { client, job } => match service.cancel(&client, job) {
+            Some((done, total)) => (Response::Cancelled { job, done, total }, false),
+            None => (unknown_job(job), false),
+        },
         Request::Results { client, job } => match service.wait(&client, job) {
             Some(JobOutcome::Done(r)) => {
                 if let Some(dir) = out_dir {
@@ -525,41 +522,137 @@ mod tests {
         assert!(msg.contains("at least one worker"), "{msg}");
     }
 
+    /// Serves one loopback connection with `handle_connection`, sends it
+    /// `lines` one at a time, and returns the reply to each and whether
+    /// the daemon was told to stop.
+    fn converse(svc: &FleetService, lines: &[impl AsRef<str>]) -> (Vec<Response>, bool) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let local = listener.local_addr().expect("bound address");
+        let stop = AtomicBool::new(false);
+        let replies = std::thread::scope(|scope| {
+            let client = TcpStream::connect(local).expect("connect");
+            client
+                .set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("timeout");
+            scope.spawn(|| {
+                let (stream, _) = listener.accept().expect("accept");
+                handle_connection(stream, svc, &stop, local, None);
+            });
+            let mut reader = BufReader::new(&client);
+            let replies: Vec<Response> = lines
+                .iter()
+                .map(|line| {
+                    writeln!(&client, "{}", line.as_ref()).expect("send");
+                    let mut reply = String::new();
+                    reader.read_line(&mut reply).expect("a reply frame");
+                    Response::parse_line(&reply).expect("reply frames decode")
+                })
+                .collect();
+            // EOF ends a connection the conversation did not shut down.
+            let _ = client.shutdown(Shutdown::Write);
+            replies
+        });
+        (replies, stop.load(Ordering::SeqCst))
+    }
+
     #[test]
     fn bad_frames_answer_typed_errors_without_shutdown() {
         let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid");
-        let (resp, shutdown) = respond("nonsense", &svc, None);
-        assert!(!shutdown);
-        let Response::Error { proto, code, .. } = resp else {
-            panic!("expected an error frame");
-        };
-        assert_eq!((proto, code.as_str()), (PROTO_VERSION, "malformed"));
-
-        let (resp, _) = respond("{\"kind\":\"reboot\"}", &svc, None);
-        let Response::Error { code, .. } = resp else {
-            panic!("expected an error frame");
-        };
-        assert_eq!(code, "unknown-kind");
-
-        let (resp, _) = respond(
-            "{\"client\":\"c\",\"job\":0,\"kind\":\"status\"}",
+        let (replies, shutdown) = converse(
             &svc,
-            None,
+            &[
+                "nonsense",
+                "{\"kind\":\"reboot\"}",
+                "{\"client\":\"c\",\"job\":0,\"kind\":\"status\"}",
+            ],
         );
-        let Response::Error { code, .. } = resp else {
-            panic!("expected an error frame");
-        };
-        assert_eq!(code, "unknown-job");
+        assert!(!shutdown);
+        let codes: Vec<_> = replies
+            .iter()
+            .map(|reply| {
+                let Response::Error { proto, code, .. } = reply else {
+                    panic!("expected an error frame, got {reply:?}");
+                };
+                (*proto, code.as_str())
+            })
+            .collect();
+        assert_eq!(
+            codes,
+            [
+                (PROTO_VERSION, "malformed"),
+                (PROTO_VERSION, "unknown-kind"),
+                (PROTO_VERSION, "unknown-job"),
+            ]
+        );
 
-        let (resp, shutdown) = respond("{\"kind\":\"shutdown\"}", &svc, None);
-        assert_eq!(resp, Response::Bye);
+        let (replies, shutdown) = converse(&svc, &["{\"kind\":\"shutdown\"}"]);
+        assert_eq!(replies, [Response::Bye]);
         assert!(shutdown);
+    }
+
+    #[test]
+    fn cancelling_a_finished_job_answers_cancelled_over_the_wire() {
+        use crate::proto::FleetSpec;
+        use margins_core::search::SearchStrategy;
+
+        let svc = FleetService::new(2, SharedCampaignCache::new()).expect("valid");
+        let spec = FleetSpec {
+            corner: margins_sim::Corner::Ttt,
+            first_serial: 20,
+            chips: 2,
+            benchmarks: vec!["namd".into()],
+            cores: vec![0],
+            iterations: 1,
+            start_mv: 890,
+            floor_mv: 885,
+            seed: 3,
+            search: SearchStrategy::Exhaustive,
+        };
+        let client = || "lab".to_owned();
+        // A new service numbers its first job 0.
+        let job = 0;
+        let lines = [
+            Request::Submit {
+                client: client(),
+                spec,
+            },
+            Request::Results {
+                client: client(),
+                job,
+            },
+            Request::Cancel {
+                client: client(),
+                job,
+            },
+            Request::Status {
+                client: client(),
+                job,
+            },
+        ]
+        .map(|request| request.to_line());
+        let (replies, shutdown) = svc.run(|| converse(&svc, &lines));
+        assert!(!shutdown);
+        assert_eq!(replies[0], Response::Submitted { job, chips: 2 });
+        assert!(matches!(replies[1], Response::Results { chips: 2, .. }));
+        // The job is done: the cancel reports it whole and changes nothing.
+        assert_eq!(
+            replies[2],
+            Response::Cancelled {
+                job,
+                done: 2,
+                total: 2
+            }
+        );
+        let Response::Status { state, done, .. } = &replies[3] else {
+            panic!("expected a status frame, got {:?}", replies[3]);
+        };
+        assert_eq!((state.as_str(), *done), ("done", 2));
     }
 
     #[test]
     fn health_and_metrics_answer_snapshot_frames() {
         let svc = FleetService::new(2, SharedCampaignCache::new()).expect("valid");
-        let (resp, shutdown) = respond("{\"kind\":\"health\"}", &svc, None);
+        let (resp, shutdown) = respond(Request::Health, &svc, None);
         assert!(!shutdown);
         let Response::Health(h) = resp else {
             panic!("expected a health frame, got {resp:?}");
@@ -567,7 +660,7 @@ mod tests {
         assert_eq!(h.workers, 2);
         assert_eq!(h.busy, 0);
 
-        let (resp, shutdown) = respond("{\"kind\":\"metrics\"}", &svc, None);
+        let (resp, shutdown) = respond(Request::Metrics, &svc, None);
         assert!(!shutdown);
         let Response::Metrics { body } = resp else {
             panic!("expected a metrics frame, got {resp:?}");
@@ -580,7 +673,10 @@ mod tests {
     fn subscribe_outside_a_streaming_connection_is_a_typed_error() {
         let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid");
         let (resp, shutdown) = respond(
-            "{\"client\":\"c\",\"job\":0,\"kind\":\"subscribe\"}",
+            Request::Subscribe {
+                client: "c".into(),
+                job: 0,
+            },
             &svc,
             None,
         );

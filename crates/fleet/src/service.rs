@@ -134,10 +134,8 @@ struct Job {
     config: CampaignConfig,
     results: Vec<Option<ChipOutcome>>,
     completed: u32,
+    /// Chips handed to a worker; the first dispatch starts the job.
     dispatched: u32,
-    /// Whether the first chip was ever dispatched (drives the
-    /// `job-started` event, including its catch-up replay).
-    started: bool,
     cancelled: bool,
     failed: Option<ExecError>,
     merged: Option<FleetResults>,
@@ -150,6 +148,45 @@ impl Job {
 
     fn finished(&self) -> bool {
         self.cancelled || self.failed.is_some() || self.completed == self.total()
+    }
+
+    /// Where the job is in its life; a failure outranks a cancel, which
+    /// outranks completion.
+    fn state(&self) -> JobState {
+        if self.failed.is_some() {
+            JobState::Failed
+        } else if self.cancelled {
+            JobState::Cancelled
+        } else if self.completed == self.total() {
+            JobState::Done
+        } else if self.dispatched > 0 {
+            JobState::Running
+        } else {
+            JobState::Queued
+        }
+    }
+}
+
+/// A job's state, as `status` reports it and `health` counts it.
+#[derive(Clone, Copy)]
+enum JobState {
+    Queued,
+    Running,
+    Done,
+    Failed,
+    Cancelled,
+}
+
+impl JobState {
+    /// The state's label in status frames.
+    fn label(self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Done => "done",
+            JobState::Failed => "failed",
+            JobState::Cancelled => "cancelled",
+        }
     }
 }
 
@@ -360,7 +397,6 @@ impl FleetService {
                     results,
                     completed: 0,
                     dispatched: 0,
-                    started: false,
                     cancelled: false,
                     failed: None,
                     merged: None,
@@ -387,17 +423,7 @@ impl FleetService {
     pub fn status(&self, client: &str, job: JobId) -> Option<JobStatus> {
         let state = self.lock_state();
         let j = state.jobs.get(&job).filter(|j| j.client == client)?;
-        let label = if j.failed.is_some() {
-            "failed"
-        } else if j.cancelled {
-            "cancelled"
-        } else if j.completed == j.total() {
-            "done"
-        } else if j.dispatched > 0 {
-            "running"
-        } else {
-            "queued"
-        };
+        let label = j.state().label();
         let (done, total) = (j.completed, j.total());
         let queue_position = state
             .queues
@@ -415,19 +441,19 @@ impl FleetService {
     }
 
     /// Cancels a job's queued chips; in-flight chips finish and are
-    /// retained with the job as partial results. Returns `false` for an
-    /// unknown pair. A *newly* cancelled job emits a terminal
-    /// `job-cancelled` event with partial-results accounting.
-    pub fn cancel(&self, client: &str, job: JobId) -> bool {
+    /// retained with the job as partial results. Returns the job's chips
+    /// completed / total, or `None` for an unknown (client, job) pair.
+    ///
+    /// Only an unfinished job becomes cancelled, emitting a terminal
+    /// `job-cancelled` event with that accounting. A job that already
+    /// ended keeps its state, and its cancel emits and counts nothing.
+    pub fn cancel(&self, client: &str, job: JobId) -> Option<(u32, u32)> {
         let mut state = self.lock_state();
-        let Some(j) = state.jobs.get_mut(&job).filter(|j| j.client == client) else {
-            return false;
-        };
+        let j = state.jobs.get_mut(&job).filter(|j| j.client == client)?;
         let newly = !j.finished();
         if newly {
             j.cancelled = true;
         }
-        let cancelled = j.cancelled;
         let (done, total) = (j.completed, j.total());
         if let Some(queue) = state.queues.get_mut(client) {
             queue.retain(|u| u.job != job);
@@ -440,16 +466,7 @@ impl FleetService {
         }
         drop(state);
         self.done.notify_all();
-        cancelled
-    }
-
-    /// The chips completed / total accounting of a job, for cancel
-    /// responses; `None` for an unknown (client, job) pair.
-    #[must_use]
-    pub fn accounting(&self, client: &str, job: JobId) -> Option<(u32, u32)> {
-        let state = self.lock_state();
-        let j = state.jobs.get(&job).filter(|j| j.client == client)?;
-        Some((j.completed, j.total()))
+        Some((done, total))
     }
 
     /// Blocks until `job` finishes and returns how it ended; `None` for
@@ -514,7 +531,7 @@ impl FleetService {
             client: client.to_owned(),
             chips: j.total(),
         });
-        if j.started {
+        if j.dispatched > 0 {
             backlog.push_back(FleetEvent::JobStarted { job });
         }
         for (chip, slot) in j.results.iter().enumerate() {
@@ -621,17 +638,14 @@ impl FleetService {
             ..HealthSnapshot::default()
         };
         for j in state.jobs.values() {
-            if j.failed.is_some() {
-                h.jobs_failed += 1;
-            } else if j.cancelled {
-                h.jobs_cancelled += 1;
-            } else if j.completed == j.total() {
-                h.jobs_done += 1;
-            } else if j.dispatched > 0 {
-                h.jobs_running += 1;
-            } else {
-                h.jobs_queued += 1;
-            }
+            let count = match j.state() {
+                JobState::Queued => &mut h.jobs_queued,
+                JobState::Running => &mut h.jobs_running,
+                JobState::Done => &mut h.jobs_done,
+                JobState::Failed => &mut h.jobs_failed,
+                JobState::Cancelled => &mut h.jobs_cancelled,
+            };
+            *count += 1;
         }
         h
     }
@@ -715,9 +729,8 @@ impl FleetService {
                         let Some(j) = state.jobs.get_mut(&unit.job) else {
                             continue;
                         };
+                        let newly_started = j.dispatched == 0;
                         j.dispatched += 1;
-                        let newly_started = !j.started;
-                        j.started = true;
                         let spec = j.chips[unit.chip];
                         let config = j.config.clone();
                         state.busy += 1;
@@ -1124,11 +1137,37 @@ mod tests {
         // cancel a job before starting the pool: every unit is queued.
         let svc = FleetService::new(1, SharedCampaignCache::new()).expect("valid");
         let (job, _) = svc.submit("lab", &tiny_spec(4)).expect("valid spec");
-        assert!(svc.cancel("lab", job));
-        assert!(!svc.cancel("nobody", job));
+        assert_eq!(svc.cancel("lab", job), Some((0, 4)));
+        assert_eq!(svc.cancel("nobody", job), None);
         assert_eq!(svc.status("lab", job).map(|s| s.state), Some("cancelled"));
         let outcome = svc.run(|| svc.wait("lab", job));
         assert_eq!(outcome, Some(JobOutcome::Cancelled));
+    }
+
+    #[test]
+    fn cancelling_a_finished_job_keeps_its_state() {
+        let svc = FleetService::new(2, SharedCampaignCache::new()).expect("valid");
+        let (job, done) = svc.run(|| {
+            let (job, _) = svc.submit("lab", &tiny_spec(2)).expect("valid spec");
+            let done = svc.wait("lab", job).expect("known job");
+            (job, done)
+        });
+        let before = svc.openmetrics();
+        assert_eq!(svc.cancel("lab", job), Some((2, 2)));
+        assert_eq!(svc.status("lab", job).map(|s| s.state), Some("done"));
+        assert_eq!(svc.wait("lab", job), Some(done));
+        let health = svc.health();
+        assert_eq!((health.jobs_done, health.jobs_cancelled), (1, 0));
+        assert_eq!(svc.openmetrics(), before, "no counter moves");
+        let sub = svc.subscribe("lab", job, 16).expect("subscribe");
+        let events = svc.try_events(&sub);
+        assert!(
+            matches!(events.last(), Some(FleetEvent::JobFinished { .. })),
+            "{events:?}"
+        );
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, FleetEvent::JobCancelled { .. })));
     }
 
     #[test]

@@ -22,23 +22,13 @@ use margins_trace::{EventBuffer, TraceEvent};
 use std::fmt;
 use std::sync::Arc;
 
-/// Static configuration of the simulated board.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Static configuration of the simulated board. Every board powers on
+/// with its fan controller regulating to the §3.1 setpoint of 43 °C; the
+/// PMpro can move the setpoint until the next reinitialization.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SystemConfig {
-    /// Die-temperature setpoint the fan controller regulates to, °C
-    /// (§3.1 uses 43 °C).
-    pub temp_setpoint_c: f64,
     /// §6 hardware enhancements of this chip revision (stock by default).
     pub enhancements: crate::enhance::Enhancements,
-}
-
-impl Default for SystemConfig {
-    fn default() -> Self {
-        SystemConfig {
-            temp_setpoint_c: crate::calib::TEMP_SETPOINT_C,
-            enhancements: crate::enhance::Enhancements::stock(),
-        }
-    }
 }
 
 /// Outcome of a single benchmark run, before output comparison.
@@ -185,7 +175,7 @@ impl System {
         self.pmd_freq = [MAX_FREQ; NUM_PMDS];
         self.caches.reset();
         self.edac = EdacLog::new();
-        self.thermal = ThermalModel::with_setpoint(self.config.temp_setpoint_c);
+        self.thermal = ThermalModel::default();
         self.energy = EnergyMeter::new();
         self.responsive = true;
         self.boot_count = 1;

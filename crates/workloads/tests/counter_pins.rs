@@ -177,7 +177,6 @@ impl Setup {
     fn run(&self, program: &dyn Program) -> RunRecord {
         let config = SystemConfig {
             enhancements: self.enhancements,
-            ..SystemConfig::default()
         };
         let mut sys = System::new(ChipSpec::new(Corner::Ttt, 0), config);
         let core = CoreId::new(self.core);

@@ -59,7 +59,6 @@ fn board(case: &Case) -> System {
         ChipSpec::new(case.corner, serial),
         SystemConfig {
             enhancements: case.enhancements,
-            ..SystemConfig::default()
         },
     )
 }

@@ -279,8 +279,7 @@ fn cancelling_a_queued_job_emits_a_terminal_event_with_accounting() {
     // No workers are running: the job stays queued, so the cancel's
     // partial-results accounting is exactly 0 of 5.
     let (job, _) = svc.submit("lab", &fleet).expect("valid spec");
-    assert!(svc.cancel("lab", job));
-    assert_eq!(svc.accounting("lab", job), Some((0, 5)));
+    assert_eq!(svc.cancel("lab", job), Some((0, 5)));
 
     let sub = svc.subscribe("lab", job, 64).expect("subscribe");
     let events = svc.try_events(&sub);
