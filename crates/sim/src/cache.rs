@@ -257,6 +257,7 @@ impl SetAssocCache {
     /// Accesses the line containing `line_addr` (already line-granular).
     /// Allocates on miss (write-allocate), marks dirty on writes,
     /// returns placement info.
+    #[inline(always)]
     pub fn access(&mut self, line_addr: u64, write: bool) -> LevelAccess {
         // `line_addr % sets`, as a mask: `sets` is a power of two.
         let set = (line_addr & u64::from(self.sets - 1)) as u32;
@@ -314,7 +315,28 @@ impl SetAssocCache {
     /// reading/writing 64-bit word `word_in_line`, with the array powered at
     /// `supply_mv`. Errors are pushed to `edac`; silent corruption of the
     /// accessed word is returned in the observation.
+    #[inline(always)]
     pub fn probe_faults(
+        &mut self,
+        set: u32,
+        way: u8,
+        word_in_line: u8,
+        supply_mv: f64,
+        edac: &mut EdacLog,
+    ) -> FaultObservation {
+        // Every access probes, and at or above the repair clamp every cell
+        // holds (`holds_at`): only a probe below it makes a call.
+        if supply_mv >= SRAM_REPAIR_CLAMP_MV {
+            return FaultObservation::default();
+        }
+        self.probe_weak_cells(set, way, word_in_line, supply_mv, edac)
+    }
+
+    /// [`Self::probe_faults`] below the repair clamp: looks the location up
+    /// in the weak-cell map.
+    #[cold]
+    #[inline(never)]
+    fn probe_weak_cells(
         &mut self,
         set: u32,
         way: u8,
@@ -537,6 +559,10 @@ impl CacheHierarchy {
     /// L1D → L2 → L3 → DRAM, probing weak cells in each touched array.
     ///
     /// `pmd_mv` powers L1/L2 (the PMD rail); `soc_mv` powers L3.
+    ///
+    /// Every load and store passes here, so the walk up to an L1D hit
+    /// compiles into the op that issues it; a miss calls [`Self::below_l1`].
+    #[inline(always)]
     pub(crate) fn data_access(
         &mut self,
         core: CoreId,
@@ -564,7 +590,39 @@ impl CacheHierarchy {
                 faults,
             };
         }
+        self.below_l1(
+            core,
+            line,
+            write,
+            word_in_line,
+            pmd_mv,
+            soc_mv,
+            edac,
+            a1,
+            faults,
+        )
+    }
 
+    /// The rest of [`Self::data_access`] after an L1D miss, whose L1D
+    /// placement is `a1`: walks L2 → L3 → DRAM, adding what each touched
+    /// array observes to `faults`.
+    #[inline(never)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the L1D part of the walk hands over its whole state"
+    )]
+    fn below_l1(
+        &mut self,
+        core: CoreId,
+        line: u64,
+        write: bool,
+        word_in_line: u8,
+        pmd_mv: f64,
+        soc_mv: f64,
+        edac: &mut EdacLog,
+        a1: LevelAccess,
+        mut faults: FaultObservation,
+    ) -> HierarchyAccess {
         let l2 = &mut self.l2[core.pmd().index()];
         let a2 = l2.access(line, write);
         faults.merge(l2.probe_faults(a2.set, a2.way, word_in_line, pmd_mv, edac));

@@ -40,7 +40,9 @@ impl DroopModel {
     /// [`BLOCK_OPS`] ops and folds it into the EWMA.
     ///
     /// Returns `true` when a block boundary was crossed (the caller may then
-    /// refresh cached fault intensities).
+    /// refresh cached fault intensities). Every op passes here, so this
+    /// compiles into the op that issues it.
+    #[inline(always)]
     pub(crate) fn record_activity(&mut self, activity: f64) -> bool {
         self.block_accum += activity;
         self.block_ops += 1;

@@ -322,6 +322,10 @@ impl TimingFaultModel {
     }
 
     /// Accounts one executed op; returns the consequence if a fault fires.
+    ///
+    /// Every op of a run passes here, so the add-and-compare compiles into
+    /// the op that issues it and only a firing fault makes a call.
+    #[inline(always)]
     pub(crate) fn on_op(&mut self, class: OpClass, rng: &mut Rng) -> Option<FaultConsequence> {
         let lambda = self.lambda[class.index()];
         self.samples += 1;
@@ -330,10 +334,7 @@ impl TimingFaultModel {
         if self.accum < self.budget {
             return None;
         }
-        self.accum = 0.0;
-        self.budget = draw_exponential(rng);
-        self.faults_fired += 1;
-        Some(self.sample_consequence(class, rng))
+        Some(self.fire(class, rng))
     }
 
     /// Accounts a burst of `n` identical ops at once (used for OS/boot
@@ -352,10 +353,18 @@ impl TimingFaultModel {
         if self.accum < self.budget {
             return None;
         }
+        Some(self.fire(class, rng))
+    }
+
+    /// Fires the fault whose budget the accumulator just reached: restarts
+    /// the accumulator on a fresh budget and draws the consequence.
+    #[cold]
+    #[inline(never)]
+    fn fire(&mut self, class: OpClass, rng: &mut Rng) -> FaultConsequence {
         self.accum = 0.0;
         self.budget = draw_exponential(rng);
         self.faults_fired += 1;
-        Some(self.sample_consequence(class, rng))
+        self.sample_consequence(class, rng)
     }
 
     fn sample_consequence(&self, class: OpClass, rng: &mut Rng) -> FaultConsequence {

@@ -428,25 +428,30 @@ impl<'a> Machine<'a> {
 
     /// Loads a 64-bit word; out-of-bounds addresses (e.g. from corrupted
     /// indices) kill the application like a real segfault.
+    #[inline]
     pub fn load_u64(&mut self, addr: Addr) -> u64 {
         self.mem_op(addr, false, None)
     }
 
     /// Stores a 64-bit word.
+    #[inline]
     pub fn store_u64(&mut self, addr: Addr, value: u64) {
         self.mem_op(addr, true, Some(value));
     }
 
     /// Loads a floating-point value.
+    #[inline]
     pub fn load_f64(&mut self, addr: Addr) -> f64 {
         f64::from_bits(self.load_u64(addr))
     }
 
     /// Stores a floating-point value.
+    #[inline]
     pub fn store_f64(&mut self, addr: Addr, value: f64) {
         self.store_u64(addr, value.to_bits());
     }
 
+    #[inline(always)]
     fn mem_op(&mut self, addr: Addr, write: bool, value: Option<u64>) -> u64 {
         if self.halted() {
             return 0;
@@ -456,10 +461,7 @@ impl<'a> Machine<'a> {
         let dir = usize::from(write);
 
         if addr.0 >= self.mem.len() as u64 {
-            // Segfault: corrupted pointer or workload bug.
-            self.tally.segfaults[dir] += 1;
-            self.raise_app_crash();
-            return 0;
+            return self.segfault(dir);
         }
 
         // D-TLB.
@@ -500,14 +502,7 @@ impl<'a> Machine<'a> {
             // switch, possibly the DRAM controllers).
             self.soc_accum += self.soc_lambda;
             if self.soc_accum >= self.soc_budget {
-                self.soc_accum = 0.0;
-                self.soc_budget = draw_exponential(&mut self.rng);
-                if self.rng.next_f64() < 0.8 {
-                    self.status = MachineStatus::SysHung;
-                } else {
-                    self.raise_app_crash();
-                }
-                return 0;
+                return self.soc_logic_fault();
             }
         }
         if access.dram() {
@@ -521,9 +516,7 @@ impl<'a> Machine<'a> {
         // SRAM protection observations.
         let obs = access.faults;
         self.tally.ecc_errors += u64::from(obs.corrected + obs.uncorrected);
-        if obs.poison && self.rng.next_f64() < POISON_AC_PROBABILITY {
-            self.tally.poison_aborts += 1;
-            self.raise_app_crash();
+        if obs.poison && self.consume_poison() {
             return 0;
         }
 
@@ -559,26 +552,69 @@ impl<'a> Machine<'a> {
         result
     }
 
+    /// The segfault exit of [`Self::mem_op`], in direction `dir`.
+    #[cold]
+    #[inline(never)]
+    fn segfault(&mut self, dir: usize) -> u64 {
+        // Segfault: corrupted pointer or workload bug.
+        self.tally.segfaults[dir] += 1;
+        self.raise_app_crash();
+        0
+    }
+
+    /// The SoC-logic exit of [`Self::mem_op`]: its sampler reached its
+    /// budget, so it draws the next one and the machine hangs or the
+    /// application dies.
+    #[cold]
+    #[inline(never)]
+    fn soc_logic_fault(&mut self) -> u64 {
+        self.soc_accum = 0.0;
+        self.soc_budget = draw_exponential(&mut self.rng);
+        if self.rng.next_f64() < 0.8 {
+            self.status = MachineStatus::SysHung;
+        } else {
+            self.raise_app_crash();
+        }
+        0
+    }
+
+    /// Whether consuming poisoned data kills the application, which
+    /// [`Self::mem_op`] then exits on.
+    #[cold]
+    #[inline(never)]
+    fn consume_poison(&mut self) -> bool {
+        if self.rng.next_f64() < POISON_AC_PROBABILITY {
+            self.tally.poison_aborts += 1;
+            self.raise_app_crash();
+            return true;
+        }
+        false
+    }
+
     // ---------------------------------------------------------------
     // Arithmetic
     // ---------------------------------------------------------------
 
     /// Floating-point addition.
+    #[inline]
     pub fn fadd(&mut self, a: f64, b: f64) -> f64 {
         self.f2(OpKind::FpAdd, 0.2, a, b, |x, y| x + y)
     }
 
     /// Floating-point subtraction (shares the FP adder).
+    #[inline]
     pub fn fsub(&mut self, a: f64, b: f64) -> f64 {
         self.f2(OpKind::FpAdd, 0.2, a, b, |x, y| x - y)
     }
 
     /// Floating-point multiplication.
+    #[inline]
     pub fn fmul(&mut self, a: f64, b: f64) -> f64 {
         self.f2(OpKind::FpMul, 0.2, a, b, |x, y| x * y)
     }
 
     /// Fused multiply-add.
+    #[inline]
     pub fn fma(&mut self, a: f64, b: f64, c: f64) -> f64 {
         if self.halted() {
             return 0.0;
@@ -593,11 +629,13 @@ impl<'a> Machine<'a> {
     }
 
     /// Floating-point division (deep path: highest fault exposure, §3.4).
+    #[inline]
     pub fn fdiv(&mut self, a: f64, b: f64) -> f64 {
         self.f2(OpKind::FpDiv, 6.0, a, b, |x, y| x / y)
     }
 
     /// Floating-point square root.
+    #[inline]
     pub fn fsqrt(&mut self, a: f64) -> f64 {
         if self.halted() {
             return 0.0;
@@ -612,21 +650,25 @@ impl<'a> Machine<'a> {
     }
 
     /// Integer addition.
+    #[inline]
     pub fn iadd(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x.wrapping_add(y))
     }
 
     /// Integer subtraction.
+    #[inline]
     pub fn isub(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x.wrapping_sub(y))
     }
 
     /// Integer multiplication.
+    #[inline]
     pub fn imul(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntMul, 1.0, a, b, |x, y| x.wrapping_mul(y))
     }
 
     /// Integer division (`0` divisor yields `0`, as a guarded idiv would).
+    #[inline]
     pub fn idiv(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntDiv, 8.0, a, b, |x, y| {
             x.checked_div(y).unwrap_or(0)
@@ -634,26 +676,31 @@ impl<'a> Machine<'a> {
     }
 
     /// Bitwise AND.
+    #[inline]
     pub fn iand(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x & y)
     }
 
     /// Bitwise OR.
+    #[inline]
     pub fn ior(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x | y)
     }
 
     /// Bitwise XOR.
+    #[inline]
     pub fn ixor(&mut self, a: u64, b: u64) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, b, |x, y| x ^ y)
     }
 
     /// Logical shift left (modulo 64).
+    #[inline]
     pub fn ishl(&mut self, a: u64, b: u32) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, u64::from(b), |x, y| x << (y % 64))
     }
 
     /// Logical shift right (modulo 64).
+    #[inline]
     pub fn ishr(&mut self, a: u64, b: u32) -> u64 {
         self.i2(OpKind::IntAlu, 0.0, a, u64::from(b), |x, y| x >> (y % 64))
     }
@@ -667,6 +714,7 @@ impl<'a> Machine<'a> {
     /// Returns the direction the machine actually takes: normally `taken`,
     /// but a timing fault on the branch path may *invert* it — control-flow
     /// corruption that genuinely changes what the program computes.
+    #[inline]
     #[must_use = "the machine may invert a faulted branch; use the returned direction"]
     pub fn branch(&mut self, taken: bool) -> bool {
         if self.halted() {
@@ -711,6 +759,7 @@ impl<'a> Machine<'a> {
     }
 
     /// An indirect branch/jump through `target` (BTB-predicted).
+    #[inline]
     pub fn indirect_branch(&mut self, target: u64) {
         if self.halted() {
             return;
@@ -735,6 +784,7 @@ impl<'a> Machine<'a> {
     // Internals
     // ---------------------------------------------------------------
 
+    #[inline(always)]
     fn f2(
         &mut self,
         kind: OpKind,
@@ -755,6 +805,7 @@ impl<'a> Machine<'a> {
         r
     }
 
+    #[inline(always)]
     fn i2(
         &mut self,
         kind: OpKind,
@@ -775,13 +826,35 @@ impl<'a> Machine<'a> {
         r
     }
 
-    /// Per-op bookkeeping shared by every op kind.
+    /// Per-op bookkeeping shared by every op kind. Every op passes here,
+    /// so it compiles into the op that issues it, and the work due only
+    /// every 16th op or less often is one call.
+    #[inline(always)]
     fn account(&mut self, kind: OpKind) {
         self.tally.ops[kind as usize] += 1;
         self.cycles += 1.0 / f64::from(crate::topology::ISSUE_WIDTH) + 0.05;
         let act = kind.class().activity_weight();
         self.activity_sum += act;
-        if self.droop.record_activity(act) {
+        let block_done = self.droop.record_activity(act);
+        self.fetch_accum += 1;
+        self.os_accum += 1;
+        if block_done || self.fetch_accum >= FETCH_GROUP_OPS || self.os_accum >= OS_TICK_INTERVAL {
+            self.account_boundaries(block_done);
+        }
+
+        // Cascading failure: enough faults in one run and the machine is
+        // beyond recovery regardless of individual consequences.
+        if self.timing.faults_fired() > calib::CASCADE_SC_THRESHOLD {
+            self.status = MachineStatus::SysHung;
+        }
+    }
+
+    /// The periodic work of [`Self::account`], in this order: the droop
+    /// refresh when `block_done` closed an activity block, the fetch group
+    /// every 16th op and the OS tick every 640th.
+    #[inline(never)]
+    fn account_boundaries(&mut self, block_done: bool) {
+        if block_done {
             if self.enhancements.adaptive_clocking {
                 // The adaptive clock stretches through droop events instead
                 // of letting them erode the margin (§4.4 footnote).
@@ -795,7 +868,6 @@ impl<'a> Machine<'a> {
         }
 
         // Instruction fetch every 16 ops (one 64 B fetch group).
-        self.fetch_accum += 1;
         if self.fetch_accum >= FETCH_GROUP_OPS {
             self.fetch_accum = 0;
             self.pc = 0x40_0000 + (self.pc + 64 - 0x40_0000) % self.code_footprint;
@@ -810,7 +882,6 @@ impl<'a> Machine<'a> {
         }
 
         // Background OS tick.
-        self.os_accum += 1;
         if self.os_accum >= OS_TICK_INTERVAL {
             self.os_accum = 0;
             self.kernel_cycles += 50.0;
@@ -819,14 +890,10 @@ impl<'a> Machine<'a> {
                 self.apply_crash_consequence(c);
             }
         }
-
-        // Cascading failure: enough faults in one run and the machine is
-        // beyond recovery regardless of individual consequences.
-        if self.timing.faults_fired() > calib::CASCADE_SC_THRESHOLD {
-            self.status = MachineStatus::SysHung;
-        }
     }
 
+    #[cold]
+    #[inline(never)]
     fn apply_value_fault(&mut self, consequence: FaultConsequence, value: u64) -> u64 {
         match consequence {
             FaultConsequence::CorruptValue => {
@@ -849,6 +916,8 @@ impl<'a> Machine<'a> {
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn apply_crash_consequence(&mut self, consequence: FaultConsequence) {
         match consequence {
             FaultConsequence::AppCrash => self.raise_app_crash(),

@@ -13,6 +13,12 @@
 //! AC/SC and SDC runs, a §6-enhanced chip, and ops issued after a halt.
 //! A run's table is printed when it drifts, so a change that means to move
 //! a counter can show what moved.
+//!
+//! The same runs pin the op path's floating-point results, which the
+//! counter fold leaves out: the modelled runtime and energy, the stress
+//! mass, the fault and error tallies, and the fault-free summary a replay
+//! reads (the droop-weighted segment masses behind it, the samples, the SoC
+//! trials and the mean activity), bit for bit.
 
 use margins_rng::splitmix64;
 use margins_sim::machine::Machine;
@@ -219,7 +225,37 @@ fn run_digest(r: &RunRecord) -> u64 {
         .fold(0, |h, v| splitmix64(&mut (h ^ v)))
 }
 
-/// Every pinned run, labelled; both tests share one set.
+/// Stands in for the fault-free summary of a run that has none.
+const NO_SUMMARY: u64 = 0xfa17_ab5e_0000_0001;
+
+/// Folds the op path's floating-point results and fault tallies into one
+/// word: every f64 by its bits.
+fn float_digest(r: &RunRecord) -> u64 {
+    let summary = match r.fault_free {
+        Some(f) => vec![
+            f.timing.head.to_bits(),
+            f.timing.tail.to_bits(),
+            f.timing.samples,
+            f.soc_trials,
+            f.mean_activity.to_bits(),
+        ],
+        None => vec![NO_SUMMARY],
+    };
+    [
+        r.runtime_s.to_bits(),
+        r.energy_j.to_bits(),
+        r.stress_mass.to_bits(),
+        u64::from(r.timing_faults),
+        u64::from(r.silent_corruptions),
+        r.corrected_errors as u64,
+        r.uncorrected_errors as u64,
+    ]
+    .into_iter()
+    .chain(summary)
+    .fold(0, |h, v| splitmix64(&mut (h ^ v)))
+}
+
+/// Every pinned run, labelled; every test shares one set.
 fn pinned_runs() -> &'static [(String, RunRecord)] {
     static RUNS: OnceLock<Vec<(String, RunRecord)>> = OnceLock::new();
     RUNS.get_or_init(take_pinned_runs)
@@ -534,4 +570,182 @@ fn pinned_runs_reach_every_driven_event_and_every_ending() {
         .1;
     assert_eq!(collapse.outcome, RunOutcome::SystemCrashed);
     assert_eq!(collapse.instructions, 0);
+}
+
+/// `(label, float digest)` for every pinned run, recorded at the commit
+/// before the op path was inlined, in a debug build; an optimized build
+/// must give the same table.
+const FLOAT_PINNED: &[(&str, u64)] = &[
+    ("nominal bwaves/ref", 0x83445d97a4731cb2),
+    ("nominal bwaves/train", 0x534134e1b93a3782),
+    ("nominal cactusADM/ref", 0x42f19ba6372549f8),
+    ("nominal cactusADM/train", 0xeb089a01a574a337),
+    ("nominal dealII/ref", 0x0d39b95baa9407c8),
+    ("nominal dealII/train", 0x348af450843b542c),
+    ("nominal gromacs/ref", 0xe995091140c2a3ba),
+    ("nominal gromacs/train", 0xafa2389caee151ee),
+    ("nominal leslie3d/ref", 0xffa9b0d8a275e329),
+    ("nominal leslie3d/train", 0xa9f6d0bcc6d9ffa2),
+    ("nominal mcf/ref", 0x54e841f2a47d5585),
+    ("nominal mcf/train", 0x7b2aa8f5576ac9cd),
+    ("nominal milc/ref", 0x66eb613985ceac04),
+    ("nominal milc/train", 0xd8ca82be357c3697),
+    ("nominal namd/ref", 0xa69bceb2265007ce),
+    ("nominal namd/train", 0xa3f4b80e175578e4),
+    ("nominal soplex/ref", 0x12e307bca6f41c3f),
+    ("nominal soplex/train", 0x773832e44aa2cfe3),
+    ("nominal zeusmp/ref", 0xabfa2c7e6a226553),
+    ("nominal zeusmp/train", 0x4307998f42cfa287),
+    ("nominal lbm/ref", 0xda6b37457dbe4ee5),
+    ("nominal GemsFDTD/ref", 0x60d34bf54160fa2f),
+    ("nominal calculix/ref", 0x6ff19b58ea1a2931),
+    ("nominal tonto/ref", 0x6cf654d18659bafc),
+    ("nominal gamess/ref", 0x44058aa764ae2932),
+    ("nominal gcc/ref", 0x6a7e76a8af58e0b6),
+    ("nominal gcc/train", 0x058df4bcbf8f1907),
+    ("nominal gobmk/ref", 0x2c3bfa0dc3a05397),
+    ("nominal sjeng/ref", 0xbdbd9dfd284f6455),
+    ("nominal hmmer/ref", 0x4a1d3b081b94c2d6),
+    ("nominal hmmer/train", 0x89052a5170125d1f),
+    ("nominal libquantum/ref", 0x48daccc2397dbb88),
+    ("nominal h264ref/ref", 0x826ba3276ef2dc5c),
+    ("nominal h264ref/train", 0xbf0347bcfd45cf06),
+    ("nominal omnetpp/ref", 0xe7de379b60f98bd2),
+    ("nominal astar/ref", 0x4d0a0b719dcdceff),
+    ("nominal bzip2/ref", 0xe27ad0f4cb480762),
+    ("nominal bzip2/train", 0xc4089cd2e44db9b9),
+    ("nominal xalancbmk/ref", 0x21140a20918efb37),
+    ("nominal perlbench/ref", 0x8b2dcffff83e390a),
+    ("pmd 860 mV bwaves seed 1", 0x463b5a067f6029ec),
+    ("pmd 860 mV bwaves seed 2", 0x6ab8873982f55c3e),
+    ("pmd 860 mV bwaves seed 3", 0x463b5a067f6029ec),
+    ("pmd 870 mV bwaves seed 1", 0x34ad1e4f515c5496),
+    ("pmd 870 mV bwaves seed 2", 0x724a3680f086b1dc),
+    ("pmd 870 mV bwaves seed 3", 0x5575af8dfe5cd576),
+    ("pmd 880 mV bwaves seed 1", 0xa3775e4ac34910e6),
+    ("pmd 880 mV bwaves seed 2", 0xfb0325a08f63481d),
+    ("pmd 880 mV bwaves seed 3", 0xf7620956f57d49a9),
+    ("pmd 860 mV namd seed 1", 0x463b5a067f6029ec),
+    ("pmd 860 mV namd seed 2", 0x1e7de0e9706208e0),
+    ("pmd 860 mV namd seed 3", 0x463b5a067f6029ec),
+    ("pmd 870 mV namd seed 1", 0x08f55410468dae61),
+    ("pmd 870 mV namd seed 2", 0xd98fad4d35da2642),
+    ("pmd 870 mV namd seed 3", 0x50eb9ede7f206bec),
+    ("pmd 880 mV namd seed 1", 0x0da0b196eba1172f),
+    ("pmd 880 mV namd seed 2", 0x9a2a0cc54be147ab),
+    ("pmd 880 mV namd seed 3", 0xce1bb6e10cad7c9a),
+    ("pmd 860 mV xalancbmk seed 1", 0x463b5a067f6029ec),
+    ("pmd 860 mV xalancbmk seed 2", 0x8ab6b94ad587260d),
+    ("pmd 860 mV xalancbmk seed 3", 0x463b5a067f6029ec),
+    ("pmd 870 mV xalancbmk seed 1", 0x0fe3a5f1a154ad3e),
+    ("pmd 870 mV xalancbmk seed 2", 0xb33c2d1762a6cfc1),
+    ("pmd 870 mV xalancbmk seed 3", 0xfb72cc341ee3d152),
+    ("pmd 880 mV xalancbmk seed 1", 0x672b570b5e8a85fe),
+    ("pmd 880 mV xalancbmk seed 2", 0x4f8cd4614ce09795),
+    ("pmd 880 mV xalancbmk seed 3", 0x3d56e5ac54388556),
+    ("soc 725 mV mcf seed 1", 0x577c215de9b68ff3),
+    ("soc 725 mV mcf seed 2", 0xb40542e290c15692),
+    ("soc 725 mV mcf seed 3", 0xc96b9dea1fba60b3),
+    ("soc 725 mV mcf seed 4", 0xb65a8703f915d45d),
+    ("soc 725 mV lbm seed 1", 0x3f2e34a703d5cae3),
+    ("soc 725 mV lbm seed 2", 0x2b5bf73589494398),
+    ("soc 725 mV lbm seed 3", 0x32f7d214fdcd2c7c),
+    ("soc 725 mV lbm seed 4", 0x37ae393e4e52d187),
+    ("soc 800 mV selftest-l3 seed 1", 0xa92c1bf974983fa0),
+    ("soc 800 mV selftest-l3 seed 2", 0xa92c1bf974983fa0),
+    ("soc 800 mV selftest-l3 seed 3", 0xa92c1bf974983fa0),
+    ("soc 800 mV selftest-l3 seed 4", 0xa92c1bf974983fa0),
+    (
+        "sram 850 mV selftest-l1d ecc false seed 1",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l1d ecc false seed 2",
+        0xcab41a90c266a736,
+    ),
+    (
+        "sram 850 mV selftest-l1d ecc false seed 3",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l1d ecc true seed 1",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l1d ecc true seed 2",
+        0xeeaf7fd484fe58fa,
+    ),
+    (
+        "sram 850 mV selftest-l1d ecc true seed 3",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc false seed 1",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc false seed 2",
+        0xcab41a90c266a736,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc false seed 3",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc true seed 1",
+        0x3a19a4dc751eebfb,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc true seed 2",
+        0xc7a4e139ac524ef1,
+    ),
+    (
+        "sram 850 mV selftest-l2 ecc true seed 3",
+        0x3a19a4dc751eebfb,
+    ),
+    ("enhanced 870 mV bwaves seed 1", 0xb101ad9c18aca102),
+    ("enhanced 870 mV bwaves seed 2", 0xcc53f718cc932175),
+    ("enhanced 870 mV bwaves seed 3", 0x467f4c25882e5bc4),
+    ("enhanced 870 mV namd seed 1", 0xd432c4a60426f423),
+    ("enhanced 870 mV namd seed 2", 0x39da910473a331f9),
+    ("enhanced 870 mV namd seed 3", 0x906fef8adfc7e582),
+    ("divided 800 mV namd", 0xcd0bbc9a2f37b771),
+    ("divided 750 mV namd", 0x9eeaaa025e4ea242),
+    ("scripted segfault-load", 0x8ecf7dad51531c50),
+    ("scripted segfault-store", 0x8ecf7dad51531c50),
+    ("scripted dirty-stream", 0x9f3cc489d6f21cab),
+];
+
+#[test]
+fn every_float_of_every_accounting_path_is_pinned() {
+    let runs = pinned_runs();
+    let table: Vec<(String, u64)> = runs
+        .iter()
+        .map(|(label, r)| (label.clone(), float_digest(r)))
+        .collect();
+    let expected: Vec<(String, u64)> = FLOAT_PINNED
+        .iter()
+        .map(|(label, d)| ((*label).to_owned(), *d))
+        .collect();
+    if table != expected {
+        let mut listing = String::new();
+        for ((label, r), (_, d)) in runs.iter().zip(&table) {
+            listing.push_str(&format!("    ({label:?}, {d:#018x}),\n"));
+            if !FLOAT_PINNED.contains(&(label.as_str(), *d)) {
+                eprintln!(
+                    "{label} drifted: runtime {:e} s, energy {:e} J, stress mass {:e}, \
+                     faults {}, SDCs {}, CEs {}, UEs {}, summary {:?}",
+                    r.runtime_s,
+                    r.energy_j,
+                    r.stress_mass,
+                    r.timing_faults,
+                    r.silent_corruptions,
+                    r.corrected_errors,
+                    r.uncorrected_errors,
+                    r.fault_free
+                );
+            }
+        }
+        panic!("pinned float digests drifted; the runs now give:\n{listing}");
+    }
 }
