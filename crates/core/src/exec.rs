@@ -191,6 +191,12 @@ impl ItemOutput {
     pub(crate) fn into_parts(self) -> (usize, TracedItem) {
         (self.index, self.item)
     }
+
+    /// The item's result, for tests that read what reaches no output.
+    #[cfg(test)]
+    pub(crate) fn item(&self) -> &TracedItem {
+        &self.item
+    }
 }
 
 /// An engine that executes a campaign's work items.

@@ -61,6 +61,7 @@
 )]
 
 pub mod cache;
+mod chains;
 pub mod classify;
 pub mod config;
 pub mod dataset;

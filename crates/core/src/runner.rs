@@ -27,6 +27,7 @@
 use crate::cache::{
     encode_enhancements, CachedRun, CampaignCache, GoldenEntry, GoldenKey, StepEntry, StepKey,
 };
+use crate::chains::{self, ChainKey};
 use crate::classify::{classify_run, ClassifiedRun};
 use crate::config::{BenchmarkRef, CampaignConfig, SweptRail, PARKED_FREQUENCY};
 use crate::exec::{CacheHandle, CampaignExecutor, ExecContext, ExecError, ItemTask, WorkItem};
@@ -401,9 +402,16 @@ impl Campaign {
     /// probe starts from. When the chain covers the iterations and the
     /// board certifies each one at the step's supplies
     /// ([`System::replays_cleanly`]), every iteration is answered by
-    /// [`System::replay`]; otherwise every iteration executes. A replay
-    /// leaves the board's cache contents behind, and nothing reads them:
-    /// the next probe, if any, reinitializes the board.
+    /// [`System::replay`]; otherwise every iteration executes. The golden
+    /// run is replayed from `chain[0]` when the board certifies it. A
+    /// replay leaves the board's cache contents behind, and nothing reads
+    /// them: the next probe, if any, reinitializes the board.
+    ///
+    /// The chain depends only on the program, its dataset and the chip's
+    /// enhancements, so the item starts from the one an earlier item on
+    /// this thread left in the memo (`chains`), whatever core, chip or
+    /// campaign that item characterized, and hands it back, longer if the
+    /// item extended it.
     ///
     /// The item comes back without its events, which `run_work_item`
     /// drains from `buffer` once it has closed the sweep.
@@ -437,7 +445,13 @@ impl Campaign {
         let mut machine_probes = 0u32;
         let mut fresh_golden: Option<(GoldenKey, GoldenEntry)> = None;
         let mut fresh_steps: Vec<(StepKey, StepEntry)> = Vec::new();
-        let mut chain: Vec<RunRecord> = Vec::new();
+        let chain_key = ChainKey {
+            program: bench.name.clone(),
+            dataset: dataset.to_owned(),
+            enhancements,
+        };
+        let mut chain: Vec<RunRecord> = chains::take(&chain_key);
+        let mut replayed_golden = false;
         let mut replayed_steps = 0u32;
         // Work accounting is a pure function of the deterministic run
         // records, so the tallies are identical across reruns and shard
@@ -481,13 +495,19 @@ impl Campaign {
                 self.apply_reliable_cores_setup(system, core);
                 let golden_seed =
                     run_seed(self.config.seed, &bench.name, dataset, core, 0, u32::MAX);
+                let replayed = chain
+                    .first()
+                    .and_then(|first| system.replay(first, core, golden_seed));
+                replayed_golden = replayed.is_some();
                 #[expect(
                     clippy::expect_used,
                     reason = "a board in its power-on state at nominal V/F is responsive"
                 )]
-                let record = system
-                    .run(program.as_ref(), core, golden_seed)
-                    .expect("a board in its power-on state is responsive");
+                let record = replayed.unwrap_or_else(|| {
+                    system
+                        .run(program.as_ref(), core, golden_seed)
+                        .expect("a board in its power-on state is responsive")
+                });
                 assert_eq!(
                     record.outcome,
                     margins_sim::RunOutcome::Completed,
@@ -506,7 +526,7 @@ impl Campaign {
                 if cache.is_some() {
                     fresh_golden = Some((golden_key, entry.clone()));
                 }
-                if record.fault_free.is_some() {
+                if chain.is_empty() && record.fault_free.is_some() {
                     chain.push(record);
                 }
                 entry
@@ -722,6 +742,7 @@ impl Campaign {
         // `recoveries` counts replayed power cycles too, so board-init
         // work matches between cold and warm runs of the same campaign.
         tallies.record_recoveries(u64::from(recoveries));
+        chains::give_back(chain_key, chain);
         TracedItem {
             events: Vec::new(),
             golden_key: (bench.name.clone(), dataset.to_owned()),
@@ -731,6 +752,7 @@ impl Campaign {
             fresh_golden,
             fresh_steps,
             profile: tallies,
+            replayed_golden,
             replayed_steps,
         }
     }
@@ -859,6 +881,13 @@ pub(crate) struct TracedItem {
     fresh_golden: Option<(GoldenKey, GoldenEntry)>,
     fresh_steps: Vec<(StepKey, StepEntry)>,
     profile: PhaseTallies,
+    /// Whether [`System::replay`] answered the golden run; reaches no
+    /// output.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "read only by this module's tests")
+    )]
+    replayed_golden: bool,
     /// Probes answered by [`System::replay`]; reaches no output.
     #[cfg_attr(
         not(test),
@@ -1184,9 +1213,12 @@ mod tests {
             let swept: std::collections::BTreeSet<Millivolts> =
                 item.runs.iter().map(|r| r.swept_mv(rail)).collect();
             for mv in swept {
-                let single = Campaign::new(spec, config(mv.get(), mv.get()))
-                    .run(&SerialExecutor, ExecContext::new())
-                    .unwrap();
+                // On a fresh thread: this one holds the sweep's chain, from
+                // which the reference would replay too.
+                let single = Campaign::new(spec, config(mv.get(), mv.get()));
+                let (single, replays) =
+                    on_fresh_thread(|| run_counted(&single, ExecContext::new()));
+                assert_eq!(replays, [(false, 0)], "{bench} at {mv}: not simulated");
                 let replayed: Vec<&ClassifiedRun> = item
                     .runs
                     .iter()
@@ -1196,6 +1228,146 @@ mod tests {
                 assert_eq!(replayed, simulated, "{bench} at {mv}");
             }
         }
+    }
+
+    /// Runs items in order on the calling thread, as [`SerialExecutor`]
+    /// does, and notes for each whether its golden run replayed and how
+    /// many of its steps did.
+    #[derive(Default)]
+    struct ReplayCounter(std::sync::Mutex<Vec<(bool, u32)>>);
+
+    impl CampaignExecutor for ReplayCounter {
+        fn label(&self) -> &'static str {
+            "replay-counter"
+        }
+
+        fn run_items(
+            &self,
+            task: &ItemTask<'_>,
+            deliver: &mut dyn FnMut(crate::exec::ItemOutput),
+        ) -> Result<(), ExecError> {
+            for item in task.items() {
+                let output = task.run_item(item);
+                let traced = output.item();
+                let replays = (traced.replayed_golden, traced.replayed_steps);
+                self.0.lock().unwrap().push(replays);
+                deliver(output);
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs `campaign` on the calling thread; with the outcome, per item,
+    /// whether its golden run replayed and how many of its steps did.
+    fn run_counted(
+        campaign: &Campaign,
+        ctx: ExecContext<'_, '_>,
+    ) -> (CampaignOutcome, Vec<(bool, u32)>) {
+        let counter = ReplayCounter::default();
+        let outcome = campaign.run(&counter, ctx).unwrap();
+        (outcome, counter.0.into_inner().unwrap())
+    }
+
+    /// Runs `f` on a new thread, whose memo of replay chains is empty.
+    fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+        std::thread::scope(|scope| scope.spawn(f).join().unwrap())
+    }
+
+    /// What a campaign writes, traced and profiled.
+    struct Written {
+        jsonl: Vec<u8>,
+        /// `runs.csv`, `regions.csv` and `severity.csv`.
+        csvs: [String; 3],
+        tallies: PhaseTallies,
+    }
+
+    /// What `campaign` writes, run on the calling thread, and its replay
+    /// counts.
+    fn artifacts(campaign: &Campaign) -> (Written, Vec<(bool, u32)>) {
+        let mut jsonl = margins_trace::JsonlSink::new(Vec::new());
+        let mut tallies = PhaseTallies::new();
+        let (outcome, replays) = {
+            let mut sinks: [&mut dyn Sink; 1] = [&mut jsonl];
+            let ctx = ExecContext {
+                sinks: &mut sinks,
+                profile_out: Some(&mut tallies),
+                ..ExecContext::new()
+            };
+            run_counted(campaign, ctx)
+        };
+        let result = crate::regions::analyze(&outcome, &SeverityWeights::paper());
+        let written = Written {
+            jsonl: jsonl.into_inner().unwrap(),
+            csvs: [
+                crate::report::runs_csv(&outcome),
+                crate::report::regions_csv(&result),
+                crate::report::severity_csv(&result),
+            ],
+            tallies,
+        };
+        (written, replays)
+    }
+
+    #[test]
+    fn chains_carry_across_campaigns_and_move_no_byte() {
+        let campaign = |corner, serial, core, seed| {
+            let config = CampaignConfig::builder()
+                .benchmarks(["namd"])
+                .cores([CoreId::new(core)])
+                .iterations(3)
+                .start_voltage(Millivolts::new(930))
+                .floor_voltage(Millivolts::new(860))
+                .seed(seed)
+                .profile(true)
+                .build()
+                .unwrap();
+            Campaign::new(ChipSpec::new(corner, serial), config)
+        };
+        let first = campaign(Corner::Ttt, 0, 4, 7);
+        let second = campaign(Corner::Tss, 3, 1, 11);
+        let (fresh, fresh_replays) = on_fresh_thread(|| artifacts(&second));
+        let (after, after_replays) = on_fresh_thread(|| {
+            let _ = artifacts(&first);
+            artifacts(&second)
+        });
+        // On a fresh thread the golden run simulates, and so does the first
+        // step, which extends the chain to the iterations. After the first
+        // campaign, on another chip and core with another seed, both replay.
+        let [(false, steps)] = fresh_replays[..] else {
+            panic!("fresh thread: {fresh_replays:?}");
+        };
+        assert!(steps > 0, "no step of the sweep replayed");
+        assert_eq!(after_replays, [(true, steps + 1)]);
+        assert!(after.jsonl == fresh.jsonl, "the JSONL traces differ");
+        assert_eq!(after.csvs, fresh.csvs);
+        assert_eq!(after.tallies, fresh.tallies);
+    }
+
+    #[test]
+    fn chains_never_cross_enhancement_sets() {
+        let campaign = |enhancements| {
+            let config = CampaignConfig::builder()
+                .benchmarks(["namd"])
+                .cores([CoreId::new(0)])
+                .iterations(2)
+                .start_voltage(Millivolts::new(930))
+                .floor_voltage(Millivolts::new(900))
+                .enhancements(enhancements)
+                .seed(7)
+                .build()
+                .unwrap();
+            Campaign::new(ChipSpec::new(Corner::Ttt, 0), config)
+        };
+        let enhanced = campaign(Enhancements::all());
+        let (fresh, fresh_replays) = on_fresh_thread(|| run_counted(&enhanced, ExecContext::new()));
+        let (after, after_replays) = on_fresh_thread(|| {
+            let (_, stock) = run_counted(&campaign(Enhancements::stock()), ExecContext::new());
+            assert!(stock[0].1 > 0, "the stock campaign built no chain");
+            run_counted(&enhanced, ExecContext::new())
+        });
+        assert!(!after_replays[0].0, "the golden run replayed a stock run");
+        assert_eq!(after_replays, fresh_replays);
+        assert_eq!(after.runs, fresh.runs);
     }
 
     #[test]

@@ -107,11 +107,12 @@ pub struct MachineReport {
 /// corruption, no residue retry and no SRAM error observed.
 ///
 /// Such a run's op stream, cache traffic, counters, cycles and digest are a
-/// function of the program, the core and the cache contents it started
-/// from: voltage, thermal shift and seed only feed the fault samplers. This
+/// function of the program, the enhancements and the contents its core's
+/// arrays started from: voltage, thermal shift and seed only feed the fault
+/// samplers, and every core's arrays have one geometry on every chip. This
 /// summary is what those samplers need to decide, without executing the
 /// run, whether it would fire a fault at other supplies, thermal shift and
-/// seed.
+/// seed, on any core of any chip.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultFree {
     /// The timing sampler's factored intensity.

@@ -298,16 +298,23 @@ impl System {
     /// Answers a run of `record`'s program on `core` with `seed` without
     /// executing it, when the board's current supplies, clocks, thermal
     /// state and `seed` provably fire no fault in it. `record` must be a
-    /// fault-free run on `core` that started from the cache contents this
-    /// run would start from; the result then equals what [`System::run`]
-    /// would return, field for field, and the board's energy meter and
-    /// thermal state advance as that run would advance them.
+    /// fault-free run that started from the cache contents this run would
+    /// start from; the result then equals what [`System::run`] would
+    /// return, field for field, and the board's energy meter and thermal
+    /// state advance as that run would advance them.
+    ///
+    /// `record` may come from any core of any chip with this board's
+    /// enhancements. Each cache level has one geometry on every core and
+    /// every chip, so a run on another core after the same runs since
+    /// power-on started from the same contents in its own arrays; the
+    /// chip's supplies, critical voltages, thermal state and weak cells
+    /// only feed the checks below, which read this board's.
     ///
     /// Returns `None`, changing nothing, when the board is hung, `record`
-    /// carries no [`FaultFree`] summary or ran on another core, the core's
-    /// clock is divided, any array the run touches (the core's L1D and L2
-    /// at the PMD rail, the L3 at the SoC rail) has a weak cell that fails
-    /// at its supply, or either fault sampler could fire.
+    /// carries no [`FaultFree`] summary, the core's clock is divided, any
+    /// array the run touches (the core's L1D and L2 at the PMD rail, the
+    /// L3 at the SoC rail) has a weak cell that fails at its supply, or
+    /// either fault sampler could fire.
     ///
     /// A replay does not advance the cache contents: a board that replayed
     /// must be reinitialized (or power-cycled) before it executes again,
@@ -342,10 +349,11 @@ impl System {
 
     /// Whether [`System::replay`] would answer every `(record, seed)` of
     /// `runs`, in order, on `core` with the PMD rail at `pmd` and the SoC
-    /// rail at `soc`. Changes nothing on the board: each run's thermal
-    /// shift depends on the energy of the runs before it, so a clone of
-    /// the thermal model is stepped through the same power function the
-    /// replays would step.
+    /// rail at `soc`; as there, the records may come from any core of any
+    /// chip with this board's enhancements. Changes nothing on the board:
+    /// each run's thermal shift depends on the energy of the runs before
+    /// it, so a clone of the thermal model is stepped through the same
+    /// power function the replays would step.
     #[must_use]
     pub fn replays_cleanly(
         &self,
@@ -385,8 +393,7 @@ impl System {
     ) -> Option<FaultFree> {
         let summary = record.fault_free?;
         let regime = self.pmd_freq[core.pmd().index()].timing_regime();
-        let certified = record.core == core
-            && regime == TimingRegime::FullSpeed
+        let certified = regime == TimingRegime::FullSpeed
             && self.caches.l1d(core).holds_at(pmd.as_f64())
             && self.caches.l2(core).holds_at(pmd.as_f64())
             && self.caches.l3().holds_at(soc.as_f64())
